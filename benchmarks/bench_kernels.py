@@ -4,31 +4,18 @@ Times the two propagation/visibility implementations on identical inputs;
 the vectorized forms are the ones every experiment runs on, the scalar
 forms are the validated references. A correctness cross-check guards the
 speed comparison.
-
-``test_kernel_dispatch_speedup`` additionally times every
-:mod:`repro.kernels` hot path against its in-line NumPy fallback
-(``force_numpy``) and routes the result through ``reporting`` into the
-repo-root ``BENCH_kernels.json`` trajectory. With the numba backend
-active each compiled kernel must beat NumPy by >= 3x; on the pure-NumPy
-backend both sides are the identical code path, so the record documents
-the fallback's absolute timings and the gate is skipped.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
 
-from repro.orbits.elements import ElementSet, OrbitalElements
 from repro.orbits.propagator import TwoBodyPropagator
 from repro.orbits.visibility import elevation_and_range, elevation_and_range_scalar
 from repro.orbits.walker import qntn_constellation
 
-from reporting import write_bench_record
-
 SITE = (math.radians(36.1757), math.radians(-85.5066), 0.3)
-KERNEL_SPEEDUP_FLOOR = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -79,86 +66,3 @@ def test_kernel_fso_vectorized(benchmark):
     els = rng.uniform(math.radians(10.0), math.pi / 2, size=(108, 2880))
     etas = benchmark(model.transmissivity, slants, els, 500.0)
     assert np.asarray(etas).shape == (108, 2880)
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_kernel_dispatch_speedup():
-    """Compiled kernels vs their NumPy fallbacks, recorded per hot path."""
-    from repro import kernels
-    from repro.channels.presets import paper_satellite_fso
-    from repro.engine.budgets import fill_budget_block
-    from repro.network.links import LinkPolicy
-    from repro.routing.bellman_ford import FlatGraph
-
-    kernels.warmup()
-    model = paper_satellite_fso()
-    policy = LinkPolicy()
-    rng = np.random.default_rng(1)
-    slants = rng.uniform(500.0, 1400.0, size=(108, 2880))
-    els = rng.uniform(math.radians(1.0), math.pi / 2, size=(108, 2880))
-
-    graph: dict = {f"n{i}": {} for i in range(120)}
-    for _ in range(700):
-        a, b = rng.integers(0, 120, size=2)
-        if a == b:
-            continue
-        eta = float(rng.uniform(0.01, 0.9))
-        graph[f"n{a}"][f"n{b}"] = eta
-        graph[f"n{b}"][f"n{a}"] = eta
-    flat = FlatGraph(graph)
-
-    propagator = TwoBodyPropagator(qntn_constellation(108), include_j2=True)
-
-    cases = {
-        "fso.transmissivity": (
-            lambda: model.transmissivity(slants, els, 500.0),
-            5,
-        ),
-        "budgets.fill": (
-            lambda: fill_budget_block(els, slants, model, policy, 500.0),
-            5,
-        ),
-        "routing.relax": (lambda: flat.tree("n0"), 30),
-        "propagate.step": (lambda: propagator.propagate_step(4321.0), 20),
-    }
-
-    timings: dict[str, float] = {}
-    speedups: dict[str, float] = {}
-    for name, (fn, repeats) in cases.items():
-        with kernels.force_numpy():
-            t_numpy = _best_of(fn, repeats)
-        t_active = _best_of(fn, repeats)
-        timings[f"{name}.numpy"] = t_numpy
-        timings[f"{name}.{kernels.active_backend()}"] = t_active
-        speedups[name] = t_numpy / t_active if t_active > 0 else math.inf
-
-    gated = kernels.active_backend() == "numba"
-    write_bench_record(
-        "kernels",
-        timings_s=timings,
-        workload={
-            "block_shape": [108, 2880],
-            "routing_nodes": 120,
-            "routing_edges": len(flat._edges),
-            "n_satellites": 108,
-            "kernel_backend": kernels.active_backend(),
-            "numba_version": kernels.numba_version(),
-        },
-        speedup=min(speedups.values()),
-        speedup_floor=KERNEL_SPEEDUP_FLOOR if gated else None,
-        extra={"speedups": speedups, "gated": gated},
-    )
-    if gated:
-        for name, ratio in speedups.items():
-            assert ratio >= KERNEL_SPEEDUP_FLOOR, (
-                f"kernel {name} speedup {ratio:.2f}x below the "
-                f"{KERNEL_SPEEDUP_FLOOR:.0f}x floor"
-            )

@@ -90,7 +90,6 @@ def test_serve_throughput_gate(day_window, stream):
             "n_requests": len(stream),
             "engine": "cached",
             "attribute_denials": False,
-            "kernel_backend": engine.kernel_backend,
         },
         speedup=report.requests_per_min / THROUGHPUT_FLOOR_PER_MIN,
         speedup_floor=1.0,

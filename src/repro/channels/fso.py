@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro import kernels
 from repro.channels.atmosphere import ExponentialAtmosphere, spherical_coherence_length
 from repro.constants import DEFAULT_WAVELENGTH_M
 from repro.errors import ChannelError, ValidationError
@@ -39,65 +38,6 @@ __all__ = [
 
 #: Elevation grid for the tabulated turbulence spread [rad].
 _ELEVATION_GRID = np.radians(np.linspace(1.0, 90.0, 90))
-
-#: Placeholder turbulence table handed to the compiled kernels when the
-#: model has no turbulence (the kernel never reads it then, but numba
-#: still needs a concrete float64 array for the signature).
-_EMPTY_GRID = np.zeros(1)
-
-
-def _kernel_params(
-    model: "FSOChannelModel", platform_altitude_km: float | None
-) -> tuple | None:
-    """Pack a model into the plain scalars/arrays the compiled kernels take.
-
-    Returns ``None`` when the configuration cannot be represented — a
-    subclassed channel or atmosphere model (whose overridden methods the
-    kernel cannot see), or an atmospheric link without the altitude it
-    needs — in which case the caller falls through to the NumPy path.
-    """
-    if type(model) is not FSOChannelModel:
-        return None
-    atmosphere = model.atmosphere
-    use_atmosphere = atmosphere is not None
-    if use_atmosphere and type(atmosphere) is not ExponentialAtmosphere:
-        return None
-    use_turbulence = bool(model.turbulence and use_atmosphere)
-    if use_atmosphere:
-        if platform_altitude_km is None:
-            return None
-        h = atmosphere.scale_height_km
-        # Same expression as ExponentialAtmosphere.optical_depth with the
-        # default ground altitude of zero, so the factored-out zenith
-        # depth is bit-identical to the NumPy path's.
-        lo = math.exp(-max(0.0, 0.0) / h)
-        hi = math.exp(-max(float(platform_altitude_km), 0.0) / h)
-        tau_zenith = atmosphere.beta0_per_km * h * (lo - hi)
-    else:
-        tau_zenith = 0.0
-    if use_turbulence:
-        grid_el, grid_rho0 = _coherence_table(
-            model.wavelength_m,
-            round(float(platform_altitude_km), 3),
-            model.uplink,
-            model.cn2_scale,
-        )
-    else:
-        grid_el, grid_rho0 = _EMPTY_GRID, _EMPTY_GRID
-    a = model.rx_aperture_radius_m
-    return (
-        model.beam_waist_m,
-        model.rayleigh_range_m,
-        a**2,
-        model.receiver_efficiency,
-        model.pointing_jitter_rad,
-        2.0 * math.pi / model.wavelength_m,
-        use_turbulence,
-        grid_el,
-        grid_rho0,
-        use_atmosphere,
-        tau_zenith,
-    )
 
 
 @dataclass(frozen=True)
@@ -210,32 +150,6 @@ class FSOChannelModel:
         This is the paper's ``eta_th``: the geometric fraction of the
         (turbulence-broadened) Gaussian beam collected by the receiver.
         """
-        fn = kernels.kernel("fso.eta_capture")
-        if fn is not None:
-            params = _kernel_params(self, platform_altitude_km)
-            if params is not None and not (params[6] and elevation_rad is None):
-                rng = np.asarray(slant_range_km, dtype=float)
-                if np.any(rng < 0):
-                    raise ValidationError("slant range must be >= 0")
-                el = (
-                    np.zeros_like(rng)
-                    if elevation_rad is None
-                    else np.asarray(elevation_rad, dtype=float)
-                )
-                rng_b, el_b = np.broadcast_arrays(rng, el)
-                flat = fn(
-                    np.ascontiguousarray(rng_b, dtype=float).ravel(),
-                    np.ascontiguousarray(el_b, dtype=float).ravel(),
-                    params[0],
-                    params[1],
-                    params[2],
-                    params[4],
-                    params[5],
-                    params[6],
-                    params[7],
-                    params[8],
-                )
-                return flat.reshape(rng_b.shape)[()]
         w = self.effective_spot_m(slant_range_km, elevation_rad, platform_altitude_km)
         a = self.rx_aperture_radius_m
         eta = 1.0 - np.exp(-2.0 * a**2 / w**2)
@@ -254,15 +168,6 @@ class FSOChannelModel:
             return 1.0
         if elevation_rad is None or platform_altitude_km is None:
             raise ChannelError("atmospheric links need elevation_rad and platform_altitude_km")
-        fn = kernels.kernel("fso.eta_atmosphere")
-        if fn is not None:
-            params = _kernel_params(self, platform_altitude_km)
-            if params is not None:
-                el = np.asarray(elevation_rad, dtype=float)
-                if np.any(el <= 0):
-                    raise ValidationError("optical_depth requires elevation > 0")
-                flat = fn(np.ascontiguousarray(el, dtype=float).ravel(), params[10])
-                return flat.reshape(el.shape)[()]
         return self.atmosphere.transmissivity(elevation_rad, platform_altitude_km)
 
     def transmissivity(
@@ -282,28 +187,6 @@ class FSOChannelModel:
 
         Vectorized: ``slant_range_km`` and ``elevation_rad`` broadcast.
         """
-        fn = kernels.kernel("fso.transmissivity")
-        if fn is not None:
-            params = _kernel_params(self, platform_altitude_km)
-            if params is not None and not (params[9] and elevation_rad is None):
-                rng = np.asarray(slant_range_km, dtype=float)
-                if np.any(rng < 0):
-                    raise ValidationError("slant range must be >= 0")
-                el = (
-                    np.zeros_like(rng)
-                    if elevation_rad is None
-                    else np.asarray(elevation_rad, dtype=float)
-                )
-                if params[9] and np.any(el <= 0):
-                    raise ValidationError("optical_depth requires elevation > 0")
-                rng_b, el_b = np.broadcast_arrays(rng, el)
-                flat = fn(
-                    np.ascontiguousarray(rng_b, dtype=float).ravel(),
-                    np.ascontiguousarray(el_b, dtype=float).ravel(),
-                    *params,
-                )
-                out = flat.reshape(rng_b.shape)
-                return out if out.ndim else float(out)
         eta = (
             self.eta_capture(slant_range_km, elevation_rad, platform_altitude_km)
             * self.eta_atmosphere(elevation_rad, platform_altitude_km)

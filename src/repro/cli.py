@@ -319,20 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="streaming request service: asyncio front end over one ServeEngine "
-        "(Poisson arrivals, per-tenant admission queues, latency telemetry)",
+        help="streaming request service: asyncio front end over the cached "
+        "serving engine (Poisson arrivals, per-tenant admission queues, "
+        "latency telemetry)",
     )
     p_serve.add_argument(
         "--duration", type=float, default=60.0, help="simulated stream horizon [s]"
     )
     p_serve.add_argument(
         "--rate", type=float, default=20.0, help="mean Poisson arrival rate [Hz]"
-    )
-    p_serve.add_argument(
-        "--engine",
-        choices=("cached", "direct", "matrix"),
-        default="cached",
-        help="serving backend (default cached; all three are equivalence-tested)",
     )
     p_serve.add_argument("--satellites", type=int, default=108)
     p_serve.add_argument("--step", type=float, default=30.0, help="ephemeris cadence [s]")
@@ -884,14 +879,27 @@ async def _serve_stream_live(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import ValidationError
+
+    try:
+        return _run_serve(args)
+    except ValidationError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.engine.store import default_store
+    from repro.errors import ValidationError
     from repro.network.workload import lans_from_sites, poisson_request_stream
     from repro.orbits.ephemeris import generate_movement_sheet
     from repro.orbits.walker import qntn_constellation
     from repro.serve import ServeServer, ServerConfig, build_engine
 
+    if args.window < 0:
+        raise ValidationError(f"--window must be >= 0 (0 = eager), got {args.window}")
     duration_s = max(args.duration, args.step)
     with obs.span("propagate"):
         elements = qntn_constellation(args.satellites)
@@ -915,10 +923,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     with obs.span("build-engine"):
         engine = build_engine(
-            args.engine, ephemeris, faults=faults, window=window, strategy=strategy
+            "cached", ephemeris, faults=faults, window=window, strategy=strategy
         )
     args.serve_extra = {
-        "kernel_backend": engine.kernel_backend,
         "window": window,
         "router": args.router,
     }
@@ -966,7 +973,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         forced_here = True
     tracker = None
     if args.slo is not None or args.slo_snapshots is not None:
-        from repro.errors import ValidationError
         from repro.obs.slo import SLOSpec, load_slo_spec
 
         try:
@@ -1001,7 +1007,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             live.force(False)
     rows = [
         ("engine", engine.name),
-        ("kernel backend", engine.kernel_backend),
         ("advance window", str(window) if window is not None else "full"),
         ("simulated duration", f"{args.duration:g} s"),
         ("requests", report.n_submitted),
@@ -1018,7 +1023,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows.insert(1, ("router", f"{args.router} (k={args.k}, M={args.memory_slots})"))
         rows.insert(7, ("rescued (purified)", n_rescued))
         args.serve_extra["rescued"] = n_rescued
-    print(render_table(["metric", "value"], rows, title=f"STREAMING SERVICE ({args.engine})"))
+    print(render_table(["metric", "value"], rows, title=f"STREAMING SERVICE ({engine.name})"))
     causes = sorted(report.cause_counts.items(), key=lambda kv: -kv[1])
     if causes:
         print(render_table(["denial cause", "count"], causes, title="DENIAL CAUSES"))

@@ -56,11 +56,6 @@ class SpaceGroundAnalysis:
             forwarded to a self-built budget table; ignored when
             ``budgets`` is supplied (the shared table already carries —
             or deliberately omits — the fault plane).
-        window: optional chunk size (samples) forwarded to a self-built
-            budget table for incremental fills (see
-            :class:`~repro.engine.budgets.LinkBudgetTable`). Mutually
-            exclusive with ``budgets`` — a shared table decides its own
-            fill strategy.
     """
 
     def __init__(
@@ -73,7 +68,6 @@ class SpaceGroundAnalysis:
         platform_altitude_km: float = 500.0,
         budgets: LinkBudgetTable | None = None,
         faults: "FaultPlane | None" = None,
-        window: int | None = None,
     ) -> None:
         if not sites:
             raise ValidationError("analysis needs at least one ground site")
@@ -84,11 +78,6 @@ class SpaceGroundAnalysis:
         self.fso_model = fso_model
         self.policy = policy or LinkPolicy()
         self.platform_altitude_km = platform_altitude_km
-        if budgets is not None and window is not None:
-            raise ValidationError(
-                "window and budgets are mutually exclusive: a shared budget "
-                "table decides its own fill strategy"
-            )
         if budgets is not None and budgets.ephemeris.n_samples != ephemeris.n_samples:
             raise ValidationError(
                 f"budget table covers {budgets.ephemeris.n_samples} samples, "
@@ -101,22 +90,12 @@ class SpaceGroundAnalysis:
             policy=self.policy,
             platform_altitude_km=platform_altitude_km,
             faults=faults,
-            window=window,
         )
 
     @property
     def table(self) -> LinkBudgetTable:
         """The backing :class:`~repro.engine.budgets.LinkBudgetTable`."""
         return self._table
-
-    def ensure_time_index(self, k: int) -> None:
-        """Windowed tables: fill every materialised budget through ``k``.
-
-        A no-op for eager tables; lets a streaming engine advance link
-        physics one window at a time (see
-        :meth:`LinkBudgetTable.ensure_index`).
-        """
-        self._table.ensure_index(k)
 
     @property
     def times_s(self) -> np.ndarray:

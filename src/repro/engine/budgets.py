@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro import kernels
-from repro.channels.fso import FSOChannelModel, _kernel_params
+from repro.channels.fso import FSOChannelModel
 from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
@@ -91,26 +90,10 @@ def fill_budget_block(
     """Transmissivity and admission masks for a block of geometry.
 
     The shared fill behind :func:`compute_site_budget` (``horizon_rad``
-    1e-3), the link-state cache's ground-satellite group pass
-    (``horizon_rad`` 0.0, mirroring ``QuantumChannel.evaluate``), and the
-    windowed incremental fills. Runs the fused ``budgets.fill`` compiled
-    kernel when the numba backend is active and the model is
-    kernel-representable; otherwise the original masked NumPy pass, so
-    the fallback is bit-identical to the pre-kernel behaviour.
+    1e-3) and the link-state cache's ground-satellite group pass
+    (``horizon_rad`` 0.0, mirroring ``QuantumChannel.evaluate``), eager
+    or windowed.
     """
-    fn = kernels.kernel("budgets.fill")
-    if fn is not None:
-        params = _kernel_params(fso_model, platform_altitude_km)
-        if params is not None:
-            flat_eta, flat_usable = fn(
-                np.ascontiguousarray(el, dtype=float).ravel(),
-                np.ascontiguousarray(rng, dtype=float).ravel(),
-                float(horizon_rad),
-                policy.min_elevation_rad,
-                policy.transmissivity_threshold,
-                *params,
-            )
-            return flat_eta.reshape(el.shape), flat_usable.reshape(el.shape)
     above = el > horizon_rad
     eta = np.zeros_like(el)
     if np.any(above):
@@ -166,15 +149,6 @@ class LinkBudgetTable:
             when active, each healthy budget is perturbed *after* the
             store/compute step (store artifacts always stay healthy) and
             the derived budget carries the healthy mask alongside.
-        window: optional chunk size (samples) for incremental fills.
-            When set, each site's eta/admission matrices start zeroed and
-            are filled ``window`` samples at a time as
-            :meth:`ensure_index` advances — a streaming engine pays for
-            the samples it has reached instead of a whole-day pass up
-            front. Geometry (elevation/range) is still computed eagerly;
-            chunk fills are elementwise over the time axis, so a fully
-            advanced windowed table is bitwise equal to an eager one.
-            Mutually exclusive with ``store``.
 
     Budgets are computed on first access and memoized per site name.
     :meth:`at_time_indices` derives a reduced-horizon table by slicing
@@ -193,19 +167,9 @@ class LinkBudgetTable:
         platform_altitude_km: float = 500.0,
         store: "ArtifactStore | None" = None,
         faults: "FaultPlane | None" = None,
-        window: int | None = None,
     ) -> None:
         if not sites:
             raise ValidationError("a link-budget table needs at least one ground site")
-        if window is not None:
-            if store is not None:
-                raise ValidationError(
-                    "window and store are mutually exclusive: windowed budgets "
-                    "are partial, the artifact store caches full-horizon passes"
-                )
-            if int(window) != window or window < 1:
-                raise ValidationError(f"window must be a positive integer, got {window!r}")
-            window = int(window)
         self.ephemeris = ephemeris
         self.sites = list(sites)
         self.fso_model = fso_model
@@ -213,11 +177,8 @@ class LinkBudgetTable:
         self.platform_altitude_km = platform_altitude_km
         self.store = store
         self.faults = faults if faults is not None and not faults.is_noop else None
-        self.window = window
         self._budgets: dict[str, SiteLinkBudget] = {}
         self._ephemeris_fp: dict | None = None
-        self._filled: dict[str, int] = {}
-        self._target = 0 if window is None else min(window, ephemeris.n_samples)
 
     @property
     def site_names(self) -> list[str]:
@@ -239,8 +200,6 @@ class LinkBudgetTable:
         either way the in-process memo makes repeat lookups free.
         """
         if site_name not in self._budgets:
-            if self.window is not None:
-                return self._materialize_windowed(site_name)
             if self.store is not None:
                 if self._ephemeris_fp is None:
                     from repro.engine.store import ephemeris_fingerprint
@@ -268,88 +227,18 @@ class LinkBudgetTable:
                 )
         return self._budgets[site_name]
 
-    # --- windowed incremental fills ----------------------------------------
-
-    def _materialize_windowed(self, site_name: str) -> SiteLinkBudget:
-        """Allocate a windowed budget: eager geometry, zeroed eta/admission."""
-        site = self.site(site_name)
-        _, el, rng = elevation_and_range(
-            site.lat_rad, site.lon_rad, site.alt_km, self.ephemeris.positions_ecef_km
-        )
-        healthy = None if self.faults is None else np.zeros(el.shape, dtype=bool)
-        budget = SiteLinkBudget(
-            site,
-            el,
-            rng,
-            np.zeros_like(el),
-            np.zeros(el.shape, dtype=bool),
-            usable_healthy=healthy,
-        )
-        self._budgets[site_name] = budget
-        self._filled[site_name] = 0
-        self._fill_site_to(site_name, self._target)
-        return budget
-
-    def _fill_site_to(self, site_name: str, target: int) -> None:
-        """Fill one windowed budget's series over ``[filled, target)``."""
-        j0 = self._filled[site_name]
-        if target <= j0:
-            return
-        budget = self._budgets[site_name]
-        el = budget.elevation_rad[:, j0:target]
-        rng = budget.slant_range_km[:, j0:target]
-        eta, usable = fill_budget_block(
-            el, rng, self.fso_model, self.policy, self.platform_altitude_km
-        )
-        if self.faults is not None:
-            chunk = SiteLinkBudget(budget.site, el, rng, eta, usable)
-            faulted = self.faults.faulted_site_budget(
-                chunk,
-                self.ephemeris.at_time_indices(np.arange(j0, target)),
-                self.policy,
-            )
-            eta, usable = faulted.transmissivity, faulted.usable
-            assert budget.usable_healthy is not None
-            budget.usable_healthy[:, j0:target] = faulted.healthy_usable
-        budget.transmissivity[:, j0:target] = eta
-        budget.usable[:, j0:target] = usable
-        self._filled[site_name] = target
-
-    def ensure_index(self, k: int) -> None:
-        """Guarantee every materialised budget is filled through sample ``k``.
-
-        Rounds the fill frontier up to the next ``window`` boundary so a
-        streaming engine triggers one chunked fill per window, not one
-        per sample. A no-op for eager (non-windowed) tables and for
-        indices already inside the filled prefix.
-        """
-        if self.window is None:
-            return
-        n = self.ephemeris.n_samples
-        if not 0 <= k < n:
-            raise ValidationError(f"time index {k} outside [0, {n})")
-        target = min(n, (k // self.window + 1) * self.window)
-        if target > self._target:
-            self._target = target
-        for name in self._budgets:
-            self._fill_site_to(name, self._target)
-
     def compute_all(self) -> None:
         """Force computation of every site's budget (full horizon)."""
         for site in self.sites:
             self.budget(site.name)
-        if self.window is not None:
-            self.ensure_index(self.ephemeris.n_samples - 1)
 
     def at_time_indices(self, indices: Sequence[int] | np.ndarray) -> "LinkBudgetTable":
         """Table restricted to the given sample indices.
 
         Every site budget is materialised on the full horizon first and
-        then sliced (windowed tables are advanced to the end), so the
-        derived table performs no geometry passes of its own.
+        then sliced, so the derived table performs no geometry passes of
+        its own.
         """
-        if self.window is not None:
-            self.compute_all()
         idx = np.asarray(indices, dtype=int)
         table = LinkBudgetTable(
             self.ephemeris.at_time_indices(idx),

@@ -3,15 +3,15 @@
 :class:`FaultPlane` indexes a realized schedule's events three ways —
 node downtime windows, link flap windows, and per-site fade windows —
 and answers both scalar (one channel at one time) and vectorized (one
-site or edge over a whole sample grid) queries. All three serving paths
-apply the *same rule* through it:
+site or edge over a whole sample grid) queries. All three evaluation
+paths apply the *same rule* through it:
 
 * the direct path perturbs each
   :meth:`~repro.network.links.QuantumChannel.evaluate` result via
   :meth:`FaultPlane.apply_channel`;
 * the link-state cache perturbs each channel's precomputed eta/usable
   series via :meth:`FaultPlane.apply_edge_series`;
-* the budget-matrix path derives a faulted
+* the offline budget-matrix analysis derives a faulted
   :class:`~repro.engine.budgets.SiteLinkBudget` (keeping the healthy
   admission mask alongside for denial attribution) via
   :meth:`FaultPlane.faulted_site_budget`.
@@ -207,7 +207,7 @@ class FaultPlane:
                 ok[row] = ~_window_mask(windows, times)
         return ok
 
-    # --- appliers: one shared rule for all three serving paths ------------------
+    # --- appliers: one shared rule for all three evaluation paths ---------------
 
     def _channel_fade_factor(self, channel: QuantumChannel, t_s: float) -> float:
         """Scalar fade factor of a channel: ground FSO endpoints only."""

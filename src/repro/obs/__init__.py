@@ -13,7 +13,7 @@ Layout:
   snapshot/merge/delta for cross-process aggregation.
 * :mod:`repro.obs.spans` — nestable :func:`span` context manager and
   :func:`traced` decorator feeding the per-phase :func:`profile`; also
-  the always-on local :class:`Stopwatch` (formerly ``utils.timing``).
+  the always-on local :class:`Stopwatch`.
 * :mod:`repro.obs.manifest` — the JSON run manifest (git SHA, host,
   metrics, profile, worker shard reports) behind the CLI's
   ``--telemetry`` flag; :func:`git_sha`/:func:`host_info` shared with

@@ -13,10 +13,9 @@ always recorded when enabled; CPU time (``time.process_time``) is opt-in
 per span. Exceptions propagate and still record the span — the timing of
 a failed phase is exactly what a post-mortem needs.
 
-:class:`Stopwatch` (formerly ``repro.utils.timing``, which now re-exports
-it) is the *local*, always-on variant: an explicitly constructed
-instrument whose laps accumulate regardless of the global flag, for
-benchmarks that own their timing.
+:class:`Stopwatch` is the *local*, always-on variant: an explicitly
+constructed instrument whose laps accumulate regardless of the global
+flag, for benchmarks that own their timing.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.constants import EARTH_MU_KM3_S2, EARTH_RADIUS_KM, EARTH_J2
 from repro.errors import ValidationError
 from repro.orbits.elements import ElementSet, OrbitalElements
@@ -167,46 +166,11 @@ class TwoBodyPropagator:
                 raise ValidationError(f"internal propagation inconsistency: {max_err} km")
         return out
 
-    def propagate_step(self, t_s: float) -> np.ndarray:
-        """ECI positions of every satellite at one time, shape ``(n_sats, 3)``.
-
-        The frame-by-frame primitive behind windowed/incremental serving:
-        a streaming engine advancing its cursor extends ephemeris state
-        one sample at a time instead of paying a whole-day
-        :meth:`positions_eci` before the first request. Uses the compiled
-        ``propagate.step`` kernel when the numba backend is active and
-        falls back to a single-column :meth:`positions_eci` call (the
-        exact vectorized path) otherwise.
-        """
-        fn = kernels.kernel("propagate.step")
-        if fn is not None:
-            el = self._elements
-            if self._j2 is not None:
-                rates = (True, self._j2.raan_dot, self._j2.argp_dot, self._j2.mean_anomaly_dot)
-            else:
-                zero = np.zeros(len(el))
-                rates = (False, zero, zero, zero)
-            return fn(
-                float(t_s),
-                np.ascontiguousarray(el.a, dtype=float),
-                np.ascontiguousarray(el.e, dtype=float),
-                np.ascontiguousarray(el.inc, dtype=float),
-                np.ascontiguousarray(el.raan, dtype=float),
-                np.ascontiguousarray(el.argp, dtype=float),
-                np.ascontiguousarray(self._m0, dtype=float),
-                np.ascontiguousarray(self._n, dtype=float),
-                rates[0],
-                np.ascontiguousarray(rates[1], dtype=float),
-                np.ascontiguousarray(rates[2], dtype=float),
-                np.ascontiguousarray(rates[3], dtype=float),
-            )
-        return self.positions_eci(np.array([float(t_s)]))[:, 0, :]
-
     def positions_eci_scalar(self, times_s: np.ndarray) -> np.ndarray:
         """Reference (non-vectorized) implementation of :meth:`positions_eci`.
 
-        Kept for correctness testing and for the kernel benchmark that
-        quantifies the vectorization speedup (bench A5). Semantics match
+        Kept for correctness testing and for the benchmark that quantifies
+        the vectorization speedup (bench A5). Semantics match
         :meth:`positions_eci` exactly.
         """
         t = np.asarray(times_s, dtype=float)

@@ -8,7 +8,7 @@ routing-ablation baseline and Yen's spur-path inner solver), Yen's
 k-shortest simple paths (:mod:`repro.routing.yen`), bounded
 entanglement-memory accounting (:mod:`repro.routing.memory`), and the
 pluggable multipath strategy layer (:mod:`repro.routing.strategies`)
-the serving backends mount behind ``--router k-shortest``.
+the serving engine mounts behind ``--router k-shortest``.
 """
 
 from repro.routing.bellman_ford import (

@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import NoPathError, RoutingError
-from repro.kernels import kernel
 from repro.network.topology import LinkGraph
 from repro.routing.metrics import DEFAULT_EPSILON, edge_cost, path_edges, path_transmissivity
 from repro.routing.table import RoutingTable
@@ -70,25 +67,25 @@ class BellmanFordResult:
 
 
 class FlatGraph:
-    """Flat edge-array rendering of a :data:`LinkGraph` for repeated trees.
+    """Flat edge-list rendering of a :data:`LinkGraph` for repeated trees.
 
     The per-call cost of :func:`bellman_ford` is dominated by rebuilding
     the ``(u, v, cost)`` edge list — one :func:`edge_cost` call per
     directed edge — even though the graph snapshot is identical for
     every source routed at the same time step. ``FlatGraph`` pays that
-    conversion once: nodes become integer indices, edges become three
-    parallel arrays, and :meth:`tree` relaxes them for any source.
+    conversion once: nodes become integer indices, edges become a list
+    of ``(u, v, cost)`` index tuples, and :meth:`tree` relaxes them for
+    any source.
 
     Edge *order* is part of the contract: edges are listed exactly as
     the dict-based loop iterates them (outer dict order, then neighbor
     order) and relaxed sequentially with the same
     ``candidate < cost - 1e-15`` improvement rule, so the resulting
     costs and predecessor trees are bit-identical to the original
-    implementation whether the sweep runs in pure Python or in the
-    compiled ``routing.relax`` kernel.
+    implementation.
     """
 
-    __slots__ = ("nodes", "_index", "_edges", "_n", "_u_arr", "_v_arr", "_cost_arr")
+    __slots__ = ("nodes", "_index", "_edges", "_n")
 
     def __init__(self, graph: LinkGraph, epsilon: float = DEFAULT_EPSILON) -> None:
         self.nodes = list(graph)
@@ -100,23 +97,6 @@ class FlatGraph:
             for v, eta in neighbors.items()
         ]
         self._n = len(self.nodes)
-        self._u_arr: np.ndarray | None = None
-        self._v_arr: np.ndarray | None = None
-        self._cost_arr: np.ndarray | None = None
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._u_arr is None:
-            self._u_arr = np.fromiter(
-                (e[0] for e in self._edges), dtype=np.int64, count=len(self._edges)
-            )
-            self._v_arr = np.fromiter(
-                (e[1] for e in self._edges), dtype=np.int64, count=len(self._edges)
-            )
-            self._cost_arr = np.fromiter(
-                (e[2] for e in self._edges), dtype=np.float64, count=len(self._edges)
-            )
-        assert self._v_arr is not None and self._cost_arr is not None
-        return self._u_arr, self._v_arr, self._cost_arr
 
     def tree(self, source: str) -> BellmanFordResult:
         """Shortest-path tree rooted at ``source``.
@@ -127,27 +107,20 @@ class FlatGraph:
         if source not in self._index:
             raise RoutingError(f"source {source!r} is not in the graph")
         src = self._index[source]
-        relax = kernel("routing.relax")
-        if relax is not None:
-            u_arr, v_arr, cost_arr = self._arrays()
-            flat_costs, flat_pred = relax(u_arr, v_arr, cost_arr, self._n, src)
-            flat_costs = flat_costs.tolist()
-            flat_pred = flat_pred.tolist()
-        else:
-            flat_costs = [math.inf] * self._n
-            flat_pred = [-1] * self._n
-            flat_costs[src] = 0.0
-            edges = self._edges
-            for _ in range(max(self._n - 1, 1)):
-                changed = False
-                for u, v, cost in edges:
-                    candidate = flat_costs[u] + cost
-                    if candidate < flat_costs[v] - 1e-15:
-                        flat_costs[v] = candidate
-                        flat_pred[v] = u
-                        changed = True
-                if not changed:
-                    break
+        flat_costs = [math.inf] * self._n
+        flat_pred = [-1] * self._n
+        flat_costs[src] = 0.0
+        edges = self._edges
+        for _ in range(max(self._n - 1, 1)):
+            changed = False
+            for u, v, cost in edges:
+                candidate = flat_costs[u] + cost
+                if candidate < flat_costs[v] - 1e-15:
+                    flat_costs[v] = candidate
+                    flat_pred[v] = u
+                    changed = True
+            if not changed:
+                break
         nodes = self.nodes
         costs = dict(zip(nodes, flat_costs))
         predecessors = {

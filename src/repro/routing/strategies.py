@@ -2,20 +2,20 @@
 
 The paper's router serves a request over the single Bellman–Ford
 shortest path and denies everything else. This module adds the
-``k-shortest`` strategy behind every serving backend (direct / cached /
-matrix): when the strict single-path service denies a request, the
-strategy enumerates the best ``k`` simple paths on a *relaxed* link
-graph (same elevation gate, lower per-link transmissivity threshold),
-reserves entanglement-memory slots at each path's intermediate
-platforms, and distills the resulting pairs (BBPSSW/DEJMPS recurrence
-on Werner-twirled inputs) until the end-to-end fidelity clears the
-baseline's own floor — the fidelity the strict policy would deliver on
-a worst-case admitted two-hop path.
+``k-shortest`` strategy behind the serving engine (``cached`` and its
+``direct`` oracle): when the strict single-path service denies a
+request, the strategy enumerates the best ``k`` simple paths on a
+*relaxed* link graph (same elevation gate, lower per-link
+transmissivity threshold), reserves entanglement-memory slots at each
+path's intermediate platforms, and distills the resulting pairs
+(BBPSSW/DEJMPS recurrence on Werner-twirled inputs) until the
+end-to-end fidelity clears the baseline's own floor — the fidelity the
+strict policy would deliver on a worst-case admitted two-hop path.
 
 Equivalence guarantees (pinned by ``tests/routing/``):
 
 * ``k = 1`` is the identity: the strategy never intervenes, so every
-  backend's outcomes are bit-identical to the legacy router.
+  engine's outcomes are bit-identical to the legacy router.
 * ``k >= 2`` is monotone: strict-path service is untouched (memory
   bounds budget only the *extra* pairs multipath holds concurrently),
   so the served set is a superset of the baseline's.
@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
@@ -44,7 +42,6 @@ from repro.routing.metrics import DEFAULT_EPSILON, path_edges, path_transmissivi
 from repro.routing.yen import yen_paths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.analysis import SpaceGroundAnalysis
     from repro.network.topology import LinkGraph
 
 __all__ = [
@@ -348,7 +345,7 @@ class KShortestStrategy:
         destination: str,
         is_platform: Callable[[str], bool],
     ) -> tuple[CandidatePath, ...]:
-        """Yen enumeration over a relaxed link graph (direct / cached)."""
+        """Yen enumeration over a relaxed link graph."""
         if source not in graph or destination not in graph:
             return ()
         out: list[CandidatePath] = []
@@ -364,59 +361,12 @@ class KShortestStrategy:
                 break
         return tuple(out)
 
-    def matrix_candidates(
-        self,
-        relaxed: "SpaceGroundAnalysis",
-        source: str,
-        destination: str,
-        time_index: int,
-        n_satellites: int | None = None,
-    ) -> tuple[CandidatePath, ...]:
-        """Two-hop relay enumeration over relaxed budget matrices.
-
-        The matrix analog of :meth:`graph_candidates`: relays usable to
-        both endpoints under the relaxed policy, ordered by the same
-        two-hop cost :meth:`SpaceGroundAnalysis.best_relay` minimises
-        (stable sort — float ties break by satellite index). Each relay
-        is emitted up to ``k`` times: successive pairs established over
-        the same relay are the matrix discretisation of the graph
-        backends' near-duplicate fiber-detour paths, and the memory
-        pool bounds how many a relay can actually hold concurrently
-        (2 slots each).
-        """
-        bs = relaxed.budget(source)
-        bd = relaxed.budget(destination)
-        n = bs.usable.shape[0] if n_satellites is None else n_satellites
-        ok = bs.usable[:n, time_index] & bd.usable[:n, time_index]
-        if not np.any(ok):
-            return ()
-        eta_s = bs.transmissivity[:n, time_index]
-        eta_d = bd.transmissivity[:n, time_index]
-        cost = np.where(
-            ok,
-            1.0 / (eta_s + self.epsilon) + 1.0 / (eta_d + self.epsilon),
-            np.inf,
-        )
-        order = np.argsort(cost, kind="stable")[: self.scan_limit]
-        out: list[CandidatePath] = []
-        for i in order:
-            if not ok[i] or len(out) >= self.scan_limit:
-                break
-            relay = relaxed.ephemeris.names[int(i)]
-            candidate = CandidatePath(
-                path=(source, relay, destination),
-                eta=float(eta_s[i] * eta_d[i]),
-                interiors=(relay,),
-            )
-            out.extend([candidate] * min(self.config.k, self.scan_limit - len(out)))
-        return tuple(out)
-
     # --- the rescue core ----------------------------------------------------
 
     def plan(self, candidates: Sequence[CandidatePath], t_s: float) -> MultipathPlan:
         """Reserve memory along candidate paths, distill, and decide.
 
-        Candidates must arrive cost-ordered (Yen / relay-argmin order).
+        Candidates must arrive cost-ordered (Yen order).
         Paths are accepted while memory admits them (2 slots per
         interior platform, atomically) up to ``k`` held pairs; the
         establishment clock advances one ``swap_latency_s`` per hop, so

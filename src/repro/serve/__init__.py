@@ -1,16 +1,16 @@
-"""Always-on request serving: one engine API over the three serving paths.
+"""Always-on request serving: one engine over the network simulator.
 
 ``repro.serve`` turns the repository's offline day-sweeps into a
-service. :mod:`repro.serve.engine` defines the :class:`ServeEngine`
-protocol — ``submit(request) -> ServeOutcome`` — and implements it over
-the three equivalence-tested serving paths (direct scalar simulator,
-vectorized link-state cache, budget-matrix analysis);
-:mod:`repro.serve.server` is the asyncio front end with per-tenant
+service. :mod:`repro.serve.engine` defines
+:class:`~repro.serve.engine.SimulatorServeEngine` —
+``submit(request) -> ServeOutcome`` — over the vectorized link-state
+cache (``cached``, production) and the scalar simulator (``direct``,
+the test oracle); :mod:`repro.serve.server` is the asyncio front end with per-tenant
 bounded admission queues, backpressure/shedding, and latency/queue
 telemetry; :mod:`repro.serve.sharded` replays a stream across worker
 processes. The differential harness in ``tests/serve/`` pins streaming
-outcomes bit-identical to the batch path per backend, with and without
-fault schedules, serial and sharded.
+outcomes bit-identical to the batch path and ``cached`` to ``direct``,
+with and without fault schedules, serial and sharded.
 
 Live operation (DESIGN.md §14): :mod:`repro.serve.http` attaches the
 ``/metrics`` / ``/healthz`` / ``/readyz`` / ``/status`` observability
@@ -23,8 +23,8 @@ dashboard. Both read the windowed instruments of
 
 from repro.serve.engine import (
     ENGINE_KINDS,
-    ServeEngine,
     ServeOutcome,
+    SimulatorServeEngine,
     build_engine,
     outcomes_equal,
 )
@@ -35,10 +35,10 @@ from repro.serve.sharded import serve_stream_sharded
 __all__ = [
     "ENGINE_KINDS",
     "ObservabilityServer",
-    "ServeEngine",
     "ServeOutcome",
     "ServeServer",
     "ServerConfig",
+    "SimulatorServeEngine",
     "StreamReport",
     "build_engine",
     "outcomes_equal",

@@ -1,32 +1,29 @@
-"""The :class:`ServeEngine` protocol and its three backends.
+"""The serving engine: :class:`SimulatorServeEngine` over a simulator.
 
-One request API — ``submit(request) -> ServeOutcome`` — over the three
-serving paths the repository already equivalence-tests offline:
+One request API — ``submit(request) -> ServeOutcome`` — over
+:class:`~repro.network.simulator.NetworkSimulator`, in two kinds:
 
-* ``direct``: per-channel scalar evaluation through
-  :class:`~repro.network.simulator.NetworkSimulator` (the oracle);
-* ``cached``: the same simulator reading the vectorized
+* ``cached`` (production): the simulator reading the vectorized
   :class:`~repro.engine.linkstate.LinkStateCache`;
-* ``matrix``: the budget-matrix two-hop relay argmin of
-  :class:`~repro.core.analysis.SpaceGroundAnalysis`.
+* ``direct`` (test oracle): the same simulator evaluating every channel
+  per request through the scalar object model.
 
-Every engine also exposes the *batch* shape of its path through
-:meth:`ServeEngine.serve_batch` — for the simulator engines that is
-:meth:`NetworkSimulator.serve_requests` (shared routing trees), for the
-matrix engine :meth:`SpaceGroundAnalysis.serve` — and the differential
-harness in ``tests/serve/`` asserts that replaying one timestamped
-request sequence through ``submit`` and through ``serve_batch`` yields
-bit-identical outcomes per backend: the streaming front end cannot
-drift from the sweeps the paper numbers come from.
+The engine also exposes the *batch* shape of its path through
+:meth:`SimulatorServeEngine.serve_batch`, which is
+:meth:`NetworkSimulator.serve_requests` (shared routing trees per
+sample), and the differential harness in ``tests/serve/`` asserts that
+replaying one timestamped request sequence through ``submit`` and
+through ``serve_batch`` yields bit-identical outcomes: the streaming
+front end cannot drift from the batch path.
 
 Outcomes are pure functions of ``(source, destination, t_s)`` — an
 engine holds no per-request mutable state — which is what makes the
 async front end deterministic regardless of task interleaving, and a
 sharded replay identical to a serial one.
 
-Time advances through :meth:`ServeEngine.advance_to`: a monotonic
-cursor over the precomputed series (grid bisection from the last
-position, never a full-day recompute), mirroring
+Time advances through :meth:`SimulatorServeEngine.advance_to`: a
+monotonic cursor over the precomputed series (grid bisection from the
+last position, never a full-day recompute), mirroring
 :meth:`LinkStateCache.advance_index`.
 """
 
@@ -36,15 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from repro import kernels, obs
+from repro import obs
 from repro.errors import ValidationError
 from repro.obs import live
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.analysis import SpaceGroundAnalysis
     from repro.network.simulator import NetworkSimulator, RequestOutcome
     from repro.network.workload import TimedRequest
     from repro.orbits.ephemeris import Ephemeris
@@ -52,18 +46,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ENGINE_KINDS",
-    "MatrixServeEngine",
-    "ServeEngine",
     "ServeOutcome",
     "SimulatorServeEngine",
     "build_engine",
     "outcomes_equal",
 ]
 
-#: The recognised ``build_engine`` kinds, CLI choice order.
-ENGINE_KINDS = ("cached", "direct", "matrix")
+#: The recognised ``build_engine`` kinds: production first, then the oracle.
+ENGINE_KINDS = ("cached", "direct")
 
-# Live engine-level instruments: request rate through the backend (both
+# Live engine-level instruments: request rate through the engine (both
 # the streaming and the batch shape) and the ephemeris cursor position —
 # what the /readyz "cursor advancing" check and `repro top` watch.
 _LIVE_ENGINE_SUBMITS = live.windowed_counter("serve.live.engine.submits")
@@ -147,81 +139,8 @@ def outcomes_equal(a: ServeOutcome, b: ServeOutcome) -> bool:
     return a.fidelity == b.fidelity
 
 
-class ServeEngine:
-    """Common protocol of the three serving backends.
-
-    Subclasses implement :meth:`submit` (one request, the streaming
-    shape), :meth:`_serve_group` (all requests of one timestamp, the
-    batch shape) and :meth:`advance_to` (monotonic state cursor).
-    """
-
-    #: Backend label ("direct" / "cached" / "matrix").
-    name: str = "?"
-
-    @property
-    def kernel_backend(self) -> str:
-        """Active :mod:`repro.kernels` dispatch backend ("numpy"/"numba").
-
-        Surfaced in run manifests so a recorded number can always be
-        attributed to the code path that produced it.
-        """
-        return kernels.active_backend()
-
-    @property
-    def window(self) -> int | None:
-        """Incremental-advance chunk size in ephemeris samples.
-
-        ``None`` means the backend precomputed its whole horizon eagerly
-        (or, for ``direct``, evaluates per request and has no notion of
-        a fill window). Surfaced on ``/status`` and in the manifest's
-        ``extra.serve`` so an operator can see which mode is live.
-        """
-        return None
-
-    def cursor_info(self) -> dict:
-        """Engine time-cursor position (grid index and seconds).
-
-        Read-only observability for ``/status`` — mirrors what the
-        manifest's ``extra.serve`` records at end of run.
-        """
-        return {"t_index": None, "t_s": None}
-
-    def submit(self, request: "TimedRequest") -> ServeOutcome:
-        """Serve one request at its arrival time."""
-        raise NotImplementedError
-
-    def advance_to(self, t_s: float) -> None:
-        """Advance the engine's time cursor to ``t_s`` (monotonic)."""
-        raise NotImplementedError
-
-    def _serve_group(
-        self, t_s: float, group: Sequence["TimedRequest"]
-    ) -> list[ServeOutcome]:
-        """Serve all requests sharing one timestamp through the batch path."""
-        raise NotImplementedError
-
-    def serve_batch(self, requests: Iterable["TimedRequest"]) -> list[ServeOutcome]:
-        """Replay a time-ordered stream through the backend's batch path.
-
-        Consecutive requests with equal timestamps form one batch call —
-        exactly how the offline sweeps evaluate a request set per sample
-        — so this is the reference the differential harness compares
-        :meth:`submit` against.
-        """
-        outcomes: list[ServeOutcome] = []
-        group: list[TimedRequest] = []
-        for request in requests:
-            if group and request.t_s != group[0].t_s:
-                outcomes.extend(self._serve_group(group[0].t_s, group))
-                group = []
-            group.append(request)
-        if group:
-            outcomes.extend(self._serve_group(group[0].t_s, group))
-        return outcomes
-
-
-class SimulatorServeEngine(ServeEngine):
-    """``direct`` / ``cached`` backend over a :class:`NetworkSimulator`.
+class SimulatorServeEngine:
+    """``cached`` / ``direct`` serving engine over a :class:`NetworkSimulator`.
 
     Streaming requests go through :meth:`NetworkSimulator.serve_request`,
     batches through :meth:`NetworkSimulator.serve_requests`; both reduce
@@ -244,22 +163,37 @@ class SimulatorServeEngine(ServeEngine):
     ) -> None:
         self.simulator = simulator
         self.attribute_denials = attribute_denials
+        #: Engine kind: "cached" (production) or "direct" (oracle).
         self.name = "cached" if simulator.use_cache else "direct"
         self._cursor_s: float | None = None
 
     @property
     def window(self) -> int | None:
+        """Incremental-advance chunk size in ephemeris samples.
+
+        ``None`` means the link-state series was precomputed over the
+        whole horizon eagerly (or, for ``direct``, that channels are
+        evaluated per request). Surfaced on ``/status`` and in the
+        manifest's ``extra.serve`` so an operator can see which mode is
+        live.
+        """
         if self.simulator.use_cache:
             return self.simulator.linkstate.window
         return None
 
     def cursor_info(self) -> dict:
+        """Engine time-cursor position (grid index and seconds).
+
+        Read-only observability for ``/status`` — mirrors what the
+        manifest's ``extra.serve`` records at end of run.
+        """
         t_index = (
             int(self.simulator.linkstate._cursor) if self.simulator.use_cache else None
         )
         return {"t_index": t_index, "t_s": self._cursor_s}
 
     def advance_to(self, t_s: float) -> None:
+        """Advance the engine's time cursor to ``t_s`` (monotonic)."""
         if t_s != self._cursor_s:
             # Grid-aligned streams call this with a repeated t_s many
             # times per sample; the gauge only needs actual movement.
@@ -294,6 +228,7 @@ class SimulatorServeEngine(ServeEngine):
         )
 
     def submit(self, request: "TimedRequest") -> ServeOutcome:
+        """Serve one request at its arrival time."""
         _LIVE_ENGINE_SUBMITS.inc()
         with obs.span("serve"):
             raw = self.simulator.serve_request(
@@ -304,219 +239,36 @@ class SimulatorServeEngine(ServeEngine):
     def _serve_group(
         self, t_s: float, group: Sequence["TimedRequest"]
     ) -> list[ServeOutcome]:
+        """Serve all requests sharing one timestamp through the batch path."""
         _LIVE_ENGINE_SUBMITS.inc(len(group))
         with obs.span("serve"):
             raws = self.simulator.serve_requests([r.endpoints for r in group], t_s)
             return [self._outcome(r, raw) for r, raw in zip(group, raws)]
 
+    def serve_batch(self, requests: Iterable["TimedRequest"]) -> list[ServeOutcome]:
+        """Replay a time-ordered stream through the batch path.
 
-class MatrixServeEngine(ServeEngine):
-    """``matrix`` backend over a :class:`SpaceGroundAnalysis`.
-
-    Serves a request as the two-hop relay argmin of the precomputed
-    ``(n_sats, n_times)`` budget matrices: path ``src -> relay -> dst``
-    with ``eta = eta_src * eta_dst``, fidelity through the same closed
-    form as the simulator paths. Arrival times quantize to the ephemeris
-    grid through a monotonic cursor (the same most-recent-sample rule as
-    :meth:`LinkStateCache.advance_index`). Denial causes come from
-    :meth:`SpaceGroundAnalysis.request_detail`, which reads the same
-    matrices — cheap enough to leave on.
-    """
-
-    name = "matrix"
-
-    def __init__(
-        self,
-        analysis: "SpaceGroundAnalysis",
-        *,
-        epsilon: float = DEFAULT_EPSILON,
-        fidelity_convention: str = "sqrt",
-        n_satellites: int | None = None,
-        attribute_denials: bool = True,
-        strategy=None,
-        relaxed_analysis: "SpaceGroundAnalysis | None" = None,
-    ) -> None:
-        self.analysis = analysis
-        self.epsilon = epsilon
-        self.fidelity_convention = fidelity_convention
-        self.n_satellites = n_satellites
-        self.attribute_denials = attribute_denials
-        #: Active multipath strategy and its relaxed-policy twin of the
-        #: budget analysis (same ephemeris/model/faults, lower
-        #: threshold) — the matrix backend's rescue candidate source.
-        self.strategy = strategy
-        self._relaxed = relaxed_analysis
-        self._cursor = 0
-        self._cursor_s: float | None = None
-        self._windowed = analysis.table.window is not None
-
-    @property
-    def window(self) -> int | None:
-        return self.analysis.table.window
-
-    def cursor_info(self) -> dict:
-        return {"t_index": int(self._cursor), "t_s": self._cursor_s}
-
-    # --- time cursor --------------------------------------------------------
-
-    def advance_to(self, t_s: float) -> None:
-        if t_s != self._cursor_s:
-            self._cursor_s = t_s
-            _LIVE_ENGINE_CURSOR.set(t_s)
-        with obs.span("propagate"):
-            self.time_index(t_s)
-
-    def _ensure(self, k: int) -> int:
-        """Windowed tables: pull the budget fill frontier past ``k``."""
-        if self._windowed:
-            with obs.span("budget"):
-                self.analysis.ensure_time_index(k)
-        return k
-
-    def time_index(self, t_s: float) -> int:
-        """Grid index for ``t_s``: monotonic-cursor bisection, full search
-        behind the cursor (result always equals the plain searchsorted rule)."""
-        times = self.analysis.times_s
-        k = self._cursor
-        if times[k] <= t_s:
-            if k + 1 >= times.size or t_s < times[k + 1]:
-                return self._ensure(k)
-            k = k + int(np.searchsorted(times[k + 1 :], t_s, side="right"))
-            k = min(k, times.size - 1)
-            self._cursor = k
-            return self._ensure(k)
-        idx = int(np.searchsorted(times, t_s, side="right") - 1)
-        return self._ensure(min(max(idx, 0), times.size - 1))
-
-    # --- serving ------------------------------------------------------------
-
-    def _rescue(self, request: "TimedRequest", time_index: int):
-        """Multipath rescue over the relaxed budget matrices.
-
-        Returns the strategy's :class:`~repro.routing.strategies.MultipathPlan`,
-        or ``None`` when no strategy is active or the relaxed matrices
-        hold no candidate relay (legacy attribution then applies).
+        Consecutive requests with equal timestamps form one batch call —
+        exactly how the offline sweeps evaluate a request set per sample
+        — so this is the reference the differential harness compares
+        :meth:`submit` against.
         """
-        strategy = self.strategy
-        if strategy is None or self._relaxed is None or not strategy.active:
-            return None
-        if self._relaxed.table.window is not None:
-            with obs.span("budget"):
-                self._relaxed.ensure_time_index(time_index)
-        pair = (request.source, request.destination)
-
-        def enumerate_pair(p: tuple[str, str]):
-            return strategy.matrix_candidates(
-                self._relaxed, p[0], p[1], time_index, self.n_satellites
-            )
-
-        candidates = strategy.candidates(pair, ("k", time_index), enumerate_pair)
-        if not candidates:
-            return None
-        return strategy.plan(candidates, request.t_s)
-
-    def _outcome(
-        self, request: "TimedRequest", time_index: int, eta: float | None
-    ) -> ServeOutcome:
-        if eta is None:
-            plan = self._rescue(request, time_index)
-            if plan is not None and plan.served:
-                return ServeOutcome(
-                    request_id=request.request_id,
-                    source=request.source,
-                    destination=request.destination,
-                    t_s=request.t_s,
-                    tenant=request.tenant,
-                    served=True,
-                    path=plan.path,
-                    path_eta=plan.eta,
-                    fidelity=plan.fidelity,
-                    cause=None,
-                    n_paths=plan.n_paths,
-                    purified=True,
-                )
-            cause = plan.cause if plan is not None else None
-            if cause is None and self.attribute_denials:
-                detail = self.analysis.request_detail(
-                    request.source,
-                    request.destination,
-                    time_index,
-                    self.epsilon,
-                    n_satellites=self.n_satellites,
-                    max_candidates=0,
-                )
-                cause = detail["cause"].value
-            return ServeOutcome(
-                request_id=request.request_id,
-                source=request.source,
-                destination=request.destination,
-                t_s=request.t_s,
-                tenant=request.tenant,
-                served=False,
-                path=(),
-                path_eta=0.0,
-                fidelity=float("nan"),
-                cause=cause,
-            )
-        from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
-
-        hit = self.analysis.best_relay(
-            request.source,
-            request.destination,
-            time_index,
-            self.epsilon,
-            n_satellites=self.n_satellites,
-        )
-        relay = self.analysis.ephemeris.names[hit[0]]
-        fidelity = float(
-            entanglement_fidelity_from_transmissivity(
-                eta, convention=self.fidelity_convention
-            )
-        )
-        return ServeOutcome(
-            request_id=request.request_id,
-            source=request.source,
-            destination=request.destination,
-            t_s=request.t_s,
-            tenant=request.tenant,
-            served=True,
-            path=(request.source, relay, request.destination),
-            path_eta=eta,
-            fidelity=fidelity,
-            cause=None,
-        )
-
-    def submit(self, request: "TimedRequest") -> ServeOutcome:
-        _LIVE_ENGINE_SUBMITS.inc()
-        k = self.time_index(request.t_s)
-        with obs.span("serve"):
-            hit = self.analysis.best_relay(
-                request.source,
-                request.destination,
-                k,
-                self.epsilon,
-                n_satellites=self.n_satellites,
-            )
-            return self._outcome(request, k, None if hit is None else hit[1])
-
-    def _serve_group(
-        self, t_s: float, group: Sequence["TimedRequest"]
-    ) -> list[ServeOutcome]:
-        _LIVE_ENGINE_SUBMITS.inc(len(group))
-        k = self.time_index(t_s)
-        with obs.span("serve"):
-            etas = self.analysis.serve(
-                [r.endpoints for r in group], k, self.epsilon,
-                n_satellites=self.n_satellites,
-            )
-            return [self._outcome(r, k, eta) for r, eta in zip(group, etas)]
+        outcomes: list[ServeOutcome] = []
+        group: list[TimedRequest] = []
+        for request in requests:
+            if group and request.t_s != group[0].t_s:
+                outcomes.extend(self._serve_group(group[0].t_s, group))
+                group = []
+            group.append(request)
+        if group:
+            outcomes.extend(self._serve_group(group[0].t_s, group))
+        return outcomes
 
 
 def build_engine(
     kind: str,
     ephemeris: "Ephemeris",
     *,
-    sites=None,
     fso_model=None,
     policy=None,
     faults=None,
@@ -525,42 +277,41 @@ def build_engine(
     attribute_denials: bool = True,
     window: int | None = None,
     strategy: "StrategyConfig | None" = None,
-) -> ServeEngine:
-    """Assemble a :class:`ServeEngine` of the given ``kind`` over the QNTN LANs.
+) -> SimulatorServeEngine:
+    """Assemble a :class:`SimulatorServeEngine` of the given ``kind`` over the QNTN LANs.
 
     Args:
-        kind: one of :data:`ENGINE_KINDS`.
+        kind: one of :data:`ENGINE_KINDS` — ``"cached"`` in production,
+            ``"direct"`` as the test oracle.
         ephemeris: constellation movement sheet.
-        sites: ground nodes (defaults to the paper's Table I set).
         fso_model: ground-satellite channel model (paper preset default).
         policy / epsilon / fidelity_convention: serving knobs, identical
-            defaults across all three kinds.
+            defaults for both kinds.
         faults: realized :class:`~repro.faults.FaultSchedule`, compiled
-            :class:`~repro.faults.plane.FaultPlane`, or ``None``; all
-            backends consume the same compiled plane.
+            :class:`~repro.faults.plane.FaultPlane`, or ``None``; both
+            kinds consume the same compiled plane.
         attribute_denials: compute canonical denial causes for unserved
             requests (see :class:`SimulatorServeEngine`).
         window: incremental-advance chunk size in ephemeris samples.
             ``None`` keeps the eager full-horizon precompute. When set,
-            the ``cached`` link-state series and the ``matrix`` budget
-            table extend lazily as the time cursor advances (identical
-            results, lower time-to-first-request); ``direct`` evaluates
-            per request and ignores it.
+            the ``cached`` link-state series extends lazily as the time
+            cursor advances (identical results, lower time-to-first-
+            request); ``direct`` evaluates per request and ignores it.
         strategy: optional
             :class:`~repro.routing.strategies.StrategyConfig` mounting
-            the multipath router behind the backend (``--router
+            the multipath router behind the engine (``--router
             k-shortest``). ``None`` / ``router="shortest"`` keeps the
-            legacy single-path router on every backend.
+            legacy single-path router.
     """
     from repro.channels.presets import paper_satellite_fso
-    from repro.data.ground_nodes import all_ground_nodes
+    from repro.network.simulator import NetworkSimulator
+    from repro.network.topology import attach_satellites, build_qntn_ground_network
     from repro.routing.strategies import build_strategy
 
     if kind not in ENGINE_KINDS:
         raise ValidationError(
             f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}"
         )
-    kernels.warmup()
     model = fso_model or paper_satellite_fso()
     plane = faults.compile() if hasattr(faults, "compile") else faults
     router = build_strategy(
@@ -569,39 +320,6 @@ def build_engine(
         fidelity_convention=fidelity_convention,
         epsilon=epsilon,
     )
-    if kind == "matrix":
-        from repro.core.analysis import SpaceGroundAnalysis
-
-        site_list = list(sites) if sites is not None else all_ground_nodes()
-        analysis = SpaceGroundAnalysis(
-            ephemeris,
-            site_list,
-            model,
-            policy=policy,
-            faults=plane,
-            window=window,
-        )
-        relaxed_analysis = None
-        if router is not None and router.active:
-            relaxed_analysis = SpaceGroundAnalysis(
-                ephemeris,
-                site_list,
-                model,
-                policy=router.relaxed_policy,
-                faults=plane,
-                window=window,
-            )
-        return MatrixServeEngine(
-            analysis,
-            epsilon=epsilon,
-            fidelity_convention=fidelity_convention,
-            attribute_denials=attribute_denials,
-            strategy=router,
-            relaxed_analysis=relaxed_analysis,
-        )
-    from repro.network.simulator import NetworkSimulator
-    from repro.network.topology import attach_satellites, build_qntn_ground_network
-
     network = build_qntn_ground_network()
     attach_satellites(network, ephemeris, model)
     simulator = NetworkSimulator(

@@ -42,7 +42,7 @@ from repro.errors import ValidationError
 from repro.obs import events as _events
 from repro.obs import live
 from repro.obs.trace import DenialCause
-from repro.serve.engine import ServeEngine, ServeOutcome
+from repro.serve.engine import ServeOutcome, SimulatorServeEngine
 
 __all__ = [
     "LATENCY_BUCKETS_S",
@@ -166,10 +166,10 @@ class StreamReport:
 
 
 class ServeServer:
-    """Per-tenant queued serving over one :class:`ServeEngine`.
+    """Per-tenant queued serving over one :class:`SimulatorServeEngine`.
 
     Args:
-        engine: the serving backend.
+        engine: the serving engine.
         config: admission-control knobs.
         faults: optional compiled
             :class:`~repro.faults.plane.FaultPlane`; consumers report
@@ -185,7 +185,7 @@ class ServeServer:
 
     def __init__(
         self,
-        engine: ServeEngine,
+        engine: SimulatorServeEngine,
         *,
         config: ServerConfig | None = None,
         faults=None,
@@ -429,7 +429,6 @@ class ServeServer:
         }
         return {
             "engine": self.engine.name,
-            "kernel_backend": self.engine.kernel_backend,
             "started": self._started,
             "closed": self._closed,
             "uptime_s": time.monotonic() - self._created_at,

@@ -142,7 +142,7 @@ def serve_stream_sharded(
         ephemeris: constellation movement sheet (shared by every worker).
         requests: time-ordered :class:`~repro.network.workload.TimedRequest`
             records.
-        engine: backend kind (``cached`` / ``direct`` / ``matrix``).
+        engine: engine kind (``cached`` / ``direct``).
         n_workers: process count; 0 (default) replays serially in-process.
         n_shards: contiguous request blocks (default: one per worker).
         fso_model / policy / fidelity_convention / epsilon /

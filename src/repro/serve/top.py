@@ -82,7 +82,6 @@ def render_dashboard(status: Mapping[str, Any], *, url: str = "") -> str:
     t_index = engine_cursor.get("t_index")
     lines.append(
         f"engine {status.get('engine', '?')} | "
-        f"kernels {status.get('kernel_backend', '?')} | "
         f"window {fill if fill is not None else 'full'} | "
         f"uptime {_fmt_s(status.get('uptime_s'))} s | "
         f"cursor {_fmt_s(status.get('time_cursor_s'))} s"

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, seeding, interval algebra, timing.
+"""Shared utilities: validation, seeding, interval algebra.
 
 These helpers are deliberately dependency-light so every subsystem can use
 them without import cycles.
@@ -12,7 +12,6 @@ from repro.utils.intervals import (
     total_duration,
 )
 from repro.utils.seeding import SeedSequenceFactory, as_generator, spawn_generators
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -31,7 +30,6 @@ __all__ = [
     "SeedSequenceFactory",
     "as_generator",
     "spawn_generators",
-    "Stopwatch",
     "check_finite",
     "check_in_range",
     "check_positive",

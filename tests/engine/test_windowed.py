@@ -1,24 +1,21 @@
 """Windowed (incremental-advance) link state vs the eager precompute.
 
-A windowed :class:`LinkStateCache` / :class:`LinkBudgetTable` defers the
-transmissivity/admission/fault physics and fills it chunk-by-chunk as
-the time cursor advances. Every chunk operation is elementwise over the
-time axis, so the windowed series must equal the eager full-horizon
-series *bitwise* — for any window size, with or without a fault plane —
-and the fill must actually be lazy (that is the perf point).
+A windowed :class:`LinkStateCache` defers the transmissivity/admission/
+fault physics and fills it chunk-by-chunk as the time cursor advances.
+Every chunk operation is elementwise over the time axis, so the
+windowed series must equal the eager full-horizon series *bitwise* —
+for any window size, with or without a fault plane — and the fill must
+actually be lazy (that is the perf point).
 """
 
 import numpy as np
 import pytest
 
 from repro.channels.presets import paper_satellite_fso
-from repro.data.ground_nodes import all_ground_nodes
 from repro.engine import LinkStateCache
-from repro.engine.budgets import LinkBudgetTable
 from repro.errors import ValidationError
 from repro.faults import FaultSchedule, LinkFlap, SatelliteOutage, WeatherFade
 from repro.network.topology import attach_satellites, build_qntn_ground_network
-from repro.core.analysis import SpaceGroundAnalysis
 
 WINDOWS = [1, 7, 64, 120, 170]  # 120 == n_times for the 2 h / 60 s fixture
 
@@ -95,70 +92,3 @@ class TestLinkStateWindowed:
                 te = eager.routing_tree(float(t), source)
                 assert tw.costs == te.costs
                 assert tw.predecessors == te.predecessors
-
-
-class TestBudgetTableWindowed:
-    @pytest.fixture(scope="class")
-    def sites(self):
-        return list(all_ground_nodes())[:4]
-
-    @pytest.mark.parametrize("window", [1, 7, 120, 170])
-    def test_bitwise_equal_to_eager(self, small_ephemeris, sites, window):
-        model = paper_satellite_fso()
-        eager = LinkBudgetTable(small_ephemeris, sites, model)
-        windowed = LinkBudgetTable(small_ephemeris, sites, model, window=window)
-        windowed.compute_all()
-        for site in sites:
-            be, bw = eager.budget(site.name), windowed.budget(site.name)
-            np.testing.assert_array_equal(bw.transmissivity, be.transmissivity)
-            np.testing.assert_array_equal(bw.usable, be.usable)
-
-    def test_bitwise_equal_with_faults(self, small_ephemeris, sites, fault_plane):
-        model = paper_satellite_fso()
-        eager = LinkBudgetTable(small_ephemeris, sites, model, faults=fault_plane)
-        windowed = LinkBudgetTable(
-            small_ephemeris, sites, model, faults=fault_plane, window=9
-        )
-        windowed.compute_all()
-        for site in sites:
-            be, bw = eager.budget(site.name), windowed.budget(site.name)
-            np.testing.assert_array_equal(bw.transmissivity, be.transmissivity)
-            np.testing.assert_array_equal(bw.usable, be.usable)
-            np.testing.assert_array_equal(bw.healthy_usable, be.healthy_usable)
-
-    def test_ensure_index_advances_in_windows(self, small_ephemeris, sites):
-        table = LinkBudgetTable(
-            small_ephemeris, sites, paper_satellite_fso(), window=10
-        )
-        budget = table.budget(sites[0].name)
-        assert table._filled[sites[0].name] == 10
-        table.ensure_index(25)
-        assert table._filled[sites[0].name] == 30
-        # The arrays are filled in place — the handle stays valid.
-        assert budget is table.budget(sites[0].name)
-
-    def test_ensure_index_rejects_out_of_range(self, small_ephemeris, sites):
-        table = LinkBudgetTable(
-            small_ephemeris, sites, paper_satellite_fso(), window=10
-        )
-        n = small_ephemeris.n_samples
-        with pytest.raises(ValidationError):
-            table.ensure_index(n)
-        with pytest.raises(ValidationError):
-            table.ensure_index(-1)
-
-    def test_invalid_window_rejected(self, small_ephemeris, sites):
-        with pytest.raises(ValidationError):
-            LinkBudgetTable(small_ephemeris, sites, paper_satellite_fso(), window=0)
-
-    def test_analysis_window_and_budgets_exclusive(self, small_ephemeris, sites):
-        model = paper_satellite_fso()
-        table = LinkBudgetTable(small_ephemeris, sites, model)
-        with pytest.raises(ValidationError):
-            SpaceGroundAnalysis(
-                small_ephemeris, sites, model, budgets=table, window=8
-            )
-
-    def test_analysis_ensure_time_index_noop_when_eager(self, small_ephemeris, sites):
-        analysis = SpaceGroundAnalysis(small_ephemeris, sites, paper_satellite_fso())
-        analysis.ensure_time_index(0)  # must not raise or recompute

@@ -118,6 +118,16 @@ class TestClosedForm:
         f = entanglement_fidelity_from_transmissivity(0.7, convention="squared")
         assert float(f) == pytest.approx(0.8433, abs=1e-3)
 
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.123456789, 0.5, 1.0])
+    @pytest.mark.parametrize("convention", ["sqrt", "squared"])
+    def test_scalar_fast_path_equals_array(self, eta, convention):
+        """The scalar fast path of the serve hot loop stays exact."""
+        scalar = entanglement_fidelity_from_transmissivity(eta, convention=convention)
+        array = entanglement_fidelity_from_transmissivity(
+            np.array([eta]), convention=convention
+        )
+        assert float(scalar) == float(array[0])
+
     def test_vectorized(self):
         out = entanglement_fidelity_from_transmissivity(np.linspace(0, 1, 11))
         assert out.shape == (11,)

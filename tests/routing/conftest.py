@@ -3,7 +3,7 @@
 The equivalence harness runs the full 108-satellite paper constellation
 over one day (120 s cadence keeps the movement sheet cheap to build
 while preserving the day-long visibility pattern) and replays one
-grid-aligned Poisson request stream through every serving backend.
+grid-aligned Poisson request stream through both serving engine kinds.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def replays(day_ephemeris_108, day_stream_108):
 
     The direct backend rebuilds its link graph per request (~45 s per
     pass over the day stream), and several tests compare against the
-    same baseline — one serial replay per (backend, strategy) point is
+    same baseline — one serial replay per (kind, strategy) point is
     enough for all of them. Pooled replays are never memoized: worker
     independence is exactly what those tests measure.
     """

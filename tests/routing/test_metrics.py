@@ -1,5 +1,6 @@
 """Tests for the transmissivity routing metric."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,15 @@ class TestPathTransmissivity:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
             path_transmissivity([0.5, 1.5])
+
+    def test_scalar_fast_path_equals_array(self):
+        """The scalar fast path of the serve hot loop stays exact."""
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            etas = [float(x) for x in rng.uniform(0.01, 1.0, size=n)]
+            assert path_transmissivity(etas) == float(
+                np.prod(np.asarray(etas, dtype=float))
+            )
 
 
 class TestPathEdges:

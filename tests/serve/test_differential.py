@@ -1,12 +1,14 @@
-"""The differential harness: streaming == batch, serial == sharded.
+"""The differential harness: streaming == batch, serial == sharded,
+production == oracle.
 
 One timestamped request sequence is replayed through the asyncio
-streaming front end and through each backend's batch path, and the
-outcomes must be bit-identical per backend — with and without a
+streaming front end and through the engine's batch path, and the
+outcomes must be bit-identical per engine kind — with and without a
 non-empty fault schedule. The batch side is additionally pinned against
-the *raw* sweep APIs (``NetworkSimulator.serve_requests``,
-``SpaceGroundAnalysis.serve``) so the comparison is not circular, and
-the sharded replay must be independent of worker count.
+the *raw* sweep API (``NetworkSimulator.serve_requests``) so the
+comparison is not circular, the production ``cached`` engine must agree
+with the ``direct`` oracle, and the sharded replay must be independent
+of worker count.
 """
 
 import asyncio
@@ -82,48 +84,23 @@ def test_simulator_batch_is_the_raw_sweep(kind, small_ephemeris, aligned_stream)
         )
 
 
-def test_matrix_batch_is_the_raw_sweep(small_ephemeris, aligned_stream):
-    """serve_batch must reproduce SpaceGroundAnalysis.serve etas exactly."""
-    engine = build_engine("matrix", small_ephemeris)
-    batched = engine.serve_batch(aligned_stream)
-    etas = []
-    for t_s, group in groupby(aligned_stream, key=lambda r: r.t_s):
-        group = list(group)
-        k = int(np.searchsorted(engine.analysis.times_s, t_s, side="right") - 1)
-        etas.extend(
-            engine.analysis.serve([r.endpoints for r in group], k, engine.epsilon)
-        )
-    assert len(batched) == len(etas)
-    for outcome, eta in zip(batched, etas):
-        if eta is None:
-            assert not outcome.served and outcome.path_eta == 0.0
-        else:
-            assert outcome.served and outcome.path_eta == eta
-
-
 def test_backends_agree_on_service(faults, small_ephemeris, aligned_stream):
-    """All three paths serve the same requests with the same causes."""
-    by_kind = {
-        kind: build_engine(kind, small_ephemeris, faults=faults).serve_batch(
-            aligned_stream
-        )
-        for kind in ENGINE_KINDS
-    }
-    cached = by_kind["cached"]
-    # Under per-site fades the two-hop matrix model and the object-level
-    # simulator may legitimately diverge (DESIGN.md §11); the matrix leg
-    # of the cross-backend contract is healthy-only.
-    others = ("direct",) if faults is not None else ("direct", "matrix")
-    for kind in others:
-        for a, b in zip(cached, by_kind[kind]):
-            assert a.served == b.served, (kind, a, b)
-            assert a.cause == b.cause, (kind, a, b)
-            if a.served:
-                # Bit-identity is a per-backend guarantee (streaming vs
-                # batch); across backends the float op ordering differs
-                # (vectorized vs scalar), so compare to round-off.
-                assert np.isclose(a.path_eta, b.path_eta, rtol=1e-9, atol=0.0)
-                assert np.isclose(a.fidelity, b.fidelity, rtol=1e-9, atol=0.0)
+    """Production (``cached``) serves what the ``direct`` oracle serves,
+    with the same causes, healthy and under faults."""
+    cached, direct = (
+        build_engine(kind, small_ephemeris, faults=faults).serve_batch(aligned_stream)
+        for kind in ("cached", "direct")
+    )
+    assert len(cached) == len(direct) == len(aligned_stream)
+    for a, b in zip(cached, direct):
+        assert a.served == b.served, (a, b)
+        assert a.cause == b.cause, (a, b)
+        if a.served:
+            # Bit-identity is a per-engine guarantee (streaming vs
+            # batch); across kinds the float op ordering differs
+            # (vectorized vs scalar), so compare to round-off.
+            assert np.isclose(a.path_eta, b.path_eta, rtol=1e-9, atol=0.0)
+            assert np.isclose(a.fidelity, b.fidelity, rtol=1e-9, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +160,7 @@ def test_sharded_matches_batch_per_backend(small_ephemeris, aligned_stream):
 
 
 def test_accounting_covers_stream(faults, small_ephemeris, aligned_stream):
-    """served + per-cause denials == total, for every backend."""
+    """served + per-cause denials == total, for every engine kind."""
     for kind in ENGINE_KINDS:
         outcomes = build_engine(kind, small_ephemeris, faults=faults).serve_batch(
             aligned_stream

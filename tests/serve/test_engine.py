@@ -1,8 +1,8 @@
-"""Unit tests for the :class:`ServeEngine` backends.
+"""Unit tests for :class:`SimulatorServeEngine` (``cached`` and ``direct``).
 
 Covers construction, outcome shape and identity preservation, denial
-attribution on/off, the monotonic time cursors (matrix engine and
-:meth:`LinkStateCache.advance_index`) against the plain bisection rule,
+attribution on/off, the monotonic time cursor
+(:meth:`LinkStateCache.advance_index`) against the plain bisection rule,
 and :func:`outcomes_equal` semantics.
 """
 
@@ -92,20 +92,15 @@ class TestTimeCursor:
         backtrack = rng.uniform(0.0, times[-1], size=50)
         return np.concatenate([forward, backtrack])
 
-    def test_matrix_cursor_matches_bisection(self, small_ephemeris):
-        engine = build_engine("matrix", small_ephemeris)
-        times = engine.analysis.times_s
-        rng = np.random.default_rng(5)
-        for t in self._query_times(times, rng):
-            assert engine.time_index(float(t)) == self._reference(times, float(t))
-
     def test_linkstate_cursor_matches_time_index(self, small_ephemeris):
         engine = build_engine("cached", small_ephemeris)
         linkstate = engine.simulator.linkstate
         times = linkstate.times_s
         rng = np.random.default_rng(6)
         for t in self._query_times(times, rng):
-            assert linkstate.advance_index(float(t)) == linkstate.time_index(float(t))
+            expected = self._reference(times, float(t))
+            assert linkstate.advance_index(float(t)) == expected
+            assert linkstate.time_index(float(t)) == expected
 
 
 class TestServeBatch:
@@ -117,7 +112,7 @@ class TestServeBatch:
             assert outcomes_equal(a, b)
 
     def test_groups_consecutive_equal_timestamps(self, small_ephemeris, aligned_stream):
-        engine = build_engine("matrix", small_ephemeris)
+        engine = build_engine("cached", small_ephemeris)
         calls = []
         original = engine._serve_group
 

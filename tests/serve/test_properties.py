@@ -2,7 +2,7 @@
 
 Hypothesis drives randomized request streams (seed, rate, tenant count)
 and random fault schedules (reusing the chaos suite's event strategies)
-through the differential invariants: streaming == batch per backend,
+through the differential invariants: streaming == batch per engine kind,
 serving accounting covers the stream, and admission shedding is exact.
 Engines are reused across examples where the schedule is fixed —
 outcomes are pure functions of the request, so engine reuse is itself
@@ -55,8 +55,8 @@ def cached_engine(small_ephemeris):
 
 
 @pytest.fixture(scope="module")
-def matrix_engine(small_ephemeris):
-    return build_engine("matrix", small_ephemeris)
+def direct_engine(small_ephemeris):
+    return build_engine("direct", small_ephemeris)
 
 
 @settings(max_examples=40, **PROPERTY_SETTINGS)
@@ -90,21 +90,21 @@ def test_stream_generator_invariants(lans, small_ephemeris, seed, rate, n_tenant
 @settings(max_examples=8, **PROPERTY_SETTINGS)
 @given(seed=seeds, rate=rates, n_tenants=tenant_counts)
 def test_streaming_equals_batch_on_random_streams(
-    cached_engine, matrix_engine, lans, small_ephemeris, seed, rate, n_tenants
+    cached_engine, direct_engine, lans, small_ephemeris, seed, rate, n_tenants
 ):
     stream = make_stream(lans, small_ephemeris.times_s, seed, rate, n_tenants)
     if not stream:
         return
-    for engine in (cached_engine, matrix_engine):
+    for engine in (cached_engine, direct_engine):
         streamed = run_stream(engine, stream)
         batched = engine.serve_batch(stream)
         assert len(streamed) == len(batched) == len(stream)
         for a, b in zip(streamed, batched):
             assert outcomes_equal(a, b), (engine.name, a, b)
-    # Cross-backend: the serving decision itself is backend-independent.
+    # Production vs oracle: the serving decision itself is kind-independent.
     cached = cached_engine.serve_batch(stream)
-    matrix = matrix_engine.serve_batch(stream)
-    assert [o.served for o in cached] == [o.served for o in matrix]
+    direct = direct_engine.serve_batch(stream)
+    assert [o.served for o in cached] == [o.served for o in direct]
 
 
 @settings(max_examples=8, **PROPERTY_SETTINGS)

@@ -19,7 +19,6 @@ from repro.serve.top import fetch_status, render_dashboard, run_top
 
 STATUS = {
     "engine": "cached",
-    "kernel_backend": "numpy",
     "uptime_s": 12.5,
     "time_cursor_s": 4200.0,
     "cursor_advances": 37,
@@ -49,7 +48,7 @@ class TestRenderDashboard:
     def test_one_screen_layout(self):
         frame = render_dashboard(STATUS, url="http://x/status")
         assert "repro top - http://x/status" in frame
-        assert "engine cached | kernels numpy" in frame
+        assert "engine cached | window full" in frame
         assert "submitted 100  served 80  denied 15  shed 5" in frame
         assert "80.00 % of completed" in frame
         assert "rates (last 60 s)" in frame

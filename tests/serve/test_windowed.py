@@ -3,7 +3,7 @@
 ``build_engine(..., window=N)`` must change *when* link physics is
 computed, never *what* is computed: a windowed engine replaying a
 time-ordered stream yields outcomes bit-identical to the eager engine's
-batch path, per backend, with and without faults, serial and sharded.
+batch path, with and without faults, serial and sharded.
 Also pins the phase-span attribution satellite: a profiled windowed run
 records time under propagate / budget / route / serve.
 """
@@ -13,7 +13,7 @@ import pytest
 from repro.serve import build_engine, outcomes_equal
 from repro.serve.sharded import serve_stream_sharded
 
-WINDOWED_KINDS = ("cached", "matrix")  # direct has no precomputed state
+WINDOWED_KINDS = ("cached",)  # direct has no precomputed state
 
 
 class TestWindowedEquivalence:
@@ -70,16 +70,6 @@ class TestWindowedEquivalence:
             assert outcomes_equal(a, b)
 
 
-class TestKernelBackendTelemetry:
-    def test_engines_report_active_backend(self, small_ephemeris):
-        from repro import kernels
-
-        for kind in ("cached", "direct", "matrix"):
-            engine = build_engine(kind, small_ephemeris)
-            assert engine.kernel_backend == kernels.active_backend()
-            assert engine.kernel_backend in ("numpy", "numba")
-
-
 class TestPhaseSpans:
     def test_windowed_stream_attributes_phases(
         self, small_ephemeris, aligned_stream, telemetry
@@ -94,15 +84,3 @@ class TestPhaseSpans:
         assert "serve/budget" in paths  # windowed fill, inside the serve span
         assert "serve/route" in paths
         assert paths["serve"].count == len(aligned_stream)
-
-    def test_matrix_windowed_attributes_budget_to_advance(
-        self, small_ephemeris, aligned_stream, telemetry
-    ):
-        engine = build_engine("matrix", small_ephemeris, window=8)
-        for request in aligned_stream:
-            engine.advance_to(request.t_s)
-            engine.submit(request)
-        paths = telemetry.profile().stats()
-        assert "propagate" in paths
-        assert "propagate/budget" in paths  # fills ride the cursor advance
-        assert "serve" in paths

@@ -614,6 +614,22 @@ class TestServeLiveFlags:
         assert main(self._SERVE) == 0
         assert "STREAMING SERVICE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window", "-3"),
+            ("--tenants", "0"),
+            ("--rate", "-1"),
+            ("--step", "0"),
+            ("--satellites", "0"),
+        ],
+    )
+    def test_bad_input_exits_two_without_traceback(self, flag, value, capsys):
+        assert main(self._SERVE + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: ")
+        assert "Traceback" not in err
+
 
 class TestTopCommand:
     def test_parser_appends_status_path(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.timing import Stopwatch
+from repro.obs import Stopwatch
 
 
 class TestStopwatch:
