@@ -28,6 +28,7 @@ one (``NetworkSimulator.invalidate_cache`` does this for you).
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ValidationError
 from repro.network.hap import HAP
+from repro.network.host import Host
 from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
@@ -44,11 +46,38 @@ from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plane import FaultPlane
+    from repro.orbits.ephemeris import Ephemeris
 
 __all__ = ["LinkStateCache"]
 
 #: Weighted feasible-edge set: sorted ((u, v, eta), ...) with u < v.
 EdgeKey = tuple[tuple[str, str, float], ...]
+
+
+@dataclass(frozen=True)
+class _SatelliteColumn:
+    """One ground site's channels to a group of satellites sharing an
+    ephemeris, FSO model and nominal altitude (one build pass)."""
+
+    ground: Host
+    ephemeris: "Ephemeris"
+    samples: np.ndarray | None  # ephemeris sample per grid index (None: same grid)
+    rows: np.ndarray  # ephemeris row of each member satellite
+    slots: np.ndarray  # gate-column slot of each member satellite
+    model: object
+    altitude_km: float
+    usable: list[np.ndarray]  # post-fault admission series, as in ``_edges``
+
+
+@dataclass(frozen=True)
+class _StaticColumn:
+    """One ground site's channel to a static platform (e.g. a HAP)."""
+
+    slot: int
+    elevation_rad: float
+    healthy: np.ndarray | bool  # pre-fault admission, duty mask included
+    usable: np.ndarray | bool  # post-fault admission, as in ``_edges``
+
 
 # Memoization accounting (import-time instruments; flag-check when off).
 _TREE_HITS = obs.counter("linkstate.tree.hits")
@@ -109,6 +138,20 @@ class LinkStateCache:
         self._edges: list[tuple[str, str, np.ndarray | float, np.ndarray | bool]] = []
         #: windowed mode: chunk builders filling [j0, j1) of every series.
         self._deferred: list[Callable[[int, int], None]] = []
+        #: denial attribution: every non-ground host's slot in a gate
+        #: column, and per ground site the ground-to-platform channels
+        #: that feed it (see :meth:`denial_gates`).
+        self._platform_slot = {
+            host.name: i
+            for i, host in enumerate(
+                h for h in network.hosts() if h.kind != "ground"
+            )
+        }
+        self._site_hosts = frozenset(
+            host.name for host in network.hosts() if host.kind == "ground"
+        )
+        self._site_groups: dict[str, list[_SatelliteColumn]] = {}
+        self._site_static: dict[str, list[_StaticColumn]] = {}
         self._built_upto = 0
         self._build()
         if not self._deferred:
@@ -140,16 +183,23 @@ class LinkStateCache:
                 return host.ephemeris.times_s.copy()
         return np.array([0.0])
 
-    def _sample_positions(self, sat: Satellite) -> np.ndarray:
-        """Sample-and-hold positions of one satellite on the grid, (T, 3)."""
-        eph = sat.ephemeris
+    def _grid_samples(self, eph: "Ephemeris") -> np.ndarray | None:
+        """Ephemeris sample held at each grid time; ``None`` when the
+        ephemeris is sampled on the grid itself."""
         if eph.times_s.shape == self.times_s.shape and np.array_equal(
             eph.times_s, self.times_s
         ):
-            return eph.positions_ecef_km[sat.ephemeris_index]
+            return None
         idx = np.searchsorted(eph.times_s, self.times_s, side="right") - 1
-        idx = np.clip(idx, 0, eph.n_samples - 1)
-        return eph.positions_ecef_km[sat.ephemeris_index, idx]
+        return np.clip(idx, 0, eph.n_samples - 1)
+
+    def _sample_positions(self, sat: Satellite) -> np.ndarray:
+        """Sample-and-hold positions of one satellite on the grid, (T, 3)."""
+        positions = sat.ephemeris.positions_ecef_km
+        idx = self._grid_samples(sat.ephemeris)
+        if idx is None:
+            return positions[sat.ephemeris_index]
+        return positions[sat.ephemeris_index, idx]
 
     def _hap_mask(self, channel: QuantumChannel) -> np.ndarray | bool:
         """Duty-cycle availability of a channel over the grid."""
@@ -209,6 +259,17 @@ class LinkStateCache:
         state = channel.evaluate_physics(float(self.times_s[0]), self.policy)
         usable = self._hap_mask(channel) & np.asarray(state.usable)
         self._push_edge(channel, state.transmissivity, usable)
+        if channel.is_ground_to_platform:
+            a, b = channel.host_a, channel.host_b
+            ground, platform = (a, b) if a.kind == "ground" else (b, a)
+            self._site_static.setdefault(ground.name, []).append(
+                _StaticColumn(
+                    self._platform_slot[platform.name],
+                    state.elevation_rad,
+                    usable,
+                    self._edges[-1][3],
+                )
+            )
 
     def _add_ground_satellite_group(
         self, members: list[tuple[QuantumChannel, Satellite]]
@@ -232,6 +293,7 @@ class LinkStateCache:
         _, el, rng = elevation_and_range(
             ground.lat_rad, ground.lon_rad, ground.alt_km, positions
         )
+        first_edge = len(self._edges)
         if self.window is None:
             eta, usable = fill_budget_block(
                 el,
@@ -243,6 +305,7 @@ class LinkStateCache:
             )
             for row, (channel, _) in enumerate(members):
                 self._push_edge(channel, eta[row], usable[row] & self._hap_mask(channel))
+            self._add_site_group(ground, members, first_edge)
             return
 
         eta = np.zeros(el.shape)
@@ -275,6 +338,32 @@ class LinkStateCache:
         for row, (channel, _) in enumerate(members):
             a, b = channel.names
             self._edges.append((a, b, eta[row], usable[row]))
+        self._add_site_group(ground, members, first_edge)
+
+    def _add_site_group(
+        self,
+        ground: Host,
+        members: list[tuple[QuantumChannel, Satellite]],
+        first_edge: int,
+    ) -> None:
+        """Index a built satellite group for :meth:`_gate_column`.
+
+        A ground-satellite channel has no HAP endpoint, so unlike the
+        static columns it carries no duty mask.
+        """
+        channel0, sat0 = members[0]
+        self._site_groups.setdefault(ground.name, []).append(
+            _SatelliteColumn(
+                ground,
+                sat0.ephemeris,
+                self._grid_samples(sat0.ephemeris),
+                np.array([sat.ephemeris_index for _, sat in members]),
+                np.array([self._platform_slot[sat.name] for _, sat in members]),
+                channel0.model,
+                sat0.nominal_altitude_km,
+                [edge[3] for edge in self._edges[first_edge:]],
+            )
+        )
 
     def _add_inter_satellite(
         self, channel: QuantumChannel, sat_a: Satellite, sat_b: Satellite
@@ -502,6 +591,75 @@ class LinkStateCache:
             _TREE_HITS.inc()
         return trees[source]
 
+    # --- denial attribution ---------------------------------------------------
+
+    def _gate_column(
+        self, site: str, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``site``'s links to every platform at grid sample ``k``.
+
+        Returns ``(elevation, healthy, usable)`` indexed by platform
+        slot: raw elevation (NaN where the site has no channel to the
+        platform), pre-fault admission and post-fault admission. The
+        elevation and healthy columns are recomputed through the same
+        ``elevation_and_range`` / ``fill_budget_block`` calls the build
+        uses — one sample, so nothing day-long is retained — and the
+        post-fault column is read from the built edge series.
+        """
+        from repro.engine.budgets import fill_budget_block
+
+        n = len(self._platform_slot)
+        elevation = np.full(n, np.nan)
+        healthy = np.zeros(n, dtype=bool)
+        usable = np.zeros(n, dtype=bool)
+        for static in self._site_static.get(site, ()):
+            elevation[static.slot] = static.elevation_rad
+            healthy[static.slot] = _at(static.healthy, k)
+            usable[static.slot] = _at(static.usable, k)
+        for group in self._site_groups.get(site, ()):
+            j = k if group.samples is None else group.samples[k]
+            ground = group.ground
+            _, el, rng = elevation_and_range(
+                ground.lat_rad,
+                ground.lon_rad,
+                ground.alt_km,
+                group.ephemeris.positions_ecef_km[group.rows, j],
+            )
+            _, ok = fill_budget_block(
+                el, rng, group.model, self.policy, group.altitude_km, horizon_rad=0.0
+            )
+            elevation[group.slots] = el
+            healthy[group.slots] = ok
+            usable[group.slots] = [series[k] for series in group.usable]
+        return elevation, healthy, usable
+
+    def denial_gates(
+        self, source: str, destination: str, k: int
+    ) -> tuple[bool, bool, bool, bool] | None:
+        """The denial cause cascade's gates at grid sample ``k``.
+
+        Returns ``(visible, elevation_ok, healthy_usable, usable)``, each
+        true when some platform passes that gate at both endpoints — the
+        per-platform checks :meth:`NetworkSimulator._attribute_denial`
+        makes with scalar channel evaluations, read here from link-state
+        columns. ``None`` when an endpoint is not a ground site (the
+        caller then runs the scalar cascade).
+        """
+        if source not in self._site_hosts or destination not in self._site_hosts:
+            return None
+        self._ensure_index(k)
+        el_s, ok_s, up_s = self._gate_column(source, k)
+        el_d, ok_d, up_d = self._gate_column(destination, k)
+        min_el = self.policy.min_elevation_rad
+        visible = (el_s > 0.0) & (el_d > 0.0)
+        elevated = visible & (el_s >= min_el) & (el_d >= min_el)
+        return (
+            bool(visible.any()),
+            bool(elevated.any()),
+            bool((ok_s & ok_d).any()),
+            bool((up_s & up_d).any()),
+        )
+
     # --- diagnostics --------------------------------------------------------
 
     def feasible_edge_counts(self) -> np.ndarray:
@@ -520,3 +678,8 @@ class LinkStateCache:
             f"LinkStateCache({len(self._edges)} channels, {self.n_times} samples, "
             f"{len(self._trees)} edge sets memoized)"
         )
+
+
+def _at(series: np.ndarray | bool, k: int) -> bool:
+    """Sample ``k`` of a per-channel series (static series are scalars)."""
+    return bool(series if isinstance(series, (bool, np.bool_)) else series[k])

@@ -396,9 +396,22 @@ class NetworkSimulator:
         Runs the same gate cascade the flight recorder uses (without
         collecting candidate detail), so a streaming engine and a traced
         batch sweep attribute the identical denial to the identical
-        cause. Only meaningful for requests that actually went unserved —
-        the cascade presumes no usable end-to-end route exists.
+        cause. With the cache on, the gates are read from link-state
+        columns at the request's grid sample
+        (:meth:`~repro.engine.linkstate.LinkStateCache.denial_gates`);
+        the direct path runs the scalar cascade, the oracle the cached
+        answer is tested against. Only meaningful for requests that
+        actually went unserved — the cascade presumes no usable
+        end-to-end route exists.
         """
+        if self.use_cache:
+            ls = self.linkstate
+            gates = ls.denial_gates(source, destination, ls.time_index(t_s))
+            if gates is not None:
+                visible, elevated, healthy, usable = gates
+                return trace.classify_denial(
+                    visible, elevated, healthy, fault_blocked=healthy and not usable
+                )
         cause, _, _ = self._attribute_denial(source, destination, t_s, 0)
         return cause
 

@@ -29,6 +29,7 @@ count (DESIGN.md §16).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
@@ -143,17 +144,32 @@ class StrategyConfig:
             raise ValidationError(
                 f"unknown router {self.router!r}; expected one of {ROUTERS}"
             )
+        for name in ("k", "memory_slots", "max_rounds", "scan_limit"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.memory_slots is not None and self.memory_slots < 0:
             raise ValidationError(f"memory_slots must be >= 0, got {self.memory_slots}")
         if not 0.0 < self.eta_relax <= 1.0:
             raise ValidationError(f"eta_relax must be in (0, 1], got {self.eta_relax}")
+        if self.fidelity_floor is not None and not 0.0 < self.fidelity_floor <= 1.0:
+            raise ValidationError(
+                f"fidelity_floor must be in (0, 1], got {self.fidelity_floor}"
+            )
         if self.max_rounds < 1:
             raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.swap_latency_s < 0.0:
+        window = self.decoherence_window_s
+        if window is not None and not (math.isfinite(window) and window > 0.0):
             raise ValidationError(
-                f"swap_latency_s must be >= 0, got {self.swap_latency_s}"
+                f"decoherence_window_s must be finite and > 0, got {window}"
+            )
+        if not (math.isfinite(self.swap_latency_s) and self.swap_latency_s >= 0.0):
+            raise ValidationError(
+                f"swap_latency_s must be finite and >= 0, got {self.swap_latency_s}"
             )
         if self.scan_limit is not None and self.scan_limit < self.k:
             raise ValidationError(
@@ -211,9 +227,8 @@ class PathTable:
     An epoch identifies one link-state snapshot (the cache's weighted
     feasible-edge key, or the timestamp on the direct path). Lookups
     within an epoch reuse the installed enumeration; advancing the
-    epoch uninstalls every entry and returns the pairs that were
-    active, so the strategy can proactively re-install them against the
-    new snapshot before traffic arrives.
+    epoch uninstalls every entry, and a pair is enumerated again only
+    when a request for it arrives in the new epoch.
     """
 
     def __init__(self) -> None:
@@ -228,15 +243,13 @@ class PathTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def advance(self, epoch: Hashable) -> list[tuple[str, str]]:
-        """Enter ``epoch``; uninstall stale entries, return their pairs."""
+    def advance(self, epoch: Hashable) -> None:
+        """Enter ``epoch``, uninstalling every entry of the previous one."""
         if epoch == self._epoch:
-            return []
-        stale = list(self._entries)
-        _UNINSTALLED.inc(len(stale))
+            return
+        _UNINSTALLED.inc(len(self._entries))
         self._entries.clear()
         self._epoch = epoch
-        return stale
 
     def lookup(self, pair: tuple[str, str]) -> tuple[CandidatePath, ...] | None:
         """Installed candidates for ``pair`` in the current epoch."""
@@ -327,10 +340,14 @@ class KShortestStrategy:
         epoch: Hashable,
         enumerate_pair: Callable[[tuple[str, str]], tuple[CandidatePath, ...]],
     ) -> tuple[CandidatePath, ...]:
-        """Path-table front end: lookup, else install (proactively
-        re-installing the previous epoch's active pairs first)."""
-        for stale in self.table.advance(epoch):
-            self.table.install(stale, enumerate_pair(stale))
+        """Path-table front end: lookup, else enumerate and install.
+
+        Install is lazy: only the requested pair is ever enumerated, at
+        most once per epoch. Enumeration is a pure function of the
+        epoch's relaxed graph, so when it runs cannot change what it
+        returns.
+        """
+        self.table.advance(epoch)
         cached = self.table.lookup(pair)
         if cached is not None:
             return cached

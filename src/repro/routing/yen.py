@@ -8,67 +8,82 @@ exactly that: the best path comes from a single-source run, and every
 further path is the cheapest "spur" deviation off an already-accepted
 path with the deviating edges masked out.
 
-The spur-path inner solver is :func:`repro.routing.dijkstra.dijkstra`
-— all edge costs on this metric are positive, so Dijkstra is exact here
-and this wires the previously stand-alone baseline into the serving
-path (the shared-metric equivalence with Bellman–Ford is pinned in
+The spur-path inner solver is Dijkstra over a cost adjacency built once
+per :func:`yen_paths` call (each eta validated and turned into its
+``1/(eta + eps)`` cost there, once); banned prefix nodes and deviating
+edges are skipped inline instead of materialising a masked graph. It
+follows :func:`repro.routing.dijkstra.dijkstra` step for step —
+neighbour order, strict-``<`` relaxations, ``(cost, node)`` heap ties —
+and stops when the destination is popped, whose predecessor chain is
+final by then, so every spur path is the one the baseline solver would
+return. All edge costs on this metric are positive, so Dijkstra is exact
+here (the shared-metric equivalence with Bellman–Ford is pinned in
 ``tests/routing/``).
 
-Determinism: candidate spurs are ordered by ``(cost, path)`` — node
-names break float ties — so the enumeration order is a pure function of
-the graph, independent of dict iteration or hash randomisation.
+Determinism: equal-cost paths from one Dijkstra run resolve by heap pop
+order (the first-popped predecessor wins), and candidate spurs are
+ordered by ``(cost, path)`` — node names break float ties — so the
+enumeration order is a pure function of the graph, independent of dict
+iteration or hash randomisation.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Set
 
-from repro.errors import NoPathError, RoutingError
+from repro.errors import RoutingError
 from repro.network.topology import LinkGraph
-from repro.routing.dijkstra import dijkstra_path
-from repro.routing.metrics import DEFAULT_EPSILON, path_cost, path_edges
+from repro.routing.metrics import DEFAULT_EPSILON, edge_cost
 
 __all__ = ["k_shortest_paths", "yen_paths"]
 
+#: Per-node ``{neighbour: 1/(eta + eps)}`` in the link graph's order.
+CostGraph = dict[str, dict[str, float]]
 
-class _MaskedGraph(Mapping):
-    """Read-only view of a link graph with nodes and directed edges removed.
 
-    Implements just enough of the mapping protocol for the Dijkstra /
-    Bellman–Ford solvers (`in`, iteration, ``graph[u].items()``) without
-    copying the underlying adjacency.
-    """
+def _spur_path(
+    costs: CostGraph,
+    source: str,
+    destination: str,
+    banned_nodes: Set[str] = frozenset(),
+    banned_next: Set[str] = frozenset(),
+) -> list[str] | None:
+    """Dijkstra ``source -> destination`` avoiding ``banned_nodes`` and
+    the edges ``source -> v`` for ``v`` in ``banned_next``; ``None`` when
+    the destination is unreachable."""
+    best: dict[str, float] = {source: 0.0}
+    predecessors: dict[str, str] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    # Banned nodes behave as already settled: never relaxed, never popped.
+    settled = set(banned_nodes)
+    inf = float("inf")
+    while heap:
+        cost_u, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        if u == destination:
+            path = [u]
+            while u != source:
+                u = predecessors[u]
+                path.append(u)
+            path.reverse()
+            return path
+        settled.add(u)
+        for v, w in costs[u].items():
+            if v in settled or (u == source and v in banned_next):
+                continue
+            candidate = cost_u + w
+            if candidate < best.get(v, inf):
+                best[v] = candidate
+                predecessors[v] = u
+                heapq.heappush(heap, (candidate, v))
+    return None
 
-    def __init__(
-        self,
-        graph: LinkGraph,
-        banned_nodes: frozenset[str],
-        banned_edges: frozenset[tuple[str, str]],
-    ) -> None:
-        self._graph = graph
-        self._banned_nodes = banned_nodes
-        self._banned_edges = banned_edges
 
-    def __contains__(self, node: object) -> bool:
-        return node in self._graph and node not in self._banned_nodes
-
-    def __iter__(self):
-        for node in self._graph:
-            if node not in self._banned_nodes:
-                yield node
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __getitem__(self, node: str) -> dict[str, float]:
-        if node in self._banned_nodes:
-            raise KeyError(node)
-        return {
-            v: eta
-            for v, eta in self._graph[node].items()
-            if v not in self._banned_nodes and (node, v) not in self._banned_edges
-        }
+def _path_cost(costs: CostGraph, path: list[str] | tuple[str, ...]) -> float:
+    """Left-to-right sum of edge costs (the value ``path_cost`` gives)."""
+    return sum(costs[u][v] for u, v in zip(path, path[1:]))
 
 
 def yen_paths(
@@ -85,43 +100,40 @@ def yen_paths(
 
     Raises:
         RoutingError: if either endpoint is not in the graph.
+        ValidationError: if any link eta lies outside [0, 1].
     """
     if source not in graph:
         raise RoutingError(f"source {source!r} is not in the graph")
     if destination not in graph:
         raise RoutingError(f"destination {destination!r} is not in the graph")
-    try:
-        first, _ = dijkstra_path(graph, source, destination, epsilon)
-    except NoPathError:
+    costs: CostGraph = {
+        u: {v: edge_cost(eta, epsilon) for v, eta in neighbors.items()}
+        for u, neighbors in graph.items()
+    }
+    first = _spur_path(costs, source, destination)
+    if first is None:
         return
     accepted: list[list[str]] = [first]
     seen: set[tuple[str, ...]] = {tuple(first)}
-    yield first, path_cost(path_edges(graph, first), epsilon)
+    yield first, _path_cost(costs, first)
     # Min-heap of (cost, path-tuple) candidate deviations; the path
     # tuple both deduplicates and breaks cost ties deterministically.
     frontier: list[tuple[float, tuple[str, ...]]] = []
     while True:
         prev = accepted[-1]
         for i in range(len(prev) - 1):
-            spur_node = prev[i]
             root = prev[: i + 1]
-            banned_edges = {
-                (p[i], p[i + 1])
-                for p in accepted
-                if len(p) > i + 1 and p[: i + 1] == root
+            banned_next = {
+                p[i + 1] for p in accepted if len(p) > i + 1 and p[: i + 1] == root
             }
-            banned_nodes = frozenset(root[:-1])
-            masked = _MaskedGraph(graph, banned_nodes, frozenset(banned_edges))
-            try:
-                spur, _ = dijkstra_path(masked, spur_node, destination, epsilon)
-            except NoPathError:
+            spur = _spur_path(costs, prev[i], destination, set(root[:-1]), banned_next)
+            if spur is None:
                 continue
             candidate = tuple(root[:-1] + spur)
             if candidate in seen:
                 continue
             seen.add(candidate)
-            cost = path_cost(path_edges(graph, list(candidate)), epsilon)
-            heapq.heappush(frontier, (cost, candidate))
+            heapq.heappush(frontier, (_path_cost(costs, candidate), candidate))
         if not frontier:
             return
         cost, best = heapq.heappop(frontier)

@@ -152,10 +152,12 @@ class SimulatorServeEngine:
         simulator: the bound simulator; its ``use_cache`` flag decides
             which serving path (and this engine's ``name``).
         attribute_denials: compute the canonical denial cause for every
-            unserved request (the flight-recorder cascade re-evaluates
-            each candidate uplink, ~2 scalar channel evaluations per
-            platform — exact but far off the hot path). Disable for
-            throughput runs; denied outcomes then carry ``cause=None``.
+            unserved request. ``cached`` reads the cause cascade's gates
+            from link-state columns at the request's grid sample (one
+            site-against-every-platform column per endpoint); ``direct``
+            re-evaluates each candidate uplink through the scalar
+            channel model, the oracle the cached answer is tested
+            against. When off, denied outcomes carry ``cause=None``.
     """
 
     def __init__(

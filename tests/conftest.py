@@ -11,6 +11,7 @@ from repro.data.ground_nodes import all_ground_nodes
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
+from repro.network.workload import align_to_grid, lans_from_sites, poisson_request_stream
 from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
 
@@ -31,6 +32,35 @@ def small_ephemeris():
 def day_ephemeris_36():
     """A 36-satellite, 1-day movement sheet at 120 s cadence."""
     return generate_movement_sheet(qntn_constellation(36), duration_s=86400.0, step_s=120.0)
+
+
+@pytest.fixture(scope="session")
+def day_ephemeris_108():
+    """The paper's 108-satellite constellation over a full day.
+
+    The 120 s cadence keeps the movement sheet cheap to build while
+    preserving the day-long visibility pattern.
+    """
+    return generate_movement_sheet(
+        qntn_constellation(108), duration_s=86400.0, step_s=120.0
+    )
+
+
+@pytest.fixture(scope="session")
+def day_stream_108(day_ephemeris_108):
+    """~80 grid-aligned inter-LAN requests spread over the day.
+
+    Rate 1 mHz keeps the per-request direct backend affordable while
+    still producing a double-digit rescue count at k=2 (the
+    monotonicity tests assert the rescue leg is non-vacuous).
+    """
+    stream = poisson_request_stream(
+        lans_from_sites(all_ground_nodes()),
+        rate_hz=0.001,
+        duration_s=86400.0,
+        seed=11,
+    )
+    return align_to_grid(stream, day_ephemeris_108.times_s)
 
 
 @pytest.fixture(scope="session")
