@@ -382,7 +382,7 @@ def test_live_mode_streaming_overhead(serve_window, serve_stream):
 #   attribute load + one None check per span. Gated against the span
 #   volume of a served request (root + queue + serve) at the disabled
 #   ceiling — the hot path must stay unchanged within noise.
-# * timeline recording at full sample rate (`--timeline`, a diagnostic
+# * timeline recording at full sample rate (`--trace`, a diagnostic
 #   mode): each request writes its root, queue, and serve events as JSONL.
 #   Gated as a fraction of the per-request budget the 600k req/min
 #   throughput floor guarantees. Full-rate recording is opt-in, so the

@@ -23,17 +23,15 @@ for the run and writes the JSON run manifest to PATH; ``--profile``
 prints the per-phase profile table after the results. ``-v`` / ``-vv``
 turn on diagnostic logging (stderr) — result tables always go to stdout.
 
-Request tracing (DESIGN.md §10): ``--trace PATH`` turns on the flight
-recorder — one JSONL record per entanglement request with denial
-attribution; ``repro report <manifest>`` renders a run manifest as a
+Recording (DESIGN.md §10): ``--trace PATH`` records one JSONL event
+stream — causal span events across worker processes, where each
+request's root ``request`` event carries its flight record (path and
+fidelity, or one canonical denial cause); ``repro trace PATH`` exports
+it as Chrome/Perfetto ``trace_event`` JSON, raw JSON, or an ASCII span
+tree. ``repro report <manifest>`` renders a run manifest as a
 self-contained HTML (or ASCII) report, and ``repro obs diff A B``
 compares two manifests with optional threshold-based exit codes
 (``--format json`` emits the rows as machine-readable JSON for CI).
-
-Timeline tracing (DESIGN.md §15): ``--timeline PATH`` records causal
-span events (one trace per served request, across worker processes) to
-a JSONL stream; ``repro trace PATH`` exports it as Chrome/Perfetto
-``trace_event`` JSON, raw JSON, or an ASCII span tree.
 
 Live operation (DESIGN.md §14): ``repro serve --http-port N`` attaches
 the ``/metrics`` / ``/healthz`` / ``/readyz`` / ``/status`` endpoints
@@ -165,32 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="PATH",
-        help="flight recorder: stream one JSONL record per entanglement request "
-        "to PATH (DESIGN.md §10); the summary embeds into --telemetry manifests",
+        help="record span events and one flight record per entanglement "
+        "request (path and fidelity, or its denial cause) to PATH as JSONL "
+        "(DESIGN.md §10); the summary embeds into --telemetry manifests; "
+        "export with `repro trace PATH`",
     )
     parser.add_argument(
         "--trace-sample-rate",
         type=_probability,
         default=1.0,
         metavar="RATE",
-        help="fraction of requests to trace, deterministic per (endpoints, step) "
+        help="fraction of requests to record, deterministic per trace id "
         "(default 1.0 = every request)",
-    )
-    parser.add_argument(
-        "--timeline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="causal timeline: record begin/end span events with trace context "
-        "to PATH as JSONL (DESIGN.md §15); export with `repro trace PATH`",
-    )
-    parser.add_argument(
-        "--timeline-sample-rate",
-        type=_probability,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of request traces to record on the timeline, "
-        "deterministic per trace id (default 1.0 = every request)",
     )
     parser.add_argument(
         "--faults",
@@ -427,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="export a --timeline JSONL stream as Chrome/Perfetto trace_event "
+        help="export a --trace JSONL stream as Chrome/Perfetto trace_event "
         "JSON, raw JSON records, or an ASCII span tree",
     )
     p_trace.add_argument(
         "file",
         type=Path,
-        help="timeline JSONL written by --timeline (rotated parts are followed)",
+        help="JSONL stream written by --trace (rotated parts are followed)",
     )
     p_trace.add_argument(
         "--format",
@@ -961,14 +945,14 @@ def _run_serve(args: argparse.Namespace) -> int:
         # instruments recording, but not the full diagnostic telemetry
         # (spans, cumulative engine metrics) — force-enable just the
         # live plane, which costs a few percent of serving throughput
-        # instead of half of it. The reset clears the timeline recorder
-        # too, so a --timeline run detaches it across the reset.
+        # instead of half of it. The reset clears the recorder too, so a
+        # --trace run detaches it across the reset.
         from repro.obs import events as events_mod
         from repro.obs import live
 
-        timeline = events_mod.detach()
+        recorder = events_mod.detach()
         obs.reset()
-        events_mod.attach(timeline)
+        events_mod.attach(recorder)
         live.force(True)
         forced_here = True
     tracker = None
@@ -1036,12 +1020,17 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
+    from repro.errors import ValidationError
     from repro.obs import events as events_mod
 
     if not args.file.exists():
         print(f"repro trace: no such file: {args.file}", file=sys.stderr)
         return 2
-    records = list(events_mod.read_events(args.file))
+    try:
+        records = list(events_mod.read_events(args.file))
+    except ValidationError as exc:
+        print(f"repro trace: {exc}", file=sys.stderr)
+        return 2
     if args.format == "tree":
         text = events_mod.render_tree(records, limit=args.limit)
     elif args.format == "json":
@@ -1144,7 +1133,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging(args.verbose)
     from repro.engine.store import ArtifactStore, set_default_store
-    from repro.obs import events, trace
+    from repro.obs import events
 
     telemetry_on = args.telemetry is not None or args.profile
     if telemetry_on:
@@ -1152,13 +1141,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         obs.enable()
     tracing = args.trace is not None
     if tracing:
-        trace.start(args.trace, sample_rate=args.trace_sample_rate)
-    timeline_on = args.timeline is not None
-    if timeline_on:
         # After obs.reset() above: the reset would otherwise drop the
-        # just-started recorder (satellite: back-to-back runs must not
-        # leak events between CLI invocations in one process).
-        events.start(args.timeline, sample_rate=args.timeline_sample_rate)
+        # just-started recorder (back-to-back runs must not leak events
+        # between CLI invocations in one process).
+        events.start(args.trace, sample_rate=args.trace_sample_rate)
     fault_extra = None
     if args.faults is not None:
         from repro.errors import ValidationError
@@ -1197,8 +1183,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             print(render_profile_table())
         if args.telemetry is not None:
-            # Manifest before trace.stop(): the recorder must still be
-            # active for its summary to embed in the manifest.
+            # Manifest before events.stop(): the recorder must still be
+            # active for its summary to embed under "trace".
             extra = {}
             if fault_extra is not None:
                 extra["faults"] = fault_extra
@@ -1221,14 +1207,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             _LOG.info("run manifest written to %s", path)
         if tracing:
-            trace.stop()
-            _LOG.info("trace written to %s", args.trace)
-        if timeline_on:
-            # After the manifest write: the recorder must still be
-            # active for its summary (span counts, slowest waterfalls)
-            # to embed under the manifest's "events" key.
             events.stop()
-            _LOG.info("timeline written to %s", args.timeline)
+            _LOG.info("trace written to %s", args.trace)
         if telemetry_on:
             obs.disable()
 

@@ -250,9 +250,8 @@ class SpaceGroundAnalysis:
         epsilon: float = DEFAULT_EPSILON,
         *,
         n_satellites: int | None = None,
-        max_candidates: int = 12,
     ) -> dict:
-        """Flight-recorder view of one request: gate cascade + chosen relay.
+        """Flight-record view of one request: gate cascade + chosen relay.
 
         Evaluates the same budget matrices :meth:`best_relay` reads and
         reports every candidate platform's per-gate outcome (visibility,
@@ -261,8 +260,10 @@ class SpaceGroundAnalysis:
         goes unserved — the canonical denial cause from
         :func:`repro.obs.trace.classify_denial`. The served/relay
         decision is identical to :meth:`serve` by construction (same
-        ``usable`` mask, same cost argmin).
+        ``usable`` mask, same cost argmin). Candidate detail stops at
+        :data:`~repro.obs.events.MAX_CANDIDATES` entries.
         """
+        from repro.obs.events import MAX_CANDIDATES
         from repro.obs.trace import classify_denial
 
         bs = self.budget(src_name)
@@ -316,7 +317,7 @@ class SpaceGroundAnalysis:
             )
 
         candidates = []
-        for i in np.flatnonzero(visible)[:max_candidates]:
+        for i in np.flatnonzero(visible)[:MAX_CANDIDATES]:
             entry = {
                 "platform": self.ephemeris.names[int(i)],
                 "eta_src": float(eta_s[i]),

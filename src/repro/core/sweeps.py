@@ -26,7 +26,7 @@ from repro.data.ground_nodes import GroundNode, all_ground_nodes
 from repro.engine.budgets import LinkBudgetTable
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
-from repro.obs import events, trace
+from repro.obs import events
 from repro.orbits.ephemeris import Ephemeris, generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
@@ -47,17 +47,17 @@ _DENIED = obs.counter("network.requests.denied")
 _FIDELITY = obs.histogram("network.fidelity")
 
 
-def _trace_service_block(
-    rec: "trace.TraceRecorder",
+def _record_service_block(
+    rec: "events.EventRecorder",
     analysis: SpaceGroundAnalysis,
     pairs: list[tuple[str, str]],
     t_indices,
     n_satellites: int,
     convention: str,
 ) -> None:
-    """Record flight-recorder entries for one block of service steps.
+    """Record flight records for one block of service steps.
 
-    Sampling keys on the (process-global) service-grid index, so shard
+    Trace ids key on the (process-global) service-grid index, so shard
     workers and the serial path sample exactly the same requests; the
     served/relay decision comes from
     :meth:`SpaceGroundAnalysis.request_detail`, which reads the same
@@ -66,41 +66,34 @@ def _trace_service_block(
     times = analysis.ephemeris.times_s
     for t_idx in t_indices:
         t_idx = int(t_idx)
-        t_s = float(times[t_idx])
         for src, dst in pairs:
-            if not rec.sampled(src, dst, t_idx):
+            flight = rec.request_scope(f"{src}|{dst}|{t_idx!r}")
+            if flight is None:
                 continue
-            detail = analysis.request_detail(
-                src,
-                dst,
-                t_idx,
-                n_satellites=n_satellites,
-                max_candidates=rec.config.max_candidates,
-            )
-            fidelity = None
+            detail = analysis.request_detail(src, dst, t_idx, n_satellites=n_satellites)
+            attrs = {
+                "source": src,
+                "destination": dst,
+                "source_lan": detail["source_lan"],
+                "destination_lan": detail["destination_lan"],
+                "t_s": float(times[t_idx]),
+                "t_index": t_idx,
+                "served": detail["served"],
+            }
             if detail["served"]:
-                fidelity = float(
+                attrs["path"] = [src, detail["relay"], dst]
+                attrs["hop_etas"] = detail["hop_etas"]
+                attrs["path_eta"] = detail["path_eta"]
+                attrs["fidelity"] = float(
                     entanglement_fidelity_from_transmissivity(
                         detail["path_eta"], convention=convention
                     )
                 )
-            rec.record_request(
-                t_s=t_s,
-                t_index=t_idx,
-                source=src,
-                destination=dst,
-                source_lan=detail["source_lan"],
-                destination_lan=detail["destination_lan"],
-                served=detail["served"],
-                path=[src, detail["relay"], dst] if detail["served"] else (),
-                hop_etas=detail["hop_etas"],
-                path_eta=detail["path_eta"],
-                fidelity=fidelity,
-                relay=detail["relay"],
-                cause=detail["cause"],
-                candidates=detail["candidates"],
-                candidate_counts=detail["candidate_counts"],
-            )
+            else:
+                attrs["cause"] = detail["cause"].value
+                attrs["candidates"] = detail["candidates"]
+                attrs["candidate_counts"] = detail["candidate_counts"]
+            rec.record_request(flight, attrs)
 
 
 def _service_matrix_shard(
@@ -114,11 +107,9 @@ def _service_matrix_shard(
     ``([t][size_index] -> etas, shard report)`` for the block, in block
     order; the report mirrors the one produced by
     :func:`repro.parallel.sweep._service_shard` (pid, index range, phase
-    timings, metrics delta) plus, when the parent traces, the shard's
-    flight-recorder payload under ``"trace"``. Trace recording here is
-    explicit (a local recorder, not the process-global hook), so the
-    in-process single-block fallback never collides with the parent's
-    recorder.
+    timings, metrics delta) plus, for a pooled task of a recorded run,
+    the shard's recording payload under ``"events"``. An in-process task
+    gets no shard config and records into the parent's recorder.
     """
     import os
     import time
@@ -129,25 +120,17 @@ def _service_matrix_shard(
         pairs,
         sizes,
         obs_enabled,
-        trace_cfg,
-        convention,
         events_cfg,
+        convention,
     ) = args
     from repro.obs.metrics import metrics_delta
     from repro.parallel.shm import ShmAttachment, attach_budget_table
 
     if obs_enabled:
         obs.enable()
-    if events_cfg is not None:
-        # Timeline events ride the process-global span hook, so (unlike
-        # the explicit trace recorder below) the shard config is only
-        # ever sent to pooled tasks — the in-process single-block
-        # fallback keeps recording into the parent's recorder directly.
-        events.reset_for_worker()
-        events.start_shard(events_cfg)
+    events.start_shard(events_cfg)
     baseline = obs.registry().snapshot()
     t0 = time.perf_counter()
-    shard_rec = trace.shard_recorder(trace_cfg) if trace_cfg is not None else None
     with ShmAttachment() as attachment:
         table = attach_budget_table(table_handle, attachment)
         analysis = SpaceGroundAnalysis(
@@ -163,9 +146,10 @@ def _service_matrix_shard(
             [analysis.serve(list(pairs), t, n_satellites=n) for n in sizes]
             for t in t_block
         ]
-        if shard_rec is not None:
-            _trace_service_block(
-                shard_rec, analysis, list(pairs), t_block, sizes[-1], convention
+        rec = events.active()
+        if rec is not None:
+            _record_service_block(
+                rec, analysis, list(pairs), t_block, sizes[-1], convention
             )
     t_serve = time.perf_counter()
     report = {
@@ -180,8 +164,6 @@ def _service_matrix_shard(
         },
         "metrics": metrics_delta(obs.registry().snapshot(), baseline),
     }
-    if shard_rec is not None:
-        report["trace"] = trace.shard_payload(shard_rec)
     if events_cfg is not None:
         report["events"] = events.finish_shard()
     return results, report
@@ -354,16 +336,20 @@ def run_constellation_sweep(
     with obs.span("route"):
         cumulative = coverage_analysis.cumulative_all_pairs_connected()
 
-    # Flight recorder: one coverage record per ephemeris sample (from the
-    # full-size mask — the row the headline coverage number is computed
-    # from), so the trace-derived outage timeline and coverage fraction
-    # reproduce core.coverage's values exactly.
-    recorder = trace.active()
+    # One coverage event per ephemeris sample (from the full-size mask —
+    # the row the headline coverage number is computed from), so the
+    # recorded outage timeline and coverage fraction reproduce
+    # core.coverage's values exactly.
+    recorder = events.active()
     if recorder is not None:
-        recorder.horizon_s = float(duration_s)
         full_mask = cumulative[max_size - 1]
         for i, t in enumerate(ephemeris.times_s):
-            recorder.record_coverage(t_s=float(t), connected=bool(full_mask[i]), t_index=i)
+            recorder.record_coverage(
+                t_s=float(t),
+                t_index=i,
+                connected=bool(full_mask[i]),
+                horizon_s=duration_s,
+            )
 
     # One reduced-time analysis for request service. With the cache on,
     # its budgets are slices of the coverage pass' matrices — no second
@@ -408,9 +394,8 @@ def run_constellation_sweep(
                         tuple(endpoint_pairs),
                         tuple(sweep_sizes),
                         obs.enabled(),
-                        trace.shard_config(int(block[0])),
-                        fidelity_convention,
                         events.shard_config(int(block[0])) if pooled else None,
+                        fidelity_convention,
                     )
                     for block in blocks
                 ]
@@ -425,10 +410,7 @@ def run_constellation_sweep(
                 # Serial (single-block) fallback runs in-process and has
                 # already hit this registry; merging would double-count.
                 obs.registry().merge(metrics)
-            # Shard trace payloads fold in block (= time) order; the
-            # matrix shard records explicitly into its own recorder, so
-            # absorbing is correct for pooled and in-process runs alike.
-            trace.absorb_shard(report.pop("trace", None))
+            # Shard recordings fold in block (= time) order.
             events.absorb_shard(report.pop("events", None))
             obs.record_worker_report(report)
     else:
@@ -441,7 +423,7 @@ def run_constellation_sweep(
                 for t_idx in range(n_steps)
             ]
             if recorder is not None:
-                _trace_service_block(
+                _record_service_block(
                     recorder,
                     service_analysis,
                     endpoint_pairs,

@@ -21,7 +21,8 @@ from repro.network.events import EventTimeline
 from repro.network.links import LinkPolicy
 from repro.network.protocols import EntangledPair, distribute_entanglement
 from repro.network.topology import LinkGraph, QuantumNetwork
-from repro.obs import trace
+from repro.obs import events
+from repro.obs.trace import DenialCause, classify_denial
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 from repro.routing.bellman_ford import BellmanFordResult, bellman_ford, shortest_path
 from repro.routing.metrics import DEFAULT_EPSILON, path_edges, path_transmissivity
@@ -259,7 +260,7 @@ class NetworkSimulator:
             return None
         return strategy.plan(candidates, t_s), graph
 
-    # --- flight recorder ---------------------------------------------------------
+    # --- flight records ----------------------------------------------------------
 
     def _lan_of(self, name: str) -> str | None:
         """LAN name of a host, or None for platforms."""
@@ -267,14 +268,14 @@ class NetworkSimulator:
 
     def _attribute_denial(
         self, source: str, destination: str, t_s: float, max_candidates: int
-    ) -> tuple[trace.DenialCause, list[dict], dict[str, int]]:
+    ) -> tuple[DenialCause, list[dict], dict[str, int]]:
         """Cause cascade over the candidate uplink platforms at ``t_s``.
 
         Evaluates every platform's channels to both endpoints under the
         simulator's policy and folds the per-gate outcomes into exactly
         one canonical :class:`~repro.obs.trace.DenialCause` — only run
-        for requests that are both denied and trace-sampled, so its cost
-        never touches the untraced hot path.
+        for requests that are both denied and recorded, so its cost
+        never touches the unrecorded hot path.
         """
         min_el = self.policy.min_elevation_rad
         faults = self.faults
@@ -324,7 +325,7 @@ class NetworkSimulator:
                 if faults is not None:
                     entry["faulted"] = healthy and not usable
                 candidates.append(entry)
-        cause = trace.classify_denial(
+        cause = classify_denial(
             n_visible > 0,
             n_elev > 0,
             n_healthy > 0,
@@ -340,9 +341,9 @@ class NetworkSimulator:
             counts["healthy_usable"] = n_healthy
         return cause, candidates, counts
 
-    def _trace_outcome(
+    def _record_flight(
         self,
-        rec: trace.TraceRecorder,
+        flight: str,
         graph: LinkGraph,
         source: str,
         destination: str,
@@ -351,49 +352,41 @@ class NetworkSimulator:
         path: tuple[str, ...] | list[str] = (),
         eta_path: float = 0.0,
         fidelity: float | None = None,
-        cause: trace.DenialCause | None = None,
+        cause: str | None = None,
     ) -> None:
-        """Record one (already sampled) request outcome; empty path = denied.
+        """Record one request's flight detail into trace ``flight``; empty
+        path = denied.
 
         ``cause`` overrides the gate-cascade attribution for denials
         the strategy layer decided in-line (route exhaustion, memory
         pressure) — the cascade still supplies the candidate detail.
         """
+        attrs: dict = {
+            "source": source,
+            "destination": destination,
+            "source_lan": self._lan_of(source),
+            "destination_lan": self._lan_of(destination),
+            "t_s": t_s,
+            "served": bool(path),
+        }
         if path:
-            rec.record_request(
-                t_s=t_s,
-                source=source,
-                destination=destination,
-                source_lan=self._lan_of(source),
-                destination_lan=self._lan_of(destination),
-                served=True,
-                path=list(path),
-                hop_etas=path_edges(graph, list(path)),
-                path_eta=eta_path,
-                fidelity=fidelity,
+            attrs["path"] = list(path)
+            attrs["hop_etas"] = path_edges(graph, list(path))
+            attrs["path_eta"] = eta_path
+            attrs["fidelity"] = fidelity
+        else:
+            cascade_cause, candidates, counts = self._attribute_denial(
+                source, destination, t_s, events.MAX_CANDIDATES
             )
-            return
-        cascade_cause, candidates, counts = self._attribute_denial(
-            source, destination, t_s, rec.config.max_candidates
-        )
-        if cause is None:
-            cause = cascade_cause
-        rec.record_request(
-            t_s=t_s,
-            source=source,
-            destination=destination,
-            source_lan=self._lan_of(source),
-            destination_lan=self._lan_of(destination),
-            served=False,
-            cause=cause,
-            candidates=candidates,
-            candidate_counts=counts,
-        )
+            attrs["cause"] = cause or cascade_cause.value
+            attrs["candidates"] = candidates
+            attrs["candidate_counts"] = counts
+        events._ACTIVE.record_request(flight, attrs)
 
-    def denial_cause(self, source: str, destination: str, t_s: float) -> trace.DenialCause:
+    def denial_cause(self, source: str, destination: str, t_s: float) -> DenialCause:
         """Canonical cause for an unserved ``source -> destination`` at ``t_s``.
 
-        Runs the same gate cascade the flight recorder uses (without
+        Runs the same gate cascade a flight record uses (without
         collecting candidate detail), so a streaming engine and a traced
         batch sweep attribute the identical denial to the identical
         cause. With the cache on, the gates are read from link-state
@@ -409,7 +402,7 @@ class NetworkSimulator:
             gates = ls.denial_gates(source, destination, ls.time_index(t_s))
             if gates is not None:
                 visible, elevated, healthy, usable = gates
-                return trace.classify_denial(
+                return classify_denial(
                     visible, elevated, healthy, fault_blocked=healthy and not usable
                 )
         cause, _, _ = self._attribute_denial(source, destination, t_s, 0)
@@ -422,7 +415,7 @@ class NetworkSimulator:
         source: str,
         destination: str,
         t_s: float,
-        rec: trace.TraceRecorder | None,
+        flight: str | None,
         graph: LinkGraph,
         time_index: int | None = None,
     ) -> RequestOutcome:
@@ -438,9 +431,9 @@ class NetworkSimulator:
             _REQUESTS_SERVED.inc()
             _PATH_HOPS.observe(len(plan.path) - 1)
             _FIDELITY.observe(plan.fidelity)
-            if rec is not None:
-                self._trace_outcome(
-                    rec, relaxed_graph, source, destination, t_s,
+            if flight is not None:
+                self._record_flight(
+                    flight, relaxed_graph, source, destination, t_s,
                     path=plan.path, eta_path=plan.eta, fidelity=plan.fidelity,
                 )
             return RequestOutcome(
@@ -449,10 +442,9 @@ class NetworkSimulator:
             )
         cause = rescue[0].cause if rescue is not None else None
         _REQUESTS_DENIED.inc()
-        if rec is not None:
-            self._trace_outcome(
-                rec, graph, source, destination, t_s,
-                cause=trace.DenialCause(cause) if cause is not None else None,
+        if flight is not None:
+            self._record_flight(
+                flight, graph, source, destination, t_s, cause=cause
             )
         return RequestOutcome(
             source, destination, t_s, False, (), 0.0, float("nan"), None, cause=cause
@@ -478,9 +470,10 @@ class NetworkSimulator:
             graph = ls.graph_at_index(k)
         else:
             graph = self.link_graph(t_s)
-        rec = trace.active()
-        if rec is not None and not rec.sampled(source, destination, t_s):
-            rec = None
+        rec = events._ACTIVE
+        flight = (
+            None if rec is None else rec.request_scope(f"{source}|{destination}|{t_s!r}")
+        )
         try:
             if self.use_cache:
                 path = ls.routing_tree_at_index(k, source).path_to(destination)
@@ -488,7 +481,7 @@ class NetworkSimulator:
             else:
                 path, eta_path = shortest_path(graph, source, destination, self.epsilon)
         except NoPathError:
-            return self._denied_outcome(source, destination, t_s, rec, graph, k)
+            return self._denied_outcome(source, destination, t_s, flight, graph, k)
         pair = None
         if self.track_states:
             pair = distribute_entanglement(
@@ -504,9 +497,9 @@ class NetworkSimulator:
         _REQUESTS_SERVED.inc()
         _PATH_HOPS.observe(len(path) - 1)
         _FIDELITY.observe(fidelity)
-        if rec is not None:
-            self._trace_outcome(
-                rec, graph, source, destination, t_s,
+        if flight is not None:
+            self._record_flight(
+                flight, graph, source, destination, t_s,
                 path=path, eta_path=eta_path, fidelity=fidelity,
             )
         return RequestOutcome(
@@ -524,15 +517,17 @@ class NetworkSimulator:
         graph = self.link_graph(t_s)
         trees: dict[str, object] = {}
         outcomes: list[RequestOutcome] = []
-        recorder = trace.active()
+        rec = events._ACTIVE
         for source, destination in requests:
             if source not in self.network:
                 raise UnknownHostError(source)
             if destination not in self.network:
                 raise UnknownHostError(destination)
-            rec = recorder
-            if rec is not None and not rec.sampled(source, destination, t_s):
-                rec = None
+            flight = (
+                None
+                if rec is None
+                else rec.request_scope(f"{source}|{destination}|{t_s!r}")
+            )
             if source not in trees:
                 trees[source] = self._routing_tree(graph, source, t_s)
             tree = trees[source]
@@ -540,7 +535,7 @@ class NetworkSimulator:
                 path = tree.path_to(destination)  # type: ignore[attr-defined]
             except NoPathError:
                 outcomes.append(
-                    self._denied_outcome(source, destination, t_s, rec, graph)
+                    self._denied_outcome(source, destination, t_s, flight, graph)
                 )
                 continue
             etas = path_edges(graph, path)
@@ -558,9 +553,9 @@ class NetworkSimulator:
             _REQUESTS_SERVED.inc()
             _PATH_HOPS.observe(len(path) - 1)
             _FIDELITY.observe(fidelity)
-            if rec is not None:
-                self._trace_outcome(
-                    rec, graph, source, destination, t_s,
+            if flight is not None:
+                self._record_flight(
+                    flight, graph, source, destination, t_s,
                     path=path, eta_path=eta_path, fidelity=fidelity,
                 )
             outcomes.append(

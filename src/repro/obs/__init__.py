@@ -21,16 +21,15 @@ Layout:
 * :mod:`repro.obs.export` — Prometheus text dump and the ``--profile``
   ASCII table (imported on demand, not re-exported here, to keep this
   package import-light for the hot modules that instrument through it).
-* :mod:`repro.obs.trace` — the per-request flight recorder (sampled
-  JSONL records with denial-cause attribution) behind the CLI's
-  ``--trace`` flag; off by default, one ``None`` check per request
-  otherwise. :mod:`repro.obs.report` renders its manifests into
-  HTML/ASCII reports and threshold-gated diffs (imported on demand).
-* :mod:`repro.obs.events` — the causal timeline plane (raw span
-  begin/end events with trace/span/parent ids, cross-process clock
-  alignment, Chrome ``trace_event`` export) behind the CLI's
-  ``--timeline`` flag; off by default, one ``None`` check per span
-  otherwise (DESIGN.md §15).
+* :mod:`repro.obs.events` — the one recording sink behind the CLI's
+  ``--trace`` flag: raw span events with trace/span/parent ids and
+  cross-process clock alignment, where each request's root ``request``
+  event carries its flight record (path and fidelity, or one canonical
+  denial cause from :mod:`repro.obs.trace`), plus Chrome
+  ``trace_event`` export; off by default, one ``None`` check per span
+  and per request otherwise (DESIGN.md §10). :mod:`repro.obs.report`
+  renders its manifests into HTML/ASCII reports and threshold-gated
+  diffs (imported on demand).
 * :mod:`repro.obs.live` — windowed instruments (sliding-window rates,
   rolling exact quantiles, injectable clock) registered in the same
   registry; :mod:`repro.obs.slo` evaluates declarative SLOs over them
@@ -135,8 +134,8 @@ def reset() -> None:
 
     The enabled flag is left as-is (but a force-enabled live plane is
     switched back off); instrument objects stay registered, so
-    references cached at import time remain live. Any active timeline
-    recorder (:mod:`repro.obs.events`) is closed and dropped, and
+    references cached at import time remain live. Any active recorder
+    (:mod:`repro.obs.events`) is closed and dropped, and
     histogram exemplars are cleared with the metric values — back-to-back
     runs in one process never leak events or exemplars across runs. Also
     marks *now* as the run start for the manifest's

@@ -1,15 +1,13 @@
-"""Causal timeline events: raw span begin/end records with trace context.
+"""The one recording sink: span events plus per-request flight records.
 
 The span plane (:mod:`repro.obs.spans`) folds every execution into an
-aggregate :class:`~repro.obs.spans.Profile` and discards the timeline;
-the flight recorder (:mod:`repro.obs.trace`) keeps one record per
-request but knows nothing about *phases*. This module is the missing
-fourth plane: when a recorder is active (off by default — the span hot
-path pays one ``None`` check otherwise), every completed span activation
-emits one raw event carrying a ``trace`` / ``span`` / ``parent`` triple,
-monotonic microsecond timestamps, and key attributes (tenant, time,
-denial cause), so a slow p99 observation links to the concrete timeline
-that produced it.
+aggregate :class:`~repro.obs.spans.Profile` and discards the timeline.
+When a recorder is active (off by default — the span and serving hot
+paths pay one ``None`` check otherwise), every completed span
+activation emits one raw event carrying a ``trace`` / ``span`` /
+``parent`` triple, monotonic microsecond timestamps and attributes, so
+one stream answers both "where did the time go?" and "why was this
+request denied?".
 
 Event records are JSON dicts with the fields::
 
@@ -21,12 +19,27 @@ Event records are JSON dicts with the fields::
 duration — begin/end pairs are materialised on export); ``ts``/``dur``
 are integer microseconds on the recording process' monotonic clock;
 ``shard`` identifies the recording process (0 = the parent, workers get
-``first_request_index + 1`` via :func:`shard_config`). Records without a
+``first_index + 1`` via :func:`shard_config`). Records without a
 ``trace`` field are *process-scope* (cursor advances, budget fills,
-sweep phases): they describe one process' own timeline and legitimately
-vary with worker count, while trace-anchored records are worker-count
-invariant for a fixed seed (the determinism contract the timeline tests
-pin).
+sweep phases, coverage samples): they describe one process' own
+timeline and legitimately vary with worker count, while trace-anchored
+records are worker-count invariant for a fixed seed.
+
+**Flight records.** A request's flight record is the attrs of its root
+``request`` event: endpoints and their LANs, ``t_s`` (and the sweep's
+``t_index``), ``served``, then ``path``/``hop_etas``/``path_eta``/
+``fidelity`` when served, or one canonical ``cause`` with ``candidates``
+(at most :data:`MAX_CANDIDATES`) and ``candidate_counts`` when denied.
+Under the streaming server the root is the open ``req-<id>`` span and
+the simulator merges its detail into it (:meth:`EventRecorder.
+record_request`); with no trace scope the request becomes its own
+zero-duration root with trace id ``"<src>|<dst>|<key!r>"``. Sweeps add
+one process-scope ``coverage`` event per ephemeris sample. Ingest checks
+every flight record (served XOR one canonical cause) and keeps bounded
+analytics — cause counts per LAN pair, satellite utilization, the
+coverage mask, per-step accounting — next to per-path span counts and
+the N slowest traces, all embedded in the run manifest via
+:meth:`EventRecorder.summary`.
 
 Trace context is explicit at the roots and implicit below them: the
 streaming front end opens a root span per request via
@@ -34,20 +47,19 @@ streaming front end opens a root span per request via
 covers submit -> outcome, spanning queue residency), then wraps the
 engine call in ``handle.scope()`` so every nested ``obs.span`` parents
 itself correctly through a thread-local context stack. Sampling is
-deterministic per trace (CRC-32 of ``(seed, trace_id)``), and an
-unsampled root suppresses its whole subtree — children of a suppressed
-scope are never recorded, so sampled cost scales with the sample rate.
+deterministic per trace (CRC-32 of ``f"{seed}|{trace_id}"``), and an
+unsampled root suppresses its whole subtree. Process-scope events are
+never sampled.
 
-Memory is bounded exactly like :mod:`repro.obs.trace`: size-rotated
-JSONL or a fixed ring, plus bounded incremental analytics (per-path
-counts and the N slowest complete traces, kept as relative-offset
-waterfalls for ``repro report``).
+Memory is bounded: size-rotated JSONL (``t.jsonl``, ``t.jsonl.1``, ...)
+or a fixed ring, and analytics bounded by the workload's shape, never
+its length.
 
 Workers never write through an inherited recorder: the pool protocol
 (:func:`shard_config` / :func:`start_shard` / :func:`finish_shard` /
-:func:`absorb_shard`) mirrors the flight recorder's, with one addition —
-each shard payload carries the worker's paired clock origins
-``(wall_origin_unix_s, mono_origin_us)``, and the parent maps every
+:func:`absorb_shard`) gives each task its own shard recorder, and each
+shard payload carries the worker's paired clock origins
+``(wall_origin_unix_s, mono_origin_us)`` so the parent maps every
 absorbed timestamp onto its own monotonic timeline with one constant
 per-shard offset. A constant shift preserves intra-trace causality
 (every span of one trace is recorded in one process), so merged
@@ -58,6 +70,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import numbers
 import time
 import threading
 import zlib
@@ -68,9 +81,11 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
+from repro.obs.trace import CAUSES
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
+    "MAX_CANDIDATES",
     "EventConfig",
     "EventRecorder",
     "absorb_shard",
@@ -94,6 +109,10 @@ __all__ = [
 
 #: Bump when the event layout changes incompatibly.
 EVENT_SCHEMA_VERSION = 1
+
+#: Per-record cap on detailed candidate-uplink entries in a denial's
+#: flight record (``candidate_counts`` stay exact).
+MAX_CANDIDATES = 12
 
 #: Sentinel trace id for a suppressed (unsampled) context scope.
 _DROP = object()
@@ -138,12 +157,18 @@ class EventConfig:
             raise ValidationError(
                 f"sample_rate must be in [0, 1], got {self.sample_rate}"
             )
-        if self.max_records_per_file < 1:
-            raise ValidationError("max_records_per_file must be positive")
-        if self.ring_size < 1:
-            raise ValidationError("ring_size must be positive")
-        if self.n_slowest < 0:
-            raise ValidationError("n_slowest must be >= 0")
+        for name, low in (
+            ("max_records_per_file", 1),
+            ("ring_size", 1),
+            ("seed", None),
+            ("shard", 0),
+            ("n_slowest", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 def now_us() -> int:
@@ -314,8 +339,27 @@ class EventRecorder:
         #: in-flight requests; released — or retained as a waterfall —
         #: when the root record arrives)
         self._open: dict[str, list[dict[str, Any]]] = {}
+        #: open root handles by trace id (flight detail merges into them)
+        self._roots: dict[str, SpanHandle] = {}
         #: min-heap of the n_slowest completed traces, keyed by duration
         self._slowest: list[tuple[int, str, dict[str, Any]]] = []
+        # --- flight-record analytics ---------------------------------------
+        self.n_requests = 0
+        self.n_served = 0
+        self.n_cancelled = 0
+        self.cause_counts: dict[str, int] = {c: 0 for c in CAUSES}
+        #: "LAN-A<->LAN-B" -> {"total", "served", causes...}
+        self.pair_stats: dict[str, dict[str, int]] = {}
+        #: hop platform name -> served requests carried
+        self.satellite_counts: dict[str, int] = {}
+        self.fidelity_sum = 0.0
+        self.fidelity_count = 0
+        #: evaluation-step served accounting: key -> [served, total]
+        self.step_counts: dict[str, list[int]] = {}
+        # coverage mask (one entry per coverage event, time order)
+        self._cov_times: list[float] = []
+        self._cov_mask: list[bool] = []
+        self._cov_horizon_s: float | None = None
 
     # --- sampling -----------------------------------------------------------
 
@@ -356,7 +400,7 @@ class EventRecorder:
             )
         span_id = self._next_span_id(trace_id)
         self._open.setdefault(trace_id, [])
-        return SpanHandle(
+        handle = SpanHandle(
             self,
             trace_id,
             span_id,
@@ -368,6 +412,8 @@ class EventRecorder:
             True,
             False,
         )
+        self._roots[trace_id] = handle
+        return handle
 
     def span_begin(self, name: str, path: str) -> SpanHandle | None:
         """Open a span under the current thread-local context.
@@ -424,6 +470,59 @@ class EventRecorder:
             record["attrs"] = dict(attrs)
         self._ingest(record)
 
+    # --- flight records -----------------------------------------------------
+
+    def request_scope(self, trace_id: str) -> str | None:
+        """The trace one request's flight record joins, or ``None``.
+
+        Under an open trace scope (the server's ``req-<id>`` root) the
+        record joins that trace — or nothing, when the scope is
+        suppressed. With no trace scope the request is its own trace
+        ``trace_id``, recorded when sampled. Callers ask before building
+        the record, so an unrecorded request costs no attribution.
+        """
+        stack = _ctx_stack()
+        if stack:
+            scope = stack[-1][0]
+            if scope is _DROP:
+                return None
+            if scope is not None:
+                return scope
+        return trace_id if self.sampled(trace_id) else None
+
+    def record_request(self, trace_id: str, attrs: Mapping[str, Any]) -> None:
+        """Attach one request's flight record to trace ``trace_id``.
+
+        An open root (the server's) takes ``attrs`` into its own, written
+        — and checked — when its owner ends it; otherwise a zero-duration
+        ``request`` root carrying them is emitted now.
+        """
+        root = self._roots.get(trace_id)
+        if root is not None:
+            if root.attrs is None:
+                root.attrs = {}
+            root.attrs.update(attrs)
+            return
+        ts = now_us()
+        self.complete("request", trace_id=trace_id, begin_us=ts, end_us=ts, attrs=attrs)
+
+    def record_coverage(
+        self, *, t_s: float, t_index: int, connected: bool, horizon_s: float
+    ) -> None:
+        """Emit one process-scope coverage sample (never sampled out)."""
+        ts = now_us()
+        self.complete(
+            "coverage",
+            begin_us=ts,
+            end_us=ts,
+            attrs={
+                "t_s": float(t_s),
+                "t_index": int(t_index),
+                "connected": bool(connected),
+                "horizon_s": float(horizon_s),
+            },
+        )
+
     # --- ingest / analytics -------------------------------------------------
 
     def absorb(self, record: Mapping[str, Any]) -> None:
@@ -431,19 +530,67 @@ class EventRecorder:
         self._ingest(dict(record))
 
     def _ingest(self, record: dict[str, Any]) -> None:
+        trace_id = record.get("trace")
+        is_root = trace_id is not None and record.get("parent") is None
+        if is_root:
+            attrs = record.get("attrs")
+            if attrs and "served" in attrs and record["name"] == "request":
+                self._note_request(trace_id, attrs)
+        elif trace_id is None and record["name"] == "coverage":
+            attrs = record.get("attrs")
+            if attrs and "connected" in attrs:
+                self._cov_times.append(float(attrs["t_s"]))
+                self._cov_mask.append(bool(attrs["connected"]))
+                self._cov_horizon_s = float(attrs["horizon_s"])
         path = record.get("path") or record.get("name") or "?"
         self.span_counts[path] = self.span_counts.get(path, 0) + 1
-        trace_id = record.get("trace")
         if trace_id is not None:
             buf = self._open.setdefault(trace_id, [])
             buf.append(record)
-            if record.get("parent") is None:
+            if is_root:
                 # The root closed: the trace is complete.
                 del self._open[trace_id]
                 self._trace_seq.pop(trace_id, None)
+                self._roots.pop(trace_id, None)
                 self.n_traces += 1
                 self._note_slowest(trace_id, record, buf)
         self._write(record)
+
+    def _note_request(self, trace_id: str, attrs: Mapping[str, Any]) -> None:
+        """Check one flight record (served XOR canonical cause) and count it."""
+        if attrs.get("cancelled"):
+            self.n_cancelled += 1
+            return
+        served = bool(attrs["served"])
+        cause = attrs.get("cause")
+        if served and cause is not None:
+            raise ValidationError(f"served request {trace_id} must not carry a cause")
+        if not served and cause not in self.cause_counts:
+            raise ValidationError(
+                f"denied request {trace_id} needs a canonical denial cause, "
+                f"got {cause!r}"
+            )
+        self.n_requests += 1
+        lans = sorted((attrs.get("source_lan") or "?", attrs.get("destination_lan") or "?"))
+        pair = self.pair_stats.setdefault("<->".join(lans), {"total": 0, "served": 0})
+        pair["total"] += 1
+        if served:
+            self.n_served += 1
+            pair["served"] += 1
+            fidelity = attrs.get("fidelity")
+            if fidelity is not None:
+                self.fidelity_sum += float(fidelity)
+                self.fidelity_count += 1
+            for name in (attrs.get("path") or [])[1:-1]:
+                self.satellite_counts[name] = self.satellite_counts.get(name, 0) + 1
+        else:
+            self.cause_counts[cause] += 1
+            pair[cause] = pair.get(cause, 0) + 1
+        step = self.step_counts.setdefault(
+            str(attrs.get("t_index", attrs.get("t_s"))), [0, 0]
+        )
+        step[0] += int(served)
+        step[1] += 1
 
     def _note_slowest(
         self, trace_id: str, root: dict[str, Any], records: list[dict[str, Any]]
@@ -526,16 +673,66 @@ class EventRecorder:
 
     # --- summary ------------------------------------------------------------
 
+    def coverage_summary(self) -> dict[str, Any] | None:
+        """Outage timeline and coverage percentage from the coverage events.
+
+        Uses the same interval conversion as
+        :func:`repro.core.coverage.coverage_from_mask`, so the derived
+        percentage is bit-identical to the sweep's own number.
+        """
+        if not self._cov_times:
+            return None
+        import numpy as np
+
+        from repro.utils.intervals import intervals_from_mask
+
+        times = np.asarray(self._cov_times, dtype=float)
+        mask = np.asarray(self._cov_mask, dtype=bool)
+        connected = intervals_from_mask(times, mask)
+        outages = intervals_from_mask(times, ~mask)
+        covered_s = sum(iv.duration for iv in connected)
+        horizon = self._cov_horizon_s
+        return {
+            "samples": int(times.size),
+            "connected_samples": int(mask.sum()),
+            "covered_s": float(covered_s),
+            "horizon_s": horizon,
+            "percentage": 100.0 * covered_s / horizon if horizon else float("nan"),
+            "outages": [[iv.start, iv.end] for iv in outages],
+            "longest_outage_s": max((iv.duration for iv in outages), default=0.0),
+        }
+
     def summary(self) -> dict[str, Any]:
         """The bounded analytics digest embedded into run manifests."""
         self.flush()
-        return {
+        out: dict[str, Any] = {
             "schema": EVENT_SCHEMA_VERSION,
             "sample_rate": self.config.sample_rate,
             "events": self.n_events,
+            "files": [str(p) for p in self._paths],
+            "requests": {
+                "total": self.n_requests,
+                "served": self.n_served,
+                "denied": self.n_requests - self.n_served,
+                "cancelled": self.n_cancelled,
+                "served_pct": (
+                    100.0 * self.n_served / self.n_requests if self.n_requests else None
+                ),
+                "mean_fidelity": (
+                    self.fidelity_sum / self.fidelity_count
+                    if self.fidelity_count
+                    else None
+                ),
+                "causes": dict(self.cause_counts),
+                "by_lan_pair": {k: dict(v) for k, v in sorted(self.pair_stats.items())},
+            },
+            "satellites": {
+                "utilization": dict(
+                    sorted(self.satellite_counts.items(), key=lambda kv: -kv[1])
+                ),
+            },
             "traces": self.n_traces,
             "open_traces": len(self._open),
-            "files": [str(p) for p in self._paths],
             "spans": dict(sorted(self.span_counts.items())),
             "slowest": [
                 entry
@@ -544,6 +741,19 @@ class EventRecorder:
                 )
             ],
         }
+        coverage = self.coverage_summary()
+        if coverage is not None:
+            out["coverage"] = coverage
+        if self.step_counts:
+            steps = self.step_counts.values()
+            worst = min(steps, key=lambda sc: sc[0] / sc[1])
+            out["steps"] = {
+                "evaluated": len(self.step_counts),
+                "fully_served": sum(1 for s, t in steps if s == t),
+                "fully_denied": sum(1 for s, _ in steps if s == 0),
+                "worst_served_fraction": worst[0] / worst[1],
+            }
+        return out
 
 
 # --- process-wide active recorder ---------------------------------------------
@@ -552,7 +762,7 @@ _ACTIVE: EventRecorder | None = None
 
 
 def active() -> EventRecorder | None:
-    """The process' active recorder, or ``None`` (timeline off)."""
+    """The process' active recorder, or ``None`` (recording off)."""
     return _ACTIVE
 
 
@@ -593,8 +803,8 @@ def detach() -> EventRecorder | None:
     """Remove and return the active recorder *without* closing it.
 
     For run drivers that must zero the aggregate planes mid-setup
-    (``obs.reset()``) while keeping the run-scoped timeline recorder
-    alive; pair with :func:`attach`.
+    (``obs.reset()``) while keeping the run-scoped recorder alive; pair
+    with :func:`attach`.
     """
     global _ACTIVE
     rec = _ACTIVE
@@ -631,17 +841,17 @@ def recording(
         stop()
 
 
-# --- sharded (process-pool) timelines ------------------------------------------
+# --- sharded (process-pool) recording -------------------------------------------
 
 
 def shard_config(first_index: int) -> dict[str, Any] | None:
     """Picklable shard-recorder description for one worker task.
 
-    ``None`` when the timeline is off. With a file-backed parent the
-    shard writes ``<parent>.shard-<first_index>``; a ring-backed parent
-    makes the shard ring-backed too (its records travel back in the
-    result). The shard id stamped on the worker's events is
-    ``first_index + 1`` (the parent is shard 0).
+    ``None`` when recording is off. With a file-backed parent the shard
+    writes ``<parent>.shard-<first_index>``; a ring-backed parent makes
+    the shard ring-backed too (its records travel back in the result).
+    The shard id stamped on the worker's events is ``first_index + 1``
+    (the parent is shard 0).
     """
     rec = _ACTIVE
     if rec is None:
@@ -666,15 +876,7 @@ def shard_recorder(cfg: Mapping[str, Any]) -> EventRecorder:
     """Build (without activating) the shard recorder described by ``cfg``."""
     path = cfg.get("path")
     return EventRecorder(
-        EventConfig(
-            path=Path(path) if path is not None else None,
-            sample_rate=float(cfg["sample_rate"]),
-            max_records_per_file=int(cfg["max_records_per_file"]),
-            ring_size=int(cfg["ring_size"]),
-            seed=int(cfg["seed"]),
-            shard=int(cfg.get("shard", 0)),
-            n_slowest=int(cfg.get("n_slowest", 8)),
-        )
+        EventConfig(**{**cfg, "path": Path(path) if path is not None else None})
     )
 
 
@@ -697,13 +899,17 @@ def shard_payload(rec: EventRecorder) -> dict[str, Any]:
     return payload
 
 
-def start_shard(cfg: Mapping[str, Any]) -> EventRecorder:
+def start_shard(cfg: Mapping[str, Any] | None) -> EventRecorder | None:
     """Worker side: activate the shard recorder described by ``cfg``.
 
-    Call :func:`reset_for_worker` first under ``fork`` so the parent's
-    recorder is never written through.
+    The shard recorder replaces any fork-inherited one, so the parent's
+    file is never written through. ``None`` (recording off, or an
+    in-process task that records straight into the parent's recorder)
+    is a no-op.
     """
     global _ACTIVE
+    if cfg is None:
+        return None
     _ACTIVE = shard_recorder(cfg)
     return _ACTIVE
 
@@ -718,7 +924,9 @@ def finish_shard() -> dict[str, Any] | None:
     return payload
 
 
-def absorb_shard(payload: Mapping[str, Any] | None) -> None:
+def absorb_shard(
+    payload: Mapping[str, Any] | None, *, dispatched_us: int | None = None
+) -> None:
     """Parent side: fold one shard's payload into the active recorder.
 
     Every absorbed timestamp is shifted by one constant per-shard offset
@@ -727,10 +935,22 @@ def absorb_shard(payload: Mapping[str, Any] | None) -> None:
     intra-trace interval (each trace is recorded wholly in one process),
     so the merged timeline stays causally ordered. Call in shard (block)
     order to keep the merged stream deterministic.
+
+    With ``dispatched_us`` (the parent's clock when the pool was
+    dispatched) a parent-side ``dispatch`` span is emitted first; the
+    Perfetto export draws a flow arrow from it to the shard's first
+    event, tying the cross-process timelines together.
     """
     rec = _ACTIVE
     if rec is None or payload is None:
         return
+    if dispatched_us is not None:
+        rec.complete(
+            "dispatch",
+            begin_us=dispatched_us,
+            end_us=now_us(),
+            attrs={"shard": int(payload.get("shard", 0))},
+        )
     offset_us = (
         rec.mono_origin_us
         - int(payload["mono_origin_us"])
@@ -747,25 +967,47 @@ def absorb_shard(payload: Mapping[str, Any] | None) -> None:
         rec.absorb(_aligned(dict(record)))
     for path_str in payload.get("paths", ()):
         path = Path(path_str)
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec.absorb(_aligned(json.loads(line)))
+        for record in _read_file(path):
+            rec.absorb(_aligned(record))
         path.unlink()
 
 
+def _read_file(path: Path) -> Iterator[dict[str, Any]]:
+    """Records of one JSONL file; malformed lines raise ``ValidationError``."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: malformed JSON ({exc.msg})")
+            if not isinstance(record, dict):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected a JSON object, got "
+                    f"{type(record).__name__}"
+                )
+            ts = record.get("ts")
+            if "name" not in record or isinstance(ts, bool) or not isinstance(ts, int):
+                raise ValidationError(
+                    f"{path}:{lineno}: not an event (needs 'name' and integer 'ts')"
+                )
+            yield record
+
+
 def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Iterate events from a timeline file and its rotated continuations."""
+    """Iterate events from a recording and its rotated continuations.
+
+    Raises:
+        ValidationError: on a line that is not a JSON event object,
+            naming the file and line.
+    """
     base = Path(path)
     part = 0
     current = base
     while current.exists():
-        with current.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        yield from _read_file(current)
         part += 1
         current = base.with_name(f"{base.name}.{part}")
 
@@ -778,11 +1020,12 @@ def _trace_tid(trace_id: str) -> int:
 
     Within one asyncio process, spans of different in-flight traces
     interleave; giving each trace its own track keeps every begin/end
-    pair properly nested per track.
+    pair properly nested per track. ``req-<n>`` maps to ``n + 1``; any
+    other id (e.g. a sweep's ``"<src>|<dst>|<key>"``) hashes with CRC-32.
     """
-    digits = "".join(ch for ch in trace_id if ch.isdigit())
-    if digits:
-        return int(digits) % (2**31 - 2) + 1
+    prefix, _, number = trace_id.partition("req-")
+    if not prefix and number.isdigit():
+        return int(number) % (2**31 - 2) + 1
     return zlib.crc32(trace_id.encode()) % (2**31 - 2) + 1
 
 
@@ -797,17 +1040,17 @@ def to_chrome_trace(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     processes).
     """
     records = [dict(r) for r in records]
-    events: list[tuple[tuple[int, int, int, int], dict[str, Any]]] = []
+    events: list[tuple[tuple[int, ...], dict[str, Any]]] = []
 
-    def _add(key_ts: int, order: int, tiebreak: int, ev: dict[str, Any]) -> None:
-        events.append(((ev["pid"], ev["tid"], key_ts, order * 10**9 + tiebreak), ev))
+    def _add(ev: dict[str, Any], *order: int) -> None:
+        events.append(((ev["pid"], ev["tid"], ev["ts"], *order), ev))
 
     roots: dict[str, dict[str, Any]] = {}
     serves: dict[str, dict[str, Any]] = {}
     shard_first: dict[int, dict[str, Any]] = {}
     dispatches: dict[int, dict[str, Any]] = {}
 
-    for r in records:
+    for i, r in enumerate(records):
         pid = int(r.get("shard", 0))
         trace_id = r.get("trace")
         tid = _trace_tid(trace_id) if trace_id is not None else 0
@@ -823,10 +1066,14 @@ def to_chrome_trace(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         name = r.get("path") or r.get("name") or "?"
         common = {"name": name, "cat": "span", "pid": pid, "tid": tid, "args": args}
         # Nesting-safe ordering at equal timestamps: close inner spans
-        # (shortest remaining first), then open outer spans (longest
-        # first).
-        _add(ts, 1, 10**9 - 1 - min(dur, 10**9 - 2), {"ph": "B", "ts": ts, **common})
-        _add(ts + dur, 0, min(dur, 10**9 - 2), {"ph": "E", "ts": ts + dur, **common})
+        # (shortest first), then open outer spans (longest first); a
+        # zero-duration span opens and closes back to back after them.
+        if dur > 0:
+            _add({"ph": "B", "ts": ts, **common}, 1, -dur, i, 0)
+            _add({"ph": "E", "ts": ts + dur, **common}, 0, dur, i, 0)
+        else:
+            _add({"ph": "B", "ts": ts, **common}, 1, 1, i, 0)
+            _add({"ph": "E", "ts": ts, **common}, 1, 1, i, 1)
         if trace_id is not None:
             if r.get("parent") is None:
                 roots[trace_id] = {"pid": pid, "tid": tid, "ts": ts}
@@ -854,7 +1101,7 @@ def to_chrome_trace(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         }
         if ph == "f":
             ev["bp"] = "e"
-        _add(at["ts"], 2, 0, ev)
+        _add(ev, 2, 0, 0, 0)
 
     for trace_id, root in roots.items():
         serve = serves.get(trace_id)

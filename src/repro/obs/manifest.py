@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.obs import events as events_mod
-from repro.obs import trace as trace_mod
 from repro.obs.metrics import registry
 from repro.obs.spans import profile
 
@@ -152,18 +151,13 @@ def run_manifest(
         "profile": profile().as_dict(),
         "workers": worker_reports(),
     }
-    recorder = trace_mod.active()
+    recorder = events_mod.active()
     if recorder is not None:
-        # The flight-recorder digest (denial causes per LAN pair, outage
-        # timeline, satellite utilization) rides inside the manifest so
-        # `repro report` / `repro obs diff` need only the one file.
+        # The recording digest (denial causes per LAN pair, outage
+        # timeline, satellite utilization, span counts, the N slowest
+        # request waterfalls) rides inside the manifest so `repro
+        # report` / `repro obs diff` need only the one file.
         manifest["trace"] = recorder.summary()
-    events_recorder = events_mod.active()
-    if events_recorder is not None:
-        # The timeline digest (per-path span counts, the N slowest
-        # request waterfalls) — `repro report` renders the waterfalls
-        # without re-reading the raw event stream.
-        manifest["events"] = events_recorder.summary()
     if command is not None:
         manifest["command"] = command
     if argv is not None:

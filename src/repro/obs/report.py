@@ -4,7 +4,7 @@ Three JSON shapes flow through here, all normalized into one flat
 summary (:func:`summarize`) before rendering or diffing:
 
 * a run manifest (``--telemetry`` / ``obs.manifest``), optionally
-  carrying the flight-recorder digest under ``"trace"``;
+  carrying the recording digest under ``"trace"``;
 * a single ``BENCH_<name>.json`` record (``benchmarks/reporting.py``);
 * a repo-root trajectory file (``{"bench": ..., "trajectory": [...]}``)
   — the latest entry is summarized.
@@ -98,7 +98,6 @@ def summarize(data: Mapping[str, Any], *, label: str | None = None) -> dict[str,
         "timings_s": {},
         "workload": dict(data.get("workload") or {}),
         "trace": data.get("trace"),
-        "events": data.get("events"),
     }
 
     metrics = data.get("metrics") or {}
@@ -462,9 +461,9 @@ def _summary_sections(summary: Mapping[str, Any]) -> list[tuple[str, list[str]]]
             )
         )
 
-    events = summary.get("events")
-    if isinstance(events, Mapping):
-        frags = _waterfall_fragments(events)
+    trace = summary.get("trace")
+    if isinstance(trace, Mapping):
+        frags = _waterfall_fragments(trace)
         if frags:
             sections.append(("Slowest requests", frags))
 
@@ -484,10 +483,10 @@ def _entry_label(entry: Mapping[str, Any]) -> str:
     return label
 
 
-def _waterfall_fragments(events: Mapping[str, Any]) -> list[str]:
+def _waterfall_fragments(trace: Mapping[str, Any]) -> list[str]:
     """HTML fragments: one offset-bar table per slowest trace."""
     frags: list[str] = []
-    for entry in events.get("slowest") or []:
+    for entry in trace.get("slowest") or []:
         total = max(1, int(entry.get("dur_us", 0)))
         rows = []
         for span in entry.get("spans") or []:
@@ -719,10 +718,10 @@ def render_ascii_report(summary: Mapping[str, Any]) -> str:
                 title="TIMINGS",
             )
         )
-    events = summary.get("events")
-    if isinstance(events, Mapping) and (events.get("slowest") or []):
+    trace = summary.get("trace")
+    if isinstance(trace, Mapping) and (trace.get("slowest") or []):
         lines = ["SLOWEST REQUESTS"]
-        for entry in events["slowest"]:
+        for entry in trace["slowest"]:
             lines.append(_entry_label(entry))
             lines.extend(_ascii_waterfall(entry))
         blocks.append("\n".join(lines))

@@ -1,73 +1,19 @@
-"""Request-level flight recorder: one structured record per request.
+"""Denial-cause taxonomy: why one entanglement request went unserved.
 
 The aggregate planes of :mod:`repro.obs` say *that* 57.75 % of requests
-were served; this module records *why each of the other 42.25 % was
-not*. When a recorder is active (off by default — the hot paths pay one
-``None`` check per request otherwise), every sampled entanglement
-request produces one JSONL record carrying the timestep, the endpoints
-and their LANs, the candidate uplinks with their per-gate outcomes
-(visibility, elevation >= pi/9, eta >= 0.7), the chosen route with
-per-hop transmissivities, the delivered fidelity — and, on denial,
-exactly one canonical :class:`DenialCause`. Sweeps additionally emit one
-``coverage`` record per ephemeris sample, so outage timelines and the
-trace-derived coverage fraction fall out of the same file.
-
-Memory is bounded: records stream to disk with size-based rotation
-(``trace.jsonl``, ``trace.jsonl.1``, ...), or land in a fixed-size ring
-buffer when no path is configured. The incremental analytics the
-recorder keeps (cause counts per LAN pair, per-satellite utilization,
-the coverage mask) are bounded by the workload's shape, never by its
-length, and are embedded into the run manifest via :meth:`summary`.
-
-Sampling is deterministic: whether a request is recorded depends only on
-``(seed, source, destination, time key)`` through a CRC-32 hash, so a
-sharded parallel sweep samples exactly the requests the serial run
-samples — shard files merged in time order reproduce the serial cause
-totals (the determinism contract the invariant tests pin).
-
-Worker processes never write through an inherited recorder (a forked
-file descriptor would interleave): pool tasks call
-:func:`reset_for_worker` first and, when the parent asks for shard
-tracing, record into their own shard file / ring via
-:func:`start_shard`, returning a payload the parent folds back in with
-:func:`absorb_shard`.
+were served; every other request carries exactly one canonical
+:class:`DenialCause`, folded from the per-gate outcomes over the
+candidate uplinks by :func:`classify_denial`. The cause rides on the
+request's flight record — the attrs of its root ``request`` event in
+the one recording stream (:mod:`repro.obs.events`) — and on every
+streamed :class:`~repro.serve.engine.ServeOutcome`.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-import zlib
-from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
 
-from repro.errors import ValidationError
-
-__all__ = [
-    "DenialCause",
-    "TraceConfig",
-    "TraceRecorder",
-    "TRACE_SCHEMA_VERSION",
-    "absorb_shard",
-    "active",
-    "classify_denial",
-    "finish_shard",
-    "read_trace",
-    "recording",
-    "reset_for_worker",
-    "shard_config",
-    "shard_payload",
-    "shard_recorder",
-    "start",
-    "start_shard",
-    "stop",
-]
-
-#: Bump when the record layout changes incompatibly.
-TRACE_SCHEMA_VERSION = 1
+__all__ = ["CAUSES", "DenialCause", "classify_denial"]
 
 
 class DenialCause(enum.Enum):
@@ -143,531 +89,3 @@ def classify_denial(
     if fault_blocked:
         return DenialCause.FAULT_OUTAGE
     return DenialCause.NO_ROUTE
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Recorder configuration.
-
-    Attributes:
-        path: JSONL output file; ``None`` keeps records in a ring buffer.
-        sample_rate: fraction of requests to record, in [0, 1]. Coverage
-            records are never sampled out (the outage timeline needs the
-            full mask).
-        max_records_per_file: rotation threshold — a full file closes and
-            ``<path>.1``, ``<path>.2``, ... continue the stream.
-        ring_size: ring-buffer capacity when ``path`` is ``None``.
-        max_candidates: per-record cap on detailed candidate-uplink
-            entries (counts are always exact; detail is truncated).
-        seed: sampling salt, hashed with the request identity.
-    """
-
-    path: Path | None = None
-    sample_rate: float = 1.0
-    max_records_per_file: int = 200_000
-    ring_size: int = 65_536
-    max_candidates: int = 12
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValidationError(
-                f"sample_rate must be in [0, 1], got {self.sample_rate}"
-            )
-        if self.max_records_per_file < 1:
-            raise ValidationError("max_records_per_file must be positive")
-        if self.ring_size < 1:
-            raise ValidationError("ring_size must be positive")
-
-
-def _sample_hash(seed: int, source: str, destination: str, key: Any) -> float:
-    """Deterministic uniform-[0,1) hash of one request's identity."""
-    token = f"{seed}|{source}|{destination}|{key!r}".encode()
-    return zlib.crc32(token) / 2**32
-
-
-class TraceRecorder:
-    """Streams request/coverage records and keeps incremental analytics.
-
-    Not thread-safe by design: each recorder belongs to one serving
-    context (the process' main loop, or one pool worker's shard).
-    """
-
-    def __init__(self, config: TraceConfig | None = None, **kwargs: Any) -> None:
-        self.config = config if config is not None else TraceConfig(**kwargs)
-        self._fh = None
-        self._part = 0
-        self._records_in_part = 0
-        self._paths: list[Path] = []
-        self._ring: deque[dict[str, Any]] | None = None
-        if self.config.path is None:
-            self._ring = deque(maxlen=self.config.ring_size)
-        # --- bounded incremental analytics ---------------------------------
-        self.n_records = 0
-        self.n_requests = 0
-        self.n_served = 0
-        self.cause_counts: dict[str, int] = {c: 0 for c in CAUSES}
-        #: "LAN-A<->LAN-B" -> {"total", "served", causes...}
-        self.pair_stats: dict[str, dict[str, int]] = {}
-        #: relay/hop platform name -> served requests carried
-        self.satellite_counts: dict[str, int] = {}
-        self.fidelity_sum = 0.0
-        self.fidelity_count = 0
-        #: evaluation-step served accounting: key -> [served, total]
-        self.step_counts: dict[str, list[int]] = {}
-        # coverage mask (one entry per emitted coverage record, time order)
-        self._cov_times: list[float] = []
-        self._cov_mask: list[bool] = []
-        #: coverage horizon for the percentage (set by the sweep driver)
-        self.horizon_s: float | None = None
-
-    # --- sampling -----------------------------------------------------------
-
-    def sampled(self, source: str, destination: str, key: Any) -> bool:
-        """Whether the request identified by ``(source, destination, key)``
-        is in the deterministic sample (``key`` is the caller's time key —
-        a grid index or the simulation time itself)."""
-        rate = self.config.sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        return _sample_hash(self.config.seed, source, destination, key) < rate
-
-    # --- recording ----------------------------------------------------------
-
-    def record_request(
-        self,
-        *,
-        t_s: float,
-        source: str,
-        destination: str,
-        served: bool,
-        t_index: int | None = None,
-        source_lan: str | None = None,
-        destination_lan: str | None = None,
-        path: Sequence[str] = (),
-        hop_etas: Sequence[float] = (),
-        path_eta: float = 0.0,
-        fidelity: float | None = None,
-        relay: str | None = None,
-        cause: DenialCause | str | None = None,
-        candidates: Sequence[Mapping[str, Any]] | None = None,
-        candidate_counts: Mapping[str, int] | None = None,
-    ) -> None:
-        """Record one request outcome.
-
-        Raises:
-            ValidationError: if a denied request carries no cause, a
-                served one carries a cause, or the cause is not canonical.
-        """
-        if served and cause is not None:
-            raise ValidationError(
-                f"served request {source}->{destination} must not carry a cause"
-            )
-        cause_value: str | None = None
-        if not served:
-            if cause is None:
-                raise ValidationError(
-                    f"denied request {source}->{destination} needs a DenialCause"
-                )
-            cause_value = cause.value if isinstance(cause, DenialCause) else str(cause)
-            if cause_value not in self.cause_counts:
-                raise ValidationError(f"non-canonical denial cause {cause_value!r}")
-        record: dict[str, Any] = {
-            "kind": "request",
-            "t_s": float(t_s),
-            "source": source,
-            "destination": destination,
-            "served": bool(served),
-        }
-        if t_index is not None:
-            record["t_index"] = int(t_index)
-        if source_lan is not None:
-            record["source_lan"] = source_lan
-        if destination_lan is not None:
-            record["destination_lan"] = destination_lan
-        if served:
-            record["path"] = list(path)
-            record["hop_etas"] = [float(e) for e in hop_etas]
-            record["path_eta"] = float(path_eta)
-            if fidelity is not None:
-                record["fidelity"] = float(fidelity)
-            if relay is not None:
-                record["relay"] = relay
-        else:
-            record["cause"] = cause_value
-        if candidates is not None:
-            record["candidates"] = [dict(c) for c in candidates][
-                : self.config.max_candidates
-            ]
-        if candidate_counts is not None:
-            record["candidate_counts"] = {k: int(v) for k, v in candidate_counts.items()}
-        self._ingest(record)
-
-    def record_coverage(
-        self, *, t_s: float, connected: bool, t_index: int | None = None
-    ) -> None:
-        """Record one coverage sample (never sampled out)."""
-        record: dict[str, Any] = {
-            "kind": "coverage",
-            "t_s": float(t_s),
-            "connected": bool(connected),
-        }
-        if t_index is not None:
-            record["t_index"] = int(t_index)
-        self._ingest(record)
-
-    def absorb(self, record: Mapping[str, Any]) -> None:
-        """Fold an already-sampled record (e.g. from a shard file) in."""
-        self._ingest(dict(record))
-
-    def _ingest(self, record: dict[str, Any]) -> None:
-        kind = record.get("kind")
-        if kind == "request":
-            self.n_requests += 1
-            served = bool(record["served"])
-            pair_key = self._pair_key(record)
-            pair = self.pair_stats.get(pair_key)
-            if pair is None:
-                pair = self.pair_stats[pair_key] = {"total": 0, "served": 0}
-            pair["total"] += 1
-            if served:
-                self.n_served += 1
-                pair["served"] += 1
-                fidelity = record.get("fidelity")
-                if fidelity is not None:
-                    self.fidelity_sum += float(fidelity)
-                    self.fidelity_count += 1
-                for name in self._relay_names(record):
-                    self.satellite_counts[name] = self.satellite_counts.get(name, 0) + 1
-            else:
-                cause = record.get("cause")
-                if cause not in self.cause_counts:
-                    raise ValidationError(f"non-canonical denial cause {cause!r}")
-                self.cause_counts[cause] += 1
-                pair[cause] = pair.get(cause, 0) + 1
-            step_key = str(record.get("t_index", record["t_s"]))
-            step = self.step_counts.setdefault(step_key, [0, 0])
-            step[0] += int(served)
-            step[1] += 1
-        elif kind == "coverage":
-            self._cov_times.append(float(record["t_s"]))
-            self._cov_mask.append(bool(record["connected"]))
-        else:
-            raise ValidationError(f"unknown trace record kind {kind!r}")
-        self._write(record)
-
-    @staticmethod
-    def _pair_key(record: Mapping[str, Any]) -> str:
-        a = record.get("source_lan") or "?"
-        b = record.get("destination_lan") or "?"
-        return "<->".join(sorted((a, b)))
-
-    @staticmethod
-    def _relay_names(record: Mapping[str, Any]) -> list[str]:
-        """Platform names credited with carrying this served request."""
-        if record.get("relay"):
-            return [record["relay"]]
-        path = record.get("path") or []
-        return list(path[1:-1])
-
-    # --- output -------------------------------------------------------------
-
-    def _write(self, record: dict[str, Any]) -> None:
-        self.n_records += 1
-        if self._ring is not None:
-            self._ring.append(record)
-            return
-        if self._fh is None:
-            self._open_part()
-        elif self._records_in_part >= self.config.max_records_per_file:
-            self._fh.close()
-            self._part += 1
-            self._open_part()
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._records_in_part += 1
-
-    def _open_part(self) -> None:
-        assert self.config.path is not None
-        base = Path(self.config.path)
-        path = base if self._part == 0 else base.with_name(f"{base.name}.{self._part}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = path.open("w")
-        self._records_in_part = 0
-        self._paths.append(path)
-
-    @property
-    def paths(self) -> list[Path]:
-        """Files written so far (rotation order)."""
-        return list(self._paths)
-
-    def records(self) -> list[dict[str, Any]]:
-        """In-memory records (ring mode only; newest ``ring_size``)."""
-        return list(self._ring) if self._ring is not None else []
-
-    def flush(self) -> None:
-        """Flush the current file, if any."""
-        if self._fh is not None:
-            self._fh.flush()
-
-    def close(self) -> None:
-        """Close the output stream (analytics stay readable)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    # --- analytics ----------------------------------------------------------
-
-    def coverage_summary(self) -> dict[str, Any] | None:
-        """Outage timeline and coverage percentage from the recorded mask.
-
-        Uses the same interval conversion as
-        :func:`repro.core.coverage.coverage_from_mask`, so the derived
-        percentage is bit-identical to the sweep's own number.
-        """
-        if not self._cov_times:
-            return None
-        import numpy as np
-
-        from repro.utils.intervals import intervals_from_mask
-
-        times = np.asarray(self._cov_times, dtype=float)
-        mask = np.asarray(self._cov_mask, dtype=bool)
-        connected = intervals_from_mask(times, mask)
-        outages = intervals_from_mask(times, ~mask)
-        covered_s = sum(iv.duration for iv in connected)
-        if self.horizon_s is not None:
-            horizon = float(self.horizon_s)
-        elif times.size > 1:
-            horizon = float(times[-1] - times[0] + (times[-1] - times[-2]))
-        else:
-            horizon = float("nan")
-        return {
-            "samples": int(times.size),
-            "connected_samples": int(mask.sum()),
-            "covered_s": float(covered_s),
-            "horizon_s": horizon,
-            "percentage": 100.0 * covered_s / horizon if horizon else float("nan"),
-            "outages": [[iv.start, iv.end] for iv in outages],
-            "longest_outage_s": max((iv.duration for iv in outages), default=0.0),
-        }
-
-    def summary(self) -> dict[str, Any]:
-        """The bounded analytics digest embedded into run manifests."""
-        self.flush()
-        denied = self.n_requests - self.n_served
-        out: dict[str, Any] = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "sample_rate": self.config.sample_rate,
-            "records": self.n_records,
-            "files": [str(p) for p in self._paths],
-            "requests": {
-                "total": self.n_requests,
-                "served": self.n_served,
-                "denied": denied,
-                "served_pct": (
-                    100.0 * self.n_served / self.n_requests if self.n_requests else None
-                ),
-                "mean_fidelity": (
-                    self.fidelity_sum / self.fidelity_count
-                    if self.fidelity_count
-                    else None
-                ),
-                "causes": dict(self.cause_counts),
-                "by_lan_pair": {k: dict(v) for k, v in sorted(self.pair_stats.items())},
-            },
-            "satellites": {
-                "utilization": dict(
-                    sorted(self.satellite_counts.items(), key=lambda kv: -kv[1])
-                ),
-            },
-        }
-        coverage = self.coverage_summary()
-        if coverage is not None:
-            out["coverage"] = coverage
-        if self.step_counts:
-            worst = min(self.step_counts.values(), key=lambda sc: sc[0] / sc[1])
-            out["steps"] = {
-                "evaluated": len(self.step_counts),
-                "fully_served": sum(
-                    1 for s, t in self.step_counts.values() if s == t
-                ),
-                "fully_denied": sum(
-                    1 for s, _ in self.step_counts.values() if s == 0
-                ),
-                "worst_served_fraction": worst[0] / worst[1],
-            }
-        return out
-
-
-# --- process-wide active recorder ---------------------------------------------
-
-_ACTIVE: TraceRecorder | None = None
-
-
-def active() -> TraceRecorder | None:
-    """The process' active recorder, or ``None`` (tracing off)."""
-    return _ACTIVE
-
-
-def start(
-    path: str | Path | None = None, *, config: TraceConfig | None = None, **kwargs: Any
-) -> TraceRecorder:
-    """Activate a recorder for this process (replacing any previous one)."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        _ACTIVE.close()
-    if config is None:
-        config = TraceConfig(path=Path(path) if path is not None else None, **kwargs)
-    _ACTIVE = TraceRecorder(config)
-    return _ACTIVE
-
-
-def stop() -> dict[str, Any] | None:
-    """Deactivate and close the recorder; returns its final summary."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        return None
-    summary = _ACTIVE.summary()
-    _ACTIVE.close()
-    _ACTIVE = None
-    return summary
-
-
-def reset_for_worker() -> None:
-    """Detach any recorder inherited across ``fork`` without closing it.
-
-    A forked child shares the parent's file descriptor; writing through
-    it would interleave with the parent's stream. Pool worker tasks call
-    this first, then opt into their own shard recorder.
-    """
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def recording(
-    path: str | Path | None = None, **kwargs: Any
-) -> Iterator[TraceRecorder]:
-    """``with trace.recording(...) as rec:`` — scoped :func:`start`/:func:`stop`."""
-    rec = start(path, **kwargs)
-    try:
-        yield rec
-    finally:
-        stop()
-
-
-# --- sharded (process-pool) tracing -------------------------------------------
-
-
-def shard_config(first_index: int) -> dict[str, Any] | None:
-    """Picklable shard-recorder description for one worker task.
-
-    ``None`` when tracing is off. With a file-backed parent the shard
-    writes ``<parent>.shard-<first_index>``; a ring-backed parent makes
-    the shard ring-backed too (its records travel back in the result).
-    """
-    rec = _ACTIVE
-    if rec is None:
-        return None
-    cfg = rec.config
-    return {
-        "path": (
-            str(Path(cfg.path).with_name(f"{Path(cfg.path).name}.shard-{first_index:06d}"))
-            if cfg.path is not None
-            else None
-        ),
-        "sample_rate": cfg.sample_rate,
-        "max_records_per_file": cfg.max_records_per_file,
-        "ring_size": cfg.ring_size,
-        "max_candidates": cfg.max_candidates,
-        "seed": cfg.seed,
-    }
-
-
-def shard_recorder(cfg: Mapping[str, Any]) -> TraceRecorder:
-    """Build (without activating) the shard recorder described by ``cfg``.
-
-    Used by workers whose recording is explicit (they hold the recorder
-    and pass it to the recording helper) rather than routed through the
-    process-global :func:`active` hook.
-    """
-    path = cfg.get("path")
-    return TraceRecorder(
-        TraceConfig(
-            path=Path(path) if path is not None else None,
-            sample_rate=float(cfg["sample_rate"]),
-            max_records_per_file=int(cfg["max_records_per_file"]),
-            ring_size=int(cfg["ring_size"]),
-            max_candidates=int(cfg["max_candidates"]),
-            seed=int(cfg["seed"]),
-        )
-    )
-
-
-def shard_payload(rec: TraceRecorder) -> dict[str, Any]:
-    """Close a shard recorder and return its picklable merge payload."""
-    rec.close()
-    if rec.config.path is not None:
-        return {"paths": [str(p) for p in rec.paths]}
-    return {"records": rec.records()}
-
-
-def start_shard(cfg: Mapping[str, Any]) -> TraceRecorder:
-    """Worker side: activate the shard recorder described by ``cfg``.
-
-    For serving paths whose instrumentation reads :func:`active` (the
-    object-level simulator); call :func:`reset_for_worker` first under
-    ``fork`` so the parent's recorder is never written through.
-    """
-    global _ACTIVE
-    _ACTIVE = shard_recorder(cfg)
-    return _ACTIVE
-
-
-def finish_shard() -> dict[str, Any] | None:
-    """Worker side: close the active shard recorder, return its payload."""
-    rec = _ACTIVE
-    if rec is None:
-        return None
-    payload = shard_payload(rec)
-    reset_for_worker()
-    return payload
-
-
-def absorb_shard(payload: Mapping[str, Any] | None) -> None:
-    """Parent side: fold one shard's payload into the active recorder.
-
-    File-backed shards are read, absorbed record by record, and the
-    shard files deleted; ring-backed shards absorb the shipped records.
-    Call in shard (time) order to keep the merged stream ordered.
-    """
-    rec = _ACTIVE
-    if rec is None or payload is None:
-        return
-    for record in payload.get("records", ()):
-        rec.absorb(record)
-    for path_str in payload.get("paths", ()):
-        path = Path(path_str)
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec.absorb(json.loads(line))
-        path.unlink()
-
-
-def read_trace(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Iterate records from a trace file and its rotated continuations."""
-    base = Path(path)
-    part = 0
-    current = base
-    while current.exists():
-        with current.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        part += 1
-        current = base.with_name(f"{base.name}.{part}")

@@ -135,29 +135,21 @@ def _service_shard(args: tuple) -> tuple[list[list[Any]], dict[str, Any]]:
         policy,
         convention,
         obs_enabled,
-        trace_cfg,
-        fault_schedule,
         events_cfg,
+        fault_schedule,
     ) = args
     from repro.channels.presets import paper_satellite_fso
     from repro.network.simulator import NetworkSimulator
     from repro.network.topology import attach_satellites, build_qntn_ground_network
-    from repro.obs import events, trace
+    from repro.obs import events
     from repro.obs.metrics import metrics_delta
 
     if obs_enabled:
         obs.enable()
-    if trace_cfg is not None:
-        # Pooled task: never write through a fork-inherited recorder (its
-        # file descriptor is shared with the parent); record this shard
-        # into its own recorder and ship the payload back for merging.
-        # The simulator's instrumentation reads the process-global hook,
-        # so the shard recorder is activated rather than held locally.
-        trace.reset_for_worker()
-        trace.start_shard(trace_cfg)
-    if events_cfg is not None:
-        events.reset_for_worker()
-        events.start_shard(events_cfg)
+    # Pooled task: never write through a fork-inherited recorder (its
+    # file descriptor is shared with the parent); record this shard into
+    # its own recorder and ship the payload back for merging.
+    events.start_shard(events_cfg)
     baseline = obs.registry().snapshot()
     t0 = time.perf_counter()
     attachment = ShmAttachment()
@@ -201,8 +193,6 @@ def _service_shard(args: tuple) -> tuple[list[list[Any]], dict[str, Any]]:
         },
         "metrics": metrics_delta(obs.registry().snapshot(), baseline),
     }
-    if trace_cfg is not None:
-        report["trace"] = trace.finish_shard()
     if events_cfg is not None:
         report["events"] = events.finish_shard()
     return results, report
@@ -283,7 +273,7 @@ def parallel_service_sweep(
                 "parallel_service_sweep needs a realized FaultSchedule "
                 "(call schedule.realize(seed=...) first)"
             )
-    from repro.obs import events, trace
+    from repro.obs import events
 
     arena = ShmArena() if (use_shm and pooled) else None
     try:
@@ -302,12 +292,11 @@ def parallel_service_sweep(
                 obs.enabled(),
                 # In-process (non-pooled) tasks record straight into the
                 # parent's active recorder via the simulator's global
-                # hook; only pooled tasks get shard recorders. Sampling
-                # keys on (endpoints, t_s), so both modes sample — and
+                # hook; only pooled tasks get shard recorders. Trace ids
+                # key on (endpoints, t_s), so both modes sample — and
                 # attribute — exactly the same requests.
-                trace.shard_config(int(block[0])) if pooled else None,
-                faults,
                 events.shard_config(int(block[0])) if pooled else None,
+                faults,
             )
             for block in blocks
         ]
@@ -316,7 +305,6 @@ def parallel_service_sweep(
     finally:
         if arena is not None:
             arena.close()
-    timeline = events.active()
     per_shard = []
     for results, report in shard_outputs:
         per_shard.append(results)
@@ -326,16 +314,7 @@ def parallel_service_sweep(
             # already incremented this registry directly, so folding its
             # delta back in would double-count.
             obs.registry().merge(metrics)
-        trace.absorb_shard(report.pop("trace", None))
-        events_payload = report.pop("events", None)
-        if timeline is not None and events_payload is not None:
-            timeline.complete(
-                "dispatch",
-                begin_us=t_dispatch_us,
-                end_us=events.now_us(),
-                attrs={"shard": int(events_payload.get("shard", 0))},
-            )
-        events.absorb_shard(events_payload)
+        events.absorb_shard(report.pop("events", None), dispatched_us=t_dispatch_us)
         obs.record_worker_report(report)
     return [step for shard_result in per_shard for step in shard_result]
 

@@ -249,11 +249,11 @@ class ServeServer:
         self.n_submitted += 1
         _SUBMITTED.inc()
         _LIVE_SUBMITTED.inc()
-        # Timeline root: one trace per request, id derived from the
+        # Request root: one trace per request, id derived from the
         # request identity so serial and sharded replays agree. The
         # handle travels with the queue item (cross-coroutine — the root
-        # covers submit -> outcome, spanning queue residency) and is
-        # closed by _record.
+        # covers submit -> outcome, spanning queue residency), collects
+        # the simulator's flight detail and is closed by _record.
         recorder = _events._ACTIVE
         handle = None
         if recorder is not None:
@@ -412,8 +412,9 @@ class ServeServer:
                     handle = item[2]
                     if handle is not None:
                         # Abandoned requests still close their root span
-                        # so the timeline never leaks an open trace.
-                        handle.end(attrs={"served": False, "cause": "cancelled"})
+                        # so the stream never leaks an open trace; they
+                        # count as cancelled, never as a denial cause.
+                        handle.end(attrs={"served": False, "cancelled": True})
         self._closed = True
 
     # --- live observability -------------------------------------------------

@@ -13,8 +13,8 @@ differential harness.
 
 The worker protocol mirrors ``repro.parallel.sweep._service_shard``:
 the ephemeris travels through shared memory when pooled, each worker
-reports its metrics delta and an optional trace-shard payload, and the
-parent folds both back in.
+reports its metrics delta and an optional recording-shard payload, and
+the parent folds both back in.
 """
 
 from __future__ import annotations
@@ -56,22 +56,16 @@ def _serve_stream_shard(args: tuple) -> tuple[list[ServeOutcome], dict[str, Any]
         fault_schedule,
         obs_enabled,
         queue_depth,
-        trace_cfg,
-        window,
         events_cfg,
+        window,
         strategy,
     ) = args
-    from repro.obs import events, trace
+    from repro.obs import events
     from repro.obs.metrics import metrics_delta
 
     if obs_enabled:
         obs.enable()
-    if trace_cfg is not None:
-        trace.reset_for_worker()
-        trace.start_shard(trace_cfg)
-    if events_cfg is not None:
-        events.reset_for_worker()
-        events.start_shard(events_cfg)
+    events.start_shard(events_cfg)
     baseline = obs.registry().snapshot()
     t0 = time.perf_counter()
     attachment = ShmAttachment()
@@ -111,8 +105,6 @@ def _serve_stream_shard(args: tuple) -> tuple[list[ServeOutcome], dict[str, Any]
         },
         "metrics": metrics_delta(obs.registry().snapshot(), baseline),
     }
-    if trace_cfg is not None:
-        report["trace"] = trace.finish_shard()
     if events_cfg is not None:
         report["events"] = events.finish_shard()
     return list(stream_report.outcomes), report
@@ -180,7 +172,7 @@ def serve_stream_sharded(
                 "serve_stream_sharded needs a realized FaultSchedule "
                 "(call schedule.realize(seed=...) first)"
             )
-    from repro.obs import events, trace
+    from repro.obs import events
 
     shards = n_shards if n_shards is not None else max(n_workers, 1)
     shards = min(shards, len(stream))
@@ -206,9 +198,8 @@ def serve_stream_sharded(
                 faults,
                 obs.enabled(),
                 queue_depth,
-                trace.shard_config(int(block[0].request_id)) if pooled else None,
-                window,
                 events.shard_config(int(block[0].request_id)) if pooled else None,
+                window,
                 strategy,
             )
             for block in blocks
@@ -218,25 +209,12 @@ def serve_stream_sharded(
     finally:
         if arena is not None:
             arena.close()
-    timeline = events.active()
     outcomes: list[ServeOutcome] = []
     for block_outcomes, report in shard_outputs:
         outcomes.extend(block_outcomes)
         metrics = report.pop("metrics", None)
         if pooled and metrics:
             obs.registry().merge(metrics)
-        trace.absorb_shard(report.pop("trace", None))
-        events_payload = report.pop("events", None)
-        if timeline is not None and events_payload is not None:
-            # Parent-side dispatch span per shard: the Perfetto export
-            # attaches a flow arrow from it to the shard's first event,
-            # tying the cross-process timelines together.
-            timeline.complete(
-                "dispatch",
-                begin_us=t_dispatch_us,
-                end_us=events.now_us(),
-                attrs={"shard": int(events_payload.get("shard", 0))},
-            )
-        events.absorb_shard(events_payload)
+        events.absorb_shard(report.pop("events", None), dispatched_us=t_dispatch_us)
         obs.record_worker_report(report)
     return outcomes

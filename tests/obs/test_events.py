@@ -167,6 +167,17 @@ def test_invalid_config_rejected():
         events.EventConfig(ring_size=0)
     with pytest.raises(ValidationError):
         events.EventConfig(max_records_per_file=0)
+    # Sizes must be integers: no fractions, no bools.
+    for field, value in (
+        ("ring_size", 2.5),
+        ("max_records_per_file", 2.5),
+        ("n_slowest", 1.5),
+        ("ring_size", True),
+        ("n_slowest", False),
+        ("seed", 3.0),
+    ):
+        with pytest.raises(ValidationError, match=field):
+            events.EventConfig(**{field: value})
 
 
 # --- file output and rotation --------------------------------------------------
@@ -394,6 +405,41 @@ def test_chrome_trace_flow_events(recorder):
     assert sorted(by_name["dispatch->shard"]) == ["f", "s"]
     finish = next(e for e in flows if e["ph"] == "f" and e["name"] == "dispatch->shard")
     assert finish["pid"] == 3 and finish["bp"] == "e"
+
+
+def test_chrome_trace_zero_duration_span_begins_before_it_ends():
+    doc = events.to_chrome_trace(
+        [{"ph": "X", "name": "root", "ts": 5, "dur": 0, "span": 1, "shard": 0,
+          "trace": "req-1"}]
+    )
+    assert [e["ph"] for e in doc["traceEvents"]] == ["B", "E"]
+
+
+def test_chrome_trace_zero_duration_spans_nest_at_shared_timestamps():
+    records = [
+        {"ph": "X", "name": "outer", "ts": 10, "dur": 5, "span": 1, "shard": 0},
+        {"ph": "X", "name": "a", "ts": 10, "dur": 0, "span": 2, "shard": 0},
+        {"ph": "X", "name": "b", "ts": 10, "dur": 0, "span": 3, "shard": 0},
+        {"ph": "X", "name": "c", "ts": 15, "dur": 0, "span": 4, "shard": 0},
+    ]
+    doc = events.to_chrome_trace(records)
+    seq = [(e["ph"], e["name"]) for e in doc["traceEvents"]]
+    stack = []
+    for ph, name in seq:
+        if ph == "B":
+            stack.append(name)
+        else:
+            assert stack and stack[-1] == name, seq
+            stack.pop()
+    assert not stack
+    assert seq[:5] == [("B", "outer"), ("B", "a"), ("E", "a"), ("B", "b"), ("E", "b")]
+
+
+def test_trace_tracks_never_collide_on_digit_runs():
+    tid = events._trace_tid
+    assert tid("req-0") == 1 and tid("req-41") == 42
+    assert tid("ornl-1|epb-12|40") != tid("ornl-1|epb-1|240")
+    assert tid("ornl-1|epb-12|40") == tid("ornl-1|epb-12|40")
 
 
 def test_chrome_trace_json_serializable(recorder):

@@ -1,9 +1,9 @@
-"""Accounting invariants of the flight recorder against the real pipelines.
+"""Accounting invariants of the flight records against the real pipelines.
 
-The trace is only trustworthy if its books balance: every request is
-served or carries exactly one canonical cause, the trace-derived
-coverage fraction reproduces ``core.coverage`` bit-for-bit, and a
-sharded parallel run merges to the same totals as the serial run.
+The recording is only trustworthy if its books balance: every request is
+served or carries exactly one canonical cause, the recorded coverage
+fraction reproduces ``core.coverage`` bit-for-bit, and a sharded
+parallel run merges to the same totals as the serial run.
 """
 
 from __future__ import annotations
@@ -12,15 +12,24 @@ import pytest
 
 from repro.core.requests import generate_requests
 from repro.core.sweeps import run_constellation_sweep
-from repro.obs import trace
+from repro.obs import events
 from repro.obs.trace import CAUSES, DenialCause
 
 
 @pytest.fixture(autouse=True)
 def _no_active_recorder():
-    trace.reset_for_worker()
+    events.reset_for_worker()
     yield
-    trace.reset_for_worker()
+    events.reset_for_worker()
+
+
+def _request_roots(records):
+    """Flight records: the attrs of every root ``request`` event."""
+    return [
+        r["attrs"]
+        for r in records
+        if r["name"] == "request" and "trace" in r and "parent" not in r
+    ]
 
 
 def _assert_books_balance(summary):
@@ -38,7 +47,7 @@ SWEEP_KW = dict(step_s=600.0, n_requests=4, n_time_steps=4, seed=7)
 class TestTracedConstellationSweep:
     @pytest.fixture(scope="class")
     def traced_sweep(self):
-        with trace.recording() as rec:
+        with events.recording() as rec:
             sweep = run_constellation_sweep(sizes=[6, 12], **SWEEP_KW)
             summary = rec.summary()
         return sweep, summary
@@ -74,10 +83,10 @@ class TestTracedConstellationSweep:
         )
 
     def test_every_denial_has_exactly_one_canonical_cause(self):
-        with trace.recording() as rec:
+        with events.recording() as rec:
             run_constellation_sweep(sizes=[12], **SWEEP_KW)
             records = rec.records()
-        requests = [r for r in records if r["kind"] == "request"]
+        requests = _request_roots(records)
         assert requests, "expected request records"
         for record in requests:
             if record["served"]:
@@ -86,10 +95,10 @@ class TestTracedConstellationSweep:
                 assert record["cause"] in CAUSES
 
     def test_sharded_sweep_merges_to_serial_totals(self):
-        with trace.recording() as rec:
+        with events.recording() as rec:
             run_constellation_sweep(sizes=[12], **SWEEP_KW)
             serial = rec.summary()
-        with trace.recording() as rec:
+        with events.recording() as rec:
             run_constellation_sweep(sizes=[12], n_workers=2, **SWEEP_KW)
             sharded = rec.summary()
         _assert_books_balance(sharded)
@@ -106,7 +115,7 @@ class TestTracedSimulatorSweep:
         from repro.parallel.sweep import parallel_service_sweep
 
         indices = list(range(0, ephemeris.n_samples, 30))
-        with trace.recording() as rec:
+        with events.recording() as rec:
             parallel_service_sweep(
                 ephemeris, requests, time_indices=indices, n_workers=n_workers
             )
@@ -156,12 +165,11 @@ class TestRequestDetailConsistency:
 class TestTracedSimulatorRequests:
     def test_simulator_denials_attributed(self, sat_simulator_small, sites):
         requests = [r.endpoints for r in generate_requests(sites, 8, 5)]
-        with trace.recording() as rec:
+        with events.recording() as rec:
             sat_simulator_small.serve_requests(requests, 0.0)
-            records = rec.records()
+            records = _request_roots(rec.records())
         assert len(records) == 8
         for record in records:
-            assert record["kind"] == "request"
             if not record["served"]:
                 assert record["cause"] in CAUSES
                 assert record["candidate_counts"]["platforms"] > 0
@@ -169,3 +177,58 @@ class TestTracedSimulatorRequests:
                 assert record["path"][0] == record["source"]
                 assert record["path"][-1] == record["destination"]
                 assert len(record["hop_etas"]) == len(record["path"]) - 1
+
+
+class TestStreamCarriesTheFlightRecord:
+    """Re-reading a file-backed recording and absorbing it into a fresh
+    recorder reproduces every flight analytic: the stream alone carries
+    the flight record, no side channel."""
+
+    DIGEST_KEYS = ("requests", "satellites", "coverage", "steps")
+
+    def _replayed(self, path):
+        fresh = events.EventRecorder()
+        for record in events.read_events(path):
+            fresh.absorb(record)
+        return fresh.summary()
+
+    def _assert_replay_matches(self, summary, path):
+        replayed = self._replayed(path)
+        for key in self.DIGEST_KEYS:
+            assert replayed.get(key) == summary.get(key), key
+        assert summary["requests"]["total"] > 0
+
+    def test_traced_constellation_sweep(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with events.recording(path) as rec:
+            run_constellation_sweep(sizes=[6, 12], n_workers=2, **SWEEP_KW)
+            summary = rec.summary()
+        assert "coverage" in summary and "steps" in summary
+        self._assert_replay_matches(summary, path)
+
+    def test_two_worker_serve_stream(self, tmp_path, small_ephemeris):
+        from repro.data.ground_nodes import all_ground_nodes
+        from repro.network.workload import (
+            align_to_grid,
+            lans_from_sites,
+            poisson_request_stream,
+        )
+        from repro.serve.sharded import serve_stream_sharded
+
+        stream = align_to_grid(
+            poisson_request_stream(
+                lans_from_sites(all_ground_nodes()),
+                rate_hz=0.01,
+                duration_s=7200.0,
+                seed=11,
+                tenants=("tenant-0", "tenant-1"),
+            ),
+            small_ephemeris.times_s,
+        )
+        path = tmp_path / "serve.jsonl"
+        with events.recording(path) as rec:
+            outcomes = serve_stream_sharded(small_ephemeris, stream, n_workers=2)
+            summary = rec.summary()
+        assert summary["requests"]["total"] == len(outcomes)
+        assert summary["requests"]["served"] == sum(o.served for o in outcomes)
+        self._assert_replay_matches(summary, path)

@@ -12,9 +12,12 @@ short trace carrying the denial cause.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.obs import events
+from repro.obs.trace import CAUSES
 from repro.serve.engine import build_engine, outcomes_equal
 from repro.serve.server import ServeServer, ServerConfig
 from repro.serve.sharded import serve_stream_sharded
@@ -23,13 +26,14 @@ WORKER_COUNTS = (0, 1, 2, 4)
 
 
 def _trace_tuples(records):
-    """Worker-count-invariant view: trace-anchored events only."""
+    """Worker-count-invariant view: trace-anchored events only (attrs,
+    flight records included, compared as canonical JSON)."""
     out = set()
     for r in records:
         if "trace" not in r:
             continue
-        attrs = r.get("attrs") or {}
-        out.add((r["trace"], r["path"], tuple(sorted(attrs.items()))))
+        attrs = json.dumps(r.get("attrs") or {}, sort_keys=True)
+        out.add((r["trace"], r["path"], attrs))
     return out
 
 
@@ -84,6 +88,31 @@ def test_exactly_one_root_per_request(replays, aligned_stream):
         for root in roots:
             assert root["name"] == "request"
             assert "tenant" in root["attrs"] and "served" in root["attrs"]
+
+
+def test_roots_carry_the_flight_record(replays, aligned_stream):
+    """The simulator's flight detail merges into the server's root; the
+    server's outcome fields and the simulator's agree."""
+    outcomes, records = replays[0]
+    by_trace = {f"req-{o.request_id}": o for o in outcomes}
+    roots = [r for r in records if "trace" in r and r.get("parent") is None]
+    for root in roots:
+        attrs = root["attrs"]
+        outcome = by_trace[root["trace"]]
+        assert (attrs["source"], attrs["destination"]) == (
+            outcome.source, outcome.destination
+        )
+        assert attrs["t_s"] == outcome.t_s
+        assert attrs["served"] == outcome.served
+        if outcome.served:
+            assert tuple(attrs["path"]) == outcome.path
+            assert attrs["path_eta"] == outcome.path_eta
+            assert attrs["fidelity"] == outcome.fidelity
+            assert len(attrs["hop_etas"]) == len(outcome.path) - 1
+            assert "cause" not in attrs
+        else:
+            assert attrs["cause"] == outcome.cause and attrs["cause"] in CAUSES
+            assert attrs["candidate_counts"]["platforms"] > 0
 
 
 def test_timestamps_causal_after_alignment(replays):
@@ -191,3 +220,34 @@ async def test_shed_trace_shape_matches_serial_rerun(small_ephemeris, solo_strea
 
     assert await _run_once() == await _run_once()
     assert events.active() is None
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+def test_server_and_simulator_causes_agree(
+    small_ephemeris, aligned_stream, mixed_schedule, faulted
+):
+    """The server's cause (link-state gates on ``cached``) equals the
+    cause the simulator's own flight record carries (the scalar cascade)
+    for every denied request, with and without a fault plane."""
+    faults = mixed_schedule if faulted else None
+    outcomes = serve_stream_sharded(
+        small_ephemeris, aligned_stream, n_workers=0, faults=faults
+    )
+    simulator = build_engine("cached", small_ephemeris, faults=faults).simulator
+    rec = events.start(ring_size=65_536)
+    try:
+        for r in aligned_stream:
+            simulator.serve_request(r.source, r.destination, r.t_s)
+        flights = {
+            root["trace"]: root["attrs"]
+            for root in rec.records()
+            if root["name"] == "request" and "trace" in root
+        }
+    finally:
+        events.reset()
+    denied = [o for o in outcomes if not o.served]
+    assert denied
+    for o in denied:
+        flight = flights[f"{o.source}|{o.destination}|{o.t_s!r}"]
+        assert flight["served"] is False
+        assert flight["cause"] == o.cause

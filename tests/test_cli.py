@@ -266,6 +266,10 @@ class TestTelemetryFlags:
             assert report["timings_s"]["total"] >= 0.0
 
 
+def _is_request_root(record) -> bool:
+    return record["name"] == "request" and "trace" in record and "parent" not in record
+
+
 class TestTraceFlag:
     _SWEEP = [
         "sweep",
@@ -278,7 +282,7 @@ class TestTraceFlag:
     def test_trace_writes_jsonl_and_embeds_in_manifest(self, tmp_path):
         import json
 
-        from repro.obs import trace
+        from repro.obs import events
         from repro.obs.trace import CAUSES
 
         trace_path = tmp_path / "trace.jsonl"
@@ -287,10 +291,10 @@ class TestTraceFlag:
             ["--telemetry", str(manifest_path), "--trace", str(trace_path)] + self._SWEEP
         )
         assert code == 0
-        assert trace.active() is None  # recorder stopped after the run
-        records = list(trace.read_trace(trace_path))
-        requests = [r for r in records if r["kind"] == "request"]
-        coverage = [r for r in records if r["kind"] == "coverage"]
+        assert events.active() is None  # recorder stopped after the run
+        records = list(events.read_events(trace_path))
+        requests = [r["attrs"] for r in records if _is_request_root(r)]
+        coverage = [r for r in records if r["name"] == "coverage" and "trace" not in r]
         assert len(requests) == 16  # 4 requests x 4 steps
         assert len(coverage) == 144  # full day at 600 s cadence
         for r in requests:
@@ -302,16 +306,17 @@ class TestTraceFlag:
         assert summary["requests"]["denied"] == 16 - served
 
     def test_trace_sample_rate_thins_requests_not_coverage(self, tmp_path):
-        from repro.obs import trace
+        from repro.obs import events
 
         trace_path = tmp_path / "trace.jsonl"
         code = main(
             ["--trace", str(trace_path), "--trace-sample-rate", "0.0"] + self._SWEEP
         )
         assert code == 0
-        records = list(trace.read_trace(trace_path))
-        assert all(r["kind"] == "coverage" for r in records)
-        assert records  # the outage timeline still needs the full mask
+        records = list(events.read_events(trace_path))
+        assert all("trace" not in r for r in records)  # process-scope only
+        # The outage timeline still needs the full mask.
+        assert sum(r["name"] == "coverage" for r in records) == 144
 
 
 class TestObsDiffCommand:
@@ -674,7 +679,7 @@ class TestTimelineFlag:
         events_path = tmp_path / "events.jsonl"
         manifest_path = tmp_path / "run.json"
         code = main(
-            ["--telemetry", str(manifest_path), "--timeline", str(events_path)]
+            ["--telemetry", str(manifest_path), "--trace", str(events_path)]
             + self._SERVE
         )
         assert code == 0
@@ -685,17 +690,21 @@ class TestTimelineFlag:
         assert all(r["trace"].startswith("req-") for r in roots)
         for root in roots:
             assert "served" in root["attrs"] and "tenant" in root["attrs"]
-        summary = json.loads(manifest_path.read_text())["events"]
+        manifest = json.loads(manifest_path.read_text())
+        assert "events" not in manifest  # one digest, under "trace"
+        summary = manifest["trace"]
         assert summary["traces"] == len(roots)
         assert summary["events"] == len(records)
         assert summary["slowest"]
+        # Every request lands in the flight digest, sheds included.
+        assert summary["requests"]["total"] == len(roots)
 
     def test_timeline_sample_rate_zero_records_nothing(self, tmp_path):
         from repro.obs import events
 
         events_path = tmp_path / "events.jsonl"
         code = main(
-            ["--timeline", str(events_path), "--timeline-sample-rate", "0.0"]
+            ["--trace", str(events_path), "--trace-sample-rate", "0.0"]
             + self._SERVE
         )
         assert code == 0
@@ -708,8 +717,8 @@ class TestTimelineFlag:
 
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
-        assert main(["--timeline", str(first)] + self._SERVE) == 0
-        assert main(["--timeline", str(second)] + self._SERVE) == 0
+        assert main(["--trace", str(first)] + self._SERVE) == 0
+        assert main(["--trace", str(second)] + self._SERVE) == 0
         assert events.active() is None
         a = sorted(r["trace"] for r in events.read_events(first) if "trace" in r)
         b = sorted(r["trace"] for r in events.read_events(second) if "trace" in r)
@@ -719,7 +728,7 @@ class TestTimelineFlag:
         from repro.obs import events
 
         events_path = tmp_path / "events.jsonl"
-        assert main(["--timeline", str(events_path)] + self._SERVE) == 0
+        assert main(["--trace", str(events_path)] + self._SERVE) == 0
         assert main(self._SERVE) == 0  # plain rerun
         assert events.active() is None
 
@@ -728,7 +737,7 @@ class TestTraceCommand:
     def _record_run(self, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         code = main(
-            ["--timeline", str(events_path)] + TestTimelineFlag._SERVE
+            ["--trace", str(events_path)] + TestTimelineFlag._SERVE
         )
         assert code == 0
         capsys.readouterr()  # drop the serve run's own output
@@ -779,6 +788,24 @@ class TestTraceCommand:
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
         assert "repro trace:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, fmt",
+        [
+            ('{"ph":"X","name":"a","ts":1,"dur":0}\n{"ph":"X","na', "perfetto"),
+            ('{"ph":"X","name":"a","dur":0}\n', "perfetto"),
+            ("[1,2]\n", "tree"),
+        ],
+        ids=["truncated-last-line", "no-ts", "non-object"],
+    )
+    def test_malformed_stream_exits_two(self, tmp_path, capsys, content, fmt):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(content)
+        assert main(["trace", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("repro trace: ") and f"{path}:" in line
+
 
 class TestReportJsonFormat:
     def test_json_format_emits_summary(self, tmp_path, capsys):
@@ -787,7 +814,7 @@ class TestReportJsonFormat:
         manifest_path = tmp_path / "run.json"
         events_path = tmp_path / "events.jsonl"
         code = main(
-            ["--telemetry", str(manifest_path), "--timeline", str(events_path)]
+            ["--telemetry", str(manifest_path), "--trace", str(events_path)]
             + TestTimelineFlag._SERVE
         )
         assert code == 0
@@ -795,5 +822,5 @@ class TestReportJsonFormat:
         assert main(["report", str(manifest_path), "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["command"] == "serve"
-        assert summary["events"]["traces"] > 0
-        assert summary["events"]["slowest"]
+        assert summary["trace"]["traces"] > 0
+        assert summary["trace"]["slowest"]
