@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.engine.linkstate import LinkStateCache
-from repro.errors import NoPathError, UnknownHostError
+from repro.errors import NoPathError, UnknownHostError, ValidationError
 from repro.network.events import EventTimeline
 from repro.network.links import LinkPolicy
 from repro.network.protocols import EntangledPair, distribute_entanglement
@@ -43,6 +43,12 @@ _REQUESTS_SERVED = obs.counter("network.requests.served")
 _REQUESTS_DENIED = obs.counter("network.requests.denied")
 _PATH_HOPS = obs.histogram("network.path.hops", buckets=(1, 2, 3, 4, 5, 6, 8, 12))
 _FIDELITY = obs.histogram("network.fidelity")
+
+
+def _check_time(t_s: float) -> None:
+    """Reject a request time that is not a finite number of seconds."""
+    if not math.isfinite(t_s):
+        raise ValidationError(f"request time must be finite, got {t_s!r}")
 
 
 @dataclass(frozen=True)
@@ -456,7 +462,12 @@ class NetworkSimulator:
         The route is the Bellman–Ford minimum of ``sum 1/(eta + eps)``;
         the delivered fidelity comes from amplitude damping with the
         path's end-to-end transmissivity.
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+            UnknownHostError: if an endpoint is not in the network.
         """
+        _check_time(t_s)
         if source not in self.network:
             raise UnknownHostError(source)
         if destination not in self.network:
@@ -514,6 +525,7 @@ class NetworkSimulator:
         Routing trees are shared across requests with the same source, so
         batches are cheaper than repeated :meth:`serve_request` calls.
         """
+        _check_time(t_s)
         graph = self.link_graph(t_s)
         trees: dict[str, object] = {}
         outcomes: list[RequestOutcome] = []

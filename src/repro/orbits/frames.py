@@ -27,6 +27,7 @@ __all__ = [
     "ecef_to_geodetic",
     "ecef_to_enu_matrix",
     "enu_to_azimuth_elevation",
+    "enu_to_elevation_range",
 ]
 
 
@@ -181,12 +182,23 @@ def enu_to_azimuth_elevation(
     Azimuth is measured clockwise from North; elevation from the local
     horizontal plane. Works on any ``(..., 3)`` stack.
     """
+    elevation, rng = enu_to_elevation_range(enu_km)
+    enu = np.asarray(enu_km, dtype=float)
+    azimuth = np.mod(np.arctan2(enu[..., 0], enu[..., 1]), 2.0 * np.pi)
+    return azimuth, elevation, rng
+
+
+def enu_to_elevation_range(enu_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ENU vectors -> (elevation [rad], slant range [km]).
+
+    :func:`enu_to_azimuth_elevation` without the azimuth, for callers
+    that discard it; the two values are the same floats.
+    """
     enu = np.asarray(enu_km, dtype=float)
     if enu.shape[-1] != 3:
         raise ValidationError(f"ENU vectors must have a trailing axis of 3, got {enu.shape}")
     east, north, up = enu[..., 0], enu[..., 1], enu[..., 2]
     rng = np.sqrt(east**2 + north**2 + up**2)
-    azimuth = np.mod(np.arctan2(east, north), 2.0 * np.pi)
     with np.errstate(invalid="ignore"):
         elevation = np.where(rng > 0, np.arcsin(np.clip(up / np.where(rng == 0, 1, rng), -1, 1)), 0.0)
-    return azimuth, elevation, rng
+    return elevation, rng

@@ -17,11 +17,17 @@ import numpy as np
 
 from repro.constants import EARTH_RADIUS_KM
 from repro.errors import ValidationError
-from repro.orbits.frames import ecef_to_enu_matrix, enu_to_azimuth_elevation, geodetic_to_ecef
+from repro.orbits.frames import (
+    ecef_to_enu_matrix,
+    enu_to_azimuth_elevation,
+    enu_to_elevation_range,
+    geodetic_to_ecef,
+)
 from repro.utils.intervals import intervals_from_mask
 
 __all__ = [
     "elevation_and_range",
+    "elevation_and_slant_range",
     "elevation_and_range_scalar",
     "visibility_mask",
     "AccessWindow",
@@ -48,11 +54,35 @@ def elevation_and_range(
         ``(azimuth, elevation, slant_range)`` arrays of shape ``(...)``
         [rad, rad, km].
     """
+    return enu_to_azimuth_elevation(
+        _site_enu(site_lat_rad, site_lon_rad, site_alt_km, platform_ecef_km)
+    )
+
+
+def elevation_and_slant_range(
+    site_lat_rad: float,
+    site_lon_rad: float,
+    site_alt_km: float,
+    platform_ecef_km: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`elevation_and_range` without the azimuth: ``(elevation,
+    slant_range)``, the same floats, for callers that discard it."""
+    return enu_to_elevation_range(
+        _site_enu(site_lat_rad, site_lon_rad, site_alt_km, platform_ecef_km)
+    )
+
+
+def _site_enu(
+    site_lat_rad: float,
+    site_lon_rad: float,
+    site_alt_km: float,
+    platform_ecef_km: np.ndarray,
+) -> np.ndarray:
+    """Platform positions as ENU vectors at the site, shape ``(..., 3)``."""
     site = geodetic_to_ecef(site_lat_rad, site_lon_rad, site_alt_km)
     t = ecef_to_enu_matrix(site_lat_rad, site_lon_rad)
     delta = np.asarray(platform_ecef_km, dtype=float) - site
-    enu = np.einsum("ij,...j->...i", t, delta)
-    return enu_to_azimuth_elevation(enu)
+    return np.einsum("ij,...j->...i", t, delta)
 
 
 def elevation_and_range_scalar(

@@ -193,9 +193,27 @@ class TestRoutingMemoization:
         assert tuple(tree.path_to("ttu-1")) == outcome.path
 
     def test_edge_key_is_weighted(self, sat_cache):
-        key = sat_cache.edge_key(0)
-        assert all(len(entry) == 3 and entry[0] < entry[1] for entry in key)
-        assert all(isinstance(entry[2], float) for entry in key)
+        # The memoization contract: equal keys exactly when the weighted
+        # graphs are equal, so a drifted eta on an unchanged topology
+        # must get its own key (and its own routing table).
+        n = sat_cache.n_times
+        graphs = [sat_cache.graph_at_index(k) for k in range(n)]
+        keys = [sat_cache.edge_key(k) for k in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert (keys[i] == keys[j]) == (graphs[i] == graphs[j]), (i, j)
+
+        def topology(graph):
+            return {(u, v) for u, nbrs in graph.items() for v in nbrs}
+
+        drifted = [
+            k
+            for k in range(n - 1)
+            if topology(graphs[k]) == topology(graphs[k + 1])
+            and graphs[k] != graphs[k + 1]
+        ]
+        assert drifted, "fixture should hold a pass with drifting etas"
+        assert all(keys[k] != keys[k + 1] for k in drifted)
 
 
 class TestSimulatorIntegration:

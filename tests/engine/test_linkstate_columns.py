@@ -1,0 +1,169 @@
+"""The column-backed link state against a per-channel reference.
+
+:class:`LinkStateCache` stores every channel's eta and admission series
+as one column of two ``(grid sample, channel)`` arrays and builds a
+sample's link graph, edge key and flat routing graph from one row. The
+reference here is the per-channel loop the arrays replaced: channels in
+build order (ground-satellite channels grouped per site and moved after
+the rest), one ``usable``/``eta`` lookup per channel. The array path must
+reproduce it exactly — floats, neighbour insertion order, flat edge
+order — on the 108-satellite day and on a hybrid network whose HAP flies
+a duty cycle, healthy and under the committed example fault schedule,
+eager and windowed.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.channels.presets import paper_hap_fso, paper_satellite_fso
+from repro.engine import LinkStateCache
+from repro.faults import load_faults
+from repro.network.hap import HAP
+from repro.network.satellite import Satellite
+from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
+from repro.routing.bellman_ford import FlatGraph
+from repro.utils.intervals import Interval
+
+EXAMPLE_FAULTS = Path(__file__).parents[2] / "benchmarks" / "results" / "example_faults.json"
+
+#: Samples whose edge keys are compared pairwise.
+PAIR_WINDOW = 48
+#: Horizon of the per-sample checks: half the 120 s day, all of the 2 h
+#: grid (windowed fault fills cost ~0.1 s per window on the day).
+HORIZON = 360
+
+
+def build_order(network):
+    """Channels in the order the per-channel series list held them."""
+    singles, groups = [], {}
+    for channel in network.channels():
+        sats = [h for h in (channel.host_a, channel.host_b) if isinstance(h, Satellite)]
+        if sats and channel.is_ground_to_platform:
+            ground = channel.host_a if channel.host_a.kind == "ground" else channel.host_b
+            key = (
+                ground.name,
+                id(sats[0].ephemeris),
+                id(channel.model),
+                sats[0].nominal_altitude_km,
+            )
+            groups.setdefault(key, []).append(channel)
+        else:
+            singles.append(channel)
+    return singles + [channel for members in groups.values() for channel in members]
+
+
+def reference_graph(cache, k):
+    """The per-channel loop: one series lookup per channel at sample ``k``."""
+    column = {pair: c for c, pair in enumerate(cache._pairs)}
+    eta, usable = cache._eta, cache._usable
+    graph = {name: {} for name in cache.network.host_names}
+    for channel in build_order(cache.network):
+        a, b = channel.names
+        c = column[(a, b)]
+        if usable[k, c]:
+            value = float(eta[k, c])
+            graph[a][b] = value
+            graph[b][a] = value
+    return graph
+
+
+def day_network(ephemeris):
+    network = build_qntn_ground_network()
+    attach_satellites(network, ephemeris, paper_satellite_fso())
+    return network
+
+
+def hybrid_network(ephemeris):
+    network = day_network(ephemeris)
+    attach_hap(
+        network,
+        HAP(operational_windows=[Interval(0.0, 1800.0), Interval(3600.0, 5400.0)]),
+        paper_hap_fso(),
+    )
+    return network
+
+
+@pytest.fixture(scope="module", params=["day-108", "hybrid-hap"])
+def network(request, day_ephemeris_108, small_ephemeris):
+    if request.param == "day-108":
+        return day_network(day_ephemeris_108)
+    return hybrid_network(small_ephemeris)
+
+
+def example_plane():
+    return load_faults(EXAMPLE_FAULTS).realize(seed=7, horizon_s=86400.0).compile()
+
+
+@pytest.fixture(scope="module", params=["healthy", "example-faults"])
+def faults(request):
+    return None if request.param == "healthy" else example_plane()
+
+
+@pytest.fixture(scope="module", params=[None, 7], ids=["eager", "window"])
+def cache(request, network, faults):
+    return LinkStateCache(network, faults=faults, window=request.param)
+
+
+def sampled(cache):
+    """Every fifth sample up to the horizon, plus one contiguous run."""
+    return sorted(
+        set(range(0, min(cache.n_times, HORIZON), 5)) | set(range(PAIR_WINDOW))
+    )
+
+
+def test_graph_equals_the_per_channel_loop(cache):
+    for k in sampled(cache):
+        graph = cache.graph_at_index(k)
+        expected = reference_graph(cache, k)
+        assert graph == expected, k
+        assert list(graph) == list(expected)
+        for node, neighbors in expected.items():
+            assert list(graph[node]) == list(neighbors), (k, node)
+
+
+def test_array_built_flat_graph_equals_dict_built(cache):
+    for k in sampled(cache):
+        flat = cache._flat_graph(k)
+        reference = FlatGraph(cache.graph_at_index(k), cache.epsilon)
+        assert flat.nodes == reference.nodes
+        assert flat._edges == reference._edges, k
+
+
+def test_edge_keys_partition_samples_like_graphs(cache):
+    ks = range(min(PAIR_WINDOW, cache.n_times))
+    graphs = {k: cache.graph_at_index(k) for k in ks}
+    keys = {k: cache.edge_key(k) for k in ks}
+    for i in ks:
+        for j in ks:
+            if i < j:
+                assert (keys[i] == keys[j]) == (graphs[i] == graphs[j]), (i, j)
+
+
+def test_faults_change_the_columns(network):
+    """Non-vacuous: the committed schedule suppresses links somewhere."""
+    healthy = LinkStateCache(network)
+    faulted = LinkStateCache(network, faults=example_plane())
+    assert faulted.feasible_edge_counts().sum() < healthy.feasible_edge_counts().sum()
+
+
+def test_duty_masked_static_columns_repeat_keys():
+    """A HAP-only network: every sample inside one duty window shares
+    one key and one routing table, and the two windows' keys differ from
+    the off-duty key."""
+    network = build_qntn_ground_network()
+    attach_hap(
+        network,
+        HAP(operational_windows=[Interval(0.0, 1800.0), Interval(3600.0, 5400.0)]),
+        paper_hap_fso(),
+    )
+    times = np.arange(0.0, 7200.0, 300.0)
+    cache = LinkStateCache(network, times_s=times)
+    on = [k for k, t in enumerate(times) if t < 1800.0 or 3600.0 <= t < 5400.0]
+    off = [k for k in range(times.size) if k not in on]
+    assert len({cache.edge_key(k) for k in on}) == 1
+    assert len({cache.edge_key(k) for k in off}) == 1
+    assert cache.edge_key(on[0]) != cache.edge_key(off[0])
+    trees = {id(cache.routing_tree_at_index(k, "ttu-0")) for k in on}
+    assert len(trees) == 1

@@ -78,7 +78,9 @@ class TestLinkStateWindowed:
         cache = LinkStateCache(sat_network)
         assert cache._built_upto == cache.n_times
 
-    @pytest.mark.parametrize("window", [0, -3])
+    @pytest.mark.parametrize(
+        "window", [0, -3, True, False, 2.5, 8.0, float("nan"), float("inf"), -float("inf"), "8"]
+    )
     def test_invalid_window_rejected(self, sat_network, window):
         with pytest.raises(ValidationError):
             LinkStateCache(sat_network, window=window)

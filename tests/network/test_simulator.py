@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import UnknownHostError
+from repro.errors import UnknownHostError, ValidationError
 from repro.network.simulator import NetworkSimulator
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
+from repro.serve import build_engine
 
 
 class TestHapService:
@@ -64,6 +65,18 @@ class TestHapService:
             assert b.served == s.served
             assert b.path == s.path
             assert b.fidelity == pytest.approx(s.fidelity)
+
+
+@pytest.mark.parametrize("kind", ["cached", "direct"])
+@pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+def test_non_finite_request_time_rejected(kind, t_s, small_ephemeris):
+    # A NaN time used to be served at the last grid sample with
+    # time_s=nan; both engines must refuse it at entry instead.
+    simulator = build_engine(kind, small_ephemeris).simulator
+    with pytest.raises(ValidationError):
+        simulator.serve_request("ttu-0", "ornl-0", t_s)
+    with pytest.raises(ValidationError):
+        simulator.serve_requests([("ttu-0", "ornl-0")], t_s)
 
 
 class TestSatelliteService:
