@@ -2,10 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.errors import NoPathError, RoutingError
-from repro.routing.bellman_ford import bellman_ford, build_routing_tables, shortest_path
+from repro.errors import NoPathError, RoutingError, ValidationError
+from repro.routing.bellman_ford import (
+    FlatGraph,
+    bellman_ford,
+    build_routing_tables,
+    shortest_path,
+)
 from repro.routing.metrics import edge_cost
 
 TRIANGLE = {
@@ -65,6 +71,39 @@ class TestBellmanFord:
         }
         result = bellman_ford(line, "n0")
         assert result.path_to("n3") == ["n0", "n1", "n2", "n3"]
+
+
+def triangle_arrays(etas):
+    """TRIANGLE's directed edges in dict order as (tails, heads, etas)."""
+    nodes = list(TRIANGLE)
+    pairs = [(u, v) for u, nbrs in TRIANGLE.items() for v in nbrs]
+    tails = np.array([nodes.index(u) for u, _ in pairs])
+    heads = np.array([nodes.index(v) for _, v in pairs])
+    return nodes, tails, heads, np.array(etas, dtype=float)
+
+
+class TestFlatGraphFromArrays:
+    def test_equals_dict_constructor(self):
+        nodes, tails, heads, etas = triangle_arrays(
+            [eta for nbrs in TRIANGLE.values() for eta in nbrs.values()]
+        )
+        flat = FlatGraph.from_arrays(nodes, tails, heads, etas)
+        reference = FlatGraph(TRIANGLE)
+        assert flat.nodes == reference.nodes
+        assert flat._edges == reference._edges
+        assert flat.tree("a") == reference.tree("a")
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf])
+    def test_eta_outside_unit_interval_rejected(self, bad):
+        nodes, tails, heads, etas = triangle_arrays([0.9, 0.5, 0.9, bad, 0.5, 0.9])
+        with pytest.raises(ValidationError):
+            FlatGraph.from_arrays(nodes, tails, heads, etas)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        nodes, tails, heads, etas = triangle_arrays([0.9, 0.5, 0.9, 0.9, 0.5, 0.9])
+        with pytest.raises(ValidationError):
+            FlatGraph.from_arrays(nodes, tails, heads, etas, epsilon)
 
 
 class TestShortestPath:
