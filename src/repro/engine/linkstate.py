@@ -6,8 +6,9 @@ transmissivity and policy-admission series of every channel in a
 :class:`~repro.network.topology.QuantumNetwork` — ground-satellite FSO,
 inter-satellite FSO, ground-HAP FSO and fiber alike — on the movement
 sheet's sample grid. The series live in two ``(grid sample, channel)``
-arrays, ``eta`` and ``usable``, so the link state at one time index is
-one contiguous row. Link-graph snapshots and Bellman–Ford routing
+arrays, ``eta`` and the gate byte ``gates`` (admission plus the bits
+denial attribution reads), so the link state at one time index is one
+contiguous row. Link-graph snapshots and Bellman–Ford routing
 tables are memoized per time index; routing tables are keyed on the
 weighted feasible-edge set (a row's usable columns and their etas, as
 bytes), so timesteps whose usable links (and etas) are identical —
@@ -39,7 +40,6 @@ import numpy as np
 from repro import obs
 from repro.errors import ValidationError
 from repro.network.hap import HAP
-from repro.network.host import Host
 from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
@@ -58,9 +58,30 @@ __all__ = ["LinkStateCache"]
 #: keys mean equal columns and bit-equal etas).
 EdgeKey = bytes
 
-#: Per-block series over grid samples ``[j0, j1)``: ``(eta, usable)``,
-#: each broadcastable to ``(n_channels, j1 - j0)``.
+#: Per-block series over grid samples ``[j0, j1)``: ``(eta, gates)``,
+#: each broadcastable to ``(n_channels, j1 - j0)``; ``gates`` marks a
+#: healthy link ``ADMITTED`` (a fault plane may then clear ``USABLE``).
 Series = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+# Bits of the gate byte, one per (grid sample, channel). Only
+# ground-to-platform columns carry the geometry bits.
+#: post-fault admission: the link is in the graph.
+USABLE = np.uint8(1)
+#: pre-fault admission, duty mask included.
+HEALTHY = np.uint8(2)
+#: elevation above the horizon (> 0).
+VISIBLE = np.uint8(4)
+#: elevation at or above ``policy.min_elevation_rad``.
+ELEVATED = np.uint8(8)
+#: a healthy link before faults: usable until a fault plane, which can
+#: only remove links, suppresses it.
+ADMITTED = HEALTHY | USABLE
+
+
+def _geometry_gates(el: np.ndarray | float, min_elevation_rad: float) -> np.ndarray:
+    """``VISIBLE``/``ELEVATED`` bits of elevations ``el`` (NaN: neither)."""
+    el = np.asarray(el)
+    return (el > 0.0) * VISIBLE | (el >= min_elevation_rad) * ELEVATED
 
 
 @dataclass(frozen=True)
@@ -71,31 +92,6 @@ class _Block:
     c0: int
     channels: list[QuantumChannel]
     series: Series
-
-
-@dataclass(frozen=True)
-class _SatelliteColumn:
-    """One ground site's channels to a group of satellites sharing an
-    ephemeris, FSO model and nominal altitude (one build pass)."""
-
-    ground: Host
-    ephemeris: "Ephemeris"
-    samples: np.ndarray | None  # ephemeris sample per grid index (None: same grid)
-    rows: np.ndarray  # ephemeris row of each member satellite
-    slots: np.ndarray  # gate-column slot of each member satellite
-    model: object
-    altitude_km: float
-    cols: slice  # the group's link-state columns (post-fault admission)
-
-
-@dataclass(frozen=True)
-class _StaticColumn:
-    """One ground site's channel to a static platform (e.g. a HAP)."""
-
-    slot: int
-    elevation_rad: float
-    healthy: np.ndarray | bool  # pre-fault admission, duty mask included
-    col: int  # link-state column (post-fault admission)
 
 
 # Memoization accounting (import-time instruments; flag-check when off).
@@ -160,24 +156,24 @@ class LinkStateCache:
         self._times_list: list[float] = self.times_s.tolist()
         self._host_names = list(network.host_names)
         #: denial attribution: every non-ground host's slot in a gate
-        #: column, and per ground site the ground-to-platform channels
-        #: that feed it (see :meth:`denial_gates`).
+        #: vector (see :meth:`denial_gates`).
         self._platform_slot = {
             host.name: i
             for i, host in enumerate(
                 h for h in network.hosts() if h.kind != "ground"
             )
         }
-        self._site_hosts = frozenset(
-            host.name for host in network.hosts() if host.kind == "ground"
-        )
-        self._site_groups: dict[str, list[_SatelliteColumn]] = {}
-        self._site_static: dict[str, list[_StaticColumn]] = {}
-        #: (grid sample, channel) transmissivity and post-fault admission,
-        #: one column per channel; column c is channel ``_pairs[c]``.
+        #: per ground site, a (2, n) int array: its ground-to-platform
+        #: columns, then each column's platform slot. The build collects
+        #: (column, slot) pairs; ``__init__`` converts them.
+        self._site_columns: dict = {
+            host.name: [] for host in network.hosts() if host.kind == "ground"
+        }
+        #: (grid sample, channel) transmissivity and gate byte, one column
+        #: per channel; column c is channel ``_pairs[c]``.
         shape = (self.n_times, network.n_channels)
         self._eta = np.zeros(shape)
-        self._usable = np.zeros(shape, dtype=bool)
+        self._gates = np.zeros(shape, dtype=np.uint8)
         self._pairs: list[tuple[str, str]] = []
         #: windowed mode: the blocks that fill rows [j0, j1) on demand.
         self._blocks: list[_Block] = []
@@ -185,6 +181,10 @@ class LinkStateCache:
         self._build()
         if window is None:
             self._built_upto = self.n_times
+        self._site_columns = {
+            site: np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            for site, pairs in self._site_columns.items()
+        }
         index = {name: i for i, name in enumerate(self._host_names)}
         #: endpoints of each column as indices into ``_host_names``.
         self._ends = np.array(
@@ -295,20 +295,26 @@ class LinkStateCache:
 
     def _fill_block(self, block: _Block, j0: int, j1: int) -> None:
         """Write rows ``[j0, j1)`` of one block's columns, fault-perturbed
-        per column when a plane is active."""
-        eta, usable = block.series(j0, j1)
+        per column when a plane is active.
+
+        ``USABLE`` is the ``HEALTHY`` bit after the fault plane: the
+        series set both (``ADMITTED``), and an active plane recomputes
+        ``USABLE`` per column from ``HEALTHY``.
+        """
+        eta, gates = block.series(j0, j1)
         if self.faults is not None:
             shape = (len(block.channels), j1 - j0)
             eta = np.array(np.broadcast_to(eta, shape))
-            usable = np.array(np.broadcast_to(usable, shape))
+            usable = np.array(np.broadcast_to((gates & HEALTHY) != 0, shape))
             times = self.times_s[j0:j1]
             for i, channel in enumerate(block.channels):
                 eta[i], usable[i] = self.faults.apply_edge_series(
                     channel, eta[i], usable[i], times, self.policy
                 )
+            gates = gates & ~USABLE | usable * USABLE
         cols = slice(block.c0, block.c0 + len(block.channels))
         self._eta[j0:j1, cols] = np.transpose(eta)
-        self._usable[j0:j1, cols] = np.transpose(usable)
+        self._gates[j0:j1, cols] = np.transpose(gates)
 
     def _fill_rows(self, j0: int, j1: int) -> None:
         """Windowed mode: fill rows ``[j0, j1)`` of every block."""
@@ -319,23 +325,20 @@ class LinkStateCache:
     def _add_static(self, channel: QuantumChannel) -> None:
         """Fiber / ground-HAP channel: one evaluation, optional duty mask."""
         state = channel.evaluate_physics(float(self.times_s[0]), self.policy)
-        healthy = self._hap_mask(channel) & bool(state.usable)
+        gates = (self._hap_mask(channel) & bool(state.usable)) * ADMITTED
+        if channel.is_ground_to_platform:
+            gates |= _geometry_gates(state.elevation_rad, self.policy.min_elevation_rad)
         eta = np.array([[state.transmissivity]])
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            return eta, healthy[None, j0:j1]
+            return eta, gates[None, j0:j1]
 
         col = self._add_block([channel], series)
         if channel.is_ground_to_platform:
             a, b = channel.host_a, channel.host_b
             ground, platform = (a, b) if a.kind == "ground" else (b, a)
-            self._site_static.setdefault(ground.name, []).append(
-                _StaticColumn(
-                    self._platform_slot[platform.name],
-                    state.elevation_rad,
-                    healthy,
-                    col,
-                )
+            self._site_columns[ground.name].append(
+                (col, self._platform_slot[platform.name])
             )
 
     def _add_ground_satellite_group(
@@ -368,27 +371,21 @@ class LinkStateCache:
         )
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            return fill_budget_block(
-                el[:, j0:j1],
+            block_el = el[:, j0:j1]
+            eta, healthy = fill_budget_block(
+                block_el,
                 rng[:, j0:j1],
                 channel0.model,
                 self.policy,
                 sat0.nominal_altitude_km,
                 horizon_rad=0.0,
             )
+            gates = _geometry_gates(block_el, self.policy.min_elevation_rad)
+            return eta, gates | healthy * ADMITTED
 
         c0 = self._add_block([channel for channel, _ in members], series)
-        self._site_groups.setdefault(ground.name, []).append(
-            _SatelliteColumn(
-                ground,
-                sat0.ephemeris,
-                samples,
-                rows,
-                np.array([self._platform_slot[sat.name] for _, sat in members]),
-                channel0.model,
-                sat0.nominal_altitude_km,
-                slice(c0, c0 + len(members)),
-            )
+        self._site_columns[ground.name].extend(
+            (c0 + i, self._platform_slot[sat.name]) for i, (_, sat) in enumerate(members)
         )
 
     def _add_inter_satellite(
@@ -400,7 +397,7 @@ class LinkStateCache:
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
             e = np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
-            return e[None], e[None] >= self.policy.transmissivity_threshold
+            return e[None], (e[None] >= self.policy.transmissivity_threshold) * ADMITTED
 
         self._add_block([channel], series)
 
@@ -432,7 +429,7 @@ class LinkStateCache:
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
             e, u = physics(j0, j1)
-            return e[None], (u & hap_mask[j0:j1])[None]
+            return e[None], (u & hap_mask[j0:j1])[None] * ADMITTED
 
         self._add_block([channel], series)
 
@@ -510,7 +507,7 @@ class LinkStateCache:
         if not 0 <= k < self.n_times:
             raise ValidationError(f"time index {k} outside [0, {self.n_times})")
         self._ensure_index(k)
-        cols = np.flatnonzero(self._usable[k])
+        cols = np.flatnonzero(self._gates[k] & USABLE)
         return cols, self._eta[k, cols]
 
     def graph_at_index(self, k: int) -> LinkGraph:
@@ -603,46 +600,6 @@ class LinkStateCache:
 
     # --- denial attribution ---------------------------------------------------
 
-    def _gate_column(
-        self, site: str, k: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``site``'s links to every platform at grid sample ``k``.
-
-        Returns ``(elevation, healthy, usable)`` indexed by platform
-        slot: raw elevation (NaN where the site has no channel to the
-        platform), pre-fault admission and post-fault admission. The
-        elevation and healthy columns are recomputed through the same
-        ``elevation_and_slant_range`` / ``fill_budget_block`` calls the build
-        uses — one sample, so nothing day-long is retained — and the
-        post-fault column is read from the ``usable`` array.
-        """
-        from repro.engine.budgets import fill_budget_block
-
-        n = len(self._platform_slot)
-        elevation = np.full(n, np.nan)
-        healthy = np.zeros(n, dtype=bool)
-        usable = np.zeros(n, dtype=bool)
-        for static in self._site_static.get(site, ()):
-            elevation[static.slot] = static.elevation_rad
-            healthy[static.slot] = static.healthy[k]
-            usable[static.slot] = self._usable[k, static.col]
-        for group in self._site_groups.get(site, ()):
-            j = k if group.samples is None else group.samples[k]
-            ground = group.ground
-            el, rng = elevation_and_slant_range(
-                ground.lat_rad,
-                ground.lon_rad,
-                ground.alt_km,
-                group.ephemeris.positions_ecef_km[group.rows, j],
-            )
-            _, ok = fill_budget_block(
-                el, rng, group.model, self.policy, group.altitude_km, horizon_rad=0.0
-            )
-            elevation[group.slots] = el
-            healthy[group.slots] = ok
-            usable[group.slots] = self._usable[k, group.cols]
-        return elevation, healthy, usable
-
     def denial_gates(
         self, source: str, destination: str, k: int
     ) -> tuple[bool, bool, bool, bool] | None:
@@ -651,23 +608,28 @@ class LinkStateCache:
         Returns ``(visible, elevation_ok, healthy_usable, usable)``, each
         true when some platform passes that gate at both endpoints — the
         per-platform checks :meth:`NetworkSimulator._attribute_denial`
-        makes with scalar channel evaluations, read here from link-state
-        columns. ``None`` when an endpoint is not a ground site (the
-        caller then runs the scalar cascade).
+        makes with scalar channel evaluations, read here from the gate
+        bytes the build stored: each endpoint's ground-to-platform
+        columns are scattered into one vector per platform slot and the
+        two vectors ANDed. ``None`` when an endpoint is not a ground site
+        (the caller then runs the scalar cascade).
         """
-        if source not in self._site_hosts or destination not in self._site_hosts:
+        if source not in self._site_columns or destination not in self._site_columns:
             return None
         self._ensure_index(k)
-        el_s, ok_s, up_s = self._gate_column(source, k)
-        el_d, ok_d, up_d = self._gate_column(destination, k)
-        min_el = self.policy.min_elevation_rad
-        visible = (el_s > 0.0) & (el_d > 0.0)
-        elevated = visible & (el_s >= min_el) & (el_d >= min_el)
+        row = self._gates[k]
+        both = np.full(len(self._platform_slot), 0xFF, dtype=np.uint8)
+        for site in (source, destination):
+            cols, slots = self._site_columns[site]
+            gates = np.zeros_like(both)
+            gates[slots] = row[cols]
+            both &= gates
+        elevated = VISIBLE | ELEVATED
         return (
-            bool(visible.any()),
-            bool(elevated.any()),
-            bool((ok_s & ok_d).any()),
-            bool((up_s & up_d).any()),
+            bool((both & VISIBLE).any()),
+            bool(((both & elevated) == elevated).any()),
+            bool((both & HEALTHY).any()),
+            bool((both & USABLE).any()),
         )
 
     # --- diagnostics --------------------------------------------------------
@@ -675,7 +637,7 @@ class LinkStateCache:
     def feasible_edge_counts(self) -> np.ndarray:
         """Number of usable links at each grid sample, shape ``(T,)``."""
         self._ensure_index(self.n_times - 1)
-        return self._usable.sum(axis=1)
+        return np.count_nonzero(self._gates & USABLE, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -66,10 +66,13 @@ class RequestOutcome:
             simulator runs with ``track_states=True`` (None otherwise;
             multipath-purified deliveries always report the closed
             form).
-        cause: canonical denial cause decided *during* serving, when
-            the routing strategy attributed one (``route_exhausted`` /
-            ``memory_full``); ``None`` otherwise — legacy denials are
-            attributed post-hoc by :meth:`NetworkSimulator.denial_cause`.
+        cause: canonical :class:`~repro.obs.trace.DenialCause` value,
+            decided where the request is denied: the routing strategy's
+            cause when its rescue fails (``route_exhausted`` /
+            ``memory_full``), else the gate cascade's
+            (:meth:`NetworkSimulator.denial_cause`) when the simulator
+            runs with ``attribute_denials=True``. ``None`` when served or
+            unattributed.
         n_paths: entangled pairs consumed to deliver the request (1 on
             the single-path router; >= 2 when purified).
         purified: whether the delivery went through the multipath
@@ -130,6 +133,10 @@ class NetworkSimulator:
             fidelity floor. Strict-path service is untouched, so
             ``strategy=None`` and ``k = 1`` are bit-identical to the
             legacy router.
+        attribute_denials: decide the canonical cause of every denial
+            while serving it (:meth:`denial_cause`) and put it on the
+            outcome. Off by default: a strict denial the strategy did
+            not attribute then carries ``cause=None``.
     """
 
     def __init__(
@@ -144,6 +151,7 @@ class NetworkSimulator:
         faults: "FaultPlane | None" = None,
         linkstate_window: int | None = None,
         strategy: "KShortestStrategy | StrategyConfig | None" = None,
+        attribute_denials: bool = False,
     ) -> None:
         self.network = network
         self.policy = policy or LinkPolicy()
@@ -163,6 +171,7 @@ class NetworkSimulator:
                 epsilon=epsilon,
             )
         self.strategy = strategy
+        self.attribute_denials = attribute_denials
         self.timeline = EventTimeline()
         self._graph_cache: tuple[float, LinkGraph] | None = None
         self._linkstate: LinkStateCache | None = None
@@ -279,9 +288,10 @@ class NetworkSimulator:
 
         Evaluates every platform's channels to both endpoints under the
         simulator's policy and folds the per-gate outcomes into exactly
-        one canonical :class:`~repro.obs.trace.DenialCause` — only run
-        for requests that are both denied and recorded, so its cost
-        never touches the unrecorded hot path.
+        one canonical :class:`~repro.obs.trace.DenialCause`. It is the
+        ``direct`` engine's cause oracle and a flight record's
+        candidate detail; the ``cached`` engine runs it only for
+        recorded denials.
         """
         min_el = self.policy.min_elevation_rad
         faults = self.faults
@@ -363,9 +373,10 @@ class NetworkSimulator:
         """Record one request's flight detail into trace ``flight``; empty
         path = denied.
 
-        ``cause`` overrides the gate-cascade attribution for denials
-        the strategy layer decided in-line (route exhaustion, memory
-        pressure) — the cascade still supplies the candidate detail.
+        ``cause`` is the outcome's cause when serving decided one (the
+        strategy's rescue, or attribution on); otherwise the scalar
+        cascade names it. The cascade always supplies the candidate
+        detail.
         """
         attrs: dict = {
             "source": source,
@@ -392,17 +403,25 @@ class NetworkSimulator:
     def denial_cause(self, source: str, destination: str, t_s: float) -> DenialCause:
         """Canonical cause for an unserved ``source -> destination`` at ``t_s``.
 
-        Runs the same gate cascade a flight record uses (without
-        collecting candidate detail), so a streaming engine and a traced
-        batch sweep attribute the identical denial to the identical
-        cause. With the cache on, the gates are read from link-state
-        columns at the request's grid sample
+        Serving calls this for every denial when ``attribute_denials``
+        is on, so a streaming engine and a traced batch sweep attribute
+        the identical denial to the identical cause. With the cache on,
+        the gates are read from the link state's stored gate bytes at
+        the request's grid sample
         (:meth:`~repro.engine.linkstate.LinkStateCache.denial_gates`);
         the direct path runs the scalar cascade, the oracle the cached
         answer is tested against. Only meaningful for requests that
         actually went unserved — the cascade presumes no usable
         end-to-end route exists.
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+            UnknownHostError: if an endpoint is not in the network.
         """
+        _check_time(t_s)
+        for name in (source, destination):
+            if name not in self.network:
+                raise UnknownHostError(name)
         if self.use_cache:
             ls = self.linkstate
             gates = ls.denial_gates(source, destination, ls.time_index(t_s))
@@ -428,8 +447,10 @@ class NetworkSimulator:
         """Resolve a strict-path denial: multipath rescue, else denial.
 
         The shared tail of both serving shapes — streaming and batch
-        reduce to the same rescue decision, which is what keeps them
-        bit-identical under any strategy configuration.
+        reduce to the same rescue decision and the same cause, which is
+        what keeps them bit-identical under any strategy configuration.
+        The cause is the failed rescue's, else the gate cascade's when
+        attribution is on.
         """
         rescue = self._rescue(source, destination, t_s, time_index)
         if rescue is not None and rescue[0].served:
@@ -447,6 +468,8 @@ class NetworkSimulator:
                 plan.fidelity, None, n_paths=plan.n_paths, purified=True,
             )
         cause = rescue[0].cause if rescue is not None else None
+        if cause is None and self.attribute_denials:
+            cause = self.denial_cause(source, destination, t_s).value
         _REQUESTS_DENIED.inc()
         if flight is not None:
             self._record_flight(

@@ -18,12 +18,6 @@ from repro.routing.bellman_ford import (
     shortest_path,
 )
 from repro.routing.dijkstra import dijkstra, dijkstra_path
-from repro.routing.graphtools import (
-    ConnectivityReport,
-    connectivity_report,
-    networkx_path_cost,
-    to_networkx,
-)
 from repro.routing.metrics import (
     DEFAULT_EPSILON,
     edge_cost,
@@ -69,10 +63,6 @@ __all__ = [
     "shortest_path",
     "dijkstra",
     "dijkstra_path",
-    "to_networkx",
-    "networkx_path_cost",
-    "connectivity_report",
-    "ConnectivityReport",
     "RouteEntry",
     "RoutingTable",
 ]

@@ -77,10 +77,12 @@ class ServeOutcome:
         path_eta: end-to-end transmissivity (0 if unserved).
         fidelity: delivered entanglement fidelity (NaN if unserved).
         cause: canonical :class:`~repro.obs.trace.DenialCause` value
-            when unserved (``None`` when served, or when the engine ran
-            with denial attribution off). Strategy-attributed causes
-            (``route_exhausted`` / ``memory_full``) are decided during
-            serving and survive even with attribution off.
+            when unserved, decided by the simulator while it served the
+            request (see :attr:`RequestOutcome.cause
+            <repro.network.simulator.RequestOutcome.cause>`). ``None``
+            when served, or when denial attribution was off; a
+            strategy-attributed cause (``route_exhausted`` /
+            ``memory_full``) is set either way.
         n_paths: entangled pairs consumed (1 on the single-path router,
             >= 2 for a purified multipath delivery).
         purified: whether the delivery went through the multipath
@@ -148,23 +150,21 @@ class SimulatorServeEngine:
     is why the differential harness can demand bit-identity between
     them.
 
+    Outcomes are copied field by field from the simulator's, denial
+    cause included: the simulator decides the cause while serving (its
+    ``attribute_denials`` switch). ``cached`` reads the cause cascade's
+    gates from the link state's stored gate bytes at the request's grid
+    sample; ``direct`` re-evaluates each candidate uplink through the
+    scalar channel model, the oracle the cached answer is tested
+    against.
+
     Args:
         simulator: the bound simulator; its ``use_cache`` flag decides
             which serving path (and this engine's ``name``).
-        attribute_denials: compute the canonical denial cause for every
-            unserved request. ``cached`` reads the cause cascade's gates
-            from link-state columns at the request's grid sample (one
-            site-against-every-platform column per endpoint); ``direct``
-            re-evaluates each candidate uplink through the scalar
-            channel model, the oracle the cached answer is tested
-            against. When off, denied outcomes carry ``cause=None``.
     """
 
-    def __init__(
-        self, simulator: "NetworkSimulator", *, attribute_denials: bool = True
-    ) -> None:
+    def __init__(self, simulator: "NetworkSimulator") -> None:
         self.simulator = simulator
-        self.attribute_denials = attribute_denials
         #: Engine kind: "cached" (production) or "direct" (oracle).
         self.name = "cached" if simulator.use_cache else "direct"
         self._cursor_s: float | None = None
@@ -206,14 +206,6 @@ class SimulatorServeEngine:
                 self.simulator.linkstate.advance_index(t_s)
 
     def _outcome(self, request: "TimedRequest", raw: "RequestOutcome") -> ServeOutcome:
-        # A strategy-attributed cause was decided during serving (the
-        # rescue already knows why it failed); only legacy denials pay
-        # the post-hoc gate cascade, and only when attribution is on.
-        cause = raw.cause
-        if cause is None and not raw.served and self.attribute_denials:
-            cause = self.simulator.denial_cause(
-                request.source, request.destination, request.t_s
-            ).value
         return ServeOutcome(
             request_id=request.request_id,
             source=request.source,
@@ -224,7 +216,7 @@ class SimulatorServeEngine:
             path=raw.path,
             path_eta=raw.path_transmissivity,
             fidelity=raw.fidelity,
-            cause=cause,
+            cause=raw.cause,
             n_paths=raw.n_paths,
             purified=raw.purified,
         )
@@ -292,8 +284,8 @@ def build_engine(
         faults: realized :class:`~repro.faults.FaultSchedule`, compiled
             :class:`~repro.faults.plane.FaultPlane`, or ``None``; both
             kinds consume the same compiled plane.
-        attribute_denials: compute canonical denial causes for unserved
-            requests (see :class:`SimulatorServeEngine`).
+        attribute_denials: decide the canonical cause of every denial
+            while serving it (``NetworkSimulator(attribute_denials=)``).
         window: incremental-advance chunk size in ephemeris samples.
             ``None`` keeps the eager full-horizon precompute. When set,
             the ``cached`` link-state series extends lazily as the time
@@ -333,5 +325,6 @@ def build_engine(
         faults=plane,
         linkstate_window=window if kind == "cached" else None,
         strategy=router,
+        attribute_denials=attribute_denials,
     )
-    return SimulatorServeEngine(simulator, attribute_denials=attribute_denials)
+    return SimulatorServeEngine(simulator)

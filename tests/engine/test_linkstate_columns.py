@@ -1,15 +1,15 @@
 """The column-backed link state against a per-channel reference.
 
 :class:`LinkStateCache` stores every channel's eta and admission series
-as one column of two ``(grid sample, channel)`` arrays and builds a
-sample's link graph, edge key and flat routing graph from one row. The
-reference here is the per-channel loop the arrays replaced: channels in
-build order (ground-satellite channels grouped per site and moved after
-the rest), one ``usable``/``eta`` lookup per channel. The array path must
-reproduce it exactly — floats, neighbour insertion order, flat edge
-order — on the 108-satellite day and on a hybrid network whose HAP flies
-a duty cycle, healthy and under the committed example fault schedule,
-eager and windowed.
+as one column of two ``(grid sample, channel)`` arrays (eta and the
+gate byte) and builds a sample's link graph, edge key and flat routing
+graph from one row. The reference here is the per-channel loop the
+arrays replaced: channels in build order (ground-satellite channels
+grouped per site and moved after the rest), one usable-bit/``eta``
+lookup per channel. The array path must reproduce it exactly — floats,
+neighbour insertion order, flat edge order — on the 108-satellite day
+and on a hybrid network whose HAP flies a duty cycle, healthy and under
+the committed example fault schedule, eager and windowed.
 """
 
 from pathlib import Path
@@ -19,6 +19,7 @@ import pytest
 
 from repro.channels.presets import paper_hap_fso, paper_satellite_fso
 from repro.engine import LinkStateCache
+from repro.engine.linkstate import USABLE
 from repro.faults import load_faults
 from repro.network.hap import HAP
 from repro.network.satellite import Satellite
@@ -57,12 +58,12 @@ def build_order(network):
 def reference_graph(cache, k):
     """The per-channel loop: one series lookup per channel at sample ``k``."""
     column = {pair: c for c, pair in enumerate(cache._pairs)}
-    eta, usable = cache._eta, cache._usable
+    eta, gates = cache._eta, cache._gates
     graph = {name: {} for name in cache.network.host_names}
     for channel in build_order(cache.network):
         a, b = channel.names
         c = column[(a, b)]
-        if usable[k, c]:
+        if gates[k, c] & USABLE:
             value = float(eta[k, c])
             graph[a][b] = value
             graph[b][a] = value

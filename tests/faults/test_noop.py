@@ -39,7 +39,7 @@ def test_linkstate_cache_bit_identical(small_ephemeris):
     gb = noop.linkstate
     assert ga._pairs == gb._pairs
     np.testing.assert_array_equal(ga._eta, gb._eta)
-    np.testing.assert_array_equal(ga._usable, gb._usable)
+    np.testing.assert_array_equal(ga._gates, gb._gates)
 
 
 @pytest.mark.parametrize("use_cache", [False, True])

@@ -48,10 +48,13 @@ class TestHapService:
         assert out.path == fast.path
 
     def test_unknown_hosts_rejected(self, hap_simulator):
-        with pytest.raises(UnknownHostError):
-            hap_simulator.serve_request("nope", "epb-0", 0.0)
-        with pytest.raises(UnknownHostError):
-            hap_simulator.serve_request("ttu-0", "nope", 0.0)
+        cached = NetworkSimulator(hap_simulator.network, use_cache=True)
+        for simulator in (hap_simulator, cached):
+            for call in (simulator.serve_request, simulator.denial_cause):
+                with pytest.raises(UnknownHostError):
+                    call("nope", "epb-0", 0.0)
+                with pytest.raises(UnknownHostError):
+                    call("ttu-0", "nope", 0.0)
 
     def test_all_lans_connected(self, hap_simulator):
         assert hap_simulator.all_lans_connected(0.0)
@@ -77,6 +80,8 @@ def test_non_finite_request_time_rejected(kind, t_s, small_ephemeris):
         simulator.serve_request("ttu-0", "ornl-0", t_s)
     with pytest.raises(ValidationError):
         simulator.serve_requests([("ttu-0", "ornl-0")], t_s)
+    with pytest.raises(ValidationError):
+        simulator.denial_cause("ttu-0", "ornl-0", t_s)
 
 
 class TestSatelliteService:

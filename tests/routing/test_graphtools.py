@@ -7,13 +7,13 @@ import pytest
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing.bellman_ford import bellman_ford
-from repro.routing.graphtools import (
+from repro.routing.metrics import edge_cost
+from tests.routing.graphtools import (
     ConnectivityReport,
     connectivity_report,
     networkx_path_cost,
     to_networkx,
 )
-from repro.routing.metrics import edge_cost
 
 TRIANGLE = {
     "a": {"b": 0.9, "c": 0.5},

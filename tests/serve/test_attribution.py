@@ -9,6 +9,10 @@ strict denial — exactly, with no tolerance at gate boundaries — on the
 108-satellite day, healthy and under the committed example fault
 schedule, with eager and windowed caches, and on a hybrid network
 whose HAP flies a duty cycle.
+
+With attribution on, the simulator decides the cause while it serves
+the denial, so the cause on every streamed and batched outcome — and on
+its flight record — must be the oracle's.
 """
 
 from pathlib import Path
@@ -20,6 +24,7 @@ from repro.faults import FaultSchedule, SatelliteOutage, load_faults
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
+from repro.obs import events
 from repro.obs.trace import DenialCause
 from repro.serve import build_engine
 from repro.utils.intervals import Interval
@@ -71,6 +76,52 @@ def test_cached_causes_equal_the_scalar_cascade(
         causes.add(got)
     # Non-vacuous: the stream exercises more than one gate of the cascade.
     assert len(causes) >= 2
+
+
+@pytest.mark.parametrize("attribute", [True, False], ids=["attributed", "unattributed"])
+@pytest.mark.parametrize("window", [None, 7], ids=["eager", "window"])
+@pytest.mark.parametrize("shape", ["submit", "batch"])
+def test_causes_decided_while_serving(
+    shape, window, attribute, faults, oracle, day_ephemeris_108, day_stream_108
+):
+    """The outcome's own cause is the oracle's with attribution on, and
+    ``None`` with it off (no strategy runs, so no denial is the
+    strategy's)."""
+    engine = build_engine(
+        "cached",
+        day_ephemeris_108,
+        faults=faults,
+        window=window,
+        attribute_denials=attribute,
+    )
+    if shape == "submit":
+        outcomes = [engine.submit(request) for request in day_stream_108]
+    else:
+        outcomes = engine.serve_batch(day_stream_108)
+    denied = [o for o in outcomes if not o.served]
+    assert denied
+    for o in denied:
+        expected = oracle(o.source, o.destination, o.t_s).value if attribute else None
+        assert o.cause == expected, o
+
+
+def test_flight_records_carry_the_outcome_cause(faults, day_ephemeris_108, day_stream_108):
+    """With recording and attribution on, each denied flight record
+    names the cause its outcome carries."""
+    engine = build_engine(
+        "cached", day_ephemeris_108, faults=faults, attribute_denials=True
+    )
+    with events.recording() as rec:
+        outcomes = [engine.submit(request) for request in day_stream_108]
+    flights = {
+        r["trace"]: r["attrs"]
+        for r in rec.records()
+        if r["name"] == "request" and not r["attrs"]["served"]
+    }
+    denied = [o for o in outcomes if not o.served]
+    assert denied and len(flights) == len(denied)
+    for o in denied:
+        assert flights[f"{o.source}|{o.destination}|{o.t_s!r}"]["cause"] == o.cause, o
 
 
 def test_hap_duty_cycle_causes_equal_the_scalar_cascade(small_ephemeris):
