@@ -1,8 +1,12 @@
-"""Ablation A1 — Bellman–Ford (the paper's choice) vs Dijkstra.
+"""Ablation A1 — the paper's literal Algorithm 1 vs the production tree.
 
-Both run on the same 1/(eta + eps) metric, so they must agree on every
-optimal cost; the interesting question is run-time on QNTN-scale link
-graphs. Also times the literal Algorithm 1 routing-table construction.
+Algorithm 1 builds every node's routing table in N-1 synchronous
+distance-vector rounds; the routers instead build one single-source
+tree per source (:meth:`FlatGraph.tree`, Dijkstra over a CSR adjacency).
+Both minimise the same positive ``1/(eta + eps)`` metric, so they must
+agree on every optimal cost; the question is run time on a QNTN-scale
+link graph. The all-pairs comparison gives both the same work: one
+table per node against one tree per node.
 """
 
 import math
@@ -13,8 +17,7 @@ from repro.channels.presets import paper_satellite_fso
 from repro.network.topology import attach_satellites, build_qntn_ground_network
 from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
-from repro.routing.bellman_ford import bellman_ford, build_routing_tables
-from repro.routing.dijkstra import dijkstra
+from repro.routing.bellman_ford import FlatGraph, bellman_ford, build_routing_tables
 
 
 @pytest.fixture(scope="module")
@@ -28,45 +31,55 @@ def qntn_graph():
     for t in eph.times_s:
         graph = network.link_graph(float(t))
         result = bellman_ford(graph, "ttu-0")
-        if math.isfinite(result.costs.get("epb-0", math.inf)) and math.isfinite(
-            result.costs.get("ornl-0", math.inf)
-        ):
+        if result.reachable("epb-0") and result.reachable("ornl-0"):
             return graph
     raise RuntimeError("no covered instant found in 12 h of satellite motion")
 
 
-def test_ablation_bellman_ford(benchmark, qntn_graph):
-    result = benchmark(bellman_ford, qntn_graph, "ttu-0")
-    assert math.isfinite(result.costs["epb-0"])
-
-
-def test_ablation_dijkstra(benchmark, qntn_graph):
-    costs, _ = benchmark(dijkstra, qntn_graph, "ttu-0")
-    reference = bellman_ford(qntn_graph, "ttu-0")
-    mismatches = [
-        n
-        for n in qntn_graph
-        if not math.isclose(costs[n], reference.costs[n], abs_tol=1e-9)
-        and (math.isfinite(costs[n]) or math.isfinite(reference.costs[n]))
-    ]
-    assert not mismatches, f"Dijkstra and Bellman-Ford disagree on {mismatches[:5]}"
-    print("\n  Dijkstra agrees with Bellman-Ford on all "
-          f"{len(qntn_graph)} destinations (positive-cost metric)")
-
-
-def test_ablation_algorithm1_tables(benchmark, qntn_graph):
-    """The paper's literal Algorithm 1 (all-pairs tables, N-1 rounds)."""
-    # Restrict to the ground nodes plus currently usable satellites so the
-    # O(N^3) literal algorithm stays tractable while remaining realistic.
+@pytest.fixture(scope="module")
+def active_graph(qntn_graph):
+    """The ground nodes plus currently linked satellites, so the
+    O(N^3) literal algorithm stays tractable while remaining realistic."""
     active = {n for n, nbrs in qntn_graph.items() if nbrs}
-    graph = {
+    return {
         n: {m: eta for m, eta in nbrs.items() if m in active}
         for n, nbrs in qntn_graph.items()
         if n in active
     }
-    tables = benchmark.pedantic(build_routing_tables, args=(graph,), rounds=1, iterations=1)
-    reference = bellman_ford(graph, "ttu-0")
-    for dest in graph:
-        assert math.isclose(
-            tables["ttu-0"].cost(dest), reference.costs[dest], abs_tol=1e-9
-        ) or (math.isinf(tables["ttu-0"].cost(dest)) and math.isinf(reference.costs[dest]))
+
+
+def all_trees(graph):
+    """One production tree per source over one flat graph."""
+    flat = FlatGraph(graph)
+    return {source: flat.tree(source) for source in graph}
+
+
+def test_ablation_production_tree(benchmark, qntn_graph):
+    """One request's route on the full graph: the serve path's unit."""
+    result = benchmark(bellman_ford, qntn_graph, "ttu-0")
+    assert result.reachable("epb-0")
+
+
+def test_ablation_production_all_pairs(benchmark, active_graph):
+    trees = benchmark(all_trees, active_graph)
+    assert trees.keys() == active_graph.keys()
+
+
+def test_ablation_algorithm1_tables(benchmark, active_graph):
+    """The paper's literal Algorithm 1 (all-pairs tables, N-1 rounds)
+    agrees with the production trees on every (source, destination)."""
+    tables = benchmark.pedantic(
+        build_routing_tables, args=(active_graph,), rounds=1, iterations=1
+    )
+    trees = all_trees(active_graph)
+    mismatches = [
+        (source, dest)
+        for source, tree in trees.items()
+        for dest, cost in tree.costs.items()
+        if not math.isclose(tables[source].cost(dest), cost, abs_tol=1e-9)
+    ]
+    assert not mismatches, f"Algorithm 1 and the tree disagree on {mismatches[:5]}"
+    print(
+        "\n  Algorithm 1 tables agree with the production trees on all "
+        f"{len(active_graph) ** 2} (source, destination) pairs"
+    )

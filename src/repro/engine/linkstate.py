@@ -8,12 +8,14 @@ inter-satellite FSO, ground-HAP FSO and fiber alike — on the movement
 sheet's sample grid. The series live in two ``(grid sample, channel)``
 arrays, ``eta`` and the gate byte ``gates`` (admission plus the bits
 denial attribution reads), so the link state at one time index is one
-contiguous row. Link-graph snapshots and Bellman–Ford routing
-tables are memoized per time index; routing tables are keyed on the
-weighted feasible-edge set (a row's usable columns and their etas, as
-bytes), so timesteps whose usable links (and etas) are identical —
-every timestep of a fiber/HAP network, and frozen periods of a
-satellite pass — share one table instead of re-running the relaxation.
+contiguous row. Link-graph snapshots and shortest-path routing trees
+(:meth:`FlatGraph.tree <repro.routing.bellman_ford.FlatGraph.tree>`,
+Dijkstra over a CSR adjacency on the paper's ``1/(eta + eps)`` metric)
+are memoized per time index; trees are keyed on the weighted
+feasible-edge set (a row's usable columns and their etas, as bytes), so
+timesteps whose usable links (and etas) are identical — every timestep
+of a fiber/HAP network, and frozen periods of a satellite pass — share
+one set of trees instead of routing again.
 
 The cache reproduces :meth:`QuantumNetwork.link_graph` to floating-point
 noise (the scalar path multiplies 3x3 matrices one vector at a time, the
@@ -550,8 +552,9 @@ class LinkStateCache:
         """:class:`FlatGraph` of grid sample ``k``, built from its row.
 
         Each usable column is an edge both ways; sorting the directed
-        edges by (tail host, column) lists them exactly as
-        ``FlatGraph(self.graph_at_index(k))`` iterates the dict.
+        edges by (tail host, column) groups them by tail, as the CSR
+        adjacency needs, and keeps each node's neighbours in the dict's
+        order, so the result equals ``FlatGraph(self.graph_at_index(k))``.
         """
         cols, etas = self._row(k)
         a, b = self._ends[cols, 0], self._ends[cols, 1]
@@ -566,18 +569,19 @@ class LinkStateCache:
         )
 
     def routing_tree(self, t_s: float, source: str) -> BellmanFordResult:
-        """Memoized Bellman–Ford tree rooted at ``source`` at time ``t_s``."""
+        """Memoized shortest-path tree rooted at ``source`` at time ``t_s``."""
         return self.routing_tree_at_index(self.time_index(t_s), source)
 
     def routing_tree_at_index(self, k: int, source: str) -> BellmanFordResult:
-        """Memoized Bellman–Ford tree at grid sample ``k``.
+        """Memoized shortest-path tree at grid sample ``k``.
 
-        The flat edge arrays (node indexing plus per-edge costs) are
-        themselves memoized per weighted edge set, so routing N sources
-        over one snapshot pays the graph conversion once instead of once
-        per source — the relaxation is bit-identical to
-        :func:`~repro.routing.bellman_ford.bellman_ford` on the dict
-        graph.
+        The :class:`FlatGraph` (node indexing plus the CSR adjacency and
+        per-edge costs) is itself memoized per weighted edge set, so
+        routing N sources over one snapshot pays the graph conversion
+        once instead of once per source. The tree is
+        :meth:`FlatGraph.tree`'s Dijkstra, the kernel
+        :func:`~repro.routing.bellman_ford.bellman_ford` runs on the
+        dict graph, so both return equal trees.
         """
         trees = self._trees_at.get(k)
         if trees is None:

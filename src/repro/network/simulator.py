@@ -108,7 +108,7 @@ class NetworkSimulator:
         use_cache: serve requests from a vectorized
             :class:`~repro.engine.linkstate.LinkStateCache` (link budgets
             for all channels precomputed in NumPy passes over the
-            ephemeris grid, Bellman–Ford tables memoized per
+            ephemeris grid, routing trees memoized per
             feasible-edge set). ``False`` (default) keeps the direct
             per-channel scalar path — the test oracle the cache is
             equivalence-tested against.
@@ -208,7 +208,7 @@ class NetworkSimulator:
         self._relaxed_linkstate = None
 
     def _routing_tree(self, graph: LinkGraph, source: str, t_s: float) -> BellmanFordResult:
-        """Bellman–Ford tree at ``t_s`` — memoized when the cache is on."""
+        """Shortest-path tree at ``t_s`` — memoized when the cache is on."""
         if self.use_cache:
             return self.linkstate.routing_tree(t_s, source)
         return bellman_ford(graph, source, self.epsilon)

@@ -1,11 +1,11 @@
 """Entanglement routing on transmissivity-weighted link graphs.
 
 The paper routes with Bellman–Ford over the cost metric ``1/(eta + eps)``
-(Section III-B, Algorithm 1). This package provides that algorithm —
-both a literal routing-table implementation of Algorithm 1 and a fast
-relaxation form — plus a Dijkstra solver on the same metric (the
-routing-ablation baseline and Yen's spur-path inner solver), Yen's
-k-shortest simple paths (:mod:`repro.routing.yen`), bounded
+(Section III-B, Algorithm 1). This package provides a literal
+routing-table implementation of Algorithm 1 and the single-source tree
+the routers use (Dijkstra over a CSR adjacency: all costs are positive,
+so it returns Algorithm 1's optimal costs), Yen's k-shortest simple
+paths (:mod:`repro.routing.yen`), bounded
 entanglement-memory accounting (:mod:`repro.routing.memory`), and the
 pluggable multipath strategy layer (:mod:`repro.routing.strategies`)
 the serving engine mounts behind ``--router k-shortest``.
@@ -17,7 +17,6 @@ from repro.routing.bellman_ford import (
     build_routing_tables,
     shortest_path,
 )
-from repro.routing.dijkstra import dijkstra, dijkstra_path
 from repro.routing.metrics import (
     DEFAULT_EPSILON,
     edge_cost,
@@ -61,8 +60,6 @@ __all__ = [
     "BellmanFordResult",
     "build_routing_tables",
     "shortest_path",
-    "dijkstra",
-    "dijkstra_path",
     "RouteEntry",
     "RoutingTable",
 ]

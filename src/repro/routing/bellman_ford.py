@@ -1,21 +1,25 @@
-"""Bellman–Ford entanglement routing (paper Algorithm 1).
+"""Entanglement routing on the ``1/(eta + eps)`` metric (paper Algorithm 1).
 
-Two interchangeable implementations are provided:
+Two parts:
 
 * :func:`build_routing_tables` — a literal rendering of the paper's
   distance-vector pseudocode: every node initialises its table, then all
   nodes run N-1 synchronous UPDATE rounds against their neighbours'
   tables (step 2, the table exchange, is a no-op in-process exactly as the
-  paper notes).
-* :func:`bellman_ford` — the standard single-source relaxation, used on
-  hot paths. The test suite checks both produce identical costs.
+  paper notes). It is the test oracle and the A1 ablation's baseline.
+* :meth:`FlatGraph.tree` — the single-source tree every router uses
+  (:func:`bellman_ford`, :func:`shortest_path` and the link-state
+  cache): Dijkstra over a CSR adjacency. All edge costs are positive,
+  so it returns Algorithm 1's optimal costs; the test suite checks both
+  agree.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,23 +37,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellmanFordResult:
-    """Single-source shortest-path tree.
+    """Single-source shortest-path tree over a :class:`FlatGraph`.
 
     Attributes:
         source: tree root.
-        costs: best cost per reachable destination.
-        predecessors: previous hop per destination (source maps to None).
+        nodes: node names by index, shared with the graph.
+        index: node name to index, shared with the graph.
+        flat_costs: best cost per node index (infinity if unreachable).
+        flat_predecessors: previous hop's index per node (-1 for the
+            source and unreachable nodes).
     """
 
     source: str
-    costs: dict[str, float]
-    predecessors: dict[str, str | None]
+    nodes: Sequence[str]
+    index: Mapping[str, int]
+    flat_costs: list[float]
+    flat_predecessors: list[int]
+
+    @property
+    def costs(self) -> dict[str, float]:
+        """Best cost per destination, built on demand."""
+        return dict(zip(self.nodes, self.flat_costs))
+
+    @property
+    def predecessors(self) -> dict[str, str | None]:
+        """Previous hop per destination (None for the source and
+        unreachable nodes), built on demand."""
+        nodes = self.nodes
+        return {
+            nodes[i]: (nodes[p] if p >= 0 else None)
+            for i, p in enumerate(self.flat_predecessors)
+        }
 
     def reachable(self, destination: str) -> bool:
         """Whether the tree holds a finite-cost route to ``destination``."""
-        return math.isfinite(self.costs.get(destination, math.inf))
+        i = self.index.get(destination)
+        return i is not None and self.flat_costs[i] < math.inf
 
     def path_to(self, destination: str) -> list[str]:
         """Node sequence from the source to ``destination``.
@@ -57,50 +82,42 @@ class BellmanFordResult:
         Raises:
             NoPathError: if the destination is unreachable.
         """
-        if destination not in self.costs or not math.isfinite(self.costs[destination]):
+        if not self.reachable(destination):
             raise NoPathError(self.source, destination)
-        path = [destination]
-        while path[-1] != self.source:
-            prev = self.predecessors[path[-1]]
-            if prev is None:
-                raise NoPathError(self.source, destination)
-            path.append(prev)
-        path.reverse()
-        return path
+        pred = self.flat_predecessors
+        hops = [self.index[destination]]
+        while pred[hops[-1]] >= 0:
+            hops.append(pred[hops[-1]])
+        nodes = self.nodes
+        return [nodes[i] for i in reversed(hops)]
 
 
 class FlatGraph:
-    """Flat edge-list rendering of a :data:`LinkGraph` for repeated trees.
+    """CSR rendering of a :data:`LinkGraph` for repeated trees.
 
-    The per-call cost of :func:`bellman_ford` is dominated by rebuilding
-    the ``(u, v, cost)`` edge list — one :func:`edge_cost` call per
-    directed edge — even though the graph snapshot is identical for
-    every source routed at the same time step. ``FlatGraph`` pays that
-    conversion once: nodes become integer indices, edges become a list
-    of ``(u, v, cost)`` index tuples, and :meth:`tree` relaxes them for
-    any source.
-
-    Edge *order* is part of the contract: edges are listed exactly as
-    the dict-based loop iterates them (outer dict order, then neighbor
-    order) and relaxed sequentially with the same
-    ``candidate < cost - 1e-15`` improvement rule, so the resulting
-    costs and predecessor trees are bit-identical to the original
-    implementation. :meth:`from_arrays` takes the edge list as arrays
-    instead of a dict, for callers that hold link state in columns.
+    Nodes become integer indices; node ``u``'s out-edges are
+    ``_heads[_offsets[u]:_offsets[u + 1]]`` with costs ``1/(eta + eps)``
+    at the same positions in ``_costs``. Each node's neighbours keep the
+    dict's neighbour order. The conversion — one :func:`edge_cost` per
+    directed edge — is paid once per graph snapshot, and :meth:`tree`
+    then routes any source over it. :meth:`from_arrays` takes the edge
+    list as arrays instead of a dict, for callers that hold link state
+    in columns.
     """
 
-    __slots__ = ("nodes", "_index", "_edges", "_n")
+    __slots__ = ("nodes", "_index", "_offsets", "_heads", "_costs")
 
     def __init__(self, graph: LinkGraph, epsilon: float = DEFAULT_EPSILON) -> None:
         self.nodes = list(graph)
-        self._index = {name: i for i, name in enumerate(self.nodes)}
-        index = self._index
-        self._edges = [
-            (index[u], index[v], edge_cost(eta, epsilon))
-            for u, neighbors in graph.items()
-            for v, eta in neighbors.items()
-        ]
-        self._n = len(self.nodes)
+        self._index = index = {name: i for i, name in enumerate(self.nodes)}
+        self._offsets = [0]
+        self._heads = []
+        self._costs = []
+        for neighbors in graph.values():
+            for v, eta in neighbors.items():
+                self._heads.append(index[v])
+                self._costs.append(edge_cost(eta, epsilon))
+            self._offsets.append(len(self._heads))
 
     @classmethod
     def from_arrays(
@@ -112,16 +129,38 @@ class FlatGraph:
         epsilon: float = DEFAULT_EPSILON,
     ) -> "FlatGraph":
         """Build from directed edges ``nodes[tails[i]] -> nodes[heads[i]]``
-        with transmissivity ``etas[i]``, relaxed in the given order.
+        with transmissivity ``etas[i]``.
 
-        Costs are :func:`edge_cost` vectorized, with the same checks: the
-        same floats as the dict constructor for the same edge list.
+        ``tails`` must be nondecreasing; edges sharing a tail keep their
+        given order as that node's neighbour order. Costs are
+        :func:`edge_cost` vectorized, with the same checks: the same
+        floats as the dict constructor for the same edge list.
 
         Raises:
-            ValidationError: for an eta outside [0, 1] (or not finite) or
-                a non-positive ``epsilon``.
+            ValidationError: for arrays of unequal length, a node index
+                outside ``[0, len(nodes))``, tails that decrease, an eta
+                outside [0, 1] (or not finite) or a non-positive
+                ``epsilon``.
         """
+        n = len(nodes)
+        tails, heads = np.asarray(tails), np.asarray(heads)
         etas = np.asarray(etas, dtype=float)
+        if not tails.shape == heads.shape == etas.shape or tails.ndim != 1:
+            raise ValidationError(
+                "tails, heads and etas must be 1-D arrays of one length, got "
+                f"shapes {tails.shape}, {heads.shape}, {etas.shape}"
+            )
+        if not (
+            np.issubdtype(tails.dtype, np.integer)
+            and np.issubdtype(heads.dtype, np.integer)
+        ):
+            raise ValidationError("tails and heads must be integer arrays")
+        if (tails[1:] < tails[:-1]).any():
+            raise ValidationError("tails must be nondecreasing")
+        if tails.size and (
+            min(tails[0], heads.min()) < 0 or max(tails[-1], heads.max()) >= n
+        ):
+            raise ValidationError(f"edge endpoint outside [0, {n})")
         bad = ~((etas >= 0.0) & (etas <= 1.0))
         if bad.any():
             raise ValidationError(
@@ -129,56 +168,61 @@ class FlatGraph:
             )
         if epsilon <= 0.0:
             raise ValidationError(f"epsilon must be positive, got {epsilon}")
-        costs = 1.0 / (etas + epsilon)
         flat = cls.__new__(cls)
         flat.nodes = list(nodes)
         flat._index = {name: i for i, name in enumerate(flat.nodes)}
-        flat._edges = list(zip(tails.tolist(), heads.tolist(), costs.tolist()))
-        flat._n = len(flat.nodes)
+        flat._offsets = np.searchsorted(tails, np.arange(n + 1)).tolist()
+        flat._heads = heads.tolist()
+        flat._costs = (1.0 / (etas + epsilon)).tolist()
         return flat
 
     def tree(self, source: str) -> BellmanFordResult:
-        """Shortest-path tree rooted at ``source``.
+        """Shortest-path tree rooted at ``source``, by Dijkstra.
+
+        Heap entries are ``(cost, node index)``, and a node takes a new
+        predecessor only on a strictly lower cost, so among equal-cost
+        routes the first-popped predecessor wins.
 
         Raises:
             RoutingError: if ``source`` is not a node of the graph.
         """
-        if source not in self._index:
+        src = self._index.get(source)
+        if src is None:
             raise RoutingError(f"source {source!r} is not in the graph")
-        src = self._index[source]
-        flat_costs = [math.inf] * self._n
-        flat_pred = [-1] * self._n
-        flat_costs[src] = 0.0
-        edges = self._edges
-        for _ in range(max(self._n - 1, 1)):
-            changed = False
-            for u, v, cost in edges:
-                candidate = flat_costs[u] + cost
-                if candidate < flat_costs[v] - 1e-15:
-                    flat_costs[v] = candidate
-                    flat_pred[v] = u
-                    changed = True
-            if not changed:
-                break
-        nodes = self.nodes
-        costs = dict(zip(nodes, flat_costs))
-        predecessors = {
-            nodes[i]: (nodes[p] if p >= 0 else None) for i, p in enumerate(flat_pred)
-        }
-        return BellmanFordResult(source, costs, predecessors)
+        n = len(self.nodes)
+        cost = [math.inf] * n
+        pred = [-1] * n
+        settled = [False] * n
+        cost[src] = 0.0
+        offsets, heads, costs = self._offsets, self._heads, self._costs
+        heap = [(0.0, src)]
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            cost_u, u = pop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            for e in range(offsets[u], offsets[u + 1]):
+                v = heads[e]
+                candidate = cost_u + costs[e]
+                if candidate < cost[v]:
+                    cost[v] = candidate
+                    pred[v] = u
+                    push(heap, (candidate, v))
+        return BellmanFordResult(source, self.nodes, self._index, cost, pred)
 
 
 def bellman_ford(
     graph: LinkGraph, source: str, epsilon: float = DEFAULT_EPSILON
 ) -> BellmanFordResult:
-    """Single-source Bellman–Ford over the ``1/(eta + eps)`` metric.
+    """Single-source shortest-path tree over the ``1/(eta + eps)`` metric.
 
     Args:
         graph: usable-link adjacency ``{u: {v: eta}}``.
         source: start node; must be present in the graph.
 
-    All edge costs are positive, so no negative-cycle pass is needed; the
-    relaxation stops early once an entire sweep changes nothing. Callers
+    Keeps the paper's name; the tree is :meth:`FlatGraph.tree`'s
+    Dijkstra, exact here because every edge cost is positive. Callers
     routing many sources over one graph snapshot should build a
     :class:`FlatGraph` once and call :meth:`FlatGraph.tree` instead.
     """

@@ -12,13 +12,16 @@ The spur-path inner solver is Dijkstra over a cost adjacency built once
 per :func:`yen_paths` call (each eta validated and turned into its
 ``1/(eta + eps)`` cost there, once); banned prefix nodes and deviating
 edges are skipped inline instead of materialising a masked graph. It
-follows :func:`repro.routing.dijkstra.dijkstra` step for step —
-neighbour order, strict-``<`` relaxations, ``(cost, node)`` heap ties —
-and stops when the destination is popped, whose predecessor chain is
-final by then, so every spur path is the one the baseline solver would
-return. All edge costs on this metric are positive, so Dijkstra is exact
-here (the shared-metric equivalence with Bellman–Ford is pinned in
-``tests/routing/``).
+follows the textbook dict-based Dijkstra kept as a test oracle
+(``tests/routing/dijkstra.py``) step for step — neighbour order,
+strict-``<`` relaxations, ``(cost, node)`` heap ties — and stops when
+the destination is popped, whose predecessor chain is final by then, so
+every spur path is the one that oracle would return. All edge costs on
+this metric are positive, so Dijkstra is exact here (the shared-metric
+equivalence with Algorithm 1 is pinned in ``tests/routing/``). The
+strict router's tree (:meth:`repro.routing.bellman_ford.FlatGraph.tree`)
+is also Dijkstra, but over node indices: its heap ties break by index,
+these by node name.
 
 Determinism: equal-cost paths from one Dijkstra run resolve by heap pop
 order (the first-popped predecessor wins), and candidate spurs are

@@ -7,7 +7,7 @@ graph from one row. The reference here is the per-channel loop the
 arrays replaced: channels in build order (ground-satellite channels
 grouped per site and moved after the rest), one usable-bit/``eta``
 lookup per channel. The array path must reproduce it exactly — floats,
-neighbour insertion order, flat edge order — on the 108-satellite day
+neighbour insertion order, flat CSR adjacency — on the 108-satellite day
 and on a hybrid network whose HAP flies a duty cycle, healthy and under
 the committed example fault schedule, eager and windowed.
 """
@@ -129,7 +129,9 @@ def test_array_built_flat_graph_equals_dict_built(cache):
         flat = cache._flat_graph(k)
         reference = FlatGraph(cache.graph_at_index(k), cache.epsilon)
         assert flat.nodes == reference.nodes
-        assert flat._edges == reference._edges, k
+        assert flat._offsets == reference._offsets, k
+        assert flat._heads == reference._heads, k
+        assert flat._costs == reference._costs, k
 
 
 def test_edge_keys_partition_samples_like_graphs(cache):

@@ -11,7 +11,7 @@ from repro.network.protocols import distribute_entanglement, purified_delivery
 from repro.qkd.bbm92 import bbm92_secret_fraction, qber_from_transmissivity
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 from repro.routing.bellman_ford import bellman_ford
-from repro.routing.dijkstra import dijkstra
+from tests.routing.dijkstra import dijkstra
 
 etas = st.floats(min_value=0.0, max_value=1.0)
 good_etas = st.floats(min_value=0.05, max_value=1.0)

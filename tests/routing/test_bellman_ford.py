@@ -1,7 +1,8 @@
-"""Tests for the Bellman–Ford implementations of Algorithm 1."""
+"""Tests for Algorithm 1's routing tables and the Dijkstra tree."""
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,7 +13,8 @@ from repro.routing.bellman_ford import (
     build_routing_tables,
     shortest_path,
 )
-from repro.routing.metrics import edge_cost
+from repro.routing.metrics import edge_cost, path_edges
+from tests.routing.graphtools import to_networkx
 
 TRIANGLE = {
     "a": {"b": 0.9, "c": 0.5},
@@ -90,8 +92,35 @@ class TestFlatGraphFromArrays:
         flat = FlatGraph.from_arrays(nodes, tails, heads, etas)
         reference = FlatGraph(TRIANGLE)
         assert flat.nodes == reference.nodes
-        assert flat._edges == reference._edges
+        assert flat._offsets == reference._offsets == [0, 2, 4, 6]
+        assert flat._heads == reference._heads
+        assert flat._costs == reference._costs
         assert flat.tree("a") == reference.tree("a")
+
+    @pytest.mark.parametrize(
+        "tails, heads, etas",
+        [
+            pytest.param([0, 1, 2], [1, 0], [0.9, 0.9, 0.9], id="short-heads"),
+            pytest.param([0, 1], [1, 0], [0.9, 0.9, 0.9], id="long-etas"),
+            pytest.param([0, 1], [-1, 0], [0.9, 0.9], id="negative-head"),
+            pytest.param([-1, 1], [1, 0], [0.9, 0.9], id="negative-tail"),
+            pytest.param([0, 1], [3, 0], [0.9, 0.9], id="head-out-of-range"),
+            pytest.param([0, 3], [1, 0], [0.9, 0.9], id="tail-out-of-range"),
+            pytest.param([1, 0], [0, 1], [0.9, 0.9], id="tails-decrease"),
+            pytest.param([0.0, 1.0], [1, 0], [0.9, 0.9], id="float-tails"),
+        ],
+    )
+    def test_bad_index_arrays_rejected(self, tails, heads, etas):
+        with pytest.raises(ValidationError):
+            FlatGraph.from_arrays(
+                ["a", "b", "c"], np.array(tails), np.array(heads), np.array(etas)
+            )
+
+    def test_empty_edge_list(self):
+        empty = np.array([], dtype=np.int64)
+        flat = FlatGraph.from_arrays(["a", "b"], empty, empty, np.array([]))
+        assert flat._offsets == [0, 0, 0]
+        assert not flat.tree("a").reachable("b")
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf])
     def test_eta_outside_unit_interval_rejected(self, bad):
@@ -181,3 +210,58 @@ class TestRoutingTables:
                 assert tables[source].cost(dest) == pytest.approx(
                     reference.costs[dest], abs=1e-9
                 )
+
+
+def random_tied_graph(rng, n):
+    """Random graph on ``n`` nodes with etas from three values, so
+    equal-cost routes are common; some nodes may be isolated."""
+    names = [f"v{i}" for i in rng.permutation(n)]
+    graph = {name: {} for name in names}
+    for _ in range(int(rng.integers(n, 3 * n))):
+        i, j = rng.choice(n, size=2, replace=False)
+        eta = float(rng.choice([0.5, 0.7, 0.9]))
+        graph[names[i]][names[j]] = eta
+        graph[names[j]][names[i]] = eta
+    return graph
+
+
+class TestDijkstraTree:
+    def test_random_tied_graphs(self, rng):
+        """Costs match Algorithm 1 and networkx; paths are simple and
+        their left-to-right cost sums are the tree's costs exactly."""
+        for _ in range(40):
+            graph = random_tied_graph(rng, int(rng.integers(2, 13)))
+            tables = build_routing_tables(graph)
+            g = to_networkx(graph)
+            flat = FlatGraph(graph)
+            for source in graph:
+                tree = flat.tree(source)
+                oracle = nx.single_source_dijkstra_path_length(g, source)
+                for dest in graph:
+                    cost = tree.costs[dest]
+                    assert cost == pytest.approx(tables[source].cost(dest), abs=1e-9)
+                    if dest not in oracle:
+                        assert math.isinf(cost) and not tree.reachable(dest)
+                        continue
+                    assert cost == pytest.approx(oracle[dest], abs=1e-9)
+                    path = tree.path_to(dest)
+                    assert path[0] == source and path[-1] == dest
+                    assert len(set(path)) == len(path)
+                    total = 0.0
+                    for eta in path_edges(graph, path):
+                        total += edge_cost(eta)
+                    assert total == cost
+
+    @pytest.mark.parametrize("order", [["a", "b", "c", "d"], ["a", "c", "b", "d"]])
+    def test_first_popped_predecessor_wins(self, order):
+        """On a diamond of equal etas, ``d`` keeps the relay popped first:
+        the lower node index among the equal-cost relays."""
+        edges = {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}
+        graph = {name: {} for name in order}
+        for u in order:
+            for v in order:
+                if (u, v) in edges or (v, u) in edges:
+                    graph[u][v] = 0.8
+        tree = bellman_ford(graph, "a")
+        assert tree.path_to("d") == ["a", order[1], "d"]
+        assert tree.predecessors == {"a": None, "b": "a", "c": "a", "d": order[1]}

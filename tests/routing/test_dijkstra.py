@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing.bellman_ford import bellman_ford
-from repro.routing.dijkstra import dijkstra, dijkstra_path
+from tests.routing.dijkstra import dijkstra, dijkstra_path
 
 
 def random_graph(rng, n=15, extra=20):

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoPathError, ValidationError
-from repro.routing.dijkstra import dijkstra_path
 from repro.routing.metrics import edge_cost, path_cost, path_edges
 from repro.routing.strategies import CandidatePath, KShortestStrategy, StrategyConfig
 from repro.routing.yen import yen_paths
+from tests.routing.dijkstra import dijkstra_path
 
 # --- config validation ------------------------------------------------------
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.errors import NoPathError
 from repro.routing.bellman_ford import bellman_ford
-from repro.routing.dijkstra import dijkstra, dijkstra_path
 from repro.routing.metrics import edge_cost, path_edges, path_transmissivity
+from tests.routing.dijkstra import dijkstra, dijkstra_path
 
 
 @st.composite
