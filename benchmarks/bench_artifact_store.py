@@ -11,18 +11,18 @@ Two gates on the 108-satellite, 2880-sample day workload:
   must match the rebuilt ones relay-for-relay (served/path exact,
   eta/fidelity to 1e-12), so the speedup can never come from serving
   different physics.
-* **Shared-memory bit-identity.** ``parallel_service_sweep`` with the
-  ephemeris published to shared memory must return outcome-for-outcome
-  identical results across 1, 2 and 4 workers, and identical to the
-  serial path. The per-worker dispatch payload (pickled task bytes with
-  and without the shm plane) is measured and recorded in the bench
-  record.
+* **Shared-memory bit-identity.** ``serve_stream_sharded`` replaying
+  the paper's request pairs at evaluation steps of the day — pooled, so
+  the ephemeris travels through shared memory — must return
+  outcome-for-outcome identical results across 1, 2 and 4 workers, and
+  identical to the serial in-process replay. The per-worker dispatch
+  payload (pickled ephemeris vs pickled shm handle) is measured, gated
+  at >= 100x smaller, and recorded in the bench record.
 
 Results land in ``BENCH_artifact_store.json`` (wall times, speedup,
 payload bytes, git SHA) for PR-over-PR tracking.
 """
 
-import math
 import pickle
 import time
 
@@ -34,11 +34,12 @@ from repro.core.evaluation import evaluation_time_indices
 from repro.core.requests import generate_requests
 from repro.data.ground_nodes import all_ground_nodes
 from repro.engine.store import ArtifactStore
+from repro.network.workload import TimedRequest
 from repro.orbits.walker import qntn_constellation
 from repro.parallel.shm import ShmArena, publish_ephemeris
-from repro.parallel.sweep import parallel_service_sweep
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 from repro.reporting.figures import FigureSeries
+from repro.serve import outcomes_equal, serve_stream_sharded
 
 from reporting import write_bench_record
 
@@ -152,51 +153,32 @@ def test_store_warm_vs_cold(tmp_path, emit_series):
 
 @pytest.fixture(scope="module")
 def shm_workload(full_ephemeris):
+    """Every request pair at every evaluation step, as one time-ordered stream."""
     pairs = [
         r.endpoints
         for r in generate_requests(list(all_ground_nodes()), SHM_REQUESTS, 7)
     ]
     indices = evaluation_time_indices(full_ephemeris.n_samples, SHM_EVAL_STEPS)
-    return full_ephemeris, pairs, [int(i) for i in indices]
-
-
-def _outcome_key(outcome):
-    fidelity = outcome.fidelity
-    return (
-        outcome.source,
-        outcome.destination,
-        outcome.served,
-        outcome.path,
-        outcome.path_transmissivity,
-        None if isinstance(fidelity, float) and math.isnan(fidelity) else fidelity,
-    )
-
-
-def _flatten(results):
-    return [_outcome_key(o) for step in results for o in step]
+    grid = [(float(full_ephemeris.times_s[i]), pair) for i in indices for pair in pairs]
+    stream = [TimedRequest(k, t_s, src, dst) for k, (t_s, (src, dst)) in enumerate(grid)]
+    return full_ephemeris, stream
 
 
 def test_shm_sweep_bit_identical_across_workers(shm_workload):
     """The second gate: shm dispatch changes nothing but the transport."""
-    ephemeris, pairs, indices = shm_workload
-    baseline = _flatten(
-        parallel_service_sweep(ephemeris, pairs, time_indices=indices, n_workers=0)
-    )
+    ephemeris, stream = shm_workload
+    baseline = serve_stream_sharded(ephemeris, stream, n_workers=0)
+    assert len(baseline) == len(stream)
     for n_workers in (1, 2, 4):
-        over_shm = _flatten(
-            parallel_service_sweep(
-                ephemeris, pairs, time_indices=indices,
-                n_workers=n_workers, use_shm=True,
-            )
-        )
-        assert over_shm == baseline, (
-            f"shared-memory sweep diverged at n_workers={n_workers}"
-        )
+        pooled = serve_stream_sharded(ephemeris, stream, n_workers=n_workers)
+        assert len(pooled) == len(baseline) and all(
+            outcomes_equal(a, b) for a, b in zip(pooled, baseline)
+        ), f"shared-memory replay diverged at n_workers={n_workers}"
 
 
-def test_shm_dispatch_overhead(shm_workload):
-    """Measure per-worker dispatch payload and wall time, pickle vs shm."""
-    ephemeris, pairs, indices = shm_workload
+def test_shm_dispatch_payload(shm_workload):
+    """Per-worker dispatch payload: the shm handle vs the pickled ephemeris."""
+    ephemeris, _ = shm_workload
 
     pickled_ephemeris = len(pickle.dumps(ephemeris))
     with ShmArena() as arena:
@@ -205,28 +187,13 @@ def test_shm_dispatch_overhead(shm_workload):
     assert pickled_handle < pickled_ephemeris / 100, (
         "shm handle should be orders of magnitude smaller than the array pickle"
     )
-
-    start = time.perf_counter()
-    via_pickle = parallel_service_sweep(
-        ephemeris, pairs, time_indices=indices, n_workers=4, use_shm=False
-    )
-    t_pickle = time.perf_counter() - start
-
-    start = time.perf_counter()
-    via_shm = parallel_service_sweep(
-        ephemeris, pairs, time_indices=indices, n_workers=4, use_shm=True
-    )
-    t_shm = time.perf_counter() - start
-
-    assert _flatten(via_shm) == _flatten(via_pickle)
     write_bench_record(
         "shm_dispatch",
-        timings_s={"pool4_pickle": t_pickle, "pool4_shm": t_shm},
+        timings_s={},
         workload={
             "n_satellites": N_SATELLITES,
             "n_requests": SHM_REQUESTS,
             "n_eval_steps": SHM_EVAL_STEPS,
-            "n_workers": 4,
         },
         extra={
             "dispatch_bytes_pickle": pickled_ephemeris,

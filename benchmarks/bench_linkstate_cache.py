@@ -9,10 +9,9 @@ link-budget pass, memoized routing tables). The acceptance floor is a 3x
 speedup; outcome equivalence is asserted alongside the timing so the
 speedup can never come from serving different requests.
 
-The evaluation grid mirrors how ``parallel_service_sweep`` workers run:
-the simulators see the ``at_time_indices`` shard of the day so the cache
-is built exactly over the steps it will serve — the full 2880-sample day
-through the direct path would take minutes per round.
+The simulators see the ``at_time_indices`` slice of the day, so the
+cache is built exactly over the steps it will serve — the full
+2880-sample day through the direct path would take minutes per round.
 """
 
 import time

@@ -12,6 +12,7 @@ Trials are independent, so they parallelise through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,32 +184,10 @@ def weather_study(
     from repro.parallel.sweep import parallel_sweep
 
     # The hover geometry is trial-invariant: compute it once here and
-    # ship it to workers as shared arrays (zero-copy under a pool)
-    # instead of re-deriving it inside all n_trials tasks.
-    sites = list(all_ground_nodes())
-    geometry = hap_site_geometry(sites)
-    el = np.array([geometry[s.name][0] for s in sites])
-    rng_km = np.array([geometry[s.name][1] for s in sites])
-    sweep = parallel_sweep(
-        _trial_task,
-        [n_requests] * n_trials,
-        seed=seed,
-        n_workers=n_workers,
-        shared={"hap_elevation_rad": el, "hap_range_km": rng_km},
+    # bind it into the task (2 floats per site) instead of re-deriving
+    # it inside all n_trials tasks.
+    trial = partial(run_weather_trial, site_geometry=hap_site_geometry())
+    results = parallel_sweep(
+        trial, [n_requests] * n_trials, seed=seed, n_workers=n_workers
     )
-    return WeatherStudyResult(tuple(sweep.results))
-
-
-def _trial_task(
-    n_requests: int, seed: int | None = None, shared: dict | None = None
-) -> WeatherTrialResult:
-    geometry = None
-    if shared is not None:
-        sites = list(all_ground_nodes())
-        geometry = {
-            s.name: (float(e), float(r))
-            for s, e, r in zip(
-                sites, shared["hap_elevation_rad"], shared["hap_range_km"]
-            )
-        }
-    return run_weather_trial(n_requests, seed=seed, site_geometry=geometry)
+    return WeatherStudyResult(tuple(results))

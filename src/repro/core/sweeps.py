@@ -6,11 +6,17 @@ order, a single link-budget pass over the full 108-satellite ephemeris
 suffices for all of them: coverage comes from cumulative ORs over the
 satellite axis (:meth:`SpaceGroundAnalysis.cumulative_all_pairs_connected`)
 and request service from per-size views of the same budget matrices.
+
+Request service runs through :func:`repro.parallel.sweep.run_shards` at
+every worker count: this module supplies only the per-block work
+(:func:`_serve_steps`), and ``n_workers=0`` runs the same blocks
+in-process that a pool would run over shared-memory budget matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,6 +35,7 @@ from repro.network.links import LinkPolicy
 from repro.obs import events
 from repro.orbits.ephemeris import Ephemeris, generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
+from repro.parallel.sweep import run_shards
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,77 +103,36 @@ def _record_service_block(
             rec.record_request(flight, attrs)
 
 
-def _service_matrix_shard(
-    args: tuple,
-) -> tuple[list[list[list[float | None]]], dict]:
-    """Worker task: serve the request batch at one block of timesteps.
+def _serve_steps(
+    table: LinkBudgetTable,
+    t_block: list[int],
+    *,
+    pairs: list[tuple[str, str]],
+    sizes: list[int],
+    convention: str,
+) -> list[list[list[float | None]]]:
+    """Serve the request batch at one block of service steps.
 
-    Attaches the parent's shared-memory budget table (pre-sliced to the
-    service evaluation steps) and evaluates every constellation size at
-    every timestep of the block — no geometry is recomputed. Returns
-    ``([t][size_index] -> etas, shard report)`` for the block, in block
-    order; the report mirrors the one produced by
-    :func:`repro.parallel.sweep._service_shard` (pid, index range, phase
-    timings, metrics delta) plus, for a pooled task of a recorded run,
-    the shard's recording payload under ``"events"``. An in-process task
-    gets no shard config and records into the parent's recorder.
+    Evaluates every constellation size at every step of the block from
+    the service budget table (no geometry is recomputed) and returns
+    ``[t][size_index] -> etas`` in block order; a recorded run also gets
+    the block's flight records.
     """
-    import os
-    import time
-
-    (
-        table_handle,
-        t_block,
-        pairs,
-        sizes,
-        obs_enabled,
-        events_cfg,
-        convention,
-    ) = args
-    from repro.obs.metrics import metrics_delta
-    from repro.parallel.shm import ShmAttachment, attach_budget_table
-
-    if obs_enabled:
-        obs.enable()
-    events.start_shard(events_cfg)
-    baseline = obs.registry().snapshot()
-    t0 = time.perf_counter()
-    with ShmAttachment() as attachment:
-        table = attach_budget_table(table_handle, attachment)
-        analysis = SpaceGroundAnalysis(
-            table.ephemeris,
-            table.sites,
-            table.fso_model,
-            policy=table.policy,
-            platform_altitude_km=table.platform_altitude_km,
-            budgets=table,
-        )
-        t_attach = time.perf_counter()
-        results = [
-            [analysis.serve(list(pairs), t, n_satellites=n) for n in sizes]
-            for t in t_block
-        ]
-        rec = events.active()
-        if rec is not None:
-            _record_service_block(
-                rec, analysis, list(pairs), t_block, sizes[-1], convention
-            )
-    t_serve = time.perf_counter()
-    report = {
-        "pid": os.getpid(),
-        "first_index": int(t_block[0]),
-        "last_index": int(t_block[-1]),
-        "n_steps": len(t_block),
-        "timings_s": {
-            "attach": t_attach - t0,
-            "serve": t_serve - t_attach,
-            "total": t_serve - t0,
-        },
-        "metrics": metrics_delta(obs.registry().snapshot(), baseline),
-    }
-    if events_cfg is not None:
-        report["events"] = events.finish_shard()
-    return results, report
+    analysis = SpaceGroundAnalysis(
+        table.ephemeris,
+        table.sites,
+        table.fso_model,
+        policy=table.policy,
+        platform_altitude_km=table.platform_altitude_km,
+        budgets=table,
+    )
+    results = [
+        [analysis.serve(pairs, t, n_satellites=n) for n in sizes] for t in t_block
+    ]
+    rec = events.active()
+    if rec is not None:
+        _record_service_block(rec, analysis, pairs, t_block, sizes[-1], convention)
+    return results
 
 
 @dataclass(frozen=True)
@@ -258,11 +224,12 @@ def run_constellation_sweep(
             configured). On a warm run both the propagation and the
             budget geometry pass are skipped entirely.
         n_workers: fan the Figs. 7-8 service evaluation out over this
-            many worker processes (0 = serial). The sliced budget
-            matrices travel to workers through shared memory, and
-            results are reassembled in time order — output is identical
-            for any worker count. Requires ``use_cache``; ignored
-            otherwise.
+            many worker processes (0 = serial, in-process; negative
+            raises :class:`~repro.errors.ValidationError`). Both counts
+            run through :func:`~repro.parallel.sweep.run_shards`: the
+            service budget matrices travel to workers through shared
+            memory, and results are reassembled in time order — output
+            is identical for any worker count.
         faults: optional :class:`~repro.faults.FaultSchedule` (or a JSON
             file path / dict form of one) perturbing the sweep without
             touching the physics: satellite outages, station downtime,
@@ -280,6 +247,8 @@ def run_constellation_sweep(
         raise ValidationError("sweep needs at least one constellation size")
     if sorted(sweep_sizes) != sweep_sizes:
         raise ValidationError("sweep sizes must be ascending (prefix property)")
+    if n_workers < 0:  # run_shards checks too, but only after propagation
+        raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
     max_size = sweep_sizes[-1]
     site_list = sites if sites is not None else list(all_ground_nodes())
     model = fso_model or paper_satellite_fso()
@@ -351,86 +320,38 @@ def run_constellation_sweep(
                 horizon_s=duration_s,
             )
 
-    # One reduced-time analysis for request service. With the cache on,
-    # its budgets are slices of the coverage pass' matrices — no second
-    # geometry pass.
+    # One reduced-time budget table for request service. With the cache
+    # on it slices the coverage pass' matrices — no second geometry pass.
     indices = evaluation_time_indices(ephemeris.n_samples, n_time_steps)
-    service_ephemeris = ephemeris.at_time_indices(indices)
-    service_table = table.at_time_indices(indices) if table is not None else None
-    service_analysis = SpaceGroundAnalysis(
-        service_ephemeris,
-        site_list,
-        model,
-        policy=policy,
-        budgets=service_table,
-        faults=plane,
+    service_table = (
+        table.at_time_indices(indices)
+        if table is not None
+        else LinkBudgetTable(
+            ephemeris.at_time_indices(indices),
+            site_list,
+            model,
+            policy=policy,
+            faults=plane,
+        )
     )
     requests: list[Request] = generate_requests(site_list, n_requests, seed)
     endpoint_pairs = [r.endpoints for r in requests]
 
-    # etas_per_t[t][size_index] -> per-request path transmissivities.
-    # Filled serially, or by shared-memory workers over timestep blocks —
-    # both read the same budget matrices, so contents are identical.
-    n_steps = service_ephemeris.n_samples
-    if n_workers > 0 and service_table is not None and n_steps > 1:
-        from repro.parallel.partition import block_partition
-        from repro.parallel.shm import ShmArena, publish_budget_table
-        from repro.parallel.sweep import parallel_map
-
-        blocks = [
-            b
-            for b in block_partition(list(range(n_steps)), min(n_workers, n_steps))
-            if b
-        ]
-        service_table.compute_all()
-        pooled = len(blocks) > 1
-        with obs.span("serve"):
-            with ShmArena() as arena:
-                handle = publish_budget_table(arena, service_table)
-                tasks = [
-                    (
-                        handle,
-                        block,
-                        tuple(endpoint_pairs),
-                        tuple(sweep_sizes),
-                        obs.enabled(),
-                        events.shard_config(int(block[0])) if pooled else None,
-                        fidelity_convention,
-                    )
-                    for block in blocks
-                ]
-                per_block = parallel_map(
-                    _service_matrix_shard, tasks, n_workers=n_workers
-                )
-        etas_per_t = []
-        for block_result, report in per_block:
-            etas_per_t.extend(block_result)
-            metrics = report.pop("metrics", None)
-            if pooled and metrics:
-                # Serial (single-block) fallback runs in-process and has
-                # already hit this registry; merging would double-count.
-                obs.registry().merge(metrics)
-            # Shard recordings fold in block (= time) order.
-            events.absorb_shard(report.pop("events", None))
-            obs.record_worker_report(report)
-    else:
-        with obs.span("serve"):
-            etas_per_t = [
-                [
-                    service_analysis.serve(endpoint_pairs, t_idx, n_satellites=n)
-                    for n in sweep_sizes
-                ]
-                for t_idx in range(n_steps)
-            ]
-            if recorder is not None:
-                _record_service_block(
-                    recorder,
-                    service_analysis,
-                    endpoint_pairs,
-                    range(n_steps),
-                    max_size,
-                    fidelity_convention,
-                )
+    # etas_per_t[t][size_index] -> per-request path transmissivities,
+    # served over blocks of service steps (in-process at n_workers=0).
+    n_steps = service_table.ephemeris.n_samples
+    with obs.span("serve"):
+        etas_per_t = run_shards(
+            partial(
+                _serve_steps,
+                pairs=endpoint_pairs,
+                sizes=sweep_sizes,
+                convention=fidelity_convention,
+            ),
+            service_table,
+            range(n_steps),
+            n_workers=n_workers,
+        )
 
     points: list[SweepPoint] = []
     for size_idx, n in enumerate(sweep_sizes):

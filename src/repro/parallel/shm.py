@@ -1,39 +1,42 @@
-"""Zero-copy shared-memory plane for process-pool sweeps.
+"""Zero-copy shared-memory plane for process-pool runs.
 
-``parallel_sweep`` and ``parallel_service_sweep`` fan tasks out over a
-process pool; without this module every task pickles its inputs — for a
-day sweep that means serialising the multi-MB ``(N, T, 3)`` ephemeris
-block (and, for array-level sweeps, the per-site budget matrices) once
-per shard. This module moves those arrays into
+:func:`repro.parallel.sweep.run_shards` fans blocks of work out over a
+process pool; without this module every task would pickle its shared
+input — for a day sweep that means serialising the multi-MB
+``(N, T, 3)`` ephemeris block (or the per-site budget matrices) once per
+shard. This module moves those arrays into
 :mod:`multiprocessing.shared_memory` segments so workers receive only a
 (name, shape, dtype) descriptor a few dozen bytes long and map the pages
 directly — zero copies on dispatch, identical bytes on arrival.
+``run_shards`` publishes exactly when its blocks run in a pool; an
+in-process run hands the objects over as they are.
 
 Lifecycle (documented in DESIGN.md §8):
 
 * the **parent** publishes arrays through a :class:`ShmArena`, which owns
   the segments; ``close()`` (or the context-manager exit, which runs even
   when a worker raises) both closes the parent's mappings and *unlinks*
-  the segments so nothing outlives the sweep;
+  the segments so nothing outlives the run;
 * each **worker** attaches by name via :class:`ShmAttachment`, builds
-  NumPy views over the mapped buffers, copies out only the slice it
-  needs, and closes its mappings before returning. Workers never unlink.
+  NumPy views over the mapped buffers, and closes its mappings when its
+  block is done — views into a closed mapping are invalid, so results
+  must not reference them. Workers never unlink.
 
 On Linux with the default fork start method the pool workers share the
 parent's ``resource_tracker``, so parent-side unlink is authoritative and
 leak-free even across abnormal worker exits.
 
 Determinism: attached arrays are byte-for-byte the published ones, so a
-sweep over shared memory returns bit-identical results to the pickling
-path and to serial execution — pinned by ``tests/parallel/test_shm.py``
-and gated across 1/2/4 workers in ``benchmarks/bench_artifact_store.py``.
+pooled run returns bit-identical results to the in-process one — pinned
+by ``tests/parallel/test_shm.py`` and gated across 1/2/4 workers in
+``benchmarks/bench_artifact_store.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -351,16 +354,3 @@ def attach_budget_table(
         )
     return table
 
-
-def shared_arrays(
-    arena: ShmArena, arrays: Mapping[str, np.ndarray]
-) -> dict[str, SharedArraySpec]:
-    """Publish a name->array mapping; returns name->descriptor."""
-    return {name: arena.publish(arr) for name, arr in arrays.items()}
-
-
-def attach_arrays(
-    specs: Mapping[str, SharedArraySpec], attachment: ShmAttachment
-) -> dict[str, np.ndarray]:
-    """Map a name->descriptor mapping back to read-only array views."""
-    return {name: attachment.attach(spec) for name, spec in specs.items()}

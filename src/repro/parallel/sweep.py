@@ -1,20 +1,24 @@
-"""Process-pool parameter sweeps with deterministic per-task seeding.
+"""Process-pool fan-out: one shard protocol plus seeded parameter sweeps.
 
-``parallel_sweep`` is the workhorse behind the constellation-size sweeps:
-it fans a task function out over a parameter list using a process pool,
-hands every task its own spawned RNG stream (so results are independent
-of worker count and scheduling), and gathers results in input order —
-scatter/compute/gather, exactly the shape of an MPI collective pipeline.
+``run_shards`` is the one way work leaves the parent process. It
+block-partitions an item list, runs a module-level work function over
+each block — in-process when ``n_workers`` is 0, otherwise over a
+process pool — and gathers results in item order, so the output is
+independent of the worker count. When (and only when) the blocks run in
+a pool, the large shared input (a movement sheet or a link-budget table)
+travels through the zero-copy plane of :mod:`repro.parallel.shm` and
+every worker receives a descriptor a few hundred bytes long. The
+telemetry protocol lives here too: each shard reports its metrics delta
+and timings, and a pooled shard of a recorded run ships its recording
+back for the parent to merge. ``serve.sharded.serve_stream_sharded`` and
+``core.sweeps.run_constellation_sweep`` are its callers.
 
-Tasks must be picklable module-level callables; for quick functional work
-on already-loaded data, ``parallel_map`` with ``n_workers=0`` (serial
-fallback) avoids process-spawn overhead entirely.
-
-Large arrays ride the zero-copy plane of :mod:`repro.parallel.shm`
-instead of the pickle stream: ``parallel_service_sweep`` publishes the
-ephemeris block into shared memory once and ships workers a descriptor a
-few hundred bytes long, and ``parallel_sweep(shared=...)`` does the same
-for arbitrary task-shared arrays. Results are bit-identical either way.
+``parallel_sweep`` hands every task its own spawned RNG stream (results
+are independent of worker count and scheduling) and gathers results in
+input order — scatter/compute/gather, the shape of an MPI collective
+pipeline. ``parallel_map`` with ``n_workers=0`` runs serially in-process.
+Tasks must be picklable module-level callables (or ``functools.partial``
+objects over one).
 """
 
 from __future__ import annotations
@@ -22,30 +26,31 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ValidationError
-from repro.parallel.partition import block_partition
+from repro.obs import events
+from repro.obs.metrics import metrics_delta
+from repro.orbits.ephemeris import Ephemeris
+from repro.parallel.partition import partition_bounds
 from repro.parallel.shm import (
+    BudgetTableHandle,
     EphemerisHandle,
     ShmArena,
     ShmAttachment,
-    attach_arrays,
+    attach_budget_table,
     attach_ephemeris,
+    publish_budget_table,
     publish_ephemeris,
-    shared_arrays,
 )
-from repro.obs import Stopwatch
 
 __all__ = [
     "parallel_map",
     "parallel_sweep",
-    "parallel_service_sweep",
-    "SweepResult",
+    "run_shards",
     "default_worker_count",
 ]
 
@@ -58,25 +63,12 @@ def default_worker_count() -> int:
     return max((os.cpu_count() or 2) - 1, 1)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of a parameter sweep.
-
-    Attributes:
-        parameters: swept parameter values, input order.
-        results: one result per parameter, same order.
-        elapsed_s: wall-clock duration of the sweep.
-        n_workers: process count used (0 = serial).
-    """
-
-    parameters: tuple[Any, ...]
-    results: tuple[Any, ...]
-    elapsed_s: float
-    n_workers: int
-
-    def as_dict(self) -> dict[Any, Any]:
-        """Mapping of parameter -> result (parameters must be hashable)."""
-        return dict(zip(self.parameters, self.results))
+def _resolve_workers(n_workers: int | None) -> int:
+    if n_workers is None:
+        return default_worker_count()
+    if n_workers < 0:
+        raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
+    return n_workers
 
 
 def parallel_map(
@@ -84,7 +76,6 @@ def parallel_map(
     items: Sequence[T],
     *,
     n_workers: int | None = None,
-    chunksize: int = 1,
 ) -> list[R]:
     """Order-preserving map over a process pool.
 
@@ -93,103 +84,52 @@ def parallel_map(
         items: inputs.
         n_workers: process count; ``0`` runs serially in-process (useful
             under profilers and in tests), ``None`` picks a default.
-        chunksize: items per inter-process message; raise it for many
-            small tasks to amortise IPC.
     """
-    if n_workers is None:
-        n_workers = default_worker_count()
-    if n_workers < 0:
-        raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
-    if chunksize < 1:
-        raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
+    n_workers = _resolve_workers(n_workers)
     if n_workers == 0 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
-def _service_shard(args: tuple) -> tuple[list[list[Any]], dict[str, Any]]:
-    """Worker task: serve every request at every timestep of one shard.
+def _run_shard(task: tuple) -> tuple[list[Any], dict[str, Any]]:
+    """Worker side of :func:`run_shards`: run ``work`` over one block.
 
-    Rebuilds the QNTN network over the shard's slice of the movement
-    sheet and instantiates ONE simulator for the whole shard — with
-    ``use_cache=True`` the worker's :class:`LinkStateCache` is built once
-    from the shard ephemeris and reused across every request and
-    timestep, instead of re-evaluating links per request.
-
-    Returns ``(per_step_outcomes, report)``. The report carries the
-    shard's identity (pid, index range), phase timings, and the delta of
-    this worker's metrics over the shard (snapshot at exit minus snapshot
-    at entry — correct under both fork, where the child inherits parent
-    counts, and spawn, where it starts from zero). The parent folds the
-    delta into its registry only when the task actually ran in another
-    process; in-process (serial) execution already incremented the parent
-    registry directly.
+    Returns ``(results, report)``. The report carries the shard's pid,
+    index range, timings and the delta of this process' metrics over the
+    shard (snapshot at exit minus snapshot at entry — correct under both
+    fork, where the child inherits parent counts, and spawn, where it
+    starts from zero). A pooled task of a recorded run records into its
+    own shard recorder (never through a fork-inherited one, whose file
+    descriptor the parent shares) and ships the payload under
+    ``"events"``; an in-process task gets no shard config and records
+    straight into the parent's recorder.
     """
-    (
-        ephemeris,
-        time_indices,
-        pairs,
-        use_cache,
-        fso_model,
-        policy,
-        convention,
-        obs_enabled,
-        events_cfg,
-        fault_schedule,
-    ) = args
-    from repro.channels.presets import paper_satellite_fso
-    from repro.network.simulator import NetworkSimulator
-    from repro.network.topology import attach_satellites, build_qntn_ground_network
-    from repro.obs import events
-    from repro.obs.metrics import metrics_delta
-
+    work, payload, block, first, obs_enabled, events_cfg = task
     if obs_enabled:
         obs.enable()
-    # Pooled task: never write through a fork-inherited recorder (its
-    # file descriptor is shared with the parent); record this shard into
-    # its own recorder and ship the payload back for merging.
     events.start_shard(events_cfg)
     baseline = obs.registry().snapshot()
     t0 = time.perf_counter()
-    attachment = ShmAttachment()
-    try:
-        if isinstance(ephemeris, EphemerisHandle):
-            # Zero-copy dispatch: map the parent's published arrays and
-            # copy out only this shard's columns (at_time_indices copies).
-            ephemeris = attach_ephemeris(ephemeris, attachment)
-        shard = ephemeris.at_time_indices(time_indices)
-    finally:
-        attachment.close()
-    t_attach = time.perf_counter()
-    network = build_qntn_ground_network()
-    attach_satellites(network, shard, fso_model or paper_satellite_fso())
-    # The schedule travels realized (concrete events, no RNG left), so
-    # every worker compiles the identical plane regardless of shard
-    # order — serial == sharded holds under faults too.
-    plane = fault_schedule.compile() if fault_schedule is not None else None
-    simulator = NetworkSimulator(
-        network,
-        policy=policy,
-        fidelity_convention=convention,
-        use_cache=use_cache,
-        faults=plane,
-    )
-    t_build = time.perf_counter()
-    results = [
-        simulator.serve_requests(list(pairs), float(t)) for t in shard.times_s
-    ]
-    t_serve = time.perf_counter()
+    with ShmAttachment() as attachment:
+        if isinstance(payload, EphemerisHandle):
+            shared = attach_ephemeris(payload, attachment)
+        elif isinstance(payload, BudgetTableHandle):
+            shared = attach_budget_table(payload, attachment)
+        else:
+            shared = payload
+        t_attach = time.perf_counter()
+        results = work(shared, block)
+    t_done = time.perf_counter()
     report = {
         "pid": os.getpid(),
-        "first_index": int(time_indices[0]),
-        "last_index": int(time_indices[-1]),
-        "n_steps": len(time_indices),
+        "first_index": first,
+        "last_index": first + len(block) - 1,
+        "n_items": len(block),
         "timings_s": {
             "attach": t_attach - t0,
-            "build": t_build - t_attach,
-            "serve": t_serve - t_build,
-            "total": t_serve - t0,
+            "work": t_done - t_attach,
+            "total": t_done - t0,
         },
         "metrics": metrics_delta(obs.registry().snapshot(), baseline),
     }
@@ -198,146 +138,88 @@ def _service_shard(args: tuple) -> tuple[list[list[Any]], dict[str, Any]]:
     return results, report
 
 
-def parallel_service_sweep(
-    ephemeris: Any,
-    requests: Sequence[Any],
+def run_shards(
+    work: Callable[[Any, list[T]], list[R]],
+    shared: Any,
+    items: Sequence[T],
     *,
-    time_indices: Sequence[int] | None = None,
-    n_workers: int | None = None,
+    n_workers: int | None = 0,
     n_shards: int | None = None,
-    use_cache: bool = True,
-    fso_model: Any = None,
-    policy: Any = None,
-    fidelity_convention: str = "sqrt",
-    use_shm: bool | None = None,
-    faults: Any = None,
-) -> list[list[Any]]:
-    """Serve a request batch over a day sweep with time-sharded workers.
-
-    The ephemeris sample axis is block-partitioned across worker
-    processes; each worker builds its shard of the link-state cache once
-    and serves the full request batch at every shard timestep. Results
-    are gathered in time order, so the output is independent of
-    ``n_workers`` and ``n_shards`` — ``n_workers=0`` (serial) and any
-    pool size produce identical outcome lists, which the determinism
-    tests pin.
+) -> list[R]:
+    """Run ``work(shared, block)`` over contiguous blocks of ``items``.
 
     Args:
-        ephemeris: constellation movement sheet.
-        requests: :class:`~repro.core.requests.Request` objects or plain
-            ``(source, destination)`` pairs.
-        time_indices: ephemeris sample indices to serve at (default: all).
-        n_workers: process count (0 = serial in-process).
-        n_shards: number of contiguous time blocks (default: one per
-            worker).
-        use_cache: build each worker's vectorized link-state cache
-            (default) or run the direct scalar path.
-        fso_model / policy / fidelity_convention: simulator knobs.
-        use_shm: publish the ephemeris into shared memory and send
-            workers only a descriptor, instead of pickling the position
-            block once per shard (default: on whenever a pool is used;
-            forced off for serial execution where there is no dispatch).
-            Results are bit-identical either way.
-        faults: optional :class:`~repro.faults.FaultSchedule`. Must be
-            realized (concrete events only — call
-            :meth:`FaultSchedule.realize` first); each worker compiles
-            the identical plane, keeping serial == sharded.
+        work: picklable module-level function (or ``functools.partial``
+            over one) returning one result per item of its block. Its
+            results must not reference ``shared``'s arrays: a worker's
+            shared-memory mappings close when ``work`` returns.
+        shared: the input every block reads — an
+            :class:`~repro.orbits.ephemeris.Ephemeris` or a
+            :class:`~repro.engine.budgets.LinkBudgetTable`. Pooled
+            blocks get it through shared memory, in-process blocks get
+            the object itself.
+        items: the work list, in output order.
+        n_workers: process count; 0 (default) runs every block
+            in-process, ``None`` picks :func:`default_worker_count`.
+        n_shards: contiguous blocks (default: one per worker). A block
+            is named by the position of its first item in ``items`` —
+            in worker reports and in recordings.
 
     Returns:
-        One list of :class:`RequestOutcome` per evaluated timestep.
+        The concatenated block results, in item order, independent of
+        ``n_workers`` and ``n_shards``.
     """
-    if n_workers is None:
-        n_workers = default_worker_count()
-    indices = (
-        list(range(ephemeris.n_samples))
-        if time_indices is None
-        else [int(i) for i in time_indices]
-    )
-    if not indices:
+    n_workers = _resolve_workers(n_workers)
+    items = list(items)
+    if not items:
         return []
-    pairs = tuple(
-        r.endpoints if hasattr(r, "endpoints") else (str(r[0]), str(r[1]))
-        for r in requests
-    )
-    shards = n_shards if n_shards is not None else max(n_workers, 1)
-    shards = min(shards, len(indices))
-    blocks = [block for block in block_partition(indices, shards) if block]
-    pooled = n_workers > 0 and len(blocks) > 1
-    if use_shm is None:
-        use_shm = pooled
-    if faults is not None:
-        if getattr(faults, "is_empty", False):
-            faults = None
-        elif not getattr(faults, "is_realized", True):
-            raise ValidationError(
-                "parallel_service_sweep needs a realized FaultSchedule "
-                "(call schedule.realize(seed=...) first)"
-            )
-    from repro.obs import events
-
-    arena = ShmArena() if (use_shm and pooled) else None
+    shards = min(n_shards if n_shards is not None else max(n_workers, 1), len(items))
+    bounds = partition_bounds(len(items), shards)
+    pooled = n_workers > 0 and len(bounds) > 1
+    arena = ShmArena() if pooled else None
     try:
-        payload: Any = (
-            publish_ephemeris(arena, ephemeris) if arena is not None else ephemeris
-        )
+        if arena is None:
+            payload = shared
+        elif isinstance(shared, Ephemeris):
+            payload = publish_ephemeris(arena, shared)
+        else:
+            payload = publish_budget_table(arena, shared)
         tasks = [
             (
+                work,
                 payload,
-                block,
-                pairs,
-                use_cache,
-                fso_model,
-                policy,
-                fidelity_convention,
+                items[lo:hi],
+                lo,
                 obs.enabled(),
-                # In-process (non-pooled) tasks record straight into the
-                # parent's active recorder via the simulator's global
-                # hook; only pooled tasks get shard recorders. Trace ids
-                # key on (endpoints, t_s), so both modes sample — and
-                # attribute — exactly the same requests.
-                events.shard_config(int(block[0])) if pooled else None,
-                faults,
+                events.shard_config(lo) if pooled else None,
             )
-            for block in blocks
+            for lo, hi in bounds
         ]
         t_dispatch_us = events.now_us()
-        shard_outputs = parallel_map(_service_shard, tasks, n_workers=n_workers)
+        outputs = parallel_map(_run_shard, tasks, n_workers=n_workers)
     finally:
         if arena is not None:
             arena.close()
-    per_shard = []
-    for results, report in shard_outputs:
-        per_shard.append(results)
-        metrics = report.pop("metrics", None)
+    results: list[R] = []
+    for block_results, report in outputs:
+        results.extend(block_results)
+        metrics = report.pop("metrics")
         if pooled and metrics:
-            # Only pooled tasks ran in another process; the serial path
-            # already incremented this registry directly, so folding its
-            # delta back in would double-count.
+            # An in-process block already incremented this registry;
+            # folding its delta back in would double-count.
             obs.registry().merge(metrics)
+        # Shard recordings fold in block (= item) order.
         events.absorb_shard(report.pop("events", None), dispatched_us=t_dispatch_us)
         obs.record_worker_report(report)
-    return [step for shard_result in per_shard for step in shard_result]
+    return results
 
 
 def _seeded_call(args: tuple) -> Any:
-    """Worker task for :func:`parallel_sweep`.
-
-    ``args`` is ``(fn, parameter, seed, shared_specs)``; when
-    ``shared_specs`` is set the worker attaches the published arrays and
-    passes them through as ``fn(param, shared={...})``, copying nothing.
-    """
-    fn, parameter, seed, shared_specs = args
-    kwargs: dict[str, Any] = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if shared_specs is None:
-        return fn(parameter, **kwargs)
-    attachment = ShmAttachment()
-    try:
-        kwargs["shared"] = attach_arrays(shared_specs, attachment)
-        return fn(parameter, **kwargs)
-    finally:
-        attachment.close()
+    """Worker task for :func:`parallel_sweep`: ``(fn, parameter, seed)``."""
+    fn, parameter, seed = args
+    if seed is None:
+        return fn(parameter)
+    return fn(parameter, seed=seed)
 
 
 def parallel_sweep(
@@ -346,25 +228,17 @@ def parallel_sweep(
     *,
     seed: int | None = None,
     n_workers: int | None = None,
-    chunksize: int = 1,
-    shared: Mapping[str, np.ndarray] | None = None,
-) -> SweepResult:
+) -> list[R]:
     """Sweep ``fn`` over ``parameters`` with independent per-task seeds.
 
     When ``seed`` is given, task ``i`` is called as ``fn(param, seed=s_i)``
     with ``s_i`` spawned from a root :class:`numpy.random.SeedSequence` —
     the per-rank stream discipline of parallel Monte-Carlo codes. With
-    ``seed=None`` tasks are called as ``fn(param)``.
-
-    When ``shared`` is given, every task additionally receives
-    ``fn(param, ..., shared=<name-to-array mapping>)``. Under a process
-    pool the arrays travel once through shared memory (workers get
-    zero-copy read-only views) instead of being pickled per task; the
-    serial path passes the originals straight through. Segments are
-    unlinked when the sweep returns, even on task failure.
+    ``seed=None`` tasks are called as ``fn(param)``. Bind task-invariant
+    inputs with ``functools.partial``.
 
     Returns:
-        :class:`SweepResult` with results in parameter order.
+        One result per parameter, in parameter order.
     """
     params = list(parameters)
     if seed is None:
@@ -372,45 +246,5 @@ def parallel_sweep(
     else:
         root = np.random.SeedSequence(seed)
         task_seeds = [int(child.generate_state(1)[0]) for child in root.spawn(len(params))]
-
-    pool_workers = default_worker_count() if n_workers is None else n_workers
-    pooled = pool_workers > 0 and len(params) > 1
-    arena = ShmArena() if (shared is not None and pooled) else None
-    watch = Stopwatch()
-    try:
-        with watch.lap("sweep"):
-            if shared is None:
-                specs_or_shared: Any = None
-                tasks = [(fn, p, s, None) for p, s in zip(params, task_seeds)]
-            elif arena is not None:
-                specs_or_shared = shared_arrays(arena, shared)
-                tasks = [
-                    (fn, p, s, specs_or_shared) for p, s in zip(params, task_seeds)
-                ]
-            else:
-                # Serial: hand the original arrays straight to the task.
-                tasks = [
-                    (_passthrough_shared, (fn, p, dict(shared)), s, None)
-                    for p, s in zip(params, task_seeds)
-                ]
-            results = parallel_map(
-                _seeded_call, tasks, n_workers=n_workers, chunksize=chunksize
-            )
-    finally:
-        if arena is not None:
-            arena.close()
-    return SweepResult(
-        parameters=tuple(params),
-        results=tuple(results),
-        elapsed_s=watch.totals()["sweep"],
-        n_workers=pool_workers,
-    )
-
-
-def _passthrough_shared(bundle: tuple, seed: int | None = None) -> Any:
-    """Serial-path shim: unwraps ``(fn, param, shared)`` for the task."""
-    fn, parameter, shared = bundle
-    kwargs: dict[str, Any] = {"shared": shared}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return fn(parameter, **kwargs)
+    tasks = [(fn, p, s) for p, s in zip(params, task_seeds)]
+    return parallel_map(_seeded_call, tasks, n_workers=n_workers)

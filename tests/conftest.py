@@ -11,9 +11,26 @@ from repro.data.ground_nodes import all_ground_nodes
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
-from repro.network.workload import align_to_grid, lans_from_sites, poisson_request_stream
+from repro.network.workload import (
+    TimedRequest,
+    align_to_grid,
+    lans_from_sites,
+    poisson_request_stream,
+)
 from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
+
+
+def grid_stream(ephemeris, pairs, time_indices) -> list[TimedRequest]:
+    """A grid x pairs service sweep as a time-ordered request stream.
+
+    Every ``(source, destination)`` pair (or request with ``endpoints``)
+    is requested at every listed ephemeris sample, in (sample, pair)
+    order — the shape ``serve_stream_sharded`` shards by request id.
+    """
+    endpoints = [p.endpoints if hasattr(p, "endpoints") else tuple(p) for p in pairs]
+    grid = [(float(ephemeris.times_s[i]), pair) for i in time_indices for pair in endpoints]
+    return [TimedRequest(k, t_s, src, dst) for k, (t_s, (src, dst)) in enumerate(grid)]
 
 
 @pytest.fixture

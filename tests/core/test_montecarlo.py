@@ -79,6 +79,13 @@ class TestWeatherStudy:
         b = weather_study(n_trials=10, n_requests=5, seed=3)
         assert all(_trials_equal(x, y) for x, y in zip(a.trials, b.trials))
 
+    def test_serial_equals_pooled(self):
+        """The hover geometry rides in the task; a pool changes nothing."""
+        serial = weather_study(n_trials=6, n_requests=5, seed=3, n_workers=0)
+        pooled = weather_study(n_trials=6, n_requests=5, seed=3, n_workers=2)
+        assert len(serial.trials) == len(pooled.trials) == 6
+        assert all(_trials_equal(x, y) for x, y in zip(serial.trials, pooled.trials))
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValidationError):
             weather_study(n_trials=0)

@@ -103,3 +103,7 @@ class TestRunConstellationSweep:
     def test_rejects_small_ephemeris(self, small_ephemeris):
         with pytest.raises(ValidationError):
             run_constellation_sweep(sizes=[36], ephemeris=small_ephemeris)
+
+    def test_rejects_negative_workers(self, day_eph):
+        with pytest.raises(ValidationError, match="n_workers"):
+            run_constellation_sweep(sizes=[6], ephemeris=day_eph, n_workers=-3)

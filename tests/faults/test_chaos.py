@@ -25,9 +25,9 @@ from repro.faults import (
     WeatherFade,
 )
 from repro.obs.trace import DenialCause
-from repro.parallel.sweep import parallel_service_sweep
+from repro.serve import outcomes_equal, serve_stream_sharded
 
-from tests.faults.conftest import outcomes_equal
+from tests.conftest import grid_stream
 
 HORIZON_S = 7200.0
 SAT_NAMES = [f"sat-{i:03d}" for i in range(12)]
@@ -179,35 +179,29 @@ FIXED_SCHEDULES = [
 ]
 
 
+def _probe_replay(ephemeris, schedule, **kwargs):
+    stream = grid_stream(ephemeris, PROBES, [0, 12, 13, 14, 60])
+    return serve_stream_sharded(ephemeris, stream, faults=schedule, **kwargs)
+
+
 @pytest.mark.parametrize("schedule", FIXED_SCHEDULES, ids=["empty", "outage", "mixed"])
 def test_serial_equals_sharded(schedule, small_ephemeris):
-    """Shard-count and worker-count never change faulted outcomes."""
-    kwargs = dict(time_indices=[0, 12, 13, 14, 60], faults=schedule)
-    serial = parallel_service_sweep(
-        small_ephemeris, PROBES, n_workers=0, n_shards=1, **kwargs
-    )
-    sharded = parallel_service_sweep(
-        small_ephemeris, PROBES, n_workers=0, n_shards=3, **kwargs
-    )
-    assert len(serial) == len(sharded)
-    for row_a, row_b in zip(serial, sharded):
-        for a, b in zip(row_a, row_b):
-            assert outcomes_equal(a, b)
+    """Shard-count never changes faulted outcomes."""
+    serial = _probe_replay(small_ephemeris, schedule, n_workers=0, n_shards=1)
+    sharded = _probe_replay(small_ephemeris, schedule, n_workers=0, n_shards=3)
+    assert len(serial) == len(sharded) == len(PROBES) * 5
+    for a, b in zip(serial, sharded):
+        assert outcomes_equal(a, b), (a, b)
 
 
 def test_serial_equals_pooled(small_ephemeris):
     """A real worker pool reproduces the serial faulted outcomes."""
-    schedule = FIXED_SCHEDULES[2]
-    kwargs = dict(time_indices=[0, 12, 13, 14, 60], faults=schedule)
-    serial = parallel_service_sweep(
-        small_ephemeris, PROBES, n_workers=0, n_shards=2, **kwargs
-    )
-    pooled = parallel_service_sweep(
-        small_ephemeris, PROBES, n_workers=2, n_shards=2, **kwargs
-    )
-    for row_a, row_b in zip(serial, pooled):
-        for a, b in zip(row_a, row_b):
-            assert outcomes_equal(a, b)
+    for schedule in FIXED_SCHEDULES:
+        serial = _probe_replay(small_ephemeris, schedule, n_workers=0, n_shards=2)
+        pooled = _probe_replay(small_ephemeris, schedule, n_workers=2, n_shards=2)
+        assert len(serial) == len(pooled) == len(PROBES) * 5
+        for a, b in zip(serial, pooled):
+            assert outcomes_equal(a, b), (schedule, a, b)
 
 
 @settings(max_examples=25, **CHAOS_SETTINGS)
@@ -225,8 +219,6 @@ def test_multipath_serial_equals_sharded_under_chaos(schedule, small_ephemeris):
         poisson_request_stream,
     )
     from repro.routing.strategies import StrategyConfig
-    from repro.serve import serve_stream_sharded
-    from repro.serve.engine import outcomes_equal as serve_outcomes_equal
 
     stream = align_to_grid(
         poisson_request_stream(
@@ -254,7 +246,7 @@ def test_multipath_serial_equals_sharded_under_chaos(schedule, small_ephemeris):
     serial, sharded = replays
     assert len(serial) == len(sharded) == len(stream)
     for a, b in zip(serial, sharded):
-        assert serve_outcomes_equal(a, b), (a, b)
+        assert outcomes_equal(a, b), (a, b)
     causes = [
         Counter(o.cause for o in replay if not o.served) for replay in replays
     ]

@@ -15,6 +15,8 @@ from repro.core.sweeps import run_constellation_sweep
 from repro.obs import events
 from repro.obs.trace import CAUSES, DenialCause
 
+from tests.conftest import grid_stream
+
 
 @pytest.fixture(autouse=True)
 def _no_active_recorder():
@@ -109,16 +111,15 @@ class TestTracedConstellationSweep:
 
 
 class TestTracedSimulatorSweep:
-    """The object-level (Bellman-Ford) serving path, serial vs sharded."""
+    """The object-level (Dijkstra) serving path, serial vs sharded: a
+    grid x pairs sweep replayed through ``serve_stream_sharded``."""
 
     def _run(self, ephemeris, requests, n_workers):
-        from repro.parallel.sweep import parallel_service_sweep
+        from repro.serve.sharded import serve_stream_sharded
 
-        indices = list(range(0, ephemeris.n_samples, 30))
+        stream = grid_stream(ephemeris, requests, range(0, ephemeris.n_samples, 30))
         with events.recording() as rec:
-            parallel_service_sweep(
-                ephemeris, requests, time_indices=indices, n_workers=n_workers
-            )
+            serve_stream_sharded(ephemeris, stream, n_workers=n_workers)
             return rec.summary()
 
     def test_serial_books_balance(self, small_ephemeris, sites):
@@ -135,6 +136,38 @@ class TestTracedSimulatorSweep:
         assert pooled["requests"]["causes"] == serial["requests"]["causes"]
         assert pooled["requests"]["served"] == serial["requests"]["served"]
         assert pooled["requests"]["by_lan_pair"] == serial["requests"]["by_lan_pair"]
+
+
+class TestDispatchSpans:
+    """Both callers of the shard path record one parent-side ``dispatch``
+    span per pooled shard, naming the shard it dispatched."""
+
+    def _dispatches(self, run):
+        with events.recording() as rec:
+            run()
+            records = rec.records()
+        return [r["attrs"]["shard"] for r in records if r["name"] == "dispatch"]
+
+    def test_pooled_constellation_sweep(self):
+        shards = self._dispatches(
+            lambda: run_constellation_sweep(sizes=[6, 12], n_workers=2, **SWEEP_KW)
+        )
+        assert len(shards) == len(set(shards)) == 2
+
+    def test_pooled_serve_stream(self, small_ephemeris, sites):
+        from repro.serve.sharded import serve_stream_sharded
+
+        stream = grid_stream(small_ephemeris, generate_requests(sites, 6, 3), [0, 30, 60])
+        shards = self._dispatches(
+            lambda: serve_stream_sharded(small_ephemeris, stream, n_workers=2)
+        )
+        assert len(shards) == len(set(shards)) == 2
+
+    def test_in_process_runs_record_none(self):
+        shards = self._dispatches(
+            lambda: run_constellation_sweep(sizes=[6, 12], n_workers=0, **SWEEP_KW)
+        )
+        assert shards == []
 
 
 class TestRequestDetailConsistency:

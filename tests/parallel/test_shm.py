@@ -6,12 +6,12 @@ The invariants pinned here back the zero-copy dispatch plane:
 * the parent-side :class:`ShmArena` owns segment lifetime — close
   unlinks everything, is idempotent, and runs on context exit even when
   the body raises; worker-side attachments never unlink;
-* sweeps over shared memory return results identical to the pickling
-  path and to serial execution, for any worker count.
+* a pooled ``serve_stream_sharded`` run (ephemeris over shared memory)
+  returns results identical to the serial in-process run, for any
+  worker count, and leaves no segment behind.
 """
 
 import glob
-import math
 
 import numpy as np
 import pytest
@@ -21,16 +21,14 @@ from repro.errors import ValidationError
 from repro.parallel.shm import (
     ShmArena,
     ShmAttachment,
-    attach_arrays,
     attach_budget_table,
     attach_ephemeris,
     publish_budget_table,
     publish_ephemeris,
-    shared_arrays,
 )
-from repro.parallel.sweep import parallel_service_sweep, parallel_sweep
+from repro.serve import outcomes_equal, serve_stream_sharded
 
-from .test_sweep import outcomes_identical
+from tests.conftest import grid_stream
 
 
 def _shm_segment_names() -> set[str]:
@@ -134,15 +132,6 @@ class TestHandles:
                 np.testing.assert_array_equal(a.transmissivity, b.transmissivity)
                 np.testing.assert_array_equal(a.usable, b.usable)
 
-    def test_shared_arrays_helpers(self, rng):
-        mapping = {"a": rng.normal(size=(3, 4)), "b": np.arange(6)}
-        with ShmArena() as arena, ShmAttachment() as attachment:
-            specs = shared_arrays(arena, mapping)
-            views = attach_arrays(specs, attachment)
-            assert set(views) == {"a", "b"}
-            for name in mapping:
-                np.testing.assert_array_equal(views[name], mapping[name])
-
 
 class TestSweepDeterminism:
     @pytest.fixture(scope="class")
@@ -150,68 +139,20 @@ class TestSweepDeterminism:
         return generate_requests(sites, 8, 11)
 
     def test_service_sweep_identical_over_shm(self, small_ephemeris, workload):
-        indices = list(range(0, small_ephemeris.n_samples, 15))
-        serial = parallel_service_sweep(
-            small_ephemeris, workload, time_indices=indices, n_workers=0
+        stream = grid_stream(
+            small_ephemeris, workload, range(0, small_ephemeris.n_samples, 15)
         )
+        serial = serve_stream_sharded(small_ephemeris, stream, n_workers=0)
         for n_workers in (1, 2, 4):
-            pooled = parallel_service_sweep(
-                small_ephemeris,
-                workload,
-                time_indices=indices,
-                n_workers=n_workers,
-                use_shm=True,
-            )
-            assert outcomes_identical(serial, pooled)
-
-    def test_service_sweep_shm_matches_pickle_path(self, small_ephemeris, workload):
-        indices = list(range(0, small_ephemeris.n_samples, 15))
-        pickled = parallel_service_sweep(
-            small_ephemeris, workload, time_indices=indices, n_workers=2, use_shm=False
-        )
-        over_shm = parallel_service_sweep(
-            small_ephemeris, workload, time_indices=indices, n_workers=2, use_shm=True
-        )
-        assert outcomes_identical(pickled, over_shm)
+            pooled = serve_stream_sharded(small_ephemeris, stream, n_workers=n_workers)
+            assert len(pooled) == len(serial)
+            assert all(outcomes_equal(a, b) for a, b in zip(serial, pooled))
 
     def test_no_segments_leak_after_sweep(self, small_ephemeris, workload):
         before = _shm_segment_names()
-        parallel_service_sweep(
+        serve_stream_sharded(
             small_ephemeris,
-            workload,
-            time_indices=list(range(0, small_ephemeris.n_samples, 30)),
+            grid_stream(small_ephemeris, workload, range(0, small_ephemeris.n_samples, 30)),
             n_workers=2,
-            use_shm=True,
         )
         assert _shm_segment_names() <= before
-
-    def test_parallel_sweep_shared_arrays_serial_equals_pool(self):
-        weights = np.linspace(0.5, 1.5, 11)
-
-        serial = parallel_sweep(
-            _weighted_poly, [1.0, 2.0, 3.0], n_workers=0, shared={"weights": weights}
-        )
-        pooled = parallel_sweep(
-            _weighted_poly, [1.0, 2.0, 3.0], n_workers=2, shared={"weights": weights}
-        )
-        assert serial.results == pooled.results
-
-    def test_parallel_sweep_shared_with_seed(self):
-        weights = np.arange(1.0, 5.0)
-        serial = parallel_sweep(
-            _seeded_weighted, [2.0, 4.0], seed=99, n_workers=0, shared={"w": weights}
-        )
-        pooled = parallel_sweep(
-            _seeded_weighted, [2.0, 4.0], seed=99, n_workers=2, shared={"w": weights}
-        )
-        for a, b in zip(serial.results, pooled.results):
-            assert math.isclose(a, b, rel_tol=0.0, abs_tol=0.0)
-
-
-def _weighted_poly(x, shared=None):
-    return float(np.sum(shared["weights"] * x) + x**2)
-
-
-def _seeded_weighted(x, seed=None, shared=None):
-    rng = np.random.default_rng(seed)
-    return float(np.sum(shared["w"]) * x + rng.standard_normal())

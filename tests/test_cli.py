@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ValidationError
 
 
 class TestParser:
@@ -69,6 +70,10 @@ class TestSweepCommands:
         assert "FIGS. 6-8" in out
         assert (tmp_path / "fig7_served_requests_vs_satellites.csv").exists()
         assert (tmp_path / "fig8_fidelity_vs_satellites.csv").exists()
+
+    def test_sweep_rejects_negative_workers(self):
+        with pytest.raises(ValidationError, match="n_workers"):
+            main(["sweep", "--sizes", "6", "--step", "600", "--workers", "-3"])
 
 
 class TestCompareCommand:
@@ -262,7 +267,7 @@ class TestTelemetryFlags:
         manifest = json.loads(manifest_path.read_text())
         assert len(manifest["workers"]) == 2
         for report in manifest["workers"]:
-            assert report["n_steps"] > 0
+            assert report["n_items"] > 0
             assert report["timings_s"]["total"] >= 0.0
 
 
