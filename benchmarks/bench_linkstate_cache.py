@@ -89,7 +89,7 @@ def test_cache_speedup_and_equivalence(day_shard_network, workload, emit_series)
             assert d.served == c.served
             assert d.path == c.path
             if d.served:
-                assert abs(d.path_transmissivity - c.path_transmissivity) <= 1e-12
+                assert abs(d.path_eta - c.path_eta) <= 1e-12
                 assert abs(d.fidelity - c.fidelity) <= 1e-12
 
     speedup = t_direct / t_cached

@@ -29,7 +29,7 @@ def hour_profile(report) -> list[tuple[int, int, int]]:
     rows = []
     for hour in range(24):
         lo, hi = hour * 3600.0, (hour + 1) * 3600.0
-        arrivals = [o for o in report.outcomes if lo <= o.time_s < hi]
+        arrivals = [o for o in report.outcomes if lo <= o.t_s < hi]
         rows.append((hour, len(arrivals), sum(o.served for o in arrivals)))
     return rows
 

@@ -59,6 +59,7 @@ from repro.core.architecture import (
 from repro.core.comparison import compare_architectures
 from repro.core.sweeps import run_constellation_sweep
 from repro.core.threshold import transmissivity_threshold_experiment
+from repro.errors import ValidationError
 from repro.reporting.figures import FigureSeries, write_series_csv
 from repro.routing.strategies import ROUTERS
 from repro.reporting.tables import render_table, render_table_iii
@@ -754,14 +755,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _render_manifest_report(args: argparse.Namespace) -> int:
-    from repro.errors import ValidationError
     from repro.obs import report as report_mod
 
-    try:
-        summary = report_mod.load_summary(args.manifest)
-    except ValidationError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
+    summary = report_mod.load_summary(args.manifest)
     if args.format == "json":
         import json
 
@@ -863,20 +859,9 @@ async def _serve_stream_live(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ValidationError
-
-    try:
-        return _run_serve(args)
-    except ValidationError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.engine.store import default_store
-    from repro.errors import ValidationError
     from repro.network.workload import lans_from_sites, poisson_request_stream
     from repro.orbits.ephemeris import generate_movement_sheet
     from repro.orbits.walker import qntn_constellation
@@ -1020,17 +1005,12 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ValidationError
     from repro.obs import events as events_mod
 
     if not args.file.exists():
         print(f"repro trace: no such file: {args.file}", file=sys.stderr)
         return 2
-    try:
-        records = list(events_mod.read_events(args.file))
-    except ValidationError as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
+    records = list(events_mod.read_events(args.file))
     if args.format == "tree":
         text = events_mod.render_tree(records, limit=args.limit)
     elif args.format == "json":
@@ -1064,7 +1044,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.errors import ValidationError
     from repro.obs import report as report_mod
 
     try:
@@ -1147,7 +1126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         events.start(args.trace, sample_rate=args.trace_sample_rate)
     fault_extra = None
     if args.faults is not None:
-        from repro.errors import ValidationError
         from repro.faults import load_faults
 
         try:
@@ -1175,6 +1153,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with obs.span(args.command):
             return _COMMANDS[args.command](args)
+    except ValidationError as exc:
+        # Bad arguments end in one line and exit code 2, never a traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     finally:
         if configured:
             set_default_store(previous)

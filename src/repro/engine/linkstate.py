@@ -470,14 +470,18 @@ class LinkStateCache:
         the cursor at) the final index. Non-monotonic call sequences are
         therefore safe — only the fast path, not correctness, assumes
         forward motion.
+
+        The ``propagate`` span covers only a move of the cursor to a
+        later sample, so a profile counts one activation per sample
+        change, not one per query.
         """
         k = self._cursor
         times = self._times_list
         if times[k] <= t_s:
             if k + 1 >= len(times) or t_s < times[k + 1]:
                 return k  # still inside the cursor's sample interval
-            k = bisect_right(times, t_s, k + 1) - 1
-            k = min(k, self.n_times - 1)
+            with obs.span("propagate"):
+                k = min(bisect_right(times, t_s, k + 1) - 1, self.n_times - 1)
             self._cursor = k
             return k
         return self.time_index(t_s)

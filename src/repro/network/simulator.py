@@ -51,21 +51,24 @@ def _check_time(t_s: float) -> None:
         raise ValidationError(f"request time must be finite, got {t_s!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestOutcome:
     """Result of one entanglement-distribution request.
 
+    The one outcome record of both serving shapes: a streamed request's
+    outcome is this record with the request's identity stamped on it
+    (:attr:`request_id`, :attr:`tenant`; ``repro.serve`` calls it
+    ``ServeOutcome``), so the streaming path builds one object per
+    request.
+
     Attributes:
         source / destination: endpoint host names.
-        time_s: simulation time the request was served at.
+        t_s: simulation time the request was served at.
         served: whether a usable route existed.
         path: routed node sequence (empty if unserved).
-        path_transmissivity: product of per-link eta (0 if unserved).
+        path_eta: end-to-end transmissivity, the product of per-link
+            eta (0 if unserved).
         fidelity: end-to-end entanglement fidelity (NaN if unserved).
-        pair: the delivered pair's full density-matrix record, when the
-            simulator runs with ``track_states=True`` (None otherwise;
-            multipath-purified deliveries always report the closed
-            form).
         cause: canonical :class:`~repro.obs.trace.DenialCause` value,
             decided where the request is denied: the routing strategy's
             cause when its rescue fails (``route_exhausted`` /
@@ -77,19 +80,33 @@ class RequestOutcome:
             the single-path router; >= 2 when purified).
         purified: whether the delivery went through the multipath
             purification scheduler.
+        pair: the delivered pair's full density-matrix record, when the
+            simulator runs with ``track_states=True`` (None otherwise;
+            multipath-purified deliveries always report the closed
+            form).
+        request_id / tenant: identity of the originating
+            :class:`~repro.network.workload.TimedRequest` (``None`` when
+            the request was served by endpoints alone).
+
+    Carries no wall-clock latency and no engine label: the record is the
+    *physics* answer, so streaming-vs-batch and serial-vs-sharded
+    comparisons are plain field equality. Slotted: a stream report
+    holds one per request.
     """
 
     source: str
     destination: str
-    time_s: float
+    t_s: float
     served: bool
     path: tuple[str, ...]
-    path_transmissivity: float
+    path_eta: float
     fidelity: float
-    pair: EntangledPair | None = None
     cause: str | None = None
     n_paths: int = 1
     purified: bool = False
+    pair: EntangledPair | None = None
+    request_id: int | None = None
+    tenant: str | None = None
 
 
 class NetworkSimulator:
@@ -419,12 +436,10 @@ class NetworkSimulator:
             UnknownHostError: if an endpoint is not in the network.
         """
         _check_time(t_s)
-        for name in (source, destination):
-            if name not in self.network:
-                raise UnknownHostError(name)
+        self._check_endpoints(source, destination)
         if self.use_cache:
             ls = self.linkstate
-            gates = ls.denial_gates(source, destination, ls.time_index(t_s))
+            gates = ls.denial_gates(source, destination, ls.advance_index(t_s))
             if gates is not None:
                 visible, elevated, healthy, usable = gates
                 return classify_denial(
@@ -435,87 +450,28 @@ class NetworkSimulator:
 
     # --- request service -----------------------------------------------------------
 
-    def _denied_outcome(
-        self,
-        source: str,
-        destination: str,
-        t_s: float,
-        flight: str | None,
-        graph: LinkGraph,
-        time_index: int | None = None,
-    ) -> RequestOutcome:
-        """Resolve a strict-path denial: multipath rescue, else denial.
-
-        The shared tail of both serving shapes — streaming and batch
-        reduce to the same rescue decision and the same cause, which is
-        what keeps them bit-identical under any strategy configuration.
-        The cause is the failed rescue's, else the gate cascade's when
-        attribution is on.
-        """
-        rescue = self._rescue(source, destination, t_s, time_index)
-        if rescue is not None and rescue[0].served:
-            plan, relaxed_graph = rescue
-            _REQUESTS_SERVED.inc()
-            _PATH_HOPS.observe(len(plan.path) - 1)
-            _FIDELITY.observe(plan.fidelity)
-            if flight is not None:
-                self._record_flight(
-                    flight, relaxed_graph, source, destination, t_s,
-                    path=plan.path, eta_path=plan.eta, fidelity=plan.fidelity,
-                )
-            return RequestOutcome(
-                source, destination, t_s, True, plan.path, plan.eta,
-                plan.fidelity, None, n_paths=plan.n_paths, purified=True,
-            )
-        cause = rescue[0].cause if rescue is not None else None
-        if cause is None and self.attribute_denials:
-            cause = self.denial_cause(source, destination, t_s).value
-        _REQUESTS_DENIED.inc()
-        if flight is not None:
-            self._record_flight(
-                flight, graph, source, destination, t_s, cause=cause
-            )
-        return RequestOutcome(
-            source, destination, t_s, False, (), 0.0, float("nan"), None, cause=cause
-        )
-
-    def serve_request(self, source: str, destination: str, t_s: float) -> RequestOutcome:
-        """Route and deliver one entanglement request at time ``t_s``.
-
-        The route is the Bellman–Ford minimum of ``sum 1/(eta + eps)``;
-        the delivered fidelity comes from amplitude damping with the
-        path's end-to-end transmissivity.
-
-        Raises:
-            ValidationError: if ``t_s`` is NaN or infinite.
-            UnknownHostError: if an endpoint is not in the network.
-        """
-        _check_time(t_s)
+    def _check_endpoints(self, source: str, destination: str) -> None:
+        """Reject an endpoint that is not in the network."""
         if source not in self.network:
             raise UnknownHostError(source)
         if destination not in self.network:
             raise UnknownHostError(destination)
-        k: int | None = None
-        if self.use_cache:
-            # Resolve the grid index once and hit the memos by index —
-            # link_graph/routing_tree would each re-bisect the time grid.
-            ls = self.linkstate
-            k = ls.time_index(t_s)
-            graph = ls.graph_at_index(k)
-        else:
-            graph = self.link_graph(t_s)
-        rec = events._ACTIVE
-        flight = (
-            None if rec is None else rec.request_scope(f"{source}|{destination}|{t_s!r}")
-        )
-        try:
-            if self.use_cache:
-                path = ls.routing_tree_at_index(k, source).path_to(destination)
-                eta_path = path_transmissivity(path_edges(graph, path))
-            else:
-                path, eta_path = shortest_path(graph, source, destination, self.epsilon)
-        except NoPathError:
-            return self._denied_outcome(source, destination, t_s, flight, graph, k)
+
+    def _delivered(
+        self,
+        source: str,
+        destination: str,
+        t_s: float,
+        graph: LinkGraph,
+        path: list[str],
+        eta_path: float,
+        flight: str | None,
+        request_id: int | None = None,
+        tenant: str | None = None,
+    ) -> RequestOutcome:
+        """Outcome of a request routed over ``path``: its fidelity, the
+        serve counters and its flight record, shared by both serving
+        shapes."""
         pair = None
         if self.track_states:
             pair = distribute_entanglement(
@@ -537,7 +493,106 @@ class NetworkSimulator:
                 path=path, eta_path=eta_path, fidelity=fidelity,
             )
         return RequestOutcome(
-            source, destination, t_s, True, tuple(path), eta_path, fidelity, pair
+            source, destination, t_s, True, tuple(path), eta_path, fidelity,
+            None, 1, False, pair, request_id, tenant,
+        )
+
+    def _denied_outcome(
+        self,
+        source: str,
+        destination: str,
+        t_s: float,
+        flight: str | None,
+        graph: LinkGraph,
+        time_index: int | None = None,
+        request_id: int | None = None,
+        tenant: str | None = None,
+    ) -> RequestOutcome:
+        """Resolve a strict-path denial: multipath rescue, else denial.
+
+        The shared tail of both serving shapes — streaming and batch
+        reduce to the same rescue decision and the same cause, which is
+        what keeps them bit-identical under any strategy configuration.
+        The cause is the failed rescue's, else the gate cascade's when
+        attribution is on.
+        """
+        rescue = self._rescue(source, destination, t_s, time_index)
+        if rescue is not None and rescue[0].served:
+            plan, relaxed_graph = rescue
+            _REQUESTS_SERVED.inc()
+            _PATH_HOPS.observe(len(plan.path) - 1)
+            _FIDELITY.observe(plan.fidelity)
+            if flight is not None:
+                self._record_flight(
+                    flight, relaxed_graph, source, destination, t_s,
+                    path=plan.path, eta_path=plan.eta, fidelity=plan.fidelity,
+                )
+            return RequestOutcome(
+                source, destination, t_s, True, plan.path, plan.eta, plan.fidelity,
+                None, plan.n_paths, True, None, request_id, tenant,
+            )
+        cause = rescue[0].cause if rescue is not None else None
+        if cause is None and self.attribute_denials:
+            cause = self.denial_cause(source, destination, t_s).value
+        _REQUESTS_DENIED.inc()
+        if flight is not None:
+            self._record_flight(
+                flight, graph, source, destination, t_s, cause=cause
+            )
+        return RequestOutcome(
+            source, destination, t_s, False, (), 0.0, float("nan"), cause,
+            1, False, None, request_id, tenant,
+        )
+
+    def serve_request(
+        self,
+        source: str,
+        destination: str,
+        t_s: float,
+        *,
+        request_id: int | None = None,
+        tenant: str | None = None,
+    ) -> RequestOutcome:
+        """Route and deliver one entanglement request at time ``t_s``.
+
+        The route is the Bellman–Ford minimum of ``sum 1/(eta + eps)``;
+        the delivered fidelity comes from amplitude damping with the
+        path's end-to-end transmissivity. ``request_id`` and ``tenant``
+        are stamped on the outcome as they are (the streaming engine
+        passes the request's identity).
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+            UnknownHostError: if an endpoint is not in the network.
+        """
+        _check_time(t_s)
+        self._check_endpoints(source, destination)
+        k: int | None = None
+        if self.use_cache:
+            # Resolve the grid index once, through the streaming cursor
+            # (a no-op check when the engine has already advanced it),
+            # and hit the memos by index.
+            ls = self.linkstate
+            k = ls.advance_index(t_s)
+            graph = ls.graph_at_index(k)
+        else:
+            graph = self.link_graph(t_s)
+        rec = events._ACTIVE
+        flight = (
+            None if rec is None else rec.request_scope(f"{source}|{destination}|{t_s!r}")
+        )
+        try:
+            if self.use_cache:
+                path = ls.routing_tree_at_index(k, source).path_to(destination)
+                eta_path = path_transmissivity(path_edges(graph, path))
+            else:
+                path, eta_path = shortest_path(graph, source, destination, self.epsilon)
+        except NoPathError:
+            return self._denied_outcome(
+                source, destination, t_s, flight, graph, k, request_id, tenant
+            )
+        return self._delivered(
+            source, destination, t_s, graph, path, eta_path, flight, request_id, tenant
         )
 
     def serve_requests(
@@ -554,10 +609,7 @@ class NetworkSimulator:
         outcomes: list[RequestOutcome] = []
         rec = events._ACTIVE
         for source, destination in requests:
-            if source not in self.network:
-                raise UnknownHostError(source)
-            if destination not in self.network:
-                raise UnknownHostError(destination)
+            self._check_endpoints(source, destination)
             flight = (
                 None
                 if rec is None
@@ -573,30 +625,9 @@ class NetworkSimulator:
                     self._denied_outcome(source, destination, t_s, flight, graph)
                 )
                 continue
-            etas = path_edges(graph, path)
-            eta_path = path_transmissivity(etas)
-            if self.track_states:
-                pair = distribute_entanglement(etas, source=source, destination=destination)
-                fidelity = pair.fidelity(self.fidelity_convention)
-            else:
-                pair = None
-                fidelity = float(
-                    entanglement_fidelity_from_transmissivity(
-                        eta_path, convention=self.fidelity_convention
-                    )
-                )
-            _REQUESTS_SERVED.inc()
-            _PATH_HOPS.observe(len(path) - 1)
-            _FIDELITY.observe(fidelity)
-            if flight is not None:
-                self._record_flight(
-                    flight, graph, source, destination, t_s,
-                    path=path, eta_path=eta_path, fidelity=fidelity,
-                )
+            eta_path = path_transmissivity(path_edges(graph, path))
             outcomes.append(
-                RequestOutcome(
-                    source, destination, t_s, True, tuple(path), eta_path, fidelity, pair
-                )
+                self._delivered(source, destination, t_s, graph, path, eta_path, flight)
             )
         return outcomes
 

@@ -8,10 +8,11 @@ when a caller holds an enclosing ``span("sweep")`` — phase attribution
 follows the call structure with no explicit threading of labels.
 
 Spans obey the same process-wide enabled flag as the metrics registry:
-disabled, ``__enter__``/``__exit__`` are a flag check each. Wall time is
-always recorded when enabled; CPU time (``time.process_time``) is opt-in
-per span. Exceptions propagate and still record the span — the timing of
-a failed phase is exactly what a post-mortem needs.
+disabled, with no recorder active, :func:`span` hands out one shared
+no-op context manager. Wall time is always recorded when enabled; CPU
+time (``time.process_time``) is opt-in per span. Exceptions propagate
+and still record the span — the timing of a failed phase is exactly
+what a post-mortem needs.
 
 :class:`Stopwatch` is the *local*, always-on variant: an explicitly
 constructed instrument whose laps accumulate regardless of the global
@@ -20,6 +21,7 @@ flag, for benchmarks that own their timing.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 import time
@@ -170,14 +172,23 @@ class _Span:
             _PROFILE.record(self._path, elapsed, cpu_s)
 
 
-def span(name: str, *, cpu: bool = False) -> _Span:
+#: What :func:`span` returns with both planes off: one shared no-op.
+_NULL_SPAN = contextlib.nullcontext()
+
+
+def span(name: str, *, cpu: bool = False) -> "_Span | contextlib.nullcontext":
     """Context manager timing one phase under the current nesting path.
+
+    With the registry disabled and no recorder active it returns a
+    shared no-op span, so a disabled span allocates nothing.
 
     Args:
         name: phase label; the recorded key is the slash-joined path of
             all enclosing spans plus ``name``.
         cpu: additionally record ``time.process_time`` deltas.
     """
+    if _events._ACTIVE is None and not registry().enabled:
+        return _NULL_SPAN
     return _Span(name, cpu)
 
 

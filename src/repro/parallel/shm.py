@@ -17,10 +17,10 @@ Lifecycle (documented in DESIGN.md §8):
   the segments; ``close()`` (or the context-manager exit, which runs even
   when a worker raises) both closes the parent's mappings and *unlinks*
   the segments so nothing outlives the run;
-* each **worker** attaches by name via :class:`ShmAttachment`, builds
-  NumPy views over the mapped buffers, and closes its mappings when its
-  block is done — views into a closed mapping are invalid, so results
-  must not reference them. Workers never unlink.
+* each **worker** attaches by name via :class:`ShmAttachment` and builds
+  NumPy views over the mapped buffers; a segment is unmapped once no
+  view over it is reachable, so a view that outlives its block stays
+  readable. Workers never unlink.
 
 On Linux with the default fork start method the pool workers share the
 parent's ``resource_tracker``, so parent-side unlink is authoritative and
@@ -34,6 +34,7 @@ by ``tests/parallel/test_shm.py`` and gated across 1/2/4 workers in
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Iterable
@@ -153,31 +154,27 @@ class ShmArena:
 class ShmAttachment:
     """Worker-side view factory over published segments.
 
-    Attaching yields a read-only zero-copy NumPy view; the worker copies
-    out whatever slice it needs and closes its mappings before returning
-    (views into a closed mapping are invalid). Never unlinks — that is
-    the arena's job in the parent.
+    Attaching yields a read-only zero-copy NumPy view. A view does not
+    pin the mapping it reads (``np.ndarray(buffer=)`` keeps no buffer
+    export), so each segment is unmapped only once its view, and every
+    array derived from it, is unreachable. Never unlinks — that is the
+    arena's job in the parent.
     """
-
-    def __init__(self) -> None:
-        self._segments: list[shared_memory.SharedMemory] = []
 
     def attach(self, spec: SharedArraySpec) -> np.ndarray:
         """Map one descriptor to a read-only array view (zero-copy)."""
         segment = shared_memory.SharedMemory(name=spec.name, create=False)
-        self._segments.append(segment)
         view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
         view.flags.writeable = False
+        weakref.finalize(view, segment.close)
         return view
 
     def close(self) -> None:
-        """Drop the worker's mappings (segments stay alive in the parent)."""
-        for segment in self._segments:
-            try:
-                segment.close()
-            except OSError:
-                pass
-        self._segments.clear()
+        """End the attachment's scope (segments stay alive in the parent).
+
+        Nothing is unmapped here: a segment goes when its last view
+        does, so a view kept past this call stays readable.
+        """
 
     def __enter__(self) -> "ShmAttachment":
         return self

@@ -30,16 +30,18 @@ last position, never a full-day recompute), mirroring
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.errors import ValidationError
+from repro.network.simulator import RequestOutcome
 from repro.obs import live
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.simulator import NetworkSimulator, RequestOutcome
+    from repro.network.simulator import NetworkSimulator
     from repro.network.workload import TimedRequest
     from repro.orbits.ephemeris import Ephemeris
     from repro.routing.strategies import StrategyConfig
@@ -62,83 +64,23 @@ _LIVE_ENGINE_SUBMITS = live.windowed_counter("serve.live.engine.submits")
 _LIVE_ENGINE_CURSOR = live.windowed_gauge("serve.live.engine.cursor_s")
 
 
-@dataclass(frozen=True)
-class ServeOutcome:
-    """Result of one streamed entanglement request.
+#: A streamed request's outcome: the simulator's one outcome record,
+#: stamped with the request's ``request_id`` and ``tenant``.
+ServeOutcome = RequestOutcome
 
-    Attributes:
-        request_id: identity of the originating
-            :class:`~repro.network.workload.TimedRequest`.
-        source / destination: endpoint host names.
-        t_s: arrival (= service) time.
-        tenant: admission-queue label the request travelled under.
-        served: whether a usable route existed.
-        path: routed node sequence (empty if unserved).
-        path_eta: end-to-end transmissivity (0 if unserved).
-        fidelity: delivered entanglement fidelity (NaN if unserved).
-        cause: canonical :class:`~repro.obs.trace.DenialCause` value
-            when unserved, decided by the simulator while it served the
-            request (see :attr:`RequestOutcome.cause
-            <repro.network.simulator.RequestOutcome.cause>`). ``None``
-            when served, or when denial attribution was off; a
-            strategy-attributed cause (``route_exhausted`` /
-            ``memory_full``) is set either way.
-        n_paths: entangled pairs consumed (1 on the single-path router,
-            >= 2 for a purified multipath delivery).
-        purified: whether the delivery went through the multipath
-            purification scheduler.
 
-    Deliberately carries no wall-clock latency and no engine label:
-    the record is the *physics* answer, so streaming-vs-batch and
-    serial-vs-sharded comparisons are plain field equality. Latency is
-    a property of the front end and lives in its metrics.
-    """
-
-    request_id: int
-    source: str
-    destination: str
-    t_s: float
-    tenant: str
-    served: bool
-    path: tuple[str, ...]
-    path_eta: float
-    fidelity: float
-    cause: str | None
-    n_paths: int = 1
-    purified: bool = False
+#: Every field ``outcomes_equal`` compares exactly.
+_EXACT = operator.attrgetter(
+    "request_id", "source", "destination", "t_s", "tenant", "served", "path", "cause",
+    "n_paths", "purified", "path_eta",
+)
 
 
 def outcomes_equal(a: ServeOutcome, b: ServeOutcome) -> bool:
     """Field-wise equality treating NaN fidelity as equal (denied outcomes)."""
-    if (
-        a.request_id,
-        a.source,
-        a.destination,
-        a.t_s,
-        a.tenant,
-        a.served,
-        a.path,
-        a.cause,
-        a.n_paths,
-        a.purified,
-    ) != (
-        b.request_id,
-        b.source,
-        b.destination,
-        b.t_s,
-        b.tenant,
-        b.served,
-        b.path,
-        b.cause,
-        b.n_paths,
-        b.purified,
-    ):
+    if _EXACT(a) != _EXACT(b):
         return False
-    if a.path_eta != b.path_eta:
-        return False
-    if math.isnan(a.fidelity) and math.isnan(b.fidelity):
-        return True
-    return a.fidelity == b.fidelity
+    return a.fidelity == b.fidelity or (math.isnan(a.fidelity) and math.isnan(b.fidelity))
 
 
 class SimulatorServeEngine:
@@ -150,13 +92,13 @@ class SimulatorServeEngine:
     is why the differential harness can demand bit-identity between
     them.
 
-    Outcomes are copied field by field from the simulator's, denial
-    cause included: the simulator decides the cause while serving (its
-    ``attribute_denials`` switch). ``cached`` reads the cause cascade's
-    gates from the link state's stored gate bytes at the request's grid
-    sample; ``direct`` re-evaluates each candidate uplink through the
-    scalar channel model, the oracle the cached answer is tested
-    against.
+    Outcomes are the simulator's own records with the request's
+    identity stamped on, denial cause included: the simulator decides
+    the cause while serving (its ``attribute_denials`` switch).
+    ``cached`` reads the cause cascade's gates from the link state's
+    stored gate bytes at the request's grid sample; ``direct``
+    re-evaluates each candidate uplink through the scalar channel
+    model, the oracle the cached answer is tested against.
 
     Args:
         simulator: the bound simulator; its ``use_cache`` flag decides
@@ -195,40 +137,34 @@ class SimulatorServeEngine:
         return {"t_index": t_index, "t_s": self._cursor_s}
 
     def advance_to(self, t_s: float) -> None:
-        """Advance the engine's time cursor to ``t_s`` (monotonic)."""
-        if t_s != self._cursor_s:
-            # Grid-aligned streams call this with a repeated t_s many
-            # times per sample; the gauge only needs actual movement.
-            self._cursor_s = t_s
-            _LIVE_ENGINE_CURSOR.set(t_s)
-        if self.simulator.use_cache:
-            with obs.span("propagate"):
-                self.simulator.linkstate.advance_index(t_s)
+        """Advance the engine's time cursor to ``t_s`` (monotonic).
 
-    def _outcome(self, request: "TimedRequest", raw: "RequestOutcome") -> ServeOutcome:
-        return ServeOutcome(
-            request_id=request.request_id,
-            source=request.source,
-            destination=request.destination,
-            t_s=request.t_s,
-            tenant=request.tenant,
-            served=raw.served,
-            path=raw.path,
-            path_eta=raw.path_transmissivity,
-            fidelity=raw.fidelity,
-            cause=raw.cause,
-            n_paths=raw.n_paths,
-            purified=raw.purified,
-        )
+        Grid-aligned streams repeat each ``t_s`` many times; a repeat
+        returns at once, and the link state's cursor (with its
+        ``propagate`` span) moves only when the grid sample changes.
+        """
+        if t_s == self._cursor_s:
+            return
+        self._cursor_s = t_s
+        _LIVE_ENGINE_CURSOR.set(t_s)
+        if self.simulator.use_cache:
+            self.simulator.linkstate.advance_index(t_s)
 
     def submit(self, request: "TimedRequest") -> ServeOutcome:
-        """Serve one request at its arrival time."""
+        """Serve one request at its arrival time.
+
+        The simulator stamps the request's identity on its outcome, so
+        this builds one record per request.
+        """
         _LIVE_ENGINE_SUBMITS.inc()
         with obs.span("serve"):
-            raw = self.simulator.serve_request(
-                request.source, request.destination, request.t_s
+            return self.simulator.serve_request(
+                request.source,
+                request.destination,
+                request.t_s,
+                request_id=request.request_id,
+                tenant=request.tenant,
             )
-            return self._outcome(request, raw)
 
     def _serve_group(
         self, t_s: float, group: Sequence["TimedRequest"]
@@ -237,7 +173,10 @@ class SimulatorServeEngine:
         _LIVE_ENGINE_SUBMITS.inc(len(group))
         with obs.span("serve"):
             raws = self.simulator.serve_requests([r.endpoints for r in group], t_s)
-            return [self._outcome(r, raw) for r, raw in zip(group, raws)]
+            return [
+                replace(raw, request_id=r.request_id, tenant=r.tenant)
+                for r, raw in zip(group, raws)
+            ]
 
     def serve_batch(self, requests: Iterable["TimedRequest"]) -> list[ServeOutcome]:
         """Replay a time-ordered stream through the batch path.

@@ -3,8 +3,10 @@
 :class:`ServeServer` runs one consumer task per tenant over bounded
 :class:`asyncio.Queue` admission queues. Producers :meth:`submit`
 timestamped requests; each consumer advances its engine's monotonic
-time cursor to the request's arrival time and serves it. Admission
-control has two modes:
+time cursor to the request's arrival time and serves it. A request whose
+tenant has nothing pending is served inline by :meth:`submit` through
+the consumer's own body, so an uncontended stream never queues.
+Admission control has two modes:
 
 * **shedding** (default): a request arriving at a full tenant queue is
   denied immediately with the canonical ``queue_full`` cause — a
@@ -84,6 +86,7 @@ _LIVE_FAULTS = live.windowed_gauge("serve.live.faults_active", LIVE_WINDOW_S)
 _LIVE_CURSOR = live.windowed_gauge("serve.live.cursor_s", LIVE_WINDOW_S)
 
 _SENTINEL = object()
+_QUEUE_FULL = DenialCause.QUEUE_FULL.value
 
 
 _LIVE_CAUSE_COUNTERS: dict[str, live.WindowedCounter] = {}
@@ -128,10 +131,13 @@ class StreamReport:
     """Aggregates of one streamed run.
 
     ``outcomes`` are sorted by ``request_id`` (completion order is an
-    artifact of task interleaving, identity order is canonical).
+    artifact of task interleaving, identity order is canonical). They
+    stay out of the repr, so its length does not grow with the stream:
+    ``asyncio.run`` reprs the main task, result included, when it
+    finishes.
     """
 
-    outcomes: tuple[ServeOutcome, ...]
+    outcomes: tuple[ServeOutcome, ...] = field(repr=False)
     n_submitted: int
     n_served: int
     n_denied: int
@@ -237,9 +243,13 @@ class ServeServer:
     # --- submission ---------------------------------------------------------
 
     async def submit(self, request) -> ServeOutcome | None:
-        """Admit one request; returns its shed outcome, or None if enqueued.
+        """Admit one request; returns its shed outcome, or None if admitted.
 
-        In shedding mode a full queue denies immediately with cause
+        When the tenant's consumer is running and its queue is empty,
+        the request is served inline (:meth:`_serve`): nothing of the
+        tenant's is pending, so per-tenant FIFO holds, and the body has
+        no await, so cancellation stays atomic. Otherwise it queues. In
+        shedding mode a full queue denies immediately with cause
         ``queue_full``; in backpressure mode this coroutine waits for
         space. Either way the producer yields to the event loop once, so
         free-running producers and consumers interleave fairly.
@@ -251,9 +261,9 @@ class ServeServer:
         _LIVE_SUBMITTED.inc()
         # Request root: one trace per request, id derived from the
         # request identity so serial and sharded replays agree. The
-        # handle travels with the queue item (cross-coroutine — the root
-        # covers submit -> outcome, spanning queue residency), collects
-        # the simulator's flight detail and is closed by _record.
+        # handle travels with the request (cross-coroutine when queued —
+        # the root covers submit -> outcome, spanning queue residency),
+        # collects the simulator's flight detail and is closed by _record.
         recorder = _events._ACTIVE
         handle = None
         if recorder is not None:
@@ -263,31 +273,24 @@ class ServeServer:
                 attrs={"tenant": request.tenant, "t_s": request.t_s},
             )
         queue = self._queue_for(request.tenant)
-        shed = None
-        if self.config.shed_on_full and queue.full():
+        if self._started and queue.empty():
+            self._serve(request, time.perf_counter(), handle)
+        elif self.config.shed_on_full and queue.full():
             shed = ServeOutcome(
-                request_id=request.request_id,
-                source=request.source,
-                destination=request.destination,
-                t_s=request.t_s,
-                tenant=request.tenant,
-                served=False,
-                path=(),
-                path_eta=0.0,
-                fidelity=float("nan"),
-                cause=DenialCause.QUEUE_FULL.value,
+                request.source, request.destination, request.t_s, False, (), 0.0,
+                float("nan"), _QUEUE_FULL, request_id=request.request_id, tenant=request.tenant,
             )
             self._record(shed, latency=None, handle=handle)
             await asyncio.sleep(0)
             return shed
-        await queue.put((request, time.perf_counter(), handle))
-        depth = queue.qsize()
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
+        else:
+            await queue.put((request, time.perf_counter(), handle))
+            self.max_queue_depth = max(self.max_queue_depth, queue.qsize())
         if self.n_submitted & 15 == 0:
             # Depth changes on every put/get; sampling every 16th submit
             # keeps the gauges honest without paying two gauge writes
             # per request. The exact peak stays in max_queue_depth.
+            depth = queue.qsize()
             _QUEUE_DEPTH.set(depth)
             _LIVE_QUEUE_DEPTH.set(depth)
         await asyncio.sleep(0)
@@ -301,38 +304,42 @@ class ServeServer:
             if item is _SENTINEL:
                 queue.task_done()
                 return
-            request, enqueued_at, handle = item
-            # Everything from here to the next await is atomic with
-            # respect to cancellation: a pulled request is always fully
-            # recorded, so abort() never half-counts one.
-            self.engine.advance_to(request.t_s)
-            if request.t_s != self.time_cursor_s:
-                # Grid-aligned streams revisit each time sample many
-                # times; updating the cursor gauges only on actual
-                # movement keeps them off the per-request hot path.
-                self.time_cursor_s = request.t_s
-                _TIME_CURSOR.set(request.t_s)
-                _LIVE_CURSOR.set(request.t_s)
+            self._serve(*item)
+            queue.task_done()
+
+    def _serve(self, request, enqueued_at: float, handle) -> None:
+        """Serve and record one admitted request: the consumer's body,
+        also run inline by :meth:`submit`.
+
+        It has no await, so it is atomic with respect to cancellation:
+        a pulled request is always fully recorded, and abort() never
+        half-counts one.
+        """
+        t_s = request.t_s
+        self.engine.advance_to(t_s)
+        if t_s != self.time_cursor_s:
+            # Grid-aligned streams revisit each time sample many times;
+            # the cursor and fault gauges change only when it moves.
+            self.time_cursor_s = t_s
             self.n_cursor_advances += 1
+            _TIME_CURSOR.set(t_s)
+            _LIVE_CURSOR.set(t_s)
             if self.faults is not None:
-                n_active = len(self.faults.active_events(request.t_s))
+                n_active = len(self.faults.active_events(t_s))
                 _FAULTS_ACTIVE.set(n_active)
                 _LIVE_FAULTS.set(n_active)
-            if handle is not None:
-                # Queue residency as a complete child span (its begin
-                # predates this coroutine regaining control), then the
-                # engine call scoped under the root so every nested
-                # obs.span parents into this trace — or is suppressed
-                # wholesale when the trace is unsampled.
-                handle.child_complete("queue", begin_us=int(enqueued_at * 1e6))
-                with handle.scope():
-                    outcome = self.engine.submit(request)
-            else:
+        if handle is not None:
+            # Queue residency as a complete child span (its begin
+            # predates this call when the request was queued), then the
+            # engine call scoped under the root so every nested obs.span
+            # parents into this trace — or is suppressed wholesale when
+            # the trace is unsampled.
+            handle.child_complete("queue", begin_us=int(enqueued_at * 1e6))
+            with handle.scope():
                 outcome = self.engine.submit(request)
-            self._record(
-                outcome, latency=time.perf_counter() - enqueued_at, handle=handle
-            )
-            queue.task_done()
+        else:
+            outcome = self.engine.submit(request)
+        self._record(outcome, latency=time.perf_counter() - enqueued_at, handle=handle)
 
     def _record(
         self,
@@ -346,7 +353,7 @@ class ServeServer:
             self.n_served += 1
             _SERVED.inc()
             _LIVE_SERVED.inc()
-        elif outcome.cause == DenialCause.QUEUE_FULL.value:
+        elif outcome.cause == _QUEUE_FULL:
             self.n_shed += 1
             _SHED.inc()
             _LIVE_SHED.inc()

@@ -93,7 +93,7 @@ class TestSpaceGroundAnalysis:
                     assert not outcome.served
                 else:
                     assert outcome.served
-                    assert outcome.path_transmissivity == pytest.approx(eta_fast, rel=1e-9)
+                    assert outcome.path_eta == pytest.approx(eta_fast, rel=1e-9)
 
 
 class TestAirGroundAnalysis:
@@ -144,7 +144,7 @@ class TestAirGroundAnalysis:
         analysis = self._analysis()
         (eta,) = analysis.serve([("ttu-0", "epb-3")], 0)
         outcome = hap_simulator.serve_request("ttu-0", "epb-3", 0.0)
-        assert outcome.path_transmissivity == pytest.approx(eta, rel=1e-9)
+        assert outcome.path_eta == pytest.approx(eta, rel=1e-9)
 
     def test_unknown_site(self):
         with pytest.raises(ValidationError):

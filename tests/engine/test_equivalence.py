@@ -2,7 +2,7 @@
 
 A 12-satellite day: the cached :class:`NetworkSimulator` must reproduce
 the direct scalar simulator's :class:`RequestOutcome` stream — ``served``,
-``path`` and ``time_s`` exactly, ``path_transmissivity`` and ``fidelity``
+``path`` and ``t_s`` exactly, ``path_eta`` and ``fidelity``
 to 1e-12 (the two paths differ only in einsum-vs-matmul rounding).
 """
 
@@ -29,16 +29,16 @@ TOL = 1e-12
 def assert_outcomes_equivalent(direct, cached):
     assert direct.source == cached.source
     assert direct.destination == cached.destination
-    assert direct.time_s == cached.time_s
+    assert direct.t_s == cached.t_s
     assert direct.served == cached.served
     assert direct.path == cached.path
     if direct.served:
-        assert cached.path_transmissivity == pytest.approx(
-            direct.path_transmissivity, abs=TOL
+        assert cached.path_eta == pytest.approx(
+            direct.path_eta, abs=TOL
         )
         assert cached.fidelity == pytest.approx(direct.fidelity, abs=TOL)
     else:
-        assert direct.path_transmissivity == cached.path_transmissivity == 0.0
+        assert direct.path_eta == cached.path_eta == 0.0
         assert math.isnan(direct.fidelity) and math.isnan(cached.fidelity)
 
 

@@ -44,15 +44,15 @@ def outcomes_equal(a: RequestOutcome, b: RequestOutcome) -> bool:
     Dataclass ``==`` is useless for denied outcomes: their fidelity is
     NaN and ``nan != nan``.
     """
-    if (a.source, a.destination, a.time_s, a.served, a.path) != (
+    if (a.source, a.destination, a.t_s, a.served, a.path) != (
         b.source,
         b.destination,
-        b.time_s,
+        b.t_s,
         b.served,
         b.path,
     ):
         return False
-    if a.path_transmissivity != b.path_transmissivity:
+    if a.path_eta != b.path_eta:
         return False
     if math.isnan(a.fidelity) and math.isnan(b.fidelity):
         return True

@@ -47,10 +47,10 @@ def test_cached_equals_direct_under_faults(small_ephemeris):
     cached = serve_all(make_sat_simulator(small_ephemeris, faults=plane, use_cache=True), small_ephemeris)
     assert len(direct) == len(cached)
     for a, b in zip(direct, cached):
-        assert (a.source, a.destination, a.time_s) == (b.source, b.destination, b.time_s)
+        assert (a.source, a.destination, a.t_s) == (b.source, b.destination, b.t_s)
         assert a.served == b.served
         assert a.path == b.path
-        assert a.path_transmissivity == pytest.approx(b.path_transmissivity, rel=1e-12, abs=0.0)
+        assert a.path_eta == pytest.approx(b.path_eta, rel=1e-12, abs=0.0)
         if math.isnan(a.fidelity):
             assert math.isnan(b.fidelity)
         else:
@@ -81,6 +81,6 @@ def test_killed_relay_never_appears_in_faulted_paths(small_ephemeris):
     faulted = serve_all(make_sat_simulator(small_ephemeris, faults=MIXED.compile()), small_ephemeris)
     for o in faulted:
         assert "sat-004" not in o.path
-        if o.time_s < 1800.0 and o.served:
+        if o.t_s < 1800.0 and o.served:
             assert ("ttu-3", "sat-001") not in zip(o.path, o.path[1:])
             assert ("sat-001", "ttu-3") not in zip(o.path, o.path[1:])

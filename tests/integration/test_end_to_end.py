@@ -89,7 +89,7 @@ class TestObjectLevelAgainstVectorized:
                 outcome = simulator.serve_request(src, dst, t_s)
                 assert outcome.served == (eta is not None)
                 if eta is not None:
-                    assert outcome.path_transmissivity == pytest.approx(eta, rel=1e-9)
+                    assert outcome.path_eta == pytest.approx(eta, rel=1e-9)
 
 
 class TestMovementSheetWorkflow:

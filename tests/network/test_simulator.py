@@ -18,7 +18,7 @@ class TestHapService:
         assert out.path[0] == "ttu-0"
         assert out.path[-1] == "epb-3"
         assert "hap-0" in out.path
-        assert 0.9 < out.path_transmissivity < 1.0
+        assert 0.9 < out.path_eta < 1.0
 
     def test_fidelity_near_paper_value(self, hap_simulator):
         outs = [
@@ -36,7 +36,7 @@ class TestHapService:
 
     def test_fidelity_matches_closed_form(self, hap_simulator):
         out = hap_simulator.serve_request("ttu-0", "ornl-3", 0.0)
-        expected = float(entanglement_fidelity_from_transmissivity(out.path_transmissivity))
+        expected = float(entanglement_fidelity_from_transmissivity(out.path_eta))
         assert out.fidelity == pytest.approx(expected)
 
     def test_track_states_agrees_with_closed_form(self, hap_simulator):
@@ -74,7 +74,7 @@ class TestHapService:
 @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
 def test_non_finite_request_time_rejected(kind, t_s, small_ephemeris):
     # A NaN time used to be served at the last grid sample with
-    # time_s=nan; both engines must refuse it at entry instead.
+    # t_s=nan; both engines must refuse it at entry instead.
     simulator = build_engine(kind, small_ephemeris).simulator
     with pytest.raises(ValidationError):
         simulator.serve_request("ttu-0", "ornl-0", t_s)
@@ -95,7 +95,7 @@ class TestSatelliteService:
         assert unserved, "expected at least one uncovered instant"
         out = unserved[0]
         assert out.path == ()
-        assert out.path_transmissivity == 0.0
+        assert out.path_eta == 0.0
         assert math.isnan(out.fidelity)
 
     def test_served_requests_route_through_a_satellite(self, sat_simulator_small):

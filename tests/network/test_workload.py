@@ -38,7 +38,7 @@ class TestPoissonWorkloadHap:
         a = run_poisson_workload(hap_simulator, rate_hz=0.05, duration_s=600.0, seed=9)
         b = run_poisson_workload(hap_simulator, rate_hz=0.05, duration_s=600.0, seed=9)
         assert [o.path for o in a.outcomes] == [o.path for o in b.outcomes]
-        assert [o.time_s for o in a.outcomes] == [o.time_s for o in b.outcomes]
+        assert [o.t_s for o in a.outcomes] == [o.t_s for o in b.outcomes]
 
     def test_endpoints_cross_lans(self, hap_simulator):
         report = run_poisson_workload(
@@ -56,7 +56,7 @@ class TestPoissonWorkloadHap:
         report = run_poisson_workload(
             hap_simulator, rate_hz=0.05, duration_s=900.0, seed=6
         )
-        times = [o.time_s for o in report.outcomes]
+        times = [o.t_s for o in report.outcomes]
         assert times == sorted(times)
         assert all(0.0 < t < 900.0 for t in times)
 
@@ -132,7 +132,7 @@ class TestLegacyRegression:
         )
         assert new.n_requests == old.n_requests
         for a, b in zip(new.outcomes, old.outcomes):
-            assert a.time_s == b.time_s
+            assert a.t_s == b.t_s
             assert (a.source, a.destination) == (b.source, b.destination)
             assert a.served == b.served
             assert a.path == b.path
@@ -148,7 +148,7 @@ class TestLegacyRegression:
         old = _legacy_poisson_workload(
             hap_simulator, rate_hz=0.05, duration_s=900.0, seed=seed
         )
-        assert [r.t_s for r in stream] == [o.time_s for o in old.outcomes]
+        assert [r.t_s for r in stream] == [o.t_s for o in old.outcomes]
         assert [r.endpoints for r in stream] == [
             (o.source, o.destination) for o in old.outcomes
         ]

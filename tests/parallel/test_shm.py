@@ -5,17 +5,23 @@ The invariants pinned here back the zero-copy dispatch plane:
 * publish -> attach round-trips are byte-exact, read-only, zero-copy;
 * the parent-side :class:`ShmArena` owns segment lifetime — close
   unlinks everything, is idempotent, and runs on context exit even when
-  the body raises; worker-side attachments never unlink;
+  the body raises; worker-side attachments never unlink, and a view
+  kept past its attachment's close stays readable;
 * a pooled ``serve_stream_sharded`` run (ephemeris over shared memory)
   returns results identical to the serial in-process run, for any
   worker count, and leaves no segment behind.
 """
 
 import glob
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.requests import generate_requests
 from repro.errors import ValidationError
 from repro.parallel.shm import (
@@ -87,6 +93,36 @@ class TestArenaLifecycle:
             # the segment must still be attachable: only the arena unlinks
             with ShmAttachment() as again:
                 assert again.attach(spec).shape == (16,)
+
+    def test_view_readable_after_attachment_close(self):
+        # Run in a child process: reading an unmapped view is a SIGSEGV,
+        # which must fail this test instead of killing the suite.
+        script = """
+import numpy as np
+from repro.parallel.shm import ShmArena, ShmAttachment
+
+data = np.arange(4096, dtype=float)
+with ShmArena() as arena:
+    spec = arena.publish(data)
+    with ShmAttachment() as attachment:
+        view = attachment.attach(spec)
+        head = view[:8]
+    del view
+    assert head.tolist() == data[:8].tolist()
+    print(float(head.sum()))
+"""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == "28.0"
 
 
 class TestHandles:

@@ -78,7 +78,7 @@ def test_simulator_batch_is_the_raw_sweep(kind, small_ephemeris, aligned_stream)
     for outcome, raw in zip(batched, raws):
         assert outcome.served == raw.served
         assert outcome.path == raw.path
-        assert outcome.path_eta == raw.path_transmissivity
+        assert outcome.path_eta == raw.path_eta
         assert outcome.fidelity == raw.fidelity or (
             np.isnan(outcome.fidelity) and np.isnan(raw.fidelity)
         )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ValidationError
 
 
 class TestParser:
@@ -71,9 +70,22 @@ class TestSweepCommands:
         assert (tmp_path / "fig7_served_requests_vs_satellites.csv").exists()
         assert (tmp_path / "fig8_fidelity_vs_satellites.csv").exists()
 
-    def test_sweep_rejects_negative_workers(self):
-        with pytest.raises(ValidationError, match="n_workers"):
-            main(["sweep", "--sizes", "6", "--step", "600", "--workers", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "coverage"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sizes", "6", "--workers", "-3"], "n_workers"),
+            (["--sizes", "12", "6"], "ascending"),
+        ],
+        ids=["negative-workers", "descending-sizes"],
+    )
+    def test_bad_input_exits_two_without_traceback(self, command, args, message, capsys):
+        assert main([command, "--step", "600", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCompareCommand:
