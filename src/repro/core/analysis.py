@@ -27,7 +27,7 @@ from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import elevation_and_range
+from repro.orbits.visibility import elevation_and_slant_range
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,6 +91,8 @@ class SpaceGroundAnalysis:
             platform_altitude_km=platform_altitude_km,
             faults=faults,
         )
+        self._site_rows = {s.name: i for i, s in enumerate(self.sites)}
+        self._column_memo: tuple[int, np.ndarray, np.ndarray] | None = None
 
     @property
     def table(self) -> LinkBudgetTable:
@@ -190,6 +192,15 @@ class SpaceGroundAnalysis:
 
     # --- routing-equivalent request service -----------------------------------------------
 
+    def _prefix(self, n_satellites: int | None) -> int | None:
+        """Validated constellation-prefix size (None = every satellite)."""
+        n_max = self.ephemeris.n_platforms
+        if n_satellites is not None and not 0 <= n_satellites <= n_max:
+            raise ValidationError(
+                f"n_satellites must be in [0, {n_max}], got {n_satellites}"
+            )
+        return n_satellites
+
     def best_relay(
         self,
         src_name: str,
@@ -208,14 +219,16 @@ class SpaceGroundAnalysis:
         Args:
             n_satellites: restrict to the first n satellites of the
                 ephemeris (constellation-prefix sweeps); None = all.
+                Outside ``[0, n_platforms]`` raises
+                :class:`~repro.errors.ValidationError`.
 
         Returns:
             ``(satellite_index, path_transmissivity)`` or ``None`` when no
             satellite qualifies.
         """
+        n = self._prefix(n_satellites)
         bs = self.budget(src_name)
         bd = self.budget(dst_name)
-        n = bs.usable.shape[0] if n_satellites is None else n_satellites
         ok = bs.usable[:n, time_index] & bd.usable[:n, time_index]
         if not np.any(ok):
             return None
@@ -225,6 +238,28 @@ class SpaceGroundAnalysis:
         best = int(np.argmin(cost))
         return best, float(eta_s[best] * eta_d[best])
 
+    def _columns(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every site's ``(usable, transmissivity)`` at one sample time.
+
+        Two ``(n_sites, n_sats)`` stacks, rows in :attr:`sites` order. The
+        last index is memoized: a prefix sweep serves each sample once
+        per constellation size.
+        """
+        memo = self._column_memo
+        if memo is not None and memo[0] == time_index:
+            return memo[1], memo[2]
+        budgets = [self._table.budget(s.name) for s in self.sites]
+        usable = np.stack([b.usable[:, time_index] for b in budgets])
+        eta = np.stack([b.transmissivity[:, time_index] for b in budgets])
+        self._column_memo = (time_index, usable, eta)
+        return usable, eta
+
+    def _row(self, site_name: str) -> int:
+        try:
+            return self._site_rows[site_name]
+        except KeyError:
+            raise ValidationError(f"unknown site {site_name!r}") from None
+
     def serve(
         self,
         requests: list[tuple[str, str]],
@@ -233,14 +268,29 @@ class SpaceGroundAnalysis:
         *,
         n_satellites: int | None = None,
     ) -> list[float | None]:
-        """Path transmissivity per request at a sample time (None = unserved)."""
-        out: list[float | None] = []
-        for src, dst in requests:
-            hit = self.best_relay(
-                src, dst, time_index, epsilon, n_satellites=n_satellites
-            )
-            out.append(None if hit is None else hit[1])
-        return out
+        """Path transmissivity per request at a sample time (None = unserved).
+
+        :meth:`best_relay` for the whole batch in one pass: one
+        (request × satellite) cost matrix, its first-minimum ``argmin``
+        per row, the same floats.
+        """
+        n = self._prefix(n_satellites)
+        src_rows = [self._row(src) for src, _ in requests]
+        dst_rows = [self._row(dst) for _, dst in requests]
+        if not requests:
+            return []
+        usable, eta = self._columns(time_index)
+        usable, eta = usable[:, :n], eta[:, :n]
+        if usable.shape[1] == 0:  # argmin needs a satellite to look at
+            return [None] * len(requests)
+        ok = usable[src_rows] & usable[dst_rows]
+        eta_s = eta[src_rows]
+        eta_d = eta[dst_rows]
+        cost = np.where(ok, 1.0 / (eta_s + epsilon) + 1.0 / (eta_d + epsilon), np.inf)
+        best = cost.argmin(axis=1)
+        rows = np.arange(len(requests))
+        path_eta = (eta_s[rows, best] * eta_d[rows, best]).tolist()
+        return [e if hit else None for e, hit in zip(path_eta, ok.any(axis=1).tolist())]
 
     def request_detail(
         self,
@@ -268,7 +318,7 @@ class SpaceGroundAnalysis:
 
         bs = self.budget(src_name)
         bd = self.budget(dst_name)
-        n = bs.usable.shape[0] if n_satellites is None else n_satellites
+        n = bs.usable.shape[0] if n_satellites is None else self._prefix(n_satellites)
         el_s = bs.elevation_rad[:n, time_index]
         el_d = bd.elevation_rad[:n, time_index]
         eta_s = bs.transmissivity[:n, time_index]
@@ -426,7 +476,7 @@ class AirGroundAnalysis:
                 math.radians(self.hap_lon_deg),
                 self.hap_alt_km,
             )
-            _, el, rng = elevation_and_range(
+            el, rng = elevation_and_slant_range(
                 site.lat_rad, site.lon_rad, site.alt_km, hap_pos[None, :]
             )
             self._geometry[site_name] = (float(el[0]), float(rng[0]))

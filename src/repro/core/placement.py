@@ -21,7 +21,7 @@ from repro.data.ground_nodes import GroundNode, all_ground_nodes
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.frames import geodetic_to_ecef
-from repro.orbits.visibility import elevation_and_range
+from repro.orbits.visibility import elevation_and_slant_range
 
 __all__ = [
     "hap_site_transmissivities",
@@ -44,7 +44,7 @@ def hap_site_transmissivities(
     )
     etas = np.empty(len(sites))
     for i, site in enumerate(sites):
-        _, el, rng = elevation_and_range(
+        el, rng = elevation_and_slant_range(
             site.lat_rad, site.lon_rad, site.alt_km, hap_pos[None, :]
         )
         el_f, rng_f = float(el[0]), float(rng[0])

@@ -247,6 +247,10 @@ def run_constellation_sweep(
         raise ValidationError("sweep needs at least one constellation size")
     if sorted(sweep_sizes) != sweep_sizes:
         raise ValidationError("sweep sizes must be ascending (prefix property)")
+    if sweep_sizes[0] < 1:
+        raise ValidationError(
+            f"sweep sizes must be >= 1 satellite, got {sweep_sizes[0]}"
+        )
     if n_workers < 0:  # run_shards checks too, but only after propagation
         raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
     max_size = sweep_sizes[-1]
@@ -361,23 +365,22 @@ def run_constellation_sweep(
             n_satellites=n,
             horizon_s=duration_s,
         )
-        fidelities: list[float] = []
+        served_etas: list[float] = []
         served_per_step: list[float] = []
         for t_idx in range(n_steps):
             etas = etas_per_t[t_idx][size_idx]
             served = [e for e in etas if e is not None]
             served_per_step.append(len(served) / len(requests))
-            fidelities.extend(
-                float(
-                    entanglement_fidelity_from_transmissivity(
-                        e, convention=fidelity_convention
-                    )
-                )
-                for e in served
-            )
+            served_etas.extend(served)
             if n == max_size:
                 _SERVED.inc(len(served))
                 _DENIED.inc(len(etas) - len(served))
+        # One array call per size; the array branch is bit-equal to the
+        # scalar one.
+        fid = entanglement_fidelity_from_transmissivity(
+            np.array(served_etas, dtype=float), convention=fidelity_convention
+        )
+        fidelities = fid.tolist()
         if n == max_size:
             for f in fidelities:
                 _FIDELITY.observe(f)
@@ -385,7 +388,7 @@ def run_constellation_sweep(
             n_requests=len(requests),
             n_time_steps=n_steps,
             served_fraction=float(np.mean(served_per_step)),
-            mean_fidelity=float(np.mean(fidelities)) if fidelities else float("nan"),
+            mean_fidelity=float(fid.mean()) if fid.size else float("nan"),
             fidelities=tuple(fidelities),
             served_per_step=tuple(served_per_step),
         )

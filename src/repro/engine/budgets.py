@@ -20,7 +20,7 @@ from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import elevation_and_range
+from repro.orbits.visibility import elevation_and_slant_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.store import ArtifactStore
@@ -123,7 +123,7 @@ def compute_site_budget(
     link is usable when it clears both policy constraints.
     """
     policy = policy or LinkPolicy()
-    _, el, rng = elevation_and_range(
+    el, rng = elevation_and_slant_range(
         site.lat_rad, site.lon_rad, site.alt_km, ephemeris.positions_ecef_km
     )
     eta, usable = fill_budget_block(

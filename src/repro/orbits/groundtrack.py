@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.orbits.ephemeris import Ephemeris
 from repro.orbits.frames import ecef_to_geodetic
-from repro.orbits.visibility import elevation_and_range
+from repro.orbits.visibility import elevation_and_slant_range
 
 __all__ = ["ground_track", "CoverageGrid", "coverage_grid", "render_ascii_map"]
 
@@ -80,7 +80,7 @@ def coverage_grid(
     fraction = np.empty((lats.size, lons.size))
     for i, lat in enumerate(lats):
         for j, lon in enumerate(lons):
-            _, el, _ = elevation_and_range(
+            el, _ = elevation_and_slant_range(
                 np.radians(lat), np.radians(lon), 0.0, ephemeris.positions_ecef_km
             )
             fraction[i, j] = float((el >= min_elevation_rad).any(axis=0).mean())

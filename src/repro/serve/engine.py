@@ -110,6 +110,12 @@ class SimulatorServeEngine:
         #: Engine kind: "cached" (production) or "direct" (oracle).
         self.name = "cached" if simulator.use_cache else "direct"
         self._cursor_s: float | None = None
+        #: Time whose link and fault state the cursor's requests are
+        #: served from: the grid sample at or before the cursor for
+        #: ``cached``, the cursor itself for ``direct`` (which applies
+        #: faults at the arrival time); ``None`` before the first
+        #: :meth:`advance_to`.
+        self.sample_s: float | None = None
 
     @property
     def window(self) -> int | None:
@@ -148,7 +154,10 @@ class SimulatorServeEngine:
         self._cursor_s = t_s
         _LIVE_ENGINE_CURSOR.set(t_s)
         if self.simulator.use_cache:
-            self.simulator.linkstate.advance_index(t_s)
+            ls = self.simulator.linkstate
+            self.sample_s = ls._times_list[ls.advance_index(t_s)]
+        else:
+            self.sample_s = t_s
 
     def submit(self, request: "TimedRequest") -> ServeOutcome:
         """Serve one request at its arrival time.

@@ -179,9 +179,10 @@ class ServeServer:
         config: admission-control knobs.
         faults: optional compiled
             :class:`~repro.faults.plane.FaultPlane`; consumers report
-            ``len(active_events(t))`` on the fault-pressure gauge as the
-            cursor advances (the engine already *applies* the plane —
-            this is observability only).
+            ``len(active_events(t))`` on the fault-pressure gauge, ``t``
+            the grid sample the engine serves from, once per sample
+            (the engine already *applies* the plane — this is
+            observability only).
 
     Consumers start on :meth:`start` (or the :meth:`run` convenience).
     Requests submitted before ``start`` still queue — and shed
@@ -207,8 +208,11 @@ class ServeServer:
         self.n_cancelled = 0
         self.cause_counts: dict[str, int] = {}
         self.max_queue_depth = 0
+        #: Grid time the engine serves the latest request from.
         self.time_cursor_s: float | None = None
+        #: Moves of ``time_cursor_s`` — once per grid sample reached.
         self.n_cursor_advances = 0
+        self._arrival_s: float | None = None
         self._latencies: list[float] = []
         self._queues: dict[str, asyncio.Queue] = {}
         self._consumers: dict[str, asyncio.Task] = {}
@@ -317,17 +321,22 @@ class ServeServer:
         """
         t_s = request.t_s
         self.engine.advance_to(t_s)
-        if t_s != self.time_cursor_s:
-            # Grid-aligned streams revisit each time sample many times;
-            # the cursor and fault gauges change only when it moves.
-            self.time_cursor_s = t_s
-            self.n_cursor_advances += 1
-            _TIME_CURSOR.set(t_s)
-            _LIVE_CURSOR.set(t_s)
-            if self.faults is not None:
-                n_active = len(self.faults.active_events(t_s))
-                _FAULTS_ACTIVE.set(n_active)
-                _LIVE_FAULTS.set(n_active)
+        if t_s != self._arrival_s:
+            # The cursor and fault gauges key on the grid sample the
+            # engine serves from, so they move once per sample whether
+            # or not arrivals fall on the grid; a repeated arrival time
+            # (a grid-aligned stream) skips even the sample lookup.
+            self._arrival_s = t_s
+            sample_s = self.engine.sample_s
+            if sample_s != self.time_cursor_s:
+                self.time_cursor_s = sample_s
+                self.n_cursor_advances += 1
+                _TIME_CURSOR.set(sample_s)
+                _LIVE_CURSOR.set(sample_s)
+                if self.faults is not None:
+                    n_active = len(self.faults.active_events(sample_s))
+                    _FAULTS_ACTIVE.set(n_active)
+                    _LIVE_FAULTS.set(n_active)
         if handle is not None:
             # Queue residency as a complete child span (its begin
             # predates this call when the request was queued), then the

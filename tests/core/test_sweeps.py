@@ -104,6 +104,11 @@ class TestRunConstellationSweep:
         with pytest.raises(ValidationError):
             run_constellation_sweep(sizes=[36], ephemeris=small_ephemeris)
 
+    @pytest.mark.parametrize("sizes", [[0, 6], [-6, 6], [0]])
+    def test_rejects_sizes_below_one(self, sizes):
+        with pytest.raises(ValidationError, match=">= 1"):
+            run_constellation_sweep(sizes=sizes, duration_s=3600.0)
+
     def test_rejects_negative_workers(self, day_eph):
         with pytest.raises(ValidationError, match="n_workers"):
             run_constellation_sweep(sizes=[6], ephemeris=day_eph, n_workers=-3)

@@ -48,6 +48,47 @@ class TestElevationAndRange:
             assert rng[visible].max() < 1300.0
 
 
+class TestAzimuthFreeGeometry:
+    """Callers that drop the azimuth get :func:`elevation_and_range`'s floats."""
+
+    def test_site_budget_geometry_bit_equal(self, small_ephemeris, sites):
+        from repro.channels.presets import paper_satellite_fso
+        from repro.engine.budgets import compute_site_budget
+
+        for site in sites[::5]:
+            budget = compute_site_budget(site, small_ephemeris, paper_satellite_fso())
+            _, el, rng = elevation_and_range(
+                site.lat_rad, site.lon_rad, site.alt_km, small_ephemeris.positions_ecef_km
+            )
+            np.testing.assert_array_equal(budget.elevation_rad, el)
+            np.testing.assert_array_equal(budget.slant_range_km, rng)
+
+    def test_hap_site_geometry_bit_equal(self, sites):
+        from repro.channels.presets import paper_hap_fso
+        from repro.constants import (
+            QNTN_HAP_ALTITUDE_KM,
+            QNTN_HAP_LAT_DEG,
+            QNTN_HAP_LON_DEG,
+        )
+        from repro.core.analysis import AirGroundAnalysis
+
+        analysis = AirGroundAnalysis(
+            sites,
+            paper_hap_fso(),
+            hap_lat_deg=QNTN_HAP_LAT_DEG,
+            hap_lon_deg=QNTN_HAP_LON_DEG,
+            hap_alt_km=QNTN_HAP_ALTITUDE_KM,
+        )
+        hap = geodetic_to_ecef(
+            math.radians(QNTN_HAP_LAT_DEG),
+            math.radians(QNTN_HAP_LON_DEG),
+            QNTN_HAP_ALTITUDE_KM,
+        )
+        for site in sites:
+            _, el, rng = elevation_and_range(site.lat_rad, site.lon_rad, site.alt_km, hap[None, :])
+            assert analysis.site_geometry(site.name) == (float(el[0]), float(rng[0]))
+
+
 class TestVisibilityMask:
     def test_threshold(self):
         el = np.array([0.1, 0.5, 0.34])

@@ -180,3 +180,54 @@ class TestMetrics:
         latency = registry.histogram("serve.latency_s")
         assert latency.count == report.n_served + report.n_denied
         assert latency.quantile(0.5) <= latency.quantile(0.99)
+
+
+class _CountingPlane:
+    """Fault-plane stand-in counting the server's ``active_events`` scans."""
+
+    is_noop = False
+
+    def __init__(self, plane) -> None:
+        self.plane = plane
+        self.times: list[float] = []
+
+    def active_events(self, t_s):
+        self.times.append(t_s)
+        return self.plane.active_events(t_s)
+
+
+class TestCursor:
+    """Cursor and fault gauges key on the grid sample the engine serves."""
+
+    @pytest.fixture(scope="class")
+    def off_grid_stream(self, lans):
+        from repro.network.workload import poisson_request_stream
+
+        # ~0.2 Hz over the 60 s grid: several arrivals per sample, none
+        # of them on it.
+        return poisson_request_stream(lans, rate_hz=0.2, duration_s=1800.0, seed=3)
+
+    @pytest.mark.asyncio
+    async def test_off_grid_stream_advances_once_per_sample(
+        self, small_ephemeris, off_grid_stream, mixed_schedule
+    ):
+        times = small_ephemeris.times_s
+        assert not set(r.t_s for r in off_grid_stream) & set(times.tolist())
+        held = [float(times[small_ephemeris.sample_index(r.t_s)]) for r in off_grid_stream]
+        samples = sorted(set(held))
+        assert len(samples) < len(off_grid_stream) // 5
+        plane = _CountingPlane(mixed_schedule.compile())
+        server = ServeServer(build_engine("cached", small_ephemeris), faults=plane)
+        await server.run(off_grid_stream)
+        assert server.n_cursor_advances == len(samples)
+        assert plane.times == samples
+        assert server.time_cursor_s == held[-1]
+
+    @pytest.mark.asyncio
+    async def test_aligned_stream_advances_once_per_sample(
+        self, small_ephemeris, aligned_stream
+    ):
+        server = ServeServer(build_engine("cached", small_ephemeris))
+        await server.run(aligned_stream)
+        assert server.n_cursor_advances == len({r.t_s for r in aligned_stream})
+        assert server.time_cursor_s == aligned_stream[-1].t_s

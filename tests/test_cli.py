@@ -76,8 +76,9 @@ class TestSweepCommands:
         [
             (["--sizes", "6", "--workers", "-3"], "n_workers"),
             (["--sizes", "12", "6"], "ascending"),
+            (["--sizes", "0", "6"], ">= 1"),
         ],
-        ids=["negative-workers", "descending-sizes"],
+        ids=["negative-workers", "descending-sizes", "zero-size"],
     )
     def test_bad_input_exits_two_without_traceback(self, command, args, message, capsys):
         assert main([command, "--step", "600", *args]) == 2
