@@ -18,6 +18,7 @@ from repro.channels.fso import FSOChannelModel
 from repro.channels.presets import paper_satellite_fso
 from repro.core.analysis import SpaceGroundAnalysis
 from repro.data.ground_nodes import GroundNode, all_ground_nodes
+from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris, generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
@@ -30,6 +31,7 @@ __all__ = [
     "CoverageResult",
     "coverage_from_mask",
     "outage_intervals",
+    "check_sweep_sizes",
     "constellation_coverage_sweep",
 ]
 
@@ -82,6 +84,20 @@ def outage_intervals(
     return tuple(intervals_from_mask(np.asarray(times_s, dtype=float), inverted))
 
 
+def check_sweep_sizes(sizes: Sequence[int]) -> None:
+    """Reject constellation-prefix sizes a sweep cannot read.
+
+    Sizes index the cumulative prefix analysis (``cumulative[n - 1]``),
+    so they must ascend and start at one satellite or more: a size of 0
+    would read the full constellation through ``cumulative[-1]``.
+    """
+    sizes = list(sizes)
+    if sorted(sizes) != sizes:
+        raise ValidationError("sweep sizes must be ascending (prefix property)")
+    if sizes and sizes[0] < 1:
+        raise ValidationError(f"sweep sizes must be >= 1 satellite, got {sizes[0]}")
+
+
 def constellation_coverage_sweep(
     n_satellites_list: Sequence[int],
     *,
@@ -101,7 +117,8 @@ def constellation_coverage_sweep(
     deployment order (Table II).
 
     Args:
-        n_satellites_list: constellation sizes, e.g. ``range(6, 109, 6)``.
+        n_satellites_list: constellation sizes, e.g. ``range(6, 109, 6)``;
+            ascending and >= 1 (:func:`check_sweep_sizes`).
         sites: ground nodes; defaults to Table I.
         fso_model: defaults to the calibrated paper preset.
         policy: defaults to the paper thresholds.
@@ -120,6 +137,7 @@ def constellation_coverage_sweep(
             :func:`~repro.engine.store.default_store`.
     """
     sizes = list(n_satellites_list)
+    check_sweep_sizes(sizes)
     if not sizes:
         return []
     site_list = sites if sites is not None else list(all_ground_nodes())

@@ -7,6 +7,7 @@ served percentage and the average fidelity over resolved requests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,28 @@ class ServiceResult:
     def served_percentage(self) -> float:
         """Served requests [%], the quantity in Fig. 7."""
         return 100.0 * self.served_fraction
+
+    def _key(self) -> tuple:
+        # NaN (nothing served) compares equal to NaN, so two results that
+        # served nothing are equal; every other field compares as usual.
+        fidelity = None if math.isnan(self.mean_fidelity) else self.mean_fidelity
+        return (
+            self.n_requests,
+            self.n_time_steps,
+            self.served_fraction,
+            fidelity,
+            self.fidelities,
+            self.served_per_step,
+            self.queue_drops,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServiceResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def evaluation_time_indices(n_samples: int, n_time_steps: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from repro import obs
 from repro.channels.fso import FSOChannelModel
 from repro.channels.presets import paper_satellite_fso
 from repro.core.analysis import SpaceGroundAnalysis
-from repro.core.coverage import CoverageResult, coverage_from_mask
+from repro.core.coverage import CoverageResult, check_sweep_sizes, coverage_from_mask
 from repro.core.evaluation import ServiceResult, evaluation_time_indices
 from repro.core.requests import Request, generate_requests
 from repro.data.ground_nodes import GroundNode, all_ground_nodes
@@ -245,12 +245,7 @@ def run_constellation_sweep(
     sweep_sizes = sizes if sizes is not None else list(range(6, 109, 6))
     if not sweep_sizes:
         raise ValidationError("sweep needs at least one constellation size")
-    if sorted(sweep_sizes) != sweep_sizes:
-        raise ValidationError("sweep sizes must be ascending (prefix property)")
-    if sweep_sizes[0] < 1:
-        raise ValidationError(
-            f"sweep sizes must be >= 1 satellite, got {sweep_sizes[0]}"
-        )
+    check_sweep_sizes(sweep_sizes)
     if n_workers < 0:  # run_shards checks too, but only after propagation
         raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
     max_size = sweep_sizes[-1]

@@ -20,7 +20,7 @@ from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import elevation_and_slant_range
+from repro.orbits.visibility import elevation_and_slant_range_above_horizon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.store import ArtifactStore
@@ -40,8 +40,11 @@ class SiteLinkBudget:
 
     Attributes:
         site: the ground node.
-        elevation_rad: shape ``(n_sats, n_times)``.
-        slant_range_km: shape ``(n_sats, n_times)``.
+        elevation_rad: shape ``(n_sats, n_times)``; ``-pi/2`` where the
+            platform cannot be above the horizon (the cull's sentinel).
+        slant_range_km: shape ``(n_sats, n_times)``; ``+inf`` where the
+            elevation is the sentinel, so ``np.isfinite`` marks the
+            computed points.
         transmissivity: shape ``(n_sats, n_times)``; zero where geometry
             forbids a link (platform below the horizon).
         usable: boolean mask of policy-admitted links.
@@ -120,10 +123,13 @@ def compute_site_budget(
 
     The transmissivity is evaluated only where the platform sits above
     the horizon (``elevation > 1e-3``); everywhere else eta is zero. A
-    link is usable when it clears both policy constraints.
+    link is usable when it clears both policy constraints. Geometry is
+    computed only where the platform can be above the horizon; culled
+    points carry the sentinels of
+    :func:`~repro.orbits.visibility.elevation_and_slant_range_above_horizon`.
     """
     policy = policy or LinkPolicy()
-    el, rng = elevation_and_slant_range(
+    el, rng = elevation_and_slant_range_above_horizon(
         site.lat_rad, site.lon_rad, site.alt_km, ephemeris.positions_ecef_km
     )
     eta, usable = fill_budget_block(

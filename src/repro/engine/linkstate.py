@@ -45,7 +45,7 @@ from repro.network.hap import HAP
 from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
-from repro.orbits.visibility import elevation_and_slant_range
+from repro.orbits.visibility import elevation_and_slant_range_above_horizon
 from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
@@ -352,7 +352,9 @@ class LinkStateCache:
         the horizon the link does not exist (eta 0), above it the full
         budget applies (``fill_budget_block`` with ``horizon_rad=0.0``).
         A ground-satellite channel has no HAP endpoint, so it carries no
-        duty mask.
+        duty mask. Geometry runs only where a satellite can be above the
+        horizon; culled samples gate as not visible, not elevated and
+        not admitted, as their dense sub-horizon values did.
         """
         # Function-level import: repro.engine.budgets pulls in the
         # repro.network package, which imports this module — at module
@@ -368,7 +370,7 @@ class LinkStateCache:
         positions = sat0.ephemeris.positions_ecef_km[rows]
         if samples is not None:
             positions = positions[:, samples]
-        el, rng = elevation_and_slant_range(
+        el, rng = elevation_and_slant_range_above_horizon(
             ground.lat_rad, ground.lon_rad, ground.alt_km, positions
         )
 

@@ -8,6 +8,7 @@ from repro.core.coverage import (
     constellation_coverage_sweep,
     coverage_from_mask,
 )
+from repro.errors import ValidationError
 from repro.utils.intervals import Interval
 
 
@@ -61,6 +62,15 @@ class TestCoverageSweep:
 
     def test_empty_sweep(self):
         assert constellation_coverage_sweep([]) == []
+
+    @pytest.mark.parametrize(
+        "sizes, match", [([0, 6], ">= 1"), ([-6, 6], ">= 1"), ([12, 6], "ascending")]
+    )
+    def test_rejects_sizes_the_sweep_rejects(self, sizes, match):
+        """A size 0 used to report the full constellation's coverage
+        (``cumulative[-1]``) and descending sizes were accepted."""
+        with pytest.raises(ValidationError, match=match):
+            constellation_coverage_sweep(sizes, duration_s=3600.0, step_s=60.0)
 
     def test_result_records_sizes(self, sites, day_ephemeris_36):
         def factory(n):

@@ -48,6 +48,28 @@ class TestEvaluationTimeIndices:
             assert np.unique(idx).size == idx.size
 
 
+class TestServiceResultEquality:
+    @staticmethod
+    def _nothing_served():
+        return ServiceResult(10, 2, 0.0, float("nan"), (), (0.0, 0.0))
+
+    def test_results_that_served_nothing_are_equal(self):
+        a, b = self._nothing_served(), self._nothing_served()
+        assert math.isnan(a.mean_fidelity)
+        assert a == b and hash(a) == hash(b)
+
+    def test_nan_differs_from_a_number(self):
+        served = ServiceResult(10, 2, 0.0, 0.5, (), (0.0, 0.0))
+        assert self._nothing_served() != served
+
+    def test_every_other_field_still_compared(self):
+        base = ServiceResult(10, 2, 0.5, 0.9, (0.9,), (0.5, 0.5))
+        assert base == ServiceResult(10, 2, 0.5, 0.9, (0.9,), (0.5, 0.5))
+        assert base != ServiceResult(10, 2, 0.5, 0.9, (0.9,), (0.5, 0.5), queue_drops=1)
+        assert base != ServiceResult(10, 2, 0.5, 0.9, (0.8,), (0.5, 0.5))
+        assert base != "not a result"
+
+
 class TestEvaluateRequestsSpace(object):
     def test_result_structure(self, sat_analysis_small, sites):
         requests = generate_requests(sites, 20, seed=1)

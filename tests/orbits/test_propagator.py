@@ -109,3 +109,59 @@ class TestJ2:
         base = TwoBodyPropagator(_single()).positions_eci(times)
         j2 = TwoBodyPropagator(_single(), include_j2=True).positions_eci(times)
         assert np.linalg.norm(base - j2) > 1.0  # km-scale displacement after 12 h
+
+
+class TestPhysicsOracles:
+    """Closed-form two-body and J2 physics, measured from propagated
+    positions alone (finite differences, node crossings)."""
+
+    MU = 398600.4418  # km^3/s^2, the propagator's default
+    J2 = 1.08262668e-3
+    R_REF_KM = 6371.0  # the J2 reference radius the model uses
+
+    def _orbit(self, e, inc, *, include_j2=False):
+        elements = _single(a=QNTN_SEMI_MAJOR_AXIS_KM + 300.0, e=e, inc=inc, argp=0.7)
+        return elements, TwoBodyPropagator(elements, mu=self.MU, include_j2=include_j2)
+
+    @pytest.mark.parametrize("e", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("inc", [0.1, 0.9, 2.5])
+    def test_two_body_conserves_energy_and_angular_momentum(self, e, inc):
+        elements, prop = self._orbit(e, inc)
+        a = float(elements.a[0])
+        t = np.linspace(0.0, float(orbital_period(a)), 400)
+        h = 0.1
+        r = prop.positions_eci(t)[0]
+        v = (prop.positions_eci(t + h)[0] - prop.positions_eci(t - h)[0]) / (2.0 * h)
+
+        energy = 0.5 * np.sum(v * v, axis=1) - self.MU / np.linalg.norm(r, axis=1)
+        np.testing.assert_allclose(energy, -self.MU / (2.0 * a), rtol=1e-7)
+
+        momentum = np.cross(r, v)
+        expected = np.sqrt(self.MU * a * (1.0 - e**2))
+        np.testing.assert_allclose(np.linalg.norm(momentum, axis=1), expected, rtol=1e-7)
+        normal = momentum / np.linalg.norm(momentum, axis=1)[:, None]
+        np.testing.assert_allclose(normal, np.broadcast_to(normal[0], normal.shape), atol=1e-9)
+        assert normal[0][2] == pytest.approx(np.cos(inc), abs=1e-9)
+
+    @pytest.mark.parametrize("e", [0.0, 0.01])
+    @pytest.mark.parametrize("inc_deg", [30.0, 53.0, 97.4, 140.0])
+    def test_j2_raan_rate_matches_closed_form(self, e, inc_deg):
+        """The ascending node's longitude drifts at -1.5 n J2 (R/p)^2 cos i."""
+        inc = np.radians(inc_deg)
+        elements, prop = self._orbit(e, inc, include_j2=True)
+        step = 5.0
+        t = np.arange(0.0, 2.0 * 86400.0, step)
+        r = prop.positions_eci(t)[0]
+        z = r[:, 2]
+        k = np.flatnonzero((z[:-1] < 0.0) & (z[1:] >= 0.0))  # ascending crossings
+        frac = -z[k] / (z[k + 1] - z[k])
+        node = r[k] + frac[:, None] * (r[k + 1] - r[k])
+        raan = np.unwrap(np.arctan2(node[:, 1], node[:, 0]))
+        rate = np.polyfit(t[k] + frac * step, raan, 1)[0]
+
+        a = float(elements.a[0])
+        n = np.sqrt(self.MU / a**3)
+        p = a * (1.0 - e**2)
+        expected = -1.5 * n * self.J2 * (self.R_REF_KM / p) ** 2 * np.cos(inc)
+        assert len(k) > 25
+        assert rate == pytest.approx(expected, rel=1e-8)

@@ -4,18 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import EARTH_RADIUS_KM, QNTN_MIN_ELEVATION_RAD
 from repro.errors import ValidationError
-from repro.orbits.frames import geodetic_to_ecef
+from repro.orbits.frames import ecef_to_enu_matrix, geodetic_to_ecef
+from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.visibility import (
+    CULLED_ELEVATION_RAD,
     AccessWindow,
     access_windows,
     elevation_and_range,
     elevation_and_range_scalar,
+    elevation_and_slant_range,
+    elevation_and_slant_range_above_horizon,
     ground_coverage_radius_km,
     visibility_mask,
 )
+from repro.orbits.walker import walker_delta
 
 SITE = (math.radians(36.1757), math.radians(-85.5066), 0.3)
 
@@ -52,6 +59,8 @@ class TestAzimuthFreeGeometry:
     """Callers that drop the azimuth get :func:`elevation_and_range`'s floats."""
 
     def test_site_budget_geometry_bit_equal(self, small_ephemeris, sites):
+        """Computed points carry the dense kernel's floats; culled points
+        were at or below the horizon and carry the sentinels."""
         from repro.channels.presets import paper_satellite_fso
         from repro.engine.budgets import compute_site_budget
 
@@ -60,8 +69,14 @@ class TestAzimuthFreeGeometry:
             _, el, rng = elevation_and_range(
                 site.lat_rad, site.lon_rad, site.alt_km, small_ephemeris.positions_ecef_km
             )
-            np.testing.assert_array_equal(budget.elevation_rad, el)
-            np.testing.assert_array_equal(budget.slant_range_km, rng)
+            computed = np.isfinite(budget.slant_range_km)
+            assert computed.any() and not computed.all()
+            np.testing.assert_array_equal(budget.elevation_rad[computed], el[computed])
+            np.testing.assert_array_equal(budget.slant_range_km[computed], rng[computed])
+            assert np.all(el[~computed] <= 0.0)
+            assert np.all(budget.elevation_rad[~computed] == CULLED_ELEVATION_RAD)
+            assert np.all(budget.transmissivity[~computed] == 0.0)
+            assert not budget.usable[~computed].any()
 
     def test_hap_site_geometry_bit_equal(self, sites):
         from repro.channels.presets import paper_hap_fso
@@ -87,6 +102,92 @@ class TestAzimuthFreeGeometry:
         for site in sites:
             _, el, rng = elevation_and_range(site.lat_rad, site.lon_rad, site.alt_km, hap[None, :])
             assert analysis.site_geometry(site.name) == (float(el[0]), float(rng[0]))
+
+
+def _geodetic_site(lat_rad, max_alt_km=10.0):
+    return st.tuples(
+        lat_rad,
+        st.floats(-math.pi, math.pi),
+        st.floats(0.0, max_alt_km),
+    )
+
+
+_ANY_LAT = st.floats(-math.pi / 2, math.pi / 2)
+_HIGH_LAT = st.one_of(
+    st.floats(math.radians(60.0), math.pi / 2),
+    st.floats(-math.pi / 2, math.radians(-60.0)),
+)
+_SITE_SETS = st.one_of(
+    st.lists(_geodetic_site(_ANY_LAT), min_size=1, max_size=1),  # one site
+    st.lists(_geodetic_site(_ANY_LAT), min_size=2, max_size=5),  # spread sites
+    st.lists(_geodetic_site(_HIGH_LAT), min_size=1, max_size=3),  # high latitude
+    st.lists(_geodetic_site(_ANY_LAT, max_alt_km=40.0), min_size=1, max_size=3),  # high altitude
+)
+#: Platform altitudes [km] above the mean Earth radius: HAP and LEO.
+_PLATFORM_ALTITUDES = st.one_of(st.floats(15.0, 50.0), st.floats(300.0, 2000.0))
+
+
+@st.composite
+def _walker_positions(draw):
+    """ECEF positions ``(n_sats, n_times, 3)`` of a random Walker-Delta
+    constellation at a HAP or LEO radius."""
+    n_planes = draw(st.integers(1, 6))
+    per_plane = draw(st.integers(1, 4))
+    elements = walker_delta(
+        n_planes * per_plane,
+        n_planes,
+        draw(st.integers(0, n_planes - 1)),
+        inclination_rad=draw(st.floats(0.0, math.pi)),
+        semi_major_axis_km=EARTH_RADIUS_KM + draw(_PLATFORM_ALTITUDES),
+    )
+    ephemeris = generate_movement_sheet(
+        elements,
+        duration_s=5400.0,
+        step_s=90.0,
+        gmst_epoch_rad=draw(st.floats(0.0, 2.0 * math.pi)),
+    )
+    return ephemeris.positions_ecef_km
+
+
+def _assert_cull_exact(site, positions):
+    """No point with dense elevation > 0 is culled; kept points are
+    bit-equal to the dense kernel; culled points carry the sentinels."""
+    el, rng = elevation_and_slant_range(*site, positions)
+    cull_el, cull_rng = elevation_and_slant_range_above_horizon(*site, positions)
+    kept = np.isfinite(cull_rng)
+    assert not np.any(el[~kept] > 0.0)
+    assert cull_el[kept].tobytes() == el[kept].tobytes()
+    assert cull_rng[kept].tobytes() == rng[kept].tobytes()
+    assert np.all(cull_el[~kept] == CULLED_ELEVATION_RAD)
+    assert np.all(cull_rng[~kept] == np.inf)
+
+
+def _onto_horizon_plane(site, positions, seed):
+    """``positions`` moved along the site's up vector to heights within
+    +-1e-3 km of its horizon plane, log-uniform from 1e-12 km."""
+    rng = np.random.default_rng(seed)
+    up = ecef_to_enu_matrix(site[0], site[1])[2]
+    height = positions @ up - up @ geodetic_to_ecef(*site)
+    magnitude = 10.0 ** rng.uniform(-12.0, -3.0, size=height.shape)
+    offset = rng.choice([-1.0, 1.0], size=height.shape) * magnitude
+    return positions + (offset - height)[..., None] * up
+
+
+class TestHorizonCull:
+    """:func:`elevation_and_slant_range_above_horizon` against the dense pass."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        positions=_walker_positions(),
+        sites=_SITE_SETS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_culls_a_visible_point(self, positions, sites, seed):
+        """The constellation as propagated, and moved onto each site's
+        horizon plane, where the margin decides."""
+        for site in sites:
+            _assert_cull_exact(site, positions)
+            _assert_cull_exact(site, _onto_horizon_plane(site, positions, seed))
 
 
 class TestVisibilityMask:
