@@ -34,7 +34,7 @@ from repro.core.architecture import (
     SpaceGroundArchitecture,
 )
 from repro.core.comparison import ComparisonRow, compare_architectures
-from repro.core.coverage import CoverageResult, constellation_coverage_sweep
+from repro.core.coverage import CoverageResult
 from repro.core.requests import Request, generate_requests
 from repro.core.threshold import ThresholdResult, transmissivity_threshold_experiment
 from repro.engine import LinkStateCache
@@ -51,7 +51,6 @@ __all__ = [
     "ArchitectureResult",
     "compare_architectures",
     "ComparisonRow",
-    "constellation_coverage_sweep",
     "CoverageResult",
     "generate_requests",
     "LinkStateCache",

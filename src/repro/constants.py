@@ -14,6 +14,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "EARTH_MU_KM3_S2",
     "EARTH_J2",
+    "EARTH_J2_REFERENCE_RADIUS_KM",
     "EARTH_ROTATION_RATE_RAD_S",
     "EARTH_FLATTENING",
     "WGS84_A_KM",
@@ -52,6 +53,10 @@ EARTH_MU_KM3_S2: float = 398600.4418
 
 #: Second zonal harmonic of Earth's gravity field (dimensionless).
 EARTH_J2: float = 1.08262668e-3
+
+#: Equatorial radius that ``EARTH_J2`` is normalised to [km]; the J2
+#: secular rates scale with ``(R / p)**2`` in this radius, not the mean one.
+EARTH_J2_REFERENCE_RADIUS_KM: float = 6378.137
 
 #: Earth's sidereal rotation rate [rad/s].
 EARTH_ROTATION_RATE_RAD_S: float = 7.2921150e-5

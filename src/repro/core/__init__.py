@@ -28,7 +28,7 @@ from repro.core.architecture import (
     SpaceGroundArchitecture,
 )
 from repro.core.comparison import ComparisonRow, compare_architectures
-from repro.core.coverage import CoverageResult, constellation_coverage_sweep
+from repro.core.coverage import CoverageResult
 from repro.core.evaluation import ServiceResult, evaluate_requests
 from repro.core.requests import Request, generate_requests
 from repro.core.sweeps import ConstellationSweep, SweepPoint, run_constellation_sweep
@@ -42,7 +42,6 @@ __all__ = [
     "HybridArchitecture",
     "ArchitectureResult",
     "CoverageResult",
-    "constellation_coverage_sweep",
     "Request",
     "generate_requests",
     "ServiceResult",

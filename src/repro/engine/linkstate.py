@@ -8,7 +8,10 @@ inter-satellite FSO, ground-HAP FSO and fiber alike — on the movement
 sheet's sample grid. The series live in two ``(grid sample, channel)``
 arrays, ``eta`` and the gate byte ``gates`` (admission plus the bits
 denial attribution reads), so the link state at one time index is one
-contiguous row. Link-graph snapshots and shortest-path routing trees
+contiguous row. The same row serves admission at any transmissivity
+threshold: the ``OPEN`` bit holds every gate but the threshold, so the
+k-shortest rescue's relaxed graph is ``OPEN`` and ``eta >= eta_relax``
+on the stored row. Link-graph snapshots and shortest-path routing trees
 (:meth:`FlatGraph.tree <repro.routing.bellman_ford.FlatGraph.tree>`,
 Dijkstra over a CSR adjacency on the paper's ``1/(eta + eps)`` metric)
 are memoized per time index; trees are keyed on the weighted
@@ -61,12 +64,14 @@ __all__ = ["LinkStateCache"]
 EdgeKey = bytes
 
 #: Per-block series over grid samples ``[j0, j1)``: ``(eta, gates)``,
-#: each broadcastable to ``(n_channels, j1 - j0)``; ``gates`` marks a
-#: healthy link ``ADMITTED`` (a fault plane may then clear ``USABLE``).
+#: each broadcastable to ``(n_channels, j1 - j0)``; ``gates`` carries the
+#: geometry bits and ``OPEN`` before faults, and
+#: :meth:`LinkStateCache._fill_block` derives the admission bits.
 Series = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 # Bits of the gate byte, one per (grid sample, channel). Only
-# ground-to-platform columns carry the geometry bits.
+# ground-to-platform columns carry the geometry bits. Strict admission
+# is a threshold on the open links: USABLE <=> OPEN and eta >= threshold.
 #: post-fault admission: the link is in the graph.
 USABLE = np.uint8(1)
 #: pre-fault admission, duty mask included.
@@ -75,15 +80,21 @@ HEALTHY = np.uint8(2)
 VISIBLE = np.uint8(4)
 #: elevation at or above ``policy.min_elevation_rad``.
 ELEVATED = np.uint8(8)
+#: every gate but the transmissivity threshold passes: horizon and
+#: elevation, HAP duty, and the fault plane's node and link gates.
+OPEN = np.uint8(16)
 #: a healthy link before faults: usable until a fault plane, which can
 #: only remove links, suppresses it.
 ADMITTED = HEALTHY | USABLE
 
 
 def _geometry_gates(el: np.ndarray | float, min_elevation_rad: float) -> np.ndarray:
-    """``VISIBLE``/``ELEVATED`` bits of elevations ``el`` (NaN: neither)."""
+    """``VISIBLE``/``ELEVATED`` bits of elevations ``el`` (NaN: neither),
+    and ``OPEN`` where both hold."""
     el = np.asarray(el)
-    return (el > 0.0) * VISIBLE | (el >= min_elevation_rad) * ELEVATED
+    visible = el > 0.0
+    elevated = el >= min_elevation_rad
+    return visible * VISIBLE | elevated * ELEVATED | (visible & elevated) * OPEN
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,8 @@ class LinkStateCache:
             perturbed through :meth:`FaultPlane.apply_edge_series` as it
             is built — the same rule the direct path applies per scalar
             evaluation, so cached-vs-direct equivalence holds under any
-            schedule.
+            schedule — and its ``OPEN`` bits through
+            :meth:`FaultPlane.edge_up_series`.
         window: optional chunk size (samples) for incremental builds.
             When set, the eta/admission arrays start zeroed and are
             filled ``window`` rows at a time as the query frontier
@@ -192,8 +204,10 @@ class LinkStateCache:
         self._ends = np.array(
             [(index[a], index[b]) for a, b in self._pairs], dtype=np.intp
         ).reshape(-1, 2)
-        self._graphs: dict[int, LinkGraph] = {}
-        self._keys: dict[int, EdgeKey] = {}
+        #: graph and edge-key memos: strict rows by grid sample ``k``,
+        #: rows at another threshold by ``(k, eta_min)``.
+        self._graphs: dict[int | tuple[int, float], LinkGraph] = {}
+        self._keys: dict[int | tuple[int, float], EdgeKey] = {}
         self._trees: dict[EdgeKey, dict[str, BellmanFordResult]] = {}
         self._flat: dict[EdgeKey, FlatGraph] = {}
         # Per-index alias of the edge-keyed tree memo, so the request hot
@@ -299,21 +313,29 @@ class LinkStateCache:
         """Write rows ``[j0, j1)`` of one block's columns, fault-perturbed
         per column when a plane is active.
 
-        ``USABLE`` is the ``HEALTHY`` bit after the fault plane: the
-        series set both (``ADMITTED``), and an active plane recomputes
-        ``USABLE`` per column from ``HEALTHY``.
+        A link is ``ADMITTED`` (``HEALTHY`` and ``USABLE``) where it is
+        ``OPEN`` and its eta clears the threshold. An active plane then
+        recomputes ``USABLE`` per column from ``HEALTHY``
+        (:meth:`FaultPlane.apply_edge_series`) and clears ``OPEN`` where
+        an endpoint is down or the link cut
+        (:meth:`FaultPlane.edge_up_series`). Its fades only lower the
+        stored eta, so ``USABLE`` stays ``OPEN`` and ``eta >= threshold``.
         """
         eta, gates = block.series(j0, j1)
+        is_open = (gates & OPEN) != 0
+        gates = gates | (is_open & (eta >= self.policy.transmissivity_threshold)) * ADMITTED
         if self.faults is not None:
             shape = (len(block.channels), j1 - j0)
             eta = np.array(np.broadcast_to(eta, shape))
             usable = np.array(np.broadcast_to((gates & HEALTHY) != 0, shape))
+            is_open = np.array(np.broadcast_to(is_open, shape))
             times = self.times_s[j0:j1]
             for i, channel in enumerate(block.channels):
                 eta[i], usable[i] = self.faults.apply_edge_series(
                     channel, eta[i], usable[i], times, self.policy
                 )
-            gates = gates & ~USABLE | usable * USABLE
+                is_open[i] &= self.faults.edge_up_series(channel, times)
+            gates = gates & ~(USABLE | OPEN) | usable * USABLE | is_open * OPEN
         cols = slice(block.c0, block.c0 + len(block.channels))
         self._eta[j0:j1, cols] = np.transpose(eta)
         self._gates[j0:j1, cols] = np.transpose(gates)
@@ -327,9 +349,13 @@ class LinkStateCache:
     def _add_static(self, channel: QuantumChannel) -> None:
         """Fiber / ground-HAP channel: one evaluation, optional duty mask."""
         state = channel.evaluate_physics(float(self.times_s[0]), self.policy)
-        gates = (self._hap_mask(channel) & bool(state.usable)) * ADMITTED
-        if channel.is_ground_to_platform:
-            gates |= _geometry_gates(state.elevation_rad, self.policy.min_elevation_rad)
+        gates = (
+            _geometry_gates(state.elevation_rad, self.policy.min_elevation_rad)
+            if channel.is_ground_to_platform
+            else OPEN
+        )
+        # Off duty, a HAP link is closed whatever its geometry.
+        gates = np.where(self._hap_mask(channel), gates, gates & ~OPEN)
         eta = np.array([[state.transmissivity]])
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +402,7 @@ class LinkStateCache:
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
             block_el = el[:, j0:j1]
-            eta, healthy = fill_budget_block(
+            eta, _ = fill_budget_block(
                 block_el,
                 rng[:, j0:j1],
                 channel0.model,
@@ -384,8 +410,7 @@ class LinkStateCache:
                 sat0.nominal_altitude_km,
                 horizon_rad=0.0,
             )
-            gates = _geometry_gates(block_el, self.policy.min_elevation_rad)
-            return eta, gates | healthy * ADMITTED
+            return eta, _geometry_gates(block_el, self.policy.min_elevation_rad)
 
         c0 = self._add_block([channel for channel, _ in members], series)
         self._site_columns[ground.name].extend(
@@ -401,7 +426,7 @@ class LinkStateCache:
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
             e = np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
-            return e[None], (e[None] >= self.policy.transmissivity_threshold) * ADMITTED
+            return e[None], OPEN
 
         self._add_block([channel], series)
 
@@ -413,27 +438,26 @@ class LinkStateCache:
         hap_mask = self._hap_mask(channel)
         if other.is_mobile:
 
-            def physics(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+            def physics(j0: int, j1: int) -> np.ndarray:
                 # Unknown mobile platform: fall back to per-sample scalar
                 # evaluation so exotic hosts stay correct, just not fast.
-                states = [
-                    channel.evaluate_physics(float(t), self.policy)
-                    for t in self.times_s[j0:j1]
-                ]
-                e = np.array([s.transmissivity for s in states], dtype=float)
-                return e, np.array([s.usable for s in states], dtype=bool)
+                return np.array(
+                    [
+                        channel.evaluate_physics(float(t), self.policy).transmissivity
+                        for t in self.times_s[j0:j1]
+                    ],
+                    dtype=float,
+                )
 
         else:
             static = other.position_ecef_km(float(self.times_s[0]))
             dist = np.linalg.norm(self._sample_positions(sat) - static, axis=-1)
 
-            def physics(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-                e = np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
-                return e, e >= self.policy.transmissivity_threshold
+            def physics(j0: int, j1: int) -> np.ndarray:
+                return np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            e, u = physics(j0, j1)
-            return e[None], (u & hap_mask[j0:j1])[None] * ADMITTED
+            return physics(j0, j1)[None], hap_mask[None, j0:j1] * OPEN
 
         self._add_block([channel], series)
 
@@ -510,35 +534,47 @@ class LinkStateCache:
         """Usable-link adjacency at ``t_s`` (quantized to the grid)."""
         return self.graph_at_index(self.time_index(t_s))
 
-    def _row(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Usable columns at grid sample ``k`` and their etas."""
+    def _row(self, k: int, eta_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Admitted columns at grid sample ``k`` and their etas.
+
+        ``eta_min=None`` reads the strict admission (``USABLE``); a
+        threshold admits the ``OPEN`` columns whose eta reaches it,
+        which is what a :class:`LinkStateCache` built under that
+        threshold would mark ``USABLE``.
+        """
         if not 0 <= k < self.n_times:
             raise ValidationError(f"time index {k} outside [0, {self.n_times})")
         self._ensure_index(k)
-        cols = np.flatnonzero(self._gates[k] & USABLE)
+        if eta_min is None:
+            cols = np.flatnonzero(self._gates[k] & USABLE)
+        else:
+            cols = np.flatnonzero(((self._gates[k] & OPEN) != 0) & (self._eta[k] >= eta_min))
         return cols, self._eta[k, cols]
 
-    def graph_at_index(self, k: int) -> LinkGraph:
+    def graph_at_index(self, k: int, eta_min: float | None = None) -> LinkGraph:
         """Usable-link adjacency at grid sample ``k`` (memoized).
 
-        Edges are inserted in column order (see :meth:`_build`), which
-        fixes each node's neighbour order.
+        ``eta_min`` admits at that transmissivity threshold instead of
+        the policy's (the k-shortest rescue's relaxed graph; see
+        :meth:`_row`). Edges are inserted in column order (see
+        :meth:`_build`), which fixes each node's neighbour order.
         """
-        if k in self._graphs:
+        memo = k if eta_min is None else (k, eta_min)
+        if memo in self._graphs:
             _GRAPH_HITS.inc()
-            return self._graphs[k]
+            return self._graphs[memo]
         _GRAPH_MISSES.inc()
-        cols, etas = self._row(k)
+        cols, etas = self._row(k, eta_min)
         graph: LinkGraph = {name: {} for name in self._host_names}
         pairs = self._pairs
         for c, value in zip(cols.tolist(), etas.tolist()):
             a, b = pairs[c]
             graph[a][b] = value
             graph[b][a] = value
-        self._graphs[k] = graph
+        self._graphs[memo] = graph
         return graph
 
-    def edge_key(self, k: int) -> EdgeKey:
+    def edge_key(self, k: int, eta_min: float | None = None) -> EdgeKey:
         """Canonical weighted feasible-edge set at grid sample ``k``.
 
         Two timesteps with equal keys have identical link graphs, hence
@@ -546,12 +582,14 @@ class LinkStateCache:
         the weighted set (not the bare edge set) is what keeps reused
         tables exact: equal topology with drifted etas gets a new table.
         The key is the usable column indices' bytes followed by their
-        etas' bytes; a bytes object caches its hash.
+        etas' bytes; a bytes object caches its hash. ``eta_min`` keys
+        the row admitted at that threshold, as :meth:`graph_at_index`.
         """
-        key = self._keys.get(k)
+        memo = k if eta_min is None else (k, eta_min)
+        key = self._keys.get(memo)
         if key is None:
-            cols, etas = self._row(k)
-            key = self._keys[k] = cols.tobytes() + etas.tobytes()
+            cols, etas = self._row(k, eta_min)
+            key = self._keys[memo] = cols.tobytes() + etas.tobytes()
         return key
 
     def _flat_graph(self, k: int) -> FlatGraph:

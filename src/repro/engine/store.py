@@ -73,6 +73,7 @@ import numpy as np
 
 from repro import obs
 from repro.channels.fso import FSOChannelModel
+from repro.constants import EARTH_J2_REFERENCE_RADIUS_KM
 from repro.data.ground_nodes import GroundNode
 from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget, compute_site_budget
 from repro.errors import ValidationError
@@ -177,18 +178,24 @@ def ephemeris_build_key(
     include_j2: bool = False,
     gmst_epoch_rad: float = 0.0,
 ) -> str:
-    """Digest addressing the ephemeris generated from these exact inputs."""
-    return canonical_digest(
-        {
-            "kind": _EPHEMERIS_KIND,
-            "elements": _elements_fingerprint(elements),
-            "duration_s": float(duration_s),
-            "step_s": float(step_s),
-            "names": list(names) if names is not None else None,
-            "include_j2": bool(include_j2),
-            "gmst_epoch_rad": float(gmst_epoch_rad),
-        }
-    )
+    """Digest addressing the ephemeris generated from these exact inputs.
+
+    A J2 key also holds the J2 reference radius, so a store never returns
+    a sheet propagated at another nodal rate; non-J2 keys omit it and
+    keep their digests.
+    """
+    inputs: dict[str, Any] = {
+        "kind": _EPHEMERIS_KIND,
+        "elements": _elements_fingerprint(elements),
+        "duration_s": float(duration_s),
+        "step_s": float(step_s),
+        "names": list(names) if names is not None else None,
+        "include_j2": bool(include_j2),
+        "gmst_epoch_rad": float(gmst_epoch_rad),
+    }
+    if include_j2:
+        inputs["j2_reference_radius_km"] = EARTH_J2_REFERENCE_RADIUS_KM
+    return canonical_digest(inputs)
 
 
 def site_budget_key(

@@ -247,6 +247,25 @@ class FaultPlane:
             _LINK_STEPS_SUPPRESSED.inc()
         return eta, usable
 
+    def edge_up_series(self, channel: QuantumChannel, times: np.ndarray) -> np.ndarray | bool:
+        """The node/link gate of one channel over the sample grid.
+
+        ``True`` (scalar) if neither endpoint is ever down and the link
+        never flaps, else a (T,) mask: both endpoints up and the link
+        not cut. It does not depend on eta, so the link-state cache
+        applies it to admission at any transmissivity threshold.
+        """
+        a, b = channel.names
+        up: np.ndarray | bool = True
+        for mask in (
+            self.node_up_series(a, times),
+            self.node_up_series(b, times),
+            self.link_ok_series(a, b, times),
+        ):
+            if mask is not True:
+                up = up & mask
+        return up
+
     def apply_edge_series(
         self,
         channel: QuantumChannel,
@@ -264,7 +283,6 @@ class FaultPlane:
         """
         if self.is_noop:
             return eta, usable
-        a, b = channel.names
         healthy = usable
         factor: np.ndarray | float = 1.0
         if channel.kind is ChannelKind.FSO:
@@ -274,15 +292,9 @@ class FaultPlane:
         if not (isinstance(factor, float) and factor == 1.0):
             eta = eta * factor
             usable = usable & (np.asarray(eta) >= policy.transmissivity_threshold)
-        up = self.node_up_series(a, times)
+        up = self.edge_up_series(channel, times)
         if up is not True:
             usable = usable & up
-        up = self.node_up_series(b, times)
-        if up is not True:
-            usable = usable & up
-        ok = self.link_ok_series(a, b, times)
-        if ok is not True:
-            usable = usable & ok
         suppressed = np.broadcast_to(np.asarray(healthy), times.shape) & ~np.broadcast_to(
             np.asarray(usable), times.shape
         )

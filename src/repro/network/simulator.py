@@ -149,11 +149,16 @@ class NetworkSimulator:
             intermediate platforms, and purification against the
             fidelity floor. Strict-path service is untouched, so
             ``strategy=None`` and ``k = 1`` are bit-identical to the
-            legacy router.
+            legacy router. With the cache on, the relaxed graph is the
+            strict link state's row admitted at ``eta_relax``.
         attribute_denials: decide the canonical cause of every denial
             while serving it (:meth:`denial_cause`) and put it on the
             outcome. Off by default: a strict denial the strategy did
             not attribute then carries ``cause=None``.
+
+    Raises:
+        ValidationError: for a prebuilt strategy whose policy's
+            elevation gate is not ``policy``'s.
     """
 
     def __init__(
@@ -187,13 +192,20 @@ class NetworkSimulator:
                 fidelity_convention=fidelity_convention,
                 epsilon=epsilon,
             )
+        elif (
+            strategy is not None
+            and strategy.policy.min_elevation_rad != self.policy.min_elevation_rad
+        ):
+            # The cached rescue admits on this simulator's elevation gate.
+            raise ValidationError(
+                "strategy policy's min_elevation_rad differs from the simulator's"
+            )
         self.strategy = strategy
         self.attribute_denials = attribute_denials
         self.timeline = EventTimeline()
         self._graph_cache: tuple[float, LinkGraph] | None = None
         self._linkstate: LinkStateCache | None = None
         self._relaxed_graph_cache: tuple[float, LinkGraph] | None = None
-        self._relaxed_linkstate: LinkStateCache | None = None
 
     # --- link-state access ------------------------------------------------------
 
@@ -222,7 +234,6 @@ class NetworkSimulator:
         self._graph_cache = None
         self._linkstate = None
         self._relaxed_graph_cache = None
-        self._relaxed_linkstate = None
 
     def _routing_tree(self, graph: LinkGraph, source: str, t_s: float) -> BellmanFordResult:
         """Shortest-path tree at ``t_s`` — memoized when the cache is on."""
@@ -232,26 +243,9 @@ class NetworkSimulator:
 
     # --- multipath rescue --------------------------------------------------------
 
-    @property
-    def _relaxed_cache(self) -> LinkStateCache:
-        """Link-state cache under the strategy's relaxed policy.
-
-        Built lazily on the first rescue: same network, same fault
-        plane, same fill window — only the admission threshold differs,
-        so fault suppression composes identically with relaxation.
-        """
-        if self._relaxed_linkstate is None:
-            self._relaxed_linkstate = LinkStateCache(
-                self.network,
-                policy=self.strategy.relaxed_policy,
-                epsilon=self.epsilon,
-                faults=self.faults,
-                window=self.linkstate_window,
-            )
-        return self._relaxed_linkstate
-
     def _relaxed_graph(self, t_s: float) -> LinkGraph:
-        """Relaxed-policy link graph on the direct (scalar) path."""
+        """Relaxed-policy link graph on the direct (scalar) path, the
+        oracle of the cached path's thresholded row."""
         if self._relaxed_graph_cache is not None and self._relaxed_graph_cache[0] == t_s:
             return self._relaxed_graph_cache[1]
         graph = self.network.link_graph(
@@ -273,10 +267,13 @@ class NetworkSimulator:
         if strategy is None or not strategy.active:
             return None
         if self.use_cache:
-            rls = self._relaxed_cache
-            k = rls.time_index(t_s) if time_index is None else time_index
-            graph = rls.graph_at_index(k)
-            epoch: object = ("edges", rls.edge_key(k))
+            # The relaxed policy differs from the strict one only in its
+            # eta threshold, so the strict link state's row admits at it.
+            ls = self.linkstate
+            k = ls.time_index(t_s) if time_index is None else time_index
+            eta_relax = strategy.config.eta_relax
+            graph = ls.graph_at_index(k, eta_relax)
+            epoch: object = ("edges", ls.edge_key(k, eta_relax))
         else:
             graph = self._relaxed_graph(t_s)
             epoch = ("t", t_s)

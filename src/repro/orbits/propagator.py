@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import EARTH_MU_KM3_S2, EARTH_RADIUS_KM, EARTH_J2
+from repro.constants import EARTH_J2, EARTH_J2_REFERENCE_RADIUS_KM, EARTH_MU_KM3_S2
 from repro.errors import ValidationError
 from repro.orbits.elements import ElementSet, OrbitalElements
 from repro.orbits.kepler import solve_kepler, true_to_mean
@@ -100,7 +100,7 @@ class TwoBodyPropagator:
     def _j2_rates(self) -> _J2Rates:
         el = self._elements
         p = el.a * (1.0 - el.e**2)
-        factor = 1.5 * EARTH_J2 * (EARTH_RADIUS_KM / p) ** 2 * self._n
+        factor = 1.5 * EARTH_J2 * (EARTH_J2_REFERENCE_RADIUS_KM / p) ** 2 * self._n
         cos_i = np.cos(el.inc)
         sin2_i = np.sin(el.inc) ** 2
         raan_dot = -factor * cos_i

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.coverage import (
-    CoverageResult,
-    constellation_coverage_sweep,
-    coverage_from_mask,
-)
+from repro.core.coverage import CoverageResult, check_sweep_sizes, coverage_from_mask
+from repro.core.sweeps import run_constellation_sweep
 from repro.errors import ValidationError
 from repro.utils.intervals import Interval
 
@@ -46,22 +43,21 @@ class TestCoverageFromMask:
         assert result.total_minutes * 60.0 == pytest.approx(40.0)
 
 
+def coverage_sweep(sizes, sites, ephemeris):
+    """The sweep's coverage points, with a token service workload."""
+    sweep = run_constellation_sweep(
+        sizes, sites=sites, ephemeris=ephemeris, n_requests=2, n_time_steps=2
+    )
+    return [point.coverage for point in sweep.points]
+
+
 class TestCoverageSweep:
     def test_monotone_in_constellation_size(self, sites, day_ephemeris_36):
         """More satellites never reduce coverage (prefix constellations)."""
-
-        def factory(n):
-            return day_ephemeris_36.subset(range(n))
-
-        results = constellation_coverage_sweep(
-            [6, 18, 36], sites=sites, ephemeris_factory=factory, step_s=120.0
-        )
+        results = coverage_sweep([6, 18, 36], sites, day_ephemeris_36)
         percentages = [r.percentage for r in results]
         assert percentages == sorted(percentages)
         assert results[0].n_satellites == 6
-
-    def test_empty_sweep(self):
-        assert constellation_coverage_sweep([]) == []
 
     @pytest.mark.parametrize(
         "sizes, match", [([0, 6], ">= 1"), ([-6, 6], ">= 1"), ([12, 6], "ascending")]
@@ -70,15 +66,10 @@ class TestCoverageSweep:
         """A size 0 used to report the full constellation's coverage
         (``cumulative[-1]``) and descending sizes were accepted."""
         with pytest.raises(ValidationError, match=match):
-            constellation_coverage_sweep(sizes, duration_s=3600.0, step_s=60.0)
+            check_sweep_sizes(sizes)
 
     def test_result_records_sizes(self, sites, day_ephemeris_36):
-        def factory(n):
-            return day_ephemeris_36.subset(range(n))
-
-        results = constellation_coverage_sweep(
-            [12], sites=sites, ephemeris_factory=factory
-        )
+        results = coverage_sweep([12], sites, day_ephemeris_36)
         assert isinstance(results[0], CoverageResult)
         assert results[0].n_satellites == 12
         assert 0.0 <= results[0].percentage <= 100.0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import SpaceGroundAnalysis
-from repro.core.coverage import constellation_coverage_sweep
 from repro.core.sweeps import run_constellation_sweep
 from repro.channels.presets import paper_satellite_fso
 from repro.data.ground_nodes import all_ground_nodes
 from repro.errors import ValidationError
+from tests.core.prefix_coverage import prefix_coverage
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +60,9 @@ class TestRunConstellationSweep:
         assert small_sweep.coverage_percentages == sorted(small_sweep.coverage_percentages)
 
     def test_matches_slow_coverage_sweep(self, day_eph, sites, small_sweep):
-        slow = constellation_coverage_sweep(
-            [6, 18, 36],
-            sites=sites,
-            ephemeris_factory=lambda n: day_eph.subset(range(n)),
-            step_s=300.0,
-        )
-        for fast_point, slow_result in zip(small_sweep.points, slow):
-            assert fast_point.coverage.percentage == pytest.approx(slow_result.percentage)
+        """Cumulative prefix coverage equals one analysis per size."""
+        slow = prefix_coverage(day_eph, [6, 18, 36], sites)
+        assert [point.coverage for point in small_sweep.points] == slow
 
     def test_matches_architecture_evaluate(self, day_eph):
         """The sweep's per-size service matches a standalone evaluation."""
@@ -93,7 +88,7 @@ class TestRunConstellationSweep:
         assert point.service.mean_fidelity == pytest.approx(result.mean_fidelity)
 
     def test_rejects_unsorted_sizes(self, day_eph):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="ascending"):
             run_constellation_sweep(sizes=[36, 6], ephemeris=day_eph)
 
     def test_rejects_empty_sizes(self, day_eph):

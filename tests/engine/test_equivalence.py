@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.channels.presets import paper_hap_fso, paper_satellite_fso
-from repro.core.coverage import constellation_coverage_sweep
 from repro.core.evaluation import evaluate_requests
 from repro.core.requests import generate_requests
 from repro.core.sweeps import run_constellation_sweep
@@ -22,6 +21,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
 from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
+from tests.core.prefix_coverage import prefix_coverage
 
 TOL = 1e-12
 
@@ -141,9 +141,18 @@ class TestSweepEquivalence:
             assert c.coverage == d.coverage
             assert c.service == d.service
 
-    def test_coverage_sweep_cached_matches_direct(self):
-        cached = constellation_coverage_sweep([6, 12], duration_s=7200.0, step_s=120.0)
-        direct = constellation_coverage_sweep(
-            [6, 12], duration_s=7200.0, step_s=120.0, use_cache=False
+    def test_coverage_sweep_cached_matches_direct(self, sites):
+        """The sweep's cached prefix coverage equals the per-size oracle."""
+        ephemeris = generate_movement_sheet(
+            qntn_constellation(12), duration_s=7200.0, step_s=120.0
         )
-        assert cached == direct
+        cached = run_constellation_sweep(
+            [6, 12],
+            sites=sites,
+            ephemeris=ephemeris,
+            duration_s=7200.0,
+            n_requests=2,
+            n_time_steps=2,
+        )
+        direct = prefix_coverage(ephemeris, [6, 12], sites, horizon_s=7200.0)
+        assert [point.coverage for point in cached.points] == direct

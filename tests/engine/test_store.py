@@ -106,6 +106,28 @@ class TestKeySensitivity:
         ]
         assert len({base, *variants}) == len(variants) + 1
 
+    def test_j2_keys_carry_the_reference_radius(self, elements, monkeypatch):
+        """A J2 sheet propagated at another nodal rate gets another key;
+        non-J2 keys (every paper run) keep the digest they had before
+        the radius joined J2 keys."""
+        from repro.engine import store as store_module
+
+        plain = ephemeris_build_key(elements, duration_s=DURATION_S, step_s=STEP_S)
+        j2 = ephemeris_build_key(
+            elements, duration_s=DURATION_S, step_s=STEP_S, include_j2=True
+        )
+        assert plain == "a07ad4337a3d8b8f412eaf1de1fd14dd7a2e0c0b43ab9f7195924db74b921ad0"
+        monkeypatch.setattr(store_module, "EARTH_J2_REFERENCE_RADIUS_KM", 6371.0)
+        assert (
+            ephemeris_build_key(elements, duration_s=DURATION_S, step_s=STEP_S) == plain
+        )
+        assert (
+            ephemeris_build_key(
+                elements, duration_s=DURATION_S, step_s=STEP_S, include_j2=True
+            )
+            != j2
+        )
+
     def test_every_budget_input_changes_digest(self, store, elements):
         ephemeris = store.get_or_build_ephemeris(
             elements, duration_s=DURATION_S, step_s=STEP_S

@@ -1,5 +1,7 @@
 """Tests for the compiled FaultPlane: scalar vs vectorized query agreement."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.faults import (
@@ -84,10 +86,25 @@ class TestVectorizedQueries:
         # the same precomputed factors in the same order.
         np.testing.assert_array_equal(series, expected)
 
+    def test_edge_up_series_matches_scalar(self):
+        """Both endpoints up and the link not cut: the gate
+        ``apply_channel`` applies per sample."""
+        p = plane()
+        for a, b in [("ornl-0", "sat-002"), ("ttu-0", "sat-000"), ("epb-1", "sat-000")]:
+            series = p.edge_up_series(SimpleNamespace(names=(a, b)), TIMES)
+            expected = np.array(
+                [
+                    not (p.node_down(a, t) or p.node_down(b, t) or p.link_cut(a, b, t))
+                    for t in TIMES.tolist()
+                ]
+            )
+            np.testing.assert_array_equal(series, expected)
+
     def test_untouched_targets_return_scalar_sentinels(self):
         p = plane()
         assert p.node_up_series("sat-011", TIMES) is True
         assert p.link_ok_series("a", "b", TIMES) is True
+        assert p.edge_up_series(SimpleNamespace(names=("a", "b")), TIMES) is True
         assert p.fade_factor_series("ornl-0", TIMES) == 1.0
 
     def test_platform_up_matrix(self):

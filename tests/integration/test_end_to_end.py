@@ -11,9 +11,9 @@ from repro import (
     AirGroundArchitecture,
     SpaceGroundArchitecture,
     compare_architectures,
-    constellation_coverage_sweep,
     transmissivity_threshold_experiment,
 )
+from repro.core import run_constellation_sweep
 from repro.reporting.tables import render_table_iii
 
 
@@ -37,9 +37,10 @@ class TestFigureFivePipeline:
 class TestCoveragePipeline:
     def test_sweep_shapes_and_monotonicity(self, day_ephemeris):
         sizes = [6, 12, 24, 36]
-        results = constellation_coverage_sweep(
-            sizes, ephemeris_factory=lambda n: day_ephemeris.subset(range(n)), step_s=300.0
+        sweep = run_constellation_sweep(
+            sizes, ephemeris=day_ephemeris, n_requests=2, n_time_steps=2
         )
+        results = [point.coverage for point in sweep.points]
         assert [r.n_satellites for r in results] == sizes
         percentages = [r.percentage for r in results]
         assert percentages == sorted(percentages)

@@ -117,7 +117,7 @@ class TestPhysicsOracles:
 
     MU = 398600.4418  # km^3/s^2, the propagator's default
     J2 = 1.08262668e-3
-    R_REF_KM = 6371.0  # the J2 reference radius the model uses
+    R_REF_KM = 6378.137  # the equatorial radius J2 is normalised to
 
     def _orbit(self, e, inc, *, include_j2=False):
         elements = _single(a=QNTN_SEMI_MAJOR_AXIS_KM + 300.0, e=e, inc=inc, argp=0.7)
