@@ -2,16 +2,18 @@
 
 Each perf-gated bench writes a ``BENCH_<name>.json`` file under
 ``benchmarks/results/`` holding the wall times, the derived speedup, the
-workload parameters, and the git SHA of the tree that produced them —
-one small self-describing record per bench, so the perf trajectory can
-be tracked PR-over-PR by diffing the JSON instead of re-reading bench
-stdout.
+workload parameters, and the git SHA of the tree that produced them
+with a ``git_dirty`` flag (uncommitted edits to tracked files: the
+record then measured code that is not the SHA's) — one small
+self-describing record per bench, so the perf trajectory can be tracked
+PR-over-PR by diffing the JSON instead of re-reading bench stdout.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import subprocess
 import time
 from pathlib import Path
 from typing import Any, Mapping
@@ -26,7 +28,24 @@ RESULTS_DIR = Path(__file__).parent / "results"
 # easy to spot in review diffs (one BENCH_<name>.json per bench).
 TRAJECTORY_DIR = Path(__file__).parent.parent
 
-__all__ = ["append_trajectory", "git_sha", "host_info", "write_bench_record"]
+__all__ = ["append_trajectory", "git_dirty", "git_sha", "host_info", "write_bench_record"]
+
+
+def git_dirty(cwd: str | Path | None = None) -> bool:
+    """Whether the checkout holding ``cwd`` (default: this directory) has
+    uncommitted changes to tracked files; False outside a git checkout,
+    where :func:`git_sha` reports "unknown"."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=Path(cwd) if cwd is not None else Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return out.returncode == 0 and bool(out.stdout.strip())
 
 
 def write_bench_record(
@@ -53,6 +72,7 @@ def write_bench_record(
     record: dict[str, Any] = {
         "bench": name,
         "git_sha": git_sha(),
+        "git_dirty": git_dirty(),
         "python": platform.python_version(),
         "recorded_at_unix_s": time.time(),
         "workload": dict(workload),
@@ -85,9 +105,12 @@ def append_trajectory(
     """Append ``record`` to the repo-root ``BENCH_<name>.json`` trajectory.
 
     The trajectory file holds every recorded run of the bench, keyed by
-    git SHA: a re-run on the same SHA replaces the last entry (so local
-    retries don't bloat the history), a new SHA appends. ``repro obs
-    diff`` accepts these files directly — the latest entry is compared.
+    git SHA: a clean re-run on the same SHA replaces that SHA's trailing
+    entries (so local retries don't bloat the history), a new SHA
+    appends. A record from a dirty tree (``git_dirty``; a record without
+    the flag counts as clean) replaces only a dirty entry of its SHA and
+    is appended after a clean one, never over it. ``repro obs diff``
+    accepts these files directly — the latest entry is compared.
     """
     name = str(record["bench"])
     out_dir = trajectory_dir if trajectory_dir is not None else TRAJECTORY_DIR
@@ -102,10 +125,14 @@ def append_trajectory(
         if isinstance(data, dict) and isinstance(data.get("trajectory"), list):
             history = list(data["trajectory"])
     entry = dict(record)
-    if history and history[-1].get("git_sha") == entry.get("git_sha"):
-        history[-1] = entry
+    sha = entry.get("git_sha")
+    if entry.get("git_dirty"):
+        if history and history[-1].get("git_sha") == sha and history[-1].get("git_dirty"):
+            history.pop()
     else:
-        history.append(entry)
+        while history and history[-1].get("git_sha") == sha:
+            history.pop()
+    history.append(entry)
     payload = {"bench": name, "schema": 1, "trajectory": history}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

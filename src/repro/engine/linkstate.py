@@ -592,15 +592,17 @@ class LinkStateCache:
             key = self._keys[memo] = cols.tobytes() + etas.tobytes()
         return key
 
-    def _flat_graph(self, k: int) -> FlatGraph:
-        """:class:`FlatGraph` of grid sample ``k``, built from its row.
+    def _flat_graph(self, k: int, eta_min: float | None = None) -> FlatGraph:
+        """:class:`FlatGraph` of grid sample ``k``, built from its row
+        (admitted at ``eta_min`` when given, as :meth:`_row`).
 
-        Each usable column is an edge both ways; sorting the directed
+        Each admitted column is an edge both ways; sorting the directed
         edges by (tail host, column) groups them by tail, as the CSR
         adjacency needs, and keeps each node's neighbours in the dict's
-        order, so the result equals ``FlatGraph(self.graph_at_index(k))``.
+        order, so the result equals
+        ``FlatGraph(self.graph_at_index(k, eta_min))``.
         """
-        cols, etas = self._row(k)
+        cols, etas = self._row(k, eta_min)
         a, b = self._ends[cols, 0], self._ends[cols, 1]
         tails = np.concatenate((a, b))
         order = np.lexsort((np.concatenate((cols, cols)), tails))
@@ -611,6 +613,18 @@ class LinkStateCache:
             np.concatenate((etas, etas))[order],
             self.epsilon,
         )
+
+    def flat_graph_at_index(self, k: int, eta_min: float | None = None) -> FlatGraph:
+        """:class:`FlatGraph` of grid sample ``k`` (admitted at
+        ``eta_min`` when given), memoized per weighted edge set
+        (:meth:`edge_key`): the strict routing trees and the k-shortest
+        rescue's Yen searches run over it. Rows with equal keys have
+        equal graphs, whatever their threshold, so they share one."""
+        key = self.edge_key(k, eta_min)
+        flat = self._flat.get(key)
+        if flat is None:
+            flat = self._flat[key] = self._flat_graph(k, eta_min)
+        return flat
 
     def routing_tree(self, t_s: float, source: str) -> BellmanFordResult:
         """Memoized shortest-path tree rooted at ``source`` at time ``t_s``."""
@@ -625,7 +639,9 @@ class LinkStateCache:
         once instead of once per source. The tree is
         :meth:`FlatGraph.tree`'s Dijkstra, the kernel
         :func:`~repro.routing.bellman_ford.bellman_ford` runs on the
-        dict graph, so both return equal trees.
+        dict graph, so both return equal trees; it gives each path's
+        end-to-end eta too (:meth:`BellmanFordResult.eta_to`), so a
+        served request needs no dict graph.
         """
         trees = self._trees_at.get(k)
         if trees is None:
@@ -634,11 +650,7 @@ class LinkStateCache:
             self._trees_at[k] = trees
         if source not in trees:
             with obs.span("route"):
-                key = self.edge_key(k)
-                flat = self._flat.get(key)
-                if flat is None:
-                    flat = self._flat[key] = self._flat_graph(k)
-                trees[source] = flat.tree(source)
+                trees[source] = self.flat_graph_at_index(k).tree(source)
             self.n_tree_builds += 1
             _TREE_MISSES.inc()
         else:

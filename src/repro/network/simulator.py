@@ -24,7 +24,7 @@ from repro.network.topology import LinkGraph, QuantumNetwork
 from repro.obs import events
 from repro.obs.trace import DenialCause, classify_denial
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
-from repro.routing.bellman_ford import BellmanFordResult, bellman_ford, shortest_path
+from repro.routing.bellman_ford import BellmanFordResult, FlatGraph, bellman_ford
 from repro.routing.metrics import DEFAULT_EPSILON, path_edges, path_transmissivity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -192,20 +192,21 @@ class NetworkSimulator:
                 fidelity_convention=fidelity_convention,
                 epsilon=epsilon,
             )
-        elif (
-            strategy is not None
-            and strategy.policy.min_elevation_rad != self.policy.min_elevation_rad
-        ):
-            # The cached rescue admits on this simulator's elevation gate.
-            raise ValidationError(
-                "strategy policy's min_elevation_rad differs from the simulator's"
-            )
+        elif strategy is not None:
+            # The cached rescue admits on this simulator's elevation gate
+            # and routes on its link state's costs.
+            if strategy.policy.min_elevation_rad != self.policy.min_elevation_rad:
+                raise ValidationError(
+                    "strategy policy's min_elevation_rad differs from the simulator's"
+                )
+            if strategy.epsilon != epsilon:
+                raise ValidationError("strategy epsilon differs from the simulator's")
         self.strategy = strategy
         self.attribute_denials = attribute_denials
         self.timeline = EventTimeline()
-        self._graph_cache: tuple[float, LinkGraph] | None = None
+        #: the direct path's last graph per admission policy, with its time.
+        self._direct_graphs: dict[LinkPolicy, tuple[float, LinkGraph]] = {}
         self._linkstate: LinkStateCache | None = None
-        self._relaxed_graph_cache: tuple[float, LinkGraph] | None = None
 
     # --- link-state access ------------------------------------------------------
 
@@ -223,71 +224,74 @@ class NetworkSimulator:
         """Usable-link adjacency at ``t_s`` (memoised per time stamp)."""
         if self.use_cache:
             return self.linkstate.graph(t_s)
-        if self._graph_cache is not None and self._graph_cache[0] == t_s:
-            return self._graph_cache[1]
-        graph = self.network.link_graph(t_s, self.policy, faults=self.faults)
-        self._graph_cache = (t_s, graph)
+        return self._direct_graph(t_s, self.policy)
+
+    def _direct_graph(self, t_s: float, policy: LinkPolicy) -> LinkGraph:
+        """Scalar-path link graph under ``policy`` at ``t_s``, the oracle
+        of the cache's rows; the last one per policy is memoised."""
+        hit = self._direct_graphs.get(policy)
+        if hit is not None and hit[0] == t_s:
+            return hit[1]
+        graph = self.network.link_graph(t_s, policy, faults=self.faults)
+        self._direct_graphs[policy] = (t_s, graph)
         return graph
 
     def invalidate_cache(self) -> None:
         """Drop all memoised link state (call after mutating the network)."""
-        self._graph_cache = None
+        self._direct_graphs.clear()
         self._linkstate = None
-        self._relaxed_graph_cache = None
 
-    def _routing_tree(self, graph: LinkGraph, source: str, t_s: float) -> BellmanFordResult:
-        """Shortest-path tree at ``t_s`` — memoized when the cache is on."""
+    def _routing_tree(self, source: str, t_s: float, k: int | None = None) -> BellmanFordResult:
+        """Shortest-path tree at ``t_s`` (grid sample ``k`` when known) —
+        memoized when the cache is on."""
         if self.use_cache:
-            return self.linkstate.routing_tree(t_s, source)
-        return bellman_ford(graph, source, self.epsilon)
+            ls = self.linkstate
+            return ls.routing_tree_at_index(ls.time_index(t_s) if k is None else k, source)
+        return bellman_ford(self.link_graph(t_s), source, self.epsilon)
+
+    def _graph_at(self, t_s: float, k: int | None, eta_min: float | None = None) -> LinkGraph:
+        """Dict graph at ``t_s`` (grid sample ``k`` when cached), admitted
+        at the rescue's ``eta_min`` when given. Serving reads it only for
+        hop etas (flight records, tracked states), not for cached routes."""
+        if self.use_cache:
+            return self.linkstate.graph_at_index(k, eta_min)
+        return self._direct_graph(
+            t_s, self.policy if eta_min is None else self.strategy.relaxed_policy
+        )
 
     # --- multipath rescue --------------------------------------------------------
 
-    def _relaxed_graph(self, t_s: float) -> LinkGraph:
-        """Relaxed-policy link graph on the direct (scalar) path, the
-        oracle of the cached path's thresholded row."""
-        if self._relaxed_graph_cache is not None and self._relaxed_graph_cache[0] == t_s:
-            return self._relaxed_graph_cache[1]
-        graph = self.network.link_graph(
-            t_s, self.strategy.relaxed_policy, faults=self.faults
-        )
-        self._relaxed_graph_cache = (t_s, graph)
-        return graph
-
     def _rescue(
-        self, source: str, destination: str, t_s: float, time_index: int | None = None
-    ) -> "tuple[MultipathPlan, LinkGraph] | None":
+        self, source: str, destination: str, t_s: float, k: int | None
+    ) -> "MultipathPlan | None":
         """Run the strategy's multipath rescue after a strict denial.
 
-        Returns ``(plan, relaxed_graph)``, or ``None`` when no strategy
-        is active or the relaxed graph holds no candidate path at all
-        (the legacy cause cascade then attributes the denial).
+        Returns the plan, or ``None`` when no strategy is active or the
+        relaxed graph holds no candidate path at all (the legacy cause
+        cascade then attributes the denial).
         """
         strategy = self.strategy
         if strategy is None or not strategy.active:
             return None
-        if self.use_cache:
-            # The relaxed policy differs from the strict one only in its
-            # eta threshold, so the strict link state's row admits at it.
-            ls = self.linkstate
-            k = ls.time_index(t_s) if time_index is None else time_index
-            eta_relax = strategy.config.eta_relax
-            graph = ls.graph_at_index(k, eta_relax)
-            epoch: object = ("edges", ls.edge_key(k, eta_relax))
-        else:
-            graph = self._relaxed_graph(t_s)
-            epoch = ("t", t_s)
+        # The relaxed policy differs from the strict one only in its eta
+        # threshold, so the strict link state's row admits at it.
+        eta_relax = strategy.config.eta_relax
+        epoch = ("edges", self.linkstate.edge_key(k, eta_relax)) if self.use_cache else ("t", t_s)
 
         def is_platform(name: str) -> bool:
             return self.network.host(name).kind != "ground"
 
         def enumerate_pair(pair: tuple[str, str]) -> tuple:
+            if self.use_cache:
+                graph = self.linkstate.flat_graph_at_index(k, eta_relax)
+            else:
+                graph = FlatGraph(self._graph_at(t_s, k, eta_relax), self.epsilon)
             return strategy.graph_candidates(graph, pair[0], pair[1], is_platform)
 
         candidates = strategy.candidates((source, destination), epoch, enumerate_pair)
         if not candidates:
             return None
-        return strategy.plan(candidates, t_s), graph
+        return strategy.plan(candidates, t_s)
 
     # --- flight records ----------------------------------------------------------
 
@@ -374,7 +378,7 @@ class NetworkSimulator:
     def _record_flight(
         self,
         flight: str,
-        graph: LinkGraph,
+        graph: LinkGraph | None,
         source: str,
         destination: str,
         t_s: float,
@@ -385,7 +389,7 @@ class NetworkSimulator:
         cause: str | None = None,
     ) -> None:
         """Record one request's flight detail into trace ``flight``; empty
-        path = denied.
+        path = denied. ``graph`` is the path's, read for its hop etas.
 
         ``cause`` is the outcome's cause when serving decided one (the
         strategy's rescue, or attribution on); otherwise the scalar
@@ -459,20 +463,25 @@ class NetworkSimulator:
         source: str,
         destination: str,
         t_s: float,
-        graph: LinkGraph,
+        k: int | None,
+        tree: BellmanFordResult,
         path: list[str],
-        eta_path: float,
         flight: str | None,
         request_id: int | None = None,
         tenant: str | None = None,
     ) -> RequestOutcome:
-        """Outcome of a request routed over ``path``: its fidelity, the
-        serve counters and its flight record, shared by both serving
-        shapes."""
+        """Outcome of a request routed over ``path`` in ``tree``: its eta
+        (the tree's when cached; the direct oracle multiplies the dict
+        graph's hop etas), fidelity, serve counters and flight record."""
+        if self.use_cache:
+            eta_path = tree.eta_to(destination)
+        else:
+            eta_path = path_transmissivity(path_edges(self.link_graph(t_s), path))
         pair = None
         if self.track_states:
             pair = distribute_entanglement(
-                path_edges(graph, path), source=source, destination=destination
+                path_edges(self._graph_at(t_s, k), path),
+                source=source, destination=destination,
             )
             fidelity = pair.fidelity(self.fidelity_convention)
         else:
@@ -486,7 +495,7 @@ class NetworkSimulator:
         _FIDELITY.observe(fidelity)
         if flight is not None:
             self._record_flight(
-                flight, graph, source, destination, t_s,
+                flight, self._graph_at(t_s, k), source, destination, t_s,
                 path=path, eta_path=eta_path, fidelity=fidelity,
             )
         return RequestOutcome(
@@ -499,9 +508,8 @@ class NetworkSimulator:
         source: str,
         destination: str,
         t_s: float,
+        k: int | None,
         flight: str | None,
-        graph: LinkGraph,
-        time_index: int | None = None,
         request_id: int | None = None,
         tenant: str | None = None,
     ) -> RequestOutcome:
@@ -511,31 +519,30 @@ class NetworkSimulator:
         reduce to the same rescue decision and the same cause, which is
         what keeps them bit-identical under any strategy configuration.
         The cause is the failed rescue's, else the gate cascade's when
-        attribution is on.
+        attribution is on. ``k`` is the request's grid sample when
+        cached.
         """
-        rescue = self._rescue(source, destination, t_s, time_index)
-        if rescue is not None and rescue[0].served:
-            plan, relaxed_graph = rescue
+        plan = self._rescue(source, destination, t_s, k)
+        if plan is not None and plan.served:
             _REQUESTS_SERVED.inc()
             _PATH_HOPS.observe(len(plan.path) - 1)
             _FIDELITY.observe(plan.fidelity)
             if flight is not None:
                 self._record_flight(
-                    flight, relaxed_graph, source, destination, t_s,
+                    flight, self._graph_at(t_s, k, self.strategy.config.eta_relax),
+                    source, destination, t_s,
                     path=plan.path, eta_path=plan.eta, fidelity=plan.fidelity,
                 )
             return RequestOutcome(
                 source, destination, t_s, True, plan.path, plan.eta, plan.fidelity,
                 None, plan.n_paths, True, None, request_id, tenant,
             )
-        cause = rescue[0].cause if rescue is not None else None
+        cause = plan.cause if plan is not None else None
         if cause is None and self.attribute_denials:
             cause = self.denial_cause(source, destination, t_s).value
         _REQUESTS_DENIED.inc()
         if flight is not None:
-            self._record_flight(
-                flight, graph, source, destination, t_s, cause=cause
-            )
+            self._record_flight(flight, None, source, destination, t_s, cause=cause)
         return RequestOutcome(
             source, destination, t_s, False, (), 0.0, float("nan"), cause,
             1, False, None, request_id, tenant,
@@ -556,7 +563,8 @@ class NetworkSimulator:
         the delivered fidelity comes from amplitude damping with the
         path's end-to-end transmissivity. ``request_id`` and ``tenant``
         are stamped on the outcome as they are (the streaming engine
-        passes the request's identity).
+        passes the request's identity). With the cache on, the route
+        and its eta come from the memoized routing tree alone.
 
         Raises:
             ValidationError: if ``t_s`` is NaN or infinite.
@@ -564,32 +572,23 @@ class NetworkSimulator:
         """
         _check_time(t_s)
         self._check_endpoints(source, destination)
-        k: int | None = None
-        if self.use_cache:
-            # Resolve the grid index once, through the streaming cursor
-            # (a no-op check when the engine has already advanced it),
-            # and hit the memos by index.
-            ls = self.linkstate
-            k = ls.advance_index(t_s)
-            graph = ls.graph_at_index(k)
-        else:
-            graph = self.link_graph(t_s)
+        # Resolve the grid index once, through the streaming cursor (a
+        # no-op check when the engine has already advanced it), and hit
+        # the memos by index.
+        k = self.linkstate.advance_index(t_s) if self.use_cache else None
         rec = events._ACTIVE
         flight = (
             None if rec is None else rec.request_scope(f"{source}|{destination}|{t_s!r}")
         )
+        tree = self._routing_tree(source, t_s, k)
         try:
-            if self.use_cache:
-                path = ls.routing_tree_at_index(k, source).path_to(destination)
-                eta_path = path_transmissivity(path_edges(graph, path))
-            else:
-                path, eta_path = shortest_path(graph, source, destination, self.epsilon)
+            path = tree.path_to(destination)
         except NoPathError:
             return self._denied_outcome(
-                source, destination, t_s, flight, graph, k, request_id, tenant
+                source, destination, t_s, k, flight, request_id, tenant
             )
         return self._delivered(
-            source, destination, t_s, graph, path, eta_path, flight, request_id, tenant
+            source, destination, t_s, k, tree, path, flight, request_id, tenant
         )
 
     def serve_requests(
@@ -601,8 +600,8 @@ class NetworkSimulator:
         batches are cheaper than repeated :meth:`serve_request` calls.
         """
         _check_time(t_s)
-        graph = self.link_graph(t_s)
-        trees: dict[str, object] = {}
+        k = self.linkstate.time_index(t_s) if self.use_cache else None
+        trees: dict[str, BellmanFordResult] = {}
         outcomes: list[RequestOutcome] = []
         rec = events._ACTIVE
         for source, destination in requests:
@@ -613,18 +612,17 @@ class NetworkSimulator:
                 else rec.request_scope(f"{source}|{destination}|{t_s!r}")
             )
             if source not in trees:
-                trees[source] = self._routing_tree(graph, source, t_s)
+                trees[source] = self._routing_tree(source, t_s, k)
             tree = trees[source]
             try:
-                path = tree.path_to(destination)  # type: ignore[attr-defined]
+                path = tree.path_to(destination)
             except NoPathError:
                 outcomes.append(
-                    self._denied_outcome(source, destination, t_s, flight, graph)
+                    self._denied_outcome(source, destination, t_s, k, flight)
                 )
                 continue
-            eta_path = path_transmissivity(path_edges(graph, path))
             outcomes.append(
-                self._delivered(source, destination, t_s, graph, path, eta_path, flight)
+                self._delivered(source, destination, t_s, k, tree, path, flight)
             )
         return outcomes
 
@@ -633,12 +631,11 @@ class NetworkSimulator:
     def lans_connected(self, lan_a: str, lan_b: str, t_s: float) -> bool:
         """Whether some node pair across two LANs has a usable route."""
         members = self.network.local_networks
-        graph = self.link_graph(t_s)
         sources = members.get(lan_a, [])
         targets = set(members.get(lan_b, []))
         if not sources or not targets:
             return False
-        tree = self._routing_tree(graph, sources[0], t_s)
+        tree = self._routing_tree(sources[0], t_s)
         # All LAN members are fiber-meshed, so reachability from one
         # member implies reachability from all (fiber links always pass
         # the threshold at intra-LAN distances).

@@ -15,7 +15,6 @@ from repro.routing.bellman_ford import (
     BellmanFordResult,
     bellman_ford,
     build_routing_tables,
-    shortest_path,
 )
 from repro.routing.metrics import (
     DEFAULT_EPSILON,
@@ -59,7 +58,6 @@ __all__ = [
     "bellman_ford",
     "BellmanFordResult",
     "build_routing_tables",
-    "shortest_path",
     "RouteEntry",
     "RoutingTable",
 ]

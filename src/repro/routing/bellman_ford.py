@@ -8,24 +8,24 @@ Two parts:
   tables (step 2, the table exchange, is a no-op in-process exactly as the
   paper notes). It is the test oracle and the A1 ablation's baseline.
 * :meth:`FlatGraph.tree` — the single-source tree every router uses
-  (:func:`bellman_ford`, :func:`shortest_path` and the link-state
-  cache): Dijkstra over a CSR adjacency. All edge costs are positive,
-  so it returns Algorithm 1's optimal costs; the test suite checks both
-  agree.
+  (:func:`bellman_ford` and the link-state cache): Dijkstra over a CSR
+  adjacency. All edge costs are positive, so it returns Algorithm 1's
+  optimal costs; the test suite checks both agree. The tree gives each
+  path and its end-to-end eta (:meth:`BellmanFordResult.eta_to`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import NoPathError, RoutingError, ValidationError
 from repro.network.topology import LinkGraph
-from repro.routing.metrics import DEFAULT_EPSILON, edge_cost, path_edges, path_transmissivity
+from repro.routing.metrics import DEFAULT_EPSILON, edge_cost
 from repro.routing.table import RoutingTable
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "BellmanFordResult",
     "FlatGraph",
     "build_routing_tables",
-    "shortest_path",
 ]
 
 
@@ -43,37 +42,36 @@ class BellmanFordResult:
 
     Attributes:
         source: tree root.
-        nodes: node names by index, shared with the graph.
-        index: node name to index, shared with the graph.
         flat_costs: best cost per node index (infinity if unreachable).
-        flat_predecessors: previous hop's index per node (-1 for the
-            source and unreachable nodes).
+        flat_edges: index of each node's tree edge into the graph's CSR
+            arrays (-1 for the source and unreachable nodes); the edge's
+            tail is the node's predecessor.
+        graph: the graph routed over (not compared).
     """
 
     source: str
-    nodes: Sequence[str]
-    index: Mapping[str, int]
     flat_costs: list[float]
-    flat_predecessors: list[int]
+    flat_edges: list[int]
+    graph: "FlatGraph" = field(compare=False)
 
     @property
     def costs(self) -> dict[str, float]:
         """Best cost per destination, built on demand."""
-        return dict(zip(self.nodes, self.flat_costs))
+        return dict(zip(self.graph.nodes, self.flat_costs))
 
     @property
     def predecessors(self) -> dict[str, str | None]:
         """Previous hop per destination (None for the source and
         unreachable nodes), built on demand."""
-        nodes = self.nodes
+        nodes, tails = self.graph.nodes, self.graph._tails
         return {
-            nodes[i]: (nodes[p] if p >= 0 else None)
-            for i, p in enumerate(self.flat_predecessors)
+            nodes[i]: (nodes[tails[e]] if e >= 0 else None)
+            for i, e in enumerate(self.flat_edges)
         }
 
     def reachable(self, destination: str) -> bool:
         """Whether the tree holds a finite-cost route to ``destination``."""
-        i = self.index.get(destination)
+        i = self.graph._index.get(destination)
         return i is not None and self.flat_costs[i] < math.inf
 
     def path_to(self, destination: str) -> list[str]:
@@ -82,40 +80,70 @@ class BellmanFordResult:
         Raises:
             NoPathError: if the destination is unreachable.
         """
-        if not self.reachable(destination):
+        graph = self.graph
+        i = graph._index.get(destination)
+        if i is None or self.flat_costs[i] == math.inf:
             raise NoPathError(self.source, destination)
-        pred = self.flat_predecessors
-        hops = [self.index[destination]]
-        while pred[hops[-1]] >= 0:
-            hops.append(pred[hops[-1]])
-        nodes = self.nodes
-        return [nodes[i] for i in reversed(hops)]
+        edges, tails, nodes = self.flat_edges, graph._tails, graph.nodes
+        path = [nodes[i]]
+        e = edges[i]
+        while e >= 0:
+            i = tails[e]
+            path.append(nodes[i])
+            e = edges[i]
+        path.reverse()
+        return path
+
+    def eta_to(self, destination: str) -> float:
+        """End-to-end transmissivity of :meth:`path_to`'s path: its link
+        etas multiplied from the source outward, the left fold
+        ``path_transmissivity(path_edges(...))`` runs, so the two agree
+        bit for bit.
+
+        Raises:
+            NoPathError: if the destination is unreachable.
+        """
+        graph = self.graph
+        i = graph._index.get(destination)
+        if i is None or self.flat_costs[i] == math.inf:
+            raise NoPathError(self.source, destination)
+        edges, tails, etas = self.flat_edges, graph._tails, graph._etas
+        hops = []
+        e = edges[i]
+        while e >= 0:
+            hops.append(etas[e])
+            e = edges[tails[e]]
+        product = 1.0
+        for eta in reversed(hops):
+            product *= eta
+        return product
 
 
 class FlatGraph:
     """CSR rendering of a :data:`LinkGraph` for repeated trees.
 
-    Nodes become integer indices; node ``u``'s out-edges are
-    ``_heads[_offsets[u]:_offsets[u + 1]]`` with costs ``1/(eta + eps)``
-    at the same positions in ``_costs``. Each node's neighbours keep the
+    Nodes become integer indices; node ``u``'s out-edges are positions
+    ``_offsets[u]:_offsets[u + 1]`` of the edge arrays ``_tails`` (``u``),
+    ``_heads``, ``_etas`` and ``_costs`` (``1/(eta + eps)``), in the
     dict's neighbour order. The conversion — one :func:`edge_cost` per
-    directed edge — is paid once per graph snapshot, and :meth:`tree`
-    then routes any source over it. :meth:`from_arrays` takes the edge
-    list as arrays instead of a dict, for callers that hold link state
-    in columns.
+    directed edge — is paid once per graph snapshot; :meth:`tree` and
+    Yen's spur searches (:mod:`repro.routing.yen`) then route over it.
+    :meth:`from_arrays` takes the edge list as arrays instead of a dict,
+    for callers that hold link state in columns.
     """
 
-    __slots__ = ("nodes", "_index", "_offsets", "_heads", "_costs")
+    __slots__ = ("nodes", "_index", "_offsets", "_tails", "_heads", "_etas", "_costs")
 
     def __init__(self, graph: LinkGraph, epsilon: float = DEFAULT_EPSILON) -> None:
         self.nodes = list(graph)
         self._index = index = {name: i for i, name in enumerate(self.nodes)}
         self._offsets = [0]
-        self._heads = []
-        self._costs = []
-        for neighbors in graph.values():
+        self._tails, self._heads, self._etas, self._costs = [], [], [], []
+        for u, neighbors in enumerate(graph.values()):
             for v, eta in neighbors.items():
+                self._tails.append(u)
                 self._heads.append(index[v])
+                self._etas.append(eta)
                 self._costs.append(edge_cost(eta, epsilon))
             self._offsets.append(len(self._heads))
 
@@ -172,15 +200,20 @@ class FlatGraph:
         flat.nodes = list(nodes)
         flat._index = {name: i for i, name in enumerate(flat.nodes)}
         flat._offsets = np.searchsorted(tails, np.arange(n + 1)).tolist()
+        flat._tails = tails.tolist()
         flat._heads = heads.tolist()
+        flat._etas = etas.tolist()
         flat._costs = (1.0 / (etas + epsilon)).tolist()
         return flat
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
 
     def tree(self, source: str) -> BellmanFordResult:
         """Shortest-path tree rooted at ``source``, by Dijkstra.
 
         Heap entries are ``(cost, node index)``, and a node takes a new
-        predecessor only on a strictly lower cost, so among equal-cost
+        tree edge only on a strictly lower cost, so among equal-cost
         routes the first-popped predecessor wins.
 
         Raises:
@@ -207,9 +240,9 @@ class FlatGraph:
                 candidate = cost_u + costs[e]
                 if candidate < cost[v]:
                     cost[v] = candidate
-                    pred[v] = u
+                    pred[v] = e
                     push(heap, (candidate, v))
-        return BellmanFordResult(source, self.nodes, self._index, cost, pred)
+        return BellmanFordResult(source, cost, pred, self)
 
 
 def bellman_ford(
@@ -226,8 +259,6 @@ def bellman_ford(
     routing many sources over one graph snapshot should build a
     :class:`FlatGraph` once and call :meth:`FlatGraph.tree` instead.
     """
-    if source not in graph:
-        raise RoutingError(f"source {source!r} is not in the graph")
     return FlatGraph(graph, epsilon).tree(source)
 
 
@@ -275,20 +306,3 @@ def build_routing_tables(
         if not changed:
             break
     return tables
-
-
-def shortest_path(
-    graph: LinkGraph, source: str, destination: str, epsilon: float = DEFAULT_EPSILON
-) -> tuple[list[str], float]:
-    """Best path and its end-to-end transmissivity.
-
-    Returns:
-        ``(path, eta_path)`` where ``eta_path`` is the product of per-link
-        transmissivities along the minimum-cost path.
-
-    Raises:
-        NoPathError: if no usable route exists.
-    """
-    result = bellman_ford(graph, source, epsilon)
-    path = result.path_to(destination)
-    return path, path_transmissivity(path_edges(graph, path))

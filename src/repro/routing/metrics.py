@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ValidationError
 from repro.network.topology import LinkGraph
 
@@ -46,25 +44,18 @@ def path_transmissivity(transmissivities: Iterable[float]) -> float:
 
     This is the quantity that parameterises the end-to-end amplitude
     damping, because amplitude-damping channels compose multiplicatively.
+    The product is a left fold in path order from ``1.0`` — the order
+    ``np.prod`` and the routing tree's
+    :meth:`~repro.routing.bellman_ford.BellmanFordResult.eta_to` use, so
+    all three agree bit for bit. The ``0 <= eta <= 1`` check rejects NaN
+    by itself.
     """
-    values = list(transmissivities)
-    if not values:
-        return 1.0
-    if all(isinstance(eta, float) for eta in values):
-        # Hot path: per-request paths are a handful of plain floats, and
-        # the `0 <= eta <= 1` comparison rejects NaN by itself, so the
-        # array round-trip below is pure overhead. A sequential product
-        # matches np.prod bit-for-bit (both left-fold in order).
-        product = 1.0
-        for eta in values:
-            if not 0.0 <= eta <= 1.0:
-                raise ValidationError("transmissivities must lie in [0, 1]")
-            product *= eta
-        return float(product)
-    etas = np.asarray(values, dtype=float)
-    if np.any((etas < 0) | (etas > 1)) or not np.all(np.isfinite(etas)):
-        raise ValidationError("transmissivities must lie in [0, 1]")
-    return float(np.prod(etas))
+    product = 1.0
+    for eta in transmissivities:
+        if not 0.0 <= eta <= 1.0:
+            raise ValidationError("transmissivities must lie in [0, 1]")
+        product *= eta
+    return float(product)
 
 
 def path_edges(graph: LinkGraph, path: Sequence[str]) -> list[float]:

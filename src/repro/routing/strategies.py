@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from itertools import islice
+from typing import Callable, Hashable, Sequence
 
 from repro import obs
 from repro.errors import ValidationError
@@ -39,11 +40,9 @@ from repro.network.links import LinkPolicy
 from repro.obs.trace import DenialCause
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 from repro.routing.memory import MemoryPool
-from repro.routing.metrics import DEFAULT_EPSILON, path_edges, path_transmissivity
-from repro.routing.yen import yen_paths
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.topology import LinkGraph
+from repro.routing.bellman_ford import FlatGraph
+from repro.routing.metrics import DEFAULT_EPSILON
+from repro.routing.yen import yen_routes
 
 __all__ = [
     "ROUTERS",
@@ -357,26 +356,19 @@ class KShortestStrategy:
 
     def graph_candidates(
         self,
-        graph: "LinkGraph",
+        graph: FlatGraph,
         source: str,
         destination: str,
         is_platform: Callable[[str], bool],
     ) -> tuple[CandidatePath, ...]:
-        """Yen enumeration over a relaxed link graph."""
+        """Yen enumeration over a relaxed link graph's CSR rendering."""
         if source not in graph or destination not in graph:
             return ()
-        out: list[CandidatePath] = []
-        for path, _cost in yen_paths(graph, source, destination, self.epsilon):
-            out.append(
-                CandidatePath(
-                    path=tuple(path),
-                    eta=path_transmissivity(path_edges(graph, path)),
-                    interiors=tuple(n for n in path[1:-1] if is_platform(n)),
-                )
-            )
-            if len(out) >= self.scan_limit:
-                break
-        return tuple(out)
+        routes = islice(yen_routes(graph, source, destination), self.scan_limit)
+        return tuple(
+            CandidatePath(tuple(path), eta, tuple(n for n in path[1:-1] if is_platform(n)))
+            for path, _cost, eta in routes
+        )
 
     # --- the rescue core ----------------------------------------------------
 

@@ -8,85 +8,124 @@ exactly that: the best path comes from a single-source run, and every
 further path is the cheapest "spur" deviation off an already-accepted
 path with the deviating edges masked out.
 
-The spur-path inner solver is Dijkstra over a cost adjacency built once
-per :func:`yen_paths` call (each eta validated and turned into its
-``1/(eta + eps)`` cost there, once); banned prefix nodes and deviating
-edges are skipped inline instead of materialising a masked graph. It
-follows the textbook dict-based Dijkstra kept as a test oracle
-(``tests/routing/dijkstra.py``) step for step — neighbour order,
-strict-``<`` relaxations, ``(cost, node)`` heap ties — and stops when
-the destination is popped, whose predecessor chain is final by then, so
-every spur path is the one that oracle would return. All edge costs on
-this metric are positive, so Dijkstra is exact here (the shared-metric
-equivalence with Algorithm 1 is pinned in ``tests/routing/``). The
-strict router's tree (:meth:`repro.routing.bellman_ford.FlatGraph.tree`)
-is also Dijkstra, but over node indices: its heap ties break by index,
-these by node name.
-
-Determinism: equal-cost paths from one Dijkstra run resolve by heap pop
-order (the first-popped predecessor wins), and candidate spurs are
-ordered by ``(cost, path)`` — node names break float ties — so the
-enumeration order is a pure function of the graph, independent of dict
-iteration or hash randomisation.
+The spur solver is Dijkstra over the CSR arrays of a
+:class:`~repro.routing.bellman_ford.FlatGraph`, the strict tree's
+graph type (the link-state cache memoizes the relaxed one per edge
+set); banned prefix nodes start out settled, and deviating edges are
+skipped at the spur node. It follows the textbook Dijkstra kept as a
+test oracle (``tests/routing/dijkstra.py``) step for step — neighbour
+order, strict-``<`` relaxations, heap ties by node name (where the
+strict tree ties by node index) — and stops when the
+destination is popped, whose predecessor chain is final by then.
+Candidate spurs are ordered by ``(cost, path)``, node names breaking
+float ties, so the enumeration order is a pure function of the graph.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Set
+import math
+from collections.abc import Iterator, Sequence, Set
+from itertools import islice
 
 from repro.errors import RoutingError
 from repro.network.topology import LinkGraph
-from repro.routing.metrics import DEFAULT_EPSILON, edge_cost
+from repro.routing.bellman_ford import FlatGraph
+from repro.routing.metrics import DEFAULT_EPSILON
 
-__all__ = ["k_shortest_paths", "yen_paths"]
-
-#: Per-node ``{neighbour: 1/(eta + eps)}`` in the link graph's order.
-CostGraph = dict[str, dict[str, float]]
+__all__ = ["k_shortest_paths", "yen_paths", "yen_routes"]
 
 
-def _spur_path(
-    costs: CostGraph,
-    source: str,
-    destination: str,
-    banned_nodes: Set[str] = frozenset(),
-    banned_next: Set[str] = frozenset(),
-) -> list[str] | None:
-    """Dijkstra ``source -> destination`` avoiding ``banned_nodes`` and
-    the edges ``source -> v`` for ``v`` in ``banned_next``; ``None`` when
-    the destination is unreachable."""
-    best: dict[str, float] = {source: 0.0}
-    predecessors: dict[str, str] = {}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    # Banned nodes behave as already settled: never relaxed, never popped.
-    settled = set(banned_nodes)
-    inf = float("inf")
+def _spur_edges(
+    flat: FlatGraph,
+    source: int,
+    destination: int,
+    banned_nodes: Sequence[int] = (),
+    banned_next: Set[int] = frozenset(),
+) -> list[int] | None:
+    """Dijkstra ``source -> destination`` over ``flat`` avoiding
+    ``banned_nodes`` and the edges ``source -> v`` for ``v`` in
+    ``banned_next`` (node indices); the path's edge indices in order, or
+    ``None`` when the destination is unreachable."""
+    offsets, heads, costs, tails = flat._offsets, flat._heads, flat._costs, flat._tails
+    nodes = flat.nodes
+    settled = bytearray(len(nodes))
+    for i in banned_nodes:
+        settled[i] = 1
+    best = [math.inf] * len(nodes)
+    best[source] = 0.0
+    pred = [-1] * len(nodes)
+    # (cost, node name, node index): equal costs pop in name order.
+    heap = [(0.0, nodes[source], source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost_u, u = heapq.heappop(heap)
-        if u in settled:
+        cost_u, _, u = pop(heap)
+        if settled[u]:
             continue
         if u == destination:
-            path = [u]
-            while u != source:
-                u = predecessors[u]
-                path.append(u)
-            path.reverse()
-            return path
-        settled.add(u)
-        for v, w in costs[u].items():
-            if v in settled or (u == source and v in banned_next):
+            edges = []
+            while pred[u] >= 0:
+                edges.append(pred[u])
+                u = tails[pred[u]]
+            edges.reverse()
+            return edges
+        settled[u] = 1
+        for e in range(offsets[u], offsets[u + 1]):
+            v = heads[e]
+            if settled[v] or (u == source and v in banned_next):
                 continue
-            candidate = cost_u + w
-            if candidate < best.get(v, inf):
+            candidate = cost_u + costs[e]
+            if candidate < best[v]:
                 best[v] = candidate
-                predecessors[v] = u
-                heapq.heappush(heap, (candidate, v))
+                pred[v] = e
+                push(heap, (candidate, nodes[v], v))
     return None
 
 
-def _path_cost(costs: CostGraph, path: list[str] | tuple[str, ...]) -> float:
-    """Left-to-right sum of edge costs (the value ``path_cost`` gives)."""
-    return sum(costs[u][v] for u, v in zip(path, path[1:]))
+def yen_routes(
+    flat: FlatGraph, source: str, destination: str
+) -> Iterator[tuple[list[str], float, float]]:
+    """Lazily yield ``(path, cost, eta)`` over ``flat`` in nondecreasing
+    cost order: ``cost`` as :func:`~repro.routing.metrics.path_cost`
+    sums it and ``eta`` as :func:`~repro.routing.metrics.path_transmissivity`
+    folds it (left to right from 1.0), bit for bit. Paths are simple (loop-free): spur searches
+    mask every root-prefix node. The generator ends when the simple
+    paths are exhausted.
+
+    Raises:
+        RoutingError: if either endpoint is not in the graph.
+    """
+    for end, name in ((source, "source"), (destination, "destination")):
+        if end not in flat:
+            raise RoutingError(f"{name} {end!r} is not in the graph")
+    nodes, costs, heads, etas = flat.nodes, flat._costs, flat._heads, flat._etas
+    src, dst = flat._index[source], flat._index[destination]
+    # Min-heap of (cost, path names, node indices, edge indices); the
+    # name tuple both deduplicates and breaks cost ties deterministically
+    # (and is unique, so the index lists never compare).
+    frontier: list[tuple[float, tuple[str, ...], list[int], list[int]]] = []
+    seen: set[tuple[str, ...]] = set()
+
+    def offer(path: list[int], edges: list[int]) -> None:
+        names = tuple(nodes[i] for i in path)
+        if names not in seen:
+            seen.add(names)
+            heapq.heappush(frontier, (sum(map(costs.__getitem__, edges)), names, path, edges))
+
+    first = _spur_edges(flat, src, dst)
+    if first is not None:
+        offer([src] + [heads[e] for e in first], first)
+    accepted: list[list[int]] = []
+    while frontier:
+        cost, names, prev, prev_edges = heapq.heappop(frontier)
+        accepted.append(prev)
+        yield list(names), cost, math.prod(map(etas.__getitem__, prev_edges), start=1.0)
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            banned_next = {p[i + 1] for p in accepted if len(p) > i + 1 and p[: i + 1] == root}
+            spur = _spur_edges(flat, prev[i], dst, root[:-1], banned_next)
+            if spur is not None:
+                offer(root + [heads[e] for e in spur], prev_edges[:i] + spur)
 
 
 def yen_paths(
@@ -95,53 +134,15 @@ def yen_paths(
     destination: str,
     epsilon: float = DEFAULT_EPSILON,
 ) -> Iterator[tuple[list[str], float]]:
-    """Lazily yield ``(path, cost)`` in nondecreasing cost order.
-
-    Paths are simple (loop-free) by construction: spur computations mask
-    every root-prefix node, so a spur can never revisit the prefix. The
-    generator terminates when the simple paths are exhausted.
+    """Lazily yield ``(path, cost)`` in nondecreasing cost order:
+    :func:`yen_routes` over ``FlatGraph(graph, epsilon)``.
 
     Raises:
         RoutingError: if either endpoint is not in the graph.
         ValidationError: if any link eta lies outside [0, 1].
     """
-    if source not in graph:
-        raise RoutingError(f"source {source!r} is not in the graph")
-    if destination not in graph:
-        raise RoutingError(f"destination {destination!r} is not in the graph")
-    costs: CostGraph = {
-        u: {v: edge_cost(eta, epsilon) for v, eta in neighbors.items()}
-        for u, neighbors in graph.items()
-    }
-    first = _spur_path(costs, source, destination)
-    if first is None:
-        return
-    accepted: list[list[str]] = [first]
-    seen: set[tuple[str, ...]] = {tuple(first)}
-    yield first, _path_cost(costs, first)
-    # Min-heap of (cost, path-tuple) candidate deviations; the path
-    # tuple both deduplicates and breaks cost ties deterministically.
-    frontier: list[tuple[float, tuple[str, ...]]] = []
-    while True:
-        prev = accepted[-1]
-        for i in range(len(prev) - 1):
-            root = prev[: i + 1]
-            banned_next = {
-                p[i + 1] for p in accepted if len(p) > i + 1 and p[: i + 1] == root
-            }
-            spur = _spur_path(costs, prev[i], destination, set(root[:-1]), banned_next)
-            if spur is None:
-                continue
-            candidate = tuple(root[:-1] + spur)
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            heapq.heappush(frontier, (_path_cost(costs, candidate), candidate))
-        if not frontier:
-            return
-        cost, best = heapq.heappop(frontier)
-        accepted.append(list(best))
-        yield list(best), cost
+    for path, cost, _ in yen_routes(FlatGraph(graph, epsilon), source, destination):
+        yield path, cost
 
 
 def k_shortest_paths(
@@ -161,9 +162,4 @@ def k_shortest_paths(
     """
     if k < 1:
         raise RoutingError(f"k must be >= 1, got {k}")
-    out: list[tuple[list[str], float]] = []
-    for path, cost in yen_paths(graph, source, destination, epsilon):
-        out.append((path, cost))
-        if len(out) == k:
-            break
-    return out
+    return list(islice(yen_paths(graph, source, destination, epsilon), k))

@@ -167,3 +167,12 @@ def test_prebuilt_strategy_shares_the_elevation_gate(network):
     with pytest.raises(ValidationError, match="min_elevation_rad"):
         NetworkSimulator(network, use_cache=True, strategy=other)
     NetworkSimulator(network, use_cache=True, strategy=KShortestStrategy(config))
+
+
+def test_prebuilt_strategy_shares_the_epsilon(network):
+    """The cached rescue's Yen runs on the link state's costs, so a
+    strategy built with another routing epsilon is rejected."""
+    config = StrategyConfig(router="k-shortest", k=2)
+    other = KShortestStrategy(config, epsilon=1e-3)
+    with pytest.raises(ValidationError, match="epsilon"):
+        NetworkSimulator(network, use_cache=True, strategy=other)

@@ -99,11 +99,11 @@ class TestDegradedRouting:
             for u, nbrs in graph.items()
         }
         from repro.errors import NoPathError
-        from repro.routing.bellman_ford import shortest_path
+        from repro.routing.bellman_ford import bellman_ford
 
+        tree = bellman_ford(cut, "ttu-0")
         # TTU <-> ORNL still routes...
-        path, _ = shortest_path(cut, "ttu-0", "ornl-0")
-        assert "hap-0" in path
+        assert "hap-0" in tree.path_to("ornl-0")
         # ...but EPB is now unreachable from TTU.
         with pytest.raises(NoPathError):
-            shortest_path(cut, "ttu-0", "epb-0")
+            tree.path_to("epb-0")

@@ -96,3 +96,68 @@ class TestWriteBenchRecordMirror:
         trajectory = json.loads((tmp_path / "trajectory" / "BENCH_demo.json").read_text())
         assert len(trajectory["trajectory"]) == 1  # same git sha -> replaced
         assert trajectory["trajectory"][0]["timings_s"]["warm"] == 0.9
+
+
+def _git(repo: Path, *args: str) -> None:
+    import subprocess
+
+    subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org", *args],
+        cwd=repo,
+        check=True,
+        capture_output=True,
+    )
+
+
+@pytest.fixture
+def git_repo(tmp_path, monkeypatch):
+    """A one-commit repository whose sha and dirty flag stamp records."""
+    from repro.obs import manifest
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "code.py").write_text("x = 1\n")
+    _git(repo, "add", "code.py")
+    _git(repo, "commit", "-q", "-m", "code")
+    dirty = reporting.git_dirty
+    monkeypatch.setattr(reporting, "git_sha", lambda: manifest.git_sha(repo))
+    monkeypatch.setattr(reporting, "git_dirty", lambda: dirty(repo))
+    return repo
+
+
+class TestDirtyTree:
+    def _record(self, tmp_path, warm):
+        reporting.write_bench_record(
+            "demo", timings_s={"warm": warm}, workload={"n": 1}, results_dir=tmp_path / "out"
+        )
+        path = tmp_path / "out" / "trajectory" / "BENCH_demo.json"
+        return json.loads(path.read_text())["trajectory"]
+
+    def test_clean_tree_is_stamped_clean(self, tmp_path, git_repo):
+        (entry,) = self._record(tmp_path, 1.0)
+        assert entry["git_dirty"] is False
+        assert len(entry["git_sha"]) == 40
+
+    def test_dirty_record_never_replaces_a_clean_entry(self, tmp_path, git_repo):
+        (clean,) = self._record(tmp_path, 1.0)
+        (git_repo / "code.py").write_text("x = 2\n")  # uncommitted edit
+        history = self._record(tmp_path, 0.5)
+        assert [(e["git_sha"], e["git_dirty"]) for e in history] == [
+            (clean["git_sha"], False),
+            (clean["git_sha"], True),
+        ]
+        assert history[0]["timings_s"]["warm"] == 1.0
+        # A dirty re-run replaces the dirty entry only ...
+        history = self._record(tmp_path, 0.4)
+        assert [e["timings_s"]["warm"] for e in history] == [1.0, 0.4]
+        # ... and a clean re-run of the sha replaces both.
+        (git_repo / "code.py").write_text("x = 1\n")
+        history = self._record(tmp_path, 0.9)
+        assert [(e["git_dirty"], e["timings_s"]["warm"]) for e in history] == [(False, 0.9)]
+
+    def test_untracked_files_do_not_mark_the_tree_dirty(self, git_repo):
+        (git_repo / "scratch.txt").write_text("notes\n")
+        assert reporting.git_dirty() is False
+        (git_repo / "code.py").write_text("x = 3\n")
+        assert reporting.git_dirty() is True

@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from repro.errors import NoPathError, RoutingError, ValidationError
-from repro.routing.bellman_ford import (
-    FlatGraph,
-    bellman_ford,
-    build_routing_tables,
-    shortest_path,
-)
-from repro.routing.metrics import edge_cost, path_edges
+from repro.routing.bellman_ford import FlatGraph, bellman_ford, build_routing_tables
+from repro.routing.metrics import edge_cost, path_edges, path_transmissivity
 from tests.routing.graphtools import to_networkx
 
 TRIANGLE = {
@@ -135,6 +130,12 @@ class TestFlatGraphFromArrays:
             FlatGraph.from_arrays(nodes, tails, heads, etas, epsilon)
 
 
+def shortest_path(graph, source, destination):
+    """A route and its end-to-end eta, both read off the tree."""
+    tree = bellman_ford(graph, source)
+    return tree.path_to(destination), tree.eta_to(destination)
+
+
 class TestShortestPath:
     def test_returns_path_and_product(self):
         path, eta = shortest_path(TRIANGLE, "a", "b")
@@ -153,7 +154,9 @@ class TestShortestPath:
 
     def test_no_path(self):
         with pytest.raises(NoPathError):
-            shortest_path(DISCONNECTED, "a", "island")
+            bellman_ford(DISCONNECTED, "a").path_to("island")
+        with pytest.raises(NoPathError):
+            bellman_ford(DISCONNECTED, "a").eta_to("island")
 
     def test_source_equals_destination(self):
         path, eta = shortest_path(TRIANGLE, "a", "a")
@@ -265,3 +268,47 @@ class TestDijkstraTree:
         tree = bellman_ford(graph, "a")
         assert tree.path_to("d") == ["a", order[1], "d"]
         assert tree.predecessors == {"a": None, "b": "a", "c": "a", "d": order[1]}
+
+
+class TestTreeEta:
+    """The tree's path eta is the left fold ``path_transmissivity`` runs
+    over ``path_edges``: equal with ``==``, not approximately."""
+
+    def test_random_tied_graphs(self, rng):
+        for _ in range(40):
+            graph = random_tied_graph(rng, int(rng.integers(2, 13)))
+            flat = FlatGraph(graph)
+            for source in graph:
+                tree = flat.tree(source)
+                for dest in graph:
+                    if not tree.reachable(dest):
+                        with pytest.raises(NoPathError):
+                            tree.eta_to(dest)
+                        continue
+                    path = tree.path_to(dest)
+                    assert tree.eta_to(dest) == path_transmissivity(path_edges(graph, path))
+
+    def test_paper_day_through_the_link_state(self, day_ephemeris_108):
+        from repro.channels.presets import paper_satellite_fso
+        from repro.engine import LinkStateCache
+        from repro.network.topology import attach_satellites, build_qntn_ground_network
+
+        network = build_qntn_ground_network()
+        attach_satellites(network, day_ephemeris_108, paper_satellite_fso())
+        cache = LinkStateCache(network)
+        grounds = [h.name for h in network.hosts() if h.kind == "ground"]
+        n_paths = n_relayed = 0
+        for k in range(0, cache.n_times, 97):
+            graph = cache.graph_at_index(k)
+            for source in grounds:
+                tree = cache.routing_tree_at_index(k, source)
+                for dest in graph:
+                    if dest == source or not tree.reachable(dest):
+                        continue
+                    path = tree.path_to(dest)
+                    assert tree.eta_to(dest) == path_transmissivity(
+                        path_edges(graph, path)
+                    ), (k, source, dest)
+                    n_paths += 1
+                    n_relayed += any(network.host(n).kind != "ground" for n in path)
+        assert n_relayed > 0 and n_paths > n_relayed

@@ -7,10 +7,11 @@ Yen's order on graphs with tied etas.
 * ``KShortestStrategy.candidates`` enumerates only the requested pair,
   at most once per epoch; an epoch advance enumerates nothing.
 * ``yen_paths`` on tied etas: the paths and costs are the brute-force
-  ranking's, and the order is the one a reference Yen over materialised
-  masked graphs with the baseline Dijkstra produces — the flat spur
-  solver breaks ties the same way, so rescue candidates (and hence
-  served outcomes) cannot move. Equal-cost paths do *not* come out
+  ranking's, and the ``(path, cost)`` sequence, costs bit-equal, is the
+  one a reference Yen over materialised masked graphs with the baseline
+  Dijkstra produces — the CSR spur solver breaks ties the same way
+  (by node name, through the graph's name rank), so rescue candidates
+  (and hence served outcomes) cannot move. Equal-cost paths do *not* come out
   sorted by name: one Dijkstra run keeps the first-popped predecessor.
 """
 
@@ -137,7 +138,13 @@ def brute_force_ranking(graph, source, destination):
 
 
 def reference_yen(graph, source, destination):
-    """Textbook Yen: spur Dijkstra runs over copied, masked graphs."""
+    """Textbook Yen: spur Dijkstra runs over copied, masked graphs.
+    Returns ``(path, cost)`` pairs, each cost ``path_cost`` of the
+    path's etas."""
+
+    def ranked(path):
+        return list(path), path_cost(path_edges(graph, path))
+
     try:
         first, _ = dijkstra_path(graph, source, destination)
     except NoPathError:
@@ -167,7 +174,7 @@ def reference_yen(graph, source, destination):
                 seen.add(candidate)
                 frontier.append((path_cost(path_edges(graph, candidate)), candidate))
         if not frontier:
-            return accepted
+            return [ranked(path) for path in accepted]
         frontier.sort()
         accepted.append(list(frontier.pop(0)[1]))
 
@@ -184,8 +191,9 @@ def test_yen_order_on_tied_etas(graph):
     # minimised from the spur node, the ranking sums from the source ...
     for (_, c1), (_, c2) in zip(got, got[1:]):
         assert c1 <= c2 * (1.0 + 1e-12)
-    # ... and equal costs resolve exactly as the reference Yen does.
-    assert [p for p, _ in got] == reference_yen(graph, "n0", "n1")
+    # ... and equal costs resolve exactly as the reference Yen does, with
+    # bit-equal costs.
+    assert got == reference_yen(graph, "n0", "n1")
 
 
 def test_equal_cost_paths_resolve_by_dijkstra_pop_order():
