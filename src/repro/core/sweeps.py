@@ -130,7 +130,7 @@ def _serve_steps(
         [analysis.serve(pairs, t, n_satellites=n) for n in sizes] for t in t_block
     ]
     rec = events.active()
-    if rec is not None:
+    if rec is not None and rec.keeps_records:
         _record_service_block(rec, analysis, pairs, t_block, sizes[-1], convention)
     return results
 
@@ -309,7 +309,7 @@ def run_constellation_sweep(
     # recorded outage timeline and coverage fraction reproduce
     # core.coverage's values exactly.
     recorder = events.active()
-    if recorder is not None:
+    if recorder is not None and recorder.keeps_records:
         full_mask = cumulative[max_size - 1]
         for i, t in enumerate(ephemeris.times_s):
             recorder.record_coverage(

@@ -578,7 +578,9 @@ class NetworkSimulator:
         k = self.linkstate.advance_index(t_s) if self.use_cache else None
         rec = events._ACTIVE
         flight = (
-            None if rec is None else rec.request_scope(f"{source}|{destination}|{t_s!r}")
+            None
+            if rec is None or not rec.keeps_records
+            else rec.request_scope(f"{source}|{destination}|{t_s!r}")
         )
         tree = self._routing_tree(source, t_s, k)
         try:
@@ -604,6 +606,8 @@ class NetworkSimulator:
         trees: dict[str, BellmanFordResult] = {}
         outcomes: list[RequestOutcome] = []
         rec = events._ACTIVE
+        if rec is not None and not rec.keeps_records:
+            rec = None
         for source, destination in requests:
             self._check_endpoints(source, destination)
             flight = (

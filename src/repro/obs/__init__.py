@@ -1,19 +1,17 @@
 """Observability: metrics, tracing spans, and run telemetry.
 
 One switch governs everything: :func:`enable` turns the process-wide
-:class:`~repro.obs.metrics.MetricsRegistry` and the span profile on,
-:func:`disable` turns them off (the default). Disabled, every
-instrumented call site costs a single flag check — cheap enough to live
-on the request-serving hot paths permanently (gated at <= 3 % on the
-linkstate bench workload by ``benchmarks/bench_obs_overhead.py``).
+:class:`~repro.obs.metrics.MetricsRegistry` on and activates an
+aggregate-only span recorder (the span profile), :func:`disable` turns
+both off (the default). Disabled, every instrumented call site costs a
+single flag or ``None`` check — cheap enough to live on the
+request-serving hot paths permanently (gated at <= 3 % on the linkstate
+bench workload by ``benchmarks/bench_obs_overhead.py``).
 
 Layout:
 
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms;
   snapshot/merge/delta for cross-process aggregation.
-* :mod:`repro.obs.spans` — nestable :func:`span` context manager and
-  :func:`traced` decorator feeding the per-phase :func:`profile`; also
-  the always-on local :class:`Stopwatch`.
 * :mod:`repro.obs.manifest` — the JSON run manifest (git SHA, host,
   metrics, profile, worker shard reports) behind the CLI's
   ``--telemetry`` flag; :func:`git_sha`/:func:`host_info` shared with
@@ -21,20 +19,23 @@ Layout:
 * :mod:`repro.obs.export` — Prometheus text dump and the ``--profile``
   ASCII table (imported on demand, not re-exported here, to keep this
   package import-light for the hot modules that instrument through it).
-* :mod:`repro.obs.events` — the one recording sink behind the CLI's
-  ``--trace`` flag: raw span events with trace/span/parent ids and
-  cross-process clock alignment, where each request's root ``request``
-  event carries its flight record (path and fidelity, or one canonical
-  denial cause from :mod:`repro.obs.trace`), plus Chrome
-  ``trace_event`` export; off by default, one ``None`` check per span
-  and per request otherwise (DESIGN.md §10). :mod:`repro.obs.report`
+* :mod:`repro.obs.events` — the one span sink: the nestable
+  :func:`span` context manager, the per-path span profile every active
+  recorder aggregates, and — behind the CLI's ``--trace`` flag — raw
+  span events with trace/span/parent ids and cross-process clock
+  alignment, where each request's root ``request`` event carries its
+  flight record (path and fidelity, or one canonical denial cause from
+  :mod:`repro.obs.trace`), plus Chrome ``trace_event`` export; off by
+  default, one ``None`` check per span and per request otherwise
+  (DESIGN.md §10). :mod:`repro.obs.report`
   renders its manifests into HTML/ASCII reports and threshold-gated
   diffs (imported on demand).
 * :mod:`repro.obs.live` — windowed instruments (sliding-window rates,
   rolling exact quantiles, injectable clock) registered in the same
-  registry; :mod:`repro.obs.slo` evaluates declarative SLOs over them
-  with multi-window burn-rate alerting. Both feed the HTTP scrape
-  plane of :mod:`repro.serve.http` (DESIGN.md §14).
+  registry, each also keeping its series' all-time view;
+  :mod:`repro.obs.slo` evaluates declarative SLOs over them with
+  multi-window burn-rate alerting. Both feed the HTTP scrape plane of
+  :mod:`repro.serve.http` (DESIGN.md §14).
 
 Typical instrumented module::
 
@@ -64,8 +65,8 @@ from repro.obs.metrics import (
     metrics_delta,
     registry,
 )
-from repro.obs.spans import Profile, SpanStats, Stopwatch, profile, span, traced
 from repro.obs import events, live, trace
+from repro.obs.events import span
 
 __all__ = [
     "events",
@@ -75,9 +76,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profile",
-    "SpanStats",
-    "Stopwatch",
     "counter",
     "disable",
     "enable",
@@ -87,26 +85,37 @@ __all__ = [
     "histogram",
     "host_info",
     "metrics_delta",
-    "profile",
     "record_worker_report",
     "registry",
     "reset",
     "run_manifest",
     "span",
-    "traced",
     "worker_reports",
     "write_run_manifest",
 ]
 
 
 def enable() -> None:
-    """Turn metrics and span recording on for this process."""
+    """Turn metrics and span profiling on for this process.
+
+    Spans aggregate into the active recorder; with none active (no
+    ``--trace`` recording) an aggregate-only one is started.
+    """
     registry().enabled = True
+    if events.active() is None:
+        events.attach(events.EventRecorder(keep_records=False))
 
 
 def disable() -> None:
-    """Turn metrics and span recording off (instrument values persist)."""
+    """Turn metrics and span profiling off.
+
+    Instrument values persist; an aggregate-only recorder is dropped
+    with its profile (a recording one stays until ``events.stop()``).
+    """
     registry().enabled = False
+    rec = events.active()
+    if rec is not None and not rec.keeps_records:
+        events.detach()
 
 
 def enabled() -> bool:
@@ -130,22 +139,24 @@ def histogram(name: str, buckets: tuple[float, ...] | None = None) -> Histogram:
 
 
 def reset() -> None:
-    """Zero all metrics, clear the profile and worker reports.
+    """Zero all metrics, clear the span profile and worker reports.
 
     The enabled flag is left as-is (but a force-enabled live plane is
     switched back off); instrument objects stay registered, so
     references cached at import time remain live. Any active recorder
-    (:mod:`repro.obs.events`) is closed and dropped, and
-    histogram exemplars are cleared with the metric values — back-to-back
-    runs in one process never leak events or exemplars across runs. Also
-    marks *now* as the run start for the manifest's
-    ``started_at``/``duration_s``.
+    (:mod:`repro.obs.events`) is closed and dropped — while enabled, a
+    fresh aggregate-only one takes its place — and histogram exemplars
+    are cleared with the metric values: back-to-back runs in one process
+    never leak events, profiles or exemplars across runs. Also marks
+    *now* as the run start for the manifest's ``started_at``/
+    ``duration_s``.
     """
     from repro.obs.manifest import clear_worker_reports, mark_run_started
 
     registry().reset()
-    profile().reset()
     live.force(False)
     events.reset()
+    if enabled():
+        enable()
     clear_worker_reports()
     mark_run_started()

@@ -1,13 +1,20 @@
-"""The one recording sink: span events plus per-request flight records.
+"""The one span sink: the span profile, span events and flight records.
 
-The span plane (:mod:`repro.obs.spans`) folds every execution into an
-aggregate :class:`~repro.obs.spans.Profile` and discards the timeline.
-When a recorder is active (off by default — the span and serving hot
-paths pay one ``None`` check otherwise), every completed span
-activation emits one raw event carrying a ``trace`` / ``span`` /
-``parent`` triple, monotonic microsecond timestamps and attributes, so
-one stream answers both "where did the time go?" and "why was this
-request denied?".
+:func:`span` (re-exported as ``obs.span``) enters and exits through the
+active :class:`EventRecorder` only; with none active (off by default —
+the span and serving hot paths pay one ``None`` check otherwise) it is a
+shared no-op. Every activation pushes one ``(trace, span, path)`` frame
+on a thread-local context stack, so the same code aggregates as
+``propagate`` when called directly and as ``sweep/propagate`` under an
+enclosing ``span("sweep")``. On exit the recorder folds the wall time
+into its per-path aggregate (count / total / max — the run's span
+profile, counted for every activation whether or not its trace is
+sampled). Telemetry without recording (``obs.enable()`` with no
+``--trace``) runs an *aggregate-only* recorder that stops there. A
+recording recorder also emits one raw event per span carrying a
+``trace`` / ``span`` / ``parent`` triple, monotonic microsecond
+timestamps and attributes, so one stream answers both "where did the
+time go?" and "why was this request denied?".
 
 Event records are JSON dicts with the fields::
 
@@ -58,7 +65,9 @@ its length.
 Workers never write through an inherited recorder: the pool protocol
 (:func:`shard_config` / :func:`start_shard` / :func:`finish_shard` /
 :func:`absorb_shard`) gives each task its own shard recorder, and each
-shard payload carries the worker's paired clock origins
+shard payload carries the shard's span aggregate (added into the
+parent's, so a pooled run profiles like an in-process one) and the
+worker's paired clock origins
 ``(wall_origin_unix_s, mono_origin_us)`` so the parent maps every
 absorbed timestamp onto its own monotonic timeline with one constant
 per-shard offset. A constant shift preserves intra-trace causality
@@ -75,7 +84,7 @@ import time
 import threading
 import zlib
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -101,6 +110,8 @@ __all__ = [
     "shard_config",
     "shard_payload",
     "shard_recorder",
+    "span",
+    "span_profile",
     "start",
     "start_shard",
     "stop",
@@ -179,7 +190,13 @@ def now_us() -> int:
 _CTX = threading.local()
 
 
-def _ctx_stack() -> list[tuple[Any, int]]:
+def _ctx_stack() -> list[tuple[Any, int, str]]:
+    """The thread's context stack of ``(trace_id, span_id, path)`` frames.
+
+    ``trace_id`` is ``None`` for process scope and :data:`_DROP` under an
+    unsampled trace; ``path`` is the slash-joined span path below which
+    the next span nests.
+    """
     stack = getattr(_CTX, "stack", None)
     if stack is None:
         stack = _CTX.stack = []
@@ -187,15 +204,21 @@ def _ctx_stack() -> list[tuple[Any, int]]:
 
 
 class _Scope:
-    """Pushes one ``(trace_id, span_id)`` context frame for a ``with`` body."""
+    """Pushes one trace context frame for a ``with`` body.
 
-    __slots__ = ("_frame",)
+    The frame keeps the enclosing span path, so spans opened under a
+    request root nest exactly as they would without it.
+    """
 
-    def __init__(self, frame: tuple[Any, int]) -> None:
-        self._frame = frame
+    __slots__ = ("_ids", "_frame")
+
+    def __init__(self, trace_id: Any, span_id: int) -> None:
+        self._ids = (trace_id, span_id)
 
     def __enter__(self) -> "_Scope":
-        _ctx_stack().append(self._frame)
+        stack = _ctx_stack()
+        self._frame = (*self._ids, stack[-1][2] if stack else "")
+        stack.append(self._frame)
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -204,56 +227,118 @@ class _Scope:
             stack.pop()
 
 
-class SpanHandle:
-    """One open span. ``end()`` writes the record; re-use is an error."""
+class _Span:
+    """One :func:`span` activation. Re-usable sequentially, not concurrently.
 
-    __slots__ = (
-        "rec",
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "name",
-        "path",
-        "t0_us",
-        "attrs",
-        "sampled",
-        "_pushed",
-    )
+    Entering pushes one context frame carrying the span's path; exiting
+    pops it, folds the wall time into the recorder's per-path aggregate
+    (every activation, sampled or not) and, when the span belongs to a
+    recorded trace or to process scope of a recorder that keeps
+    records, writes one event.
+    """
+
+    __slots__ = ("rec", "name", "_frame", "_parent", "_t0")
+
+    def __init__(self, rec: "EventRecorder", name: str) -> None:
+        self.rec = rec
+        self.name = name
+
+    def __enter__(self) -> "_Span":
+        name = self.name
+        stack = _ctx_stack()
+        if stack:
+            trace_id, parent_id, prefix = stack[-1]
+            path = f"{prefix}/{name}" if prefix else name
+            if name in PROCESS_SCOPE_SPANS:
+                trace_id = parent_id = None
+        else:
+            trace_id = parent_id = None
+            path = name
+        rec = self.rec
+        span_id = (
+            rec._next_span_id(trace_id)
+            if rec.keeps_records and trace_id is not _DROP
+            else 0
+        )
+        self._parent = parent_id
+        self._frame = (trace_id, span_id, path)
+        stack.append(self._frame)
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        t1 = time.perf_counter()
+        elapsed = t1 - self._t0
+        frame = self._frame
+        stack = _ctx_stack()
+        if stack and stack[-1] is frame:
+            stack.pop()
+        trace_id, span_id, path = frame
+        stats = self.rec.span_stats.setdefault(path, [0, 0.0, 0.0])
+        stats[0] += 1
+        stats[1] += elapsed
+        if elapsed > stats[2]:
+            stats[2] = elapsed
+        if span_id:
+            self.rec._emit(
+                self.name, path, span_id, trace_id, self._parent,
+                int(self._t0 * 1e6), int(t1 * 1e6), None,
+            )
+
+
+#: What :func:`span` returns with no recorder active: one shared no-op.
+_NULL_SPAN = nullcontext()
+
+
+def span(name: str) -> "_Span | nullcontext":
+    """Context manager timing one phase under the current nesting path.
+
+    The recorded key is the slash-joined path of every enclosing span
+    plus ``name``, so the same code aggregates as ``propagate`` when
+    called directly and as ``sweep/propagate`` under ``span("sweep")``.
+    With no recorder active (telemetry and recording both off) it
+    returns a shared no-op, so a disabled span allocates nothing.
+    Exceptions propagate and still record the span.
+    """
+    rec = _ACTIVE
+    if rec is None:
+        return _NULL_SPAN
+    return _Span(rec, name)
+
+
+class SpanHandle:
+    """One open trace root. ``end()`` writes the record; re-use is an error."""
+
+    __slots__ = ("rec", "trace_id", "span_id", "name", "t0_us", "attrs", "sampled")
 
     def __init__(
         self,
         rec: "EventRecorder",
-        trace_id: str | None,
+        trace_id: str,
         span_id: int,
-        parent_id: int | None,
         name: str,
-        path: str,
         t0_us: int,
         attrs: dict[str, Any] | None,
         sampled: bool,
-        pushed: bool,
     ) -> None:
         self.rec = rec
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
         self.name = name
-        self.path = path
         self.t0_us = t0_us
         self.attrs = attrs
         self.sampled = sampled
-        self._pushed = pushed
 
     def scope(self) -> _Scope:
         """Context frame making this span the parent of nested spans.
 
         An unsampled handle pushes a *suppressing* frame: spans begun
-        under it are dropped entirely (the whole subtree follows the
-        root's sampling decision).
+        under it write no events (the whole subtree follows the root's
+        sampling decision), though they still count in the aggregate.
         """
         if not self.sampled:
-            return _Scope((_DROP, 0))
-        return _Scope((self.trace_id, self.span_id))
+            return _Scope(_DROP, 0)
+        return _Scope(self.trace_id, self.span_id)
 
     def child_complete(
         self,
@@ -280,43 +365,44 @@ class SpanHandle:
         self, attrs: Mapping[str, Any] | None = None, ts_us: int | None = None
     ) -> None:
         """Close the span and write its record (merging ``attrs`` in)."""
-        end_us = ts_us if ts_us is not None else now_us()
-        if self._pushed:
-            stack = _ctx_stack()
-            if stack and stack[-1][1] == self.span_id:
-                stack.pop()
         if not self.sampled:
             return
         merged = dict(self.attrs) if self.attrs else {}
         if attrs:
             merged.update(attrs)
-        record: dict[str, Any] = {
-            "ph": "X",
-            "name": self.name,
-            "path": self.path,
-            "ts": self.t0_us,
-            "dur": max(0, end_us - self.t0_us),
-            "span": self.span_id,
-            "shard": self.rec.config.shard,
-        }
-        if self.trace_id is not None:
-            record["trace"] = self.trace_id
-        if self.parent_id is not None:
-            record["parent"] = self.parent_id
-        if merged:
-            record["attrs"] = merged
-        self.rec._ingest(record)
+        self.rec._emit(
+            self.name, self.name, self.span_id, self.trace_id, None, self.t0_us,
+            ts_us if ts_us is not None else now_us(), merged,
+        )
 
 
 class EventRecorder:
-    """Streams span events and keeps bounded incremental analytics.
+    """Aggregates every span activation per path; streams span events
+    and keeps bounded incremental analytics.
+
+    ``span_stats`` maps each span path to ``[count, total_s, max_s]``
+    over every activation, sampled or not — the run's span profile (the
+    manifest's ``"profile"``, the ``--profile`` table). An
+    *aggregate-only* recorder (``keep_records=False``, what
+    ``obs.enable()`` activates when nothing is recording) keeps just
+    that: it samples no trace, writes no event and builds no flight
+    record.
 
     Not thread-safe by design: each recorder belongs to one recording
     context (the process' main loop, or one pool worker's shard).
     """
 
-    def __init__(self, config: EventConfig | None = None, **kwargs: Any) -> None:
+    def __init__(
+        self,
+        config: EventConfig | None = None,
+        *,
+        keep_records: bool = True,
+        **kwargs: Any,
+    ) -> None:
         self.config = config if config is not None else EventConfig(**kwargs)
+        self.keeps_records = keep_records
+        #: span path -> [count, total_s, max_s], in first-entered order
+        self.span_stats: dict[str, list] = {}
         # Paired clock origins, captured together: the shard-merge
         # protocol uses them to compute one constant offset per shard.
         self.wall_origin_unix_s = time.time()
@@ -326,7 +412,7 @@ class EventRecorder:
         self._records_in_part = 0
         self._paths: list[Path] = []
         self._ring: deque[dict[str, Any]] | None = None
-        if self.config.path is None:
+        if self.config.path is None and keep_records:
             self._ring = deque(maxlen=self.config.ring_size)
         # --- bounded incremental analytics ---------------------------------
         self.n_events = 0
@@ -364,7 +450,10 @@ class EventRecorder:
     # --- sampling -----------------------------------------------------------
 
     def sampled(self, trace_id: str) -> bool:
-        """Deterministic per-trace sampling decision."""
+        """Deterministic per-trace sampling decision (always ``False``
+        on an aggregate-only recorder)."""
+        if not self.keeps_records:
+            return False
         rate = self.config.sample_rate
         if rate >= 1.0:
             return True
@@ -395,51 +484,13 @@ class EventRecorder:
         subtree.
         """
         if not self.sampled(trace_id):
-            return SpanHandle(
-                self, trace_id, 0, None, name, name, 0, None, False, False
-            )
+            return SpanHandle(self, trace_id, 0, name, 0, None, False)
         span_id = self._next_span_id(trace_id)
         self._open.setdefault(trace_id, [])
         handle = SpanHandle(
-            self,
-            trace_id,
-            span_id,
-            None,
-            name,
-            name,
-            now_us(),
-            dict(attrs) if attrs else None,
-            True,
-            False,
+            self, trace_id, span_id, name, now_us(), dict(attrs) if attrs else None, True
         )
         self._roots[trace_id] = handle
-        return handle
-
-    def span_begin(self, name: str, path: str) -> SpanHandle | None:
-        """Open a span under the current thread-local context.
-
-        With no context the span is process-scope (``trace`` omitted);
-        under a suppressed scope nothing is recorded and ``None`` is
-        returned. The span pushes itself as the context for its body.
-
-        Cache-fill spans (:data:`PROCESS_SCOPE_SPANS`) are recorded
-        process-scope even inside a trace scope: a memoization miss is
-        triggered by whichever request arrives first, so anchoring it to
-        that trace would make trace contents depend on request order and
-        worker count — breaking the fixed-seed determinism contract.
-        """
-        stack = _ctx_stack()
-        if stack and name not in PROCESS_SCOPE_SPANS:
-            trace_id, parent_id = stack[-1]
-            if trace_id is _DROP:
-                return None
-        else:
-            trace_id, parent_id = None, None
-        span_id = self._next_span_id(trace_id)
-        handle = SpanHandle(
-            self, trace_id, span_id, parent_id, name, path, now_us(), None, True, True
-        )
-        stack.append((trace_id, span_id))
         return handle
 
     def complete(
@@ -453,13 +504,31 @@ class EventRecorder:
         attrs: Mapping[str, Any] | None = None,
     ) -> None:
         """Emit one already-finished span with explicit timestamps."""
+        if self.keeps_records:
+            self._emit(
+                name, name, self._next_span_id(trace_id), trace_id, parent_id,
+                int(begin_us), int(end_us), dict(attrs) if attrs else None,
+            )
+
+    def _emit(
+        self,
+        name: str,
+        path: str,
+        span_id: int,
+        trace_id: str | None,
+        parent_id: int | None,
+        begin_us: int,
+        end_us: int,
+        attrs: dict[str, Any] | None,
+    ) -> None:
+        """Build one event record and ingest it."""
         record: dict[str, Any] = {
             "ph": "X",
             "name": name,
-            "path": name,
-            "ts": int(begin_us),
-            "dur": max(0, int(end_us) - int(begin_us)),
-            "span": self._next_span_id(trace_id),
+            "path": path,
+            "ts": begin_us,
+            "dur": max(0, end_us - begin_us),
+            "span": span_id,
             "shard": self.config.shard,
         }
         if trace_id is not None:
@@ -467,8 +536,25 @@ class EventRecorder:
         if parent_id is not None:
             record["parent"] = parent_id
         if attrs:
-            record["attrs"] = dict(attrs)
+            record["attrs"] = attrs
         self._ingest(record)
+
+    # --- span profile -------------------------------------------------------
+
+    def span_profile(self) -> dict[str, dict[str, float]]:
+        """The span aggregate, JSON-ready: path -> count/total_s/max_s."""
+        return {
+            path: {"count": count, "total_s": total, "max_s": peak}
+            for path, (count, total, peak) in self.span_stats.items()
+        }
+
+    def merge_profile(self, profile: Mapping[str, Mapping[str, Any]]) -> None:
+        """Fold another recorder's :meth:`span_profile` into this one."""
+        for path, data in profile.items():
+            stats = self.span_stats.setdefault(path, [0, 0.0, 0.0])
+            stats[0] += int(data["count"])
+            stats[1] += float(data["total_s"])
+            stats[2] = max(stats[2], float(data["max_s"]))
 
     # --- flight records -----------------------------------------------------
 
@@ -762,14 +848,21 @@ _ACTIVE: EventRecorder | None = None
 
 
 def active() -> EventRecorder | None:
-    """The process' active recorder, or ``None`` (recording off)."""
+    """The process' active recorder, or ``None`` (telemetry and
+    recording both off)."""
     return _ACTIVE
+
+
+def span_profile() -> dict[str, dict[str, float]]:
+    """The active recorder's span aggregate (``{}`` with none active)."""
+    return _ACTIVE.span_profile() if _ACTIVE is not None else {}
 
 
 def start(
     path: str | Path | None = None, *, config: EventConfig | None = None, **kwargs: Any
 ) -> EventRecorder:
-    """Activate a recorder for this process (replacing any previous one)."""
+    """Activate a recording recorder for this process (replacing and
+    closing any previous one, an aggregate-only one included)."""
     global _ACTIVE
     if _ACTIVE is not None:
         _ACTIVE.close()
@@ -847,11 +940,12 @@ def recording(
 def shard_config(first_index: int) -> dict[str, Any] | None:
     """Picklable shard-recorder description for one worker task.
 
-    ``None`` when recording is off. With a file-backed parent the shard
-    writes ``<parent>.shard-<first_index>``; a ring-backed parent makes
-    the shard ring-backed too (its records travel back in the result).
-    The shard id stamped on the worker's events is ``first_index + 1``
-    (the parent is shard 0).
+    ``None`` when no recorder is active. An aggregate-only parent gets
+    an aggregate-only shard. With a file-backed parent the shard writes
+    ``<parent>.shard-<first_index>``; a ring-backed parent makes the
+    shard ring-backed too (its records travel back in the result). The
+    shard id stamped on the worker's events is ``first_index + 1`` (the
+    parent is shard 0).
     """
     rec = _ACTIVE
     if rec is None:
@@ -869,32 +963,36 @@ def shard_config(first_index: int) -> dict[str, Any] | None:
         "seed": cfg.seed,
         "shard": int(first_index) + 1,
         "n_slowest": cfg.n_slowest,
+        "keep_records": rec.keeps_records,
     }
 
 
 def shard_recorder(cfg: Mapping[str, Any]) -> EventRecorder:
     """Build (without activating) the shard recorder described by ``cfg``."""
-    path = cfg.get("path")
-    return EventRecorder(
-        EventConfig(**{**cfg, "path": Path(path) if path is not None else None})
-    )
+    fields = dict(cfg)
+    keep_records = fields.pop("keep_records", True)
+    path = fields.get("path")
+    fields["path"] = Path(path) if path is not None else None
+    return EventRecorder(EventConfig(**fields), keep_records=keep_records)
 
 
 def shard_payload(rec: EventRecorder) -> dict[str, Any]:
     """Close a shard recorder and return its picklable merge payload.
 
-    The payload carries the worker's paired clock origins so the parent
-    can align the shard's monotonic timestamps onto its own timeline.
+    The payload carries the shard's span aggregate and the worker's
+    paired clock origins, so the parent can align the shard's monotonic
+    timestamps onto its own timeline.
     """
     rec.close()
     payload: dict[str, Any] = {
         "shard": rec.config.shard,
         "wall_origin_unix_s": rec.wall_origin_unix_s,
         "mono_origin_us": rec.mono_origin_us,
+        "profile": rec.span_profile(),
     }
     if rec.config.path is not None:
         payload["paths"] = [str(p) for p in rec.paths]
-    else:
+    elif rec.keeps_records:
         payload["records"] = rec.records()
     return payload
 
@@ -929,7 +1027,8 @@ def absorb_shard(
 ) -> None:
     """Parent side: fold one shard's payload into the active recorder.
 
-    Every absorbed timestamp is shifted by one constant per-shard offset
+    The shard's span aggregate adds into the parent's. Every absorbed
+    timestamp is shifted by one constant per-shard offset
     computed from the paired clock origins, mapping the worker's
     monotonic clock onto the parent's. A constant shift preserves every
     intra-trace interval (each trace is recorded wholly in one process),
@@ -943,6 +1042,9 @@ def absorb_shard(
     """
     rec = _ACTIVE
     if rec is None or payload is None:
+        return
+    rec.merge_profile(payload.get("profile", {}))
+    if not rec.keeps_records:
         return
     if dispatched_us is not None:
         rec.complete(

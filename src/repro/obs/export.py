@@ -12,7 +12,10 @@ carrying a ``window`` label: a windowed counter contributes
 windowed histogram ``_p50``/``_p99``/``_window_count``/``_rate_per_s``,
 a windowed gauge its ``last``/``min``/``max``. The cumulative totals the
 windowed instruments also track ride along as plain counters, so a
-scraper sees both the rolling and the monotonic view of one series.
+scraper sees both the rolling and the monotonic view of one series; a
+windowed instrument given a cumulative name (``serve.requests.*``,
+``serve.latency_s``, ...) also exposes its all-time view under that
+name, read from the same instrument.
 
 Histogram buckets that retained a latency exemplar
 (:meth:`~repro.obs.metrics.Histogram.observe_with_exemplar`) carry it in
@@ -25,11 +28,11 @@ text-format parsers that split on ``#`` comments remain compatible.
 from __future__ import annotations
 
 import re
+from typing import Any, Mapping
 
+from repro.obs.events import span_profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import registry as _default_registry
-from repro.obs.spans import Profile
-from repro.obs.spans import profile as _default_profile
 
 __all__ = ["escape_label_value", "to_prometheus_text", "render_profile_table"]
 
@@ -50,13 +53,11 @@ def escape_label_value(value: str) -> str:
 
 
 def _fmt(value: float) -> str:
-    """Prometheus number formatting (integers without trailing .0)."""
+    """Prometheus number formatting (integers without trailing .0; NaN
+    for empty windows)."""
+    if value != value:
+        return "NaN"
     return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def _fmt_maybe_nan(value: float) -> str:
-    """Prometheus number formatting tolerating NaN (empty windows)."""
-    return "NaN" if value != value else _fmt(value)
 
 
 def _windowed_lines(prom: str, metric: dict) -> list[str]:
@@ -66,7 +67,7 @@ def _windowed_lines(prom: str, metric: dict) -> list[str]:
 
     def gauge(suffix: str, value: float) -> None:
         lines.append(f"# TYPE {prom}{suffix} gauge")
-        lines.append(f'{prom}{suffix}{{window="{window}"}} {_fmt_maybe_nan(value)}')
+        lines.append(f'{prom}{suffix}{{window="{window}"}} {_fmt(value)}')
 
     kind = metric["type"]
     if kind == "windowed_counter":
@@ -128,24 +129,20 @@ def to_prometheus_text(reg: MetricsRegistry | None = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_profile_table(prof: Profile | None = None) -> str:
-    """ASCII table of the span profile, slowest total first."""
+def render_profile_table(profile: Mapping[str, Mapping[str, Any]] | None = None) -> str:
+    """ASCII table of a span profile (default: the active recorder's),
+    slowest total first."""
     # Imported here, not at module top: reporting.tables pulls in the
     # core comparison types, and obs must stay importable from every
     # layer without cycles.
     from repro.reporting.tables import render_table
 
-    prof = prof if prof is not None else _default_profile()
-    stats = sorted(prof.stats().values(), key=lambda s: s.total_s, reverse=True)
+    profile = profile if profile is not None else span_profile()
     rows = []
-    for s in stats:
-        mean_ms = 1e3 * s.total_s / s.count if s.count else 0.0
-        cpu = f"{s.total_cpu_s:.3f}" if s.total_cpu_s else "-"
-        rows.append(
-            (s.path, s.count, f"{s.total_s:.4f}", f"{mean_ms:.2f}", f"{1e3 * s.max_s:.2f}", cpu)
-        )
+    for path, s in sorted(profile.items(), key=lambda kv: kv[1]["total_s"], reverse=True):
+        count, total = s["count"], s["total_s"]
+        mean_ms = 1e3 * total / count if count else 0.0
+        rows.append((path, count, f"{total:.4f}", f"{mean_ms:.2f}", f"{1e3 * s['max_s']:.2f}"))
     return render_table(
-        ["span", "calls", "total s", "mean ms", "max ms", "cpu s"],
-        rows,
-        title="RUN PROFILE",
+        ["span", "calls", "total s", "mean ms", "max ms"], rows, title="RUN PROFILE"
     )

@@ -11,16 +11,22 @@ retained samples for histograms.
 
 Windowed instruments register in the same process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` as the cumulative ones (one
-``enabled`` switch governs both, ``obs.reset()`` zeroes both, and the
-registry snapshot — hence the run manifest and the Prometheus dump —
-carries both). The live plane can additionally be switched on *alone*
-via :func:`force`: windowed instruments then record while the registry —
-and with it span tracing and the cumulative engine metrics — stays
+``enabled`` switch governs both, ``obs.reset()`` zeroes both). Each one
+is the only instrument of its series: it also keeps the series'
+all-time state (``all_time`` — a plain counter, gauge or fixed-bucket
+histogram), and when its factory is given a ``total_name`` that state
+is the registry entry of that name. One write per event therefore
+feeds both views, and the registry snapshot — hence the run manifest
+and the Prometheus dump — carries the series under both names. The
+live plane can additionally be switched on *alone* via :func:`force`:
+windowed instruments (all-time views included) then record while the
+registry — and with it span profiling and the engine metrics — stays
 disabled, which is how a production ``repro serve --http-port`` run
 keeps its scrape endpoints hot at a fraction of the full-telemetry
-cost. They are deliberately *process-local*: worker deltas drop
+cost. The rings are deliberately *process-local*: worker deltas drop
 them and :meth:`MetricsRegistry.merge` skips them, because a sliding
-window only means something on the process whose wall clock drives it.
+window only means something on the process whose wall clock drives it;
+the all-time entries travel and merge like any other instrument.
 
 Time comes from one module-level monotonic clock, injectable via
 :func:`set_clock` — deterministic tests drive a fake clock forward and
@@ -46,7 +52,7 @@ import time
 from typing import Any, Callable
 
 from repro.errors import ValidationError
-from repro.obs.metrics import MetricsRegistry, registry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
 
 __all__ = [
     "DEFAULT_BUCKET_S",
@@ -142,12 +148,7 @@ class _Ring:
         self._slots = [make_slot() for _ in range(self.n_buckets)]
 
     def slot_at(self, now: float):
-        """The (fresh or reused) slot for the bucket containing ``now``.
-
-        The instruments' write paths (:meth:`WindowedCounter.inc` etc.)
-        inline this logic to stay off the serving hot path's call stack;
-        this method is the reference implementation they must match.
-        """
+        """The (fresh or reused) slot for the bucket containing ``now``."""
         index = int(now // self.bucket_s)
         pos = index % self.n_buckets
         if self._indices[pos] != index:
@@ -170,7 +171,7 @@ class _Ring:
             if oldest < index <= current or (index == oldest and index >= 0):
                 yield self._slots[pos]
 
-    def covered_s(self, now: float, window_s: float | None = None) -> float:
+    def covered_s(self, window_s: float | None = None) -> float:
         """Seconds of the query window that rates should divide by."""
         return self.window_s if window_s is None else min(window_s, self.window_s)
 
@@ -204,9 +205,15 @@ class _SampleSlot:
 
 
 class WindowedCounter:
-    """Sliding-window event counter: per-second rates over the last N s."""
+    """Sliding-window event counter: per-second rates over the last N s.
 
-    __slots__ = ("name", "_registry", "_ring", "cumulative")
+    ``all_time`` is the series' monotonic count — a plain
+    :class:`~repro.obs.metrics.Counter`, registered under the series'
+    cumulative name when the factory is given one — written by the same
+    :meth:`inc` that fills the ring.
+    """
+
+    __slots__ = ("name", "_registry", "_ring", "all_time")
 
     def __init__(
         self,
@@ -214,11 +221,12 @@ class WindowedCounter:
         registry: MetricsRegistry,
         window_s: float = DEFAULT_WINDOW_S,
         bucket_s: float = DEFAULT_BUCKET_S,
+        all_time: Counter | None = None,
     ) -> None:
         self.name = name
         self._registry = registry
         self._ring = _Ring(window_s, bucket_s, _CountSlot)
-        self.cumulative = 0.0
+        self.all_time = all_time if all_time is not None else Counter(name, registry)
 
     @property
     def window_s(self) -> float:
@@ -227,18 +235,8 @@ class WindowedCounter:
     def inc(self, n: float = 1.0) -> None:
         """Count ``n`` events at the current clock (no-op while disabled)."""
         if self._registry.enabled or _FORCED:
-            # _Ring.slot_at, inlined: this is the hottest write path in
-            # live mode (one inc per request event on the serving loop).
-            ring = self._ring
-            index = int(_CLOCK() // ring.bucket_s)
-            pos = index % ring.n_buckets
-            if ring._indices[pos] != index:
-                ring._indices[pos] = index
-                slot = ring._slots[pos] = _CountSlot()
-            else:
-                slot = ring._slots[pos]
-            slot.total += n
-            self.cumulative += n
+            self._ring.slot_at(_CLOCK()).total += n
+            self.all_time.value += n
 
     def total(self, window_s: float | None = None) -> float:
         """Events inside the last ``window_s`` seconds (default: full window)."""
@@ -247,13 +245,11 @@ class WindowedCounter:
 
     def rate(self, window_s: float | None = None) -> float:
         """Mean events per second over the last ``window_s`` seconds."""
-        now = _CLOCK()
-        span = self._ring.covered_s(now, window_s)
-        return sum(s.total for s in self._ring.live_slots(now, window_s)) / span
+        return self.total(window_s) / self._ring.covered_s(window_s)
 
     def reset_values(self) -> None:
         self._ring.clear()
-        self.cumulative = 0.0
+        self.all_time.reset_values()
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -262,14 +258,19 @@ class WindowedCounter:
             "bucket_s": self._ring.bucket_s,
             "total": self.total(),
             "rate_per_s": self.rate(),
-            "cumulative": self.cumulative,
+            "cumulative": self.all_time.value,
         }
 
 
 class WindowedGauge:
-    """Sliding-window gauge: last/min/max of the recent observations."""
+    """Sliding-window gauge: last/min/max of the recent observations.
 
-    __slots__ = ("name", "_registry", "_ring", "_last", "cumulative_n")
+    ``all_time`` holds the last value ever set — a plain
+    :class:`~repro.obs.metrics.Gauge`, registered under the series'
+    cumulative name when the factory is given one.
+    """
+
+    __slots__ = ("name", "_registry", "_ring", "all_time", "cumulative_n")
 
     def __init__(
         self,
@@ -277,11 +278,12 @@ class WindowedGauge:
         registry: MetricsRegistry,
         window_s: float = DEFAULT_WINDOW_S,
         bucket_s: float = DEFAULT_BUCKET_S,
+        all_time: Gauge | None = None,
     ) -> None:
         self.name = name
         self._registry = registry
         self._ring = _Ring(window_s, bucket_s, _GaugeSlot)
-        self._last: float | None = None
+        self.all_time = all_time if all_time is not None else Gauge(name, registry)
         self.cumulative_n = 0
 
     @property
@@ -291,15 +293,7 @@ class WindowedGauge:
     def set(self, value: float) -> None:
         """Record the current value (no-op while disabled)."""
         if self._registry.enabled or _FORCED:
-            # _Ring.slot_at, inlined (see its docstring).
-            ring = self._ring
-            index = int(_CLOCK() // ring.bucket_s)
-            pos = index % ring.n_buckets
-            if ring._indices[pos] != index:
-                ring._indices[pos] = index
-                slot = ring._slots[pos] = _GaugeSlot()
-            else:
-                slot = ring._slots[pos]
+            slot = self._ring.slot_at(_CLOCK())
             value = float(value)
             slot.last = value
             slot.n += 1
@@ -307,12 +301,12 @@ class WindowedGauge:
                 slot.min = value
             if value > slot.max:
                 slot.max = value
-            self._last = value
+            self.all_time.value = value
             self.cumulative_n += 1
 
     def last(self) -> float:
         """Most recent observation ever (NaN before the first set)."""
-        return self._last if self._last is not None else float("nan")
+        return self.all_time.value if self.cumulative_n else float("nan")
 
     def window_min(self, window_s: float | None = None) -> float:
         values = [
@@ -328,7 +322,7 @@ class WindowedGauge:
 
     def reset_values(self) -> None:
         self._ring.clear()
-        self._last = None
+        self.all_time.reset_values()
         self.cumulative_n = 0
 
     def snapshot(self) -> dict[str, Any]:
@@ -350,16 +344,15 @@ class WindowedHistogram:
     :meth:`quantile` is the *exact* linear-interpolation quantile
     (``numpy.quantile`` semantics) of everything inside the window — the
     property the live-vs-offline acceptance test pins to 1e-12.
+
+    ``all_time`` is the series' fixed-bucket
+    :class:`~repro.obs.metrics.Histogram` (bounds, bucket counts, exact
+    ``sum``/``count``/``min``/``max``, per-bucket exemplars), registered
+    under the series' cumulative name when the factory is given one and
+    written by the same call that fills the ring.
     """
 
-    __slots__ = (
-        "name",
-        "_registry",
-        "_ring",
-        "cumulative_count",
-        "cumulative_sum",
-        "_exemplar",
-    )
+    __slots__ = ("name", "_registry", "_ring", "all_time", "_exemplar")
 
     def __init__(
         self,
@@ -367,12 +360,12 @@ class WindowedHistogram:
         registry: MetricsRegistry,
         window_s: float = DEFAULT_WINDOW_S,
         bucket_s: float = DEFAULT_BUCKET_S,
+        all_time: Histogram | None = None,
     ) -> None:
         self.name = name
         self._registry = registry
         self._ring = _Ring(window_s, bucket_s, _SampleSlot)
-        self.cumulative_count = 0
-        self.cumulative_sum = 0.0
+        self.all_time = all_time if all_time is not None else Histogram(name, registry)
         #: (absolute bucket index, value, trace_id) of the max-latency
         #: observation carrying a trace id; expires with its bucket.
         self._exemplar: tuple[int, float, str] | None = None
@@ -384,18 +377,8 @@ class WindowedHistogram:
     def observe(self, value: float) -> None:
         """Record one sample at the current clock (no-op while disabled)."""
         if self._registry.enabled or _FORCED:
-            # _Ring.slot_at, inlined (see its docstring).
-            ring = self._ring
-            index = int(_CLOCK() // ring.bucket_s)
-            pos = index % ring.n_buckets
-            if ring._indices[pos] != index:
-                ring._indices[pos] = index
-                slot = ring._slots[pos] = _SampleSlot()
-            else:
-                slot = ring._slots[pos]
-            slot.samples.append(float(value))
-            self.cumulative_count += 1
-            self.cumulative_sum += value
+            self._ring.slot_at(_CLOCK()).samples.append(float(value))
+            self.all_time.add(value)
 
     def observe_with_exemplar(self, value: float, trace_id: str | None) -> None:
         """Record one sample, retaining ``trace_id`` as the window's
@@ -404,23 +387,17 @@ class WindowedHistogram:
 
         The exemplar is what ``/status`` (and ``repro top``) surface as
         the concrete slow trace behind a burning latency SLO; it expires
-        with the ring like any other observation. ``trace_id=None``
-        degrades to :meth:`observe`.
+        with the ring like any other observation. The all-time view
+        keeps its own per-bucket exemplars (the ``/metrics`` bucket
+        suffixes). ``trace_id=None`` degrades to :meth:`observe`.
         """
         if self._registry.enabled or _FORCED:
             now = _CLOCK()
             ring = self._ring
-            index = int(now // ring.bucket_s)
-            pos = index % ring.n_buckets
-            if ring._indices[pos] != index:
-                ring._indices[pos] = index
-                slot = ring._slots[pos] = _SampleSlot()
-            else:
-                slot = ring._slots[pos]
-            slot.samples.append(float(value))
-            self.cumulative_count += 1
-            self.cumulative_sum += value
+            ring.slot_at(now).samples.append(float(value))
+            self.all_time.add(value, trace_id)
             if trace_id is not None:
+                index = int(now // ring.bucket_s)
                 current = self._exemplar
                 if (
                     current is None
@@ -441,26 +418,18 @@ class WindowedHistogram:
         return {"value": value, "trace_id": trace_id}
 
     def _window_samples(self, window_s: float | None = None) -> list[float]:
-        now = _CLOCK()
         samples: list[float] = []
-        for slot in self._ring.live_slots(now, window_s):
+        for slot in self._ring.live_slots(_CLOCK(), window_s):
             samples.extend(slot.samples)
         return samples
 
     def count(self, window_s: float | None = None) -> int:
         """Samples inside the last ``window_s`` seconds."""
-        now = _CLOCK()
-        return sum(
-            len(s.samples) for s in self._ring.live_slots(now, window_s)
-        )
+        return len(self._window_samples(window_s))
 
     def rate(self, window_s: float | None = None) -> float:
         """Mean samples per second over the last ``window_s`` seconds."""
-        now = _CLOCK()
-        span = self._ring.covered_s(now, window_s)
-        return (
-            sum(len(s.samples) for s in self._ring.live_slots(now, window_s)) / span
-        )
+        return self.count(window_s) / self._ring.covered_s(window_s)
 
     def mean(self, window_s: float | None = None) -> float:
         """Exact mean of windowed samples (NaN when empty)."""
@@ -503,8 +472,7 @@ class WindowedHistogram:
 
     def reset_values(self) -> None:
         self._ring.clear()
-        self.cumulative_count = 0
-        self.cumulative_sum = 0.0
+        self.all_time.reset_values()
         self._exemplar = None
 
     def snapshot(self) -> dict[str, Any]:
@@ -515,8 +483,8 @@ class WindowedHistogram:
             "bucket_s": self._ring.bucket_s,
             "count": len(samples),
             "rate_per_s": len(samples) / self._ring.window_s,
-            "cumulative_count": self.cumulative_count,
-            "cumulative_sum": self.cumulative_sum,
+            "cumulative_count": self.all_time.count,
+            "cumulative_sum": self.all_time.sum,
         }
         if samples:
             out.update(
@@ -536,10 +504,19 @@ def windowed_counter(
     name: str,
     window_s: float = DEFAULT_WINDOW_S,
     bucket_s: float = DEFAULT_BUCKET_S,
+    *,
+    total_name: str | None = None,
 ) -> WindowedCounter:
-    """Get-or-create a windowed counter on the process registry."""
-    return registry()._get_or_create(
-        name, WindowedCounter, window_s=window_s, bucket_s=bucket_s
+    """Get-or-create a windowed counter on the process registry.
+
+    With ``total_name`` its all-time count is the registry counter of
+    that name, so one :meth:`~WindowedCounter.inc` feeds both the
+    windowed and the cumulative series.
+    """
+    reg = registry()
+    all_time = reg.counter(total_name) if total_name is not None else None
+    return reg._get_or_create(
+        name, WindowedCounter, window_s=window_s, bucket_s=bucket_s, all_time=all_time
     )
 
 
@@ -547,10 +524,15 @@ def windowed_gauge(
     name: str,
     window_s: float = DEFAULT_WINDOW_S,
     bucket_s: float = DEFAULT_BUCKET_S,
+    *,
+    total_name: str | None = None,
 ) -> WindowedGauge:
-    """Get-or-create a windowed gauge on the process registry."""
-    return registry()._get_or_create(
-        name, WindowedGauge, window_s=window_s, bucket_s=bucket_s
+    """Get-or-create a windowed gauge on the process registry (its last
+    value is the registry gauge ``total_name`` when given)."""
+    reg = registry()
+    all_time = reg.gauge(total_name) if total_name is not None else None
+    return reg._get_or_create(
+        name, WindowedGauge, window_s=window_s, bucket_s=bucket_s, all_time=all_time
     )
 
 
@@ -558,8 +540,17 @@ def windowed_histogram(
     name: str,
     window_s: float = DEFAULT_WINDOW_S,
     bucket_s: float = DEFAULT_BUCKET_S,
+    *,
+    total_name: str | None = None,
+    buckets: tuple[float, ...] | None = None,
 ) -> WindowedHistogram:
-    """Get-or-create a windowed histogram on the process registry."""
-    return registry()._get_or_create(
-        name, WindowedHistogram, window_s=window_s, bucket_s=bucket_s
+    """Get-or-create a windowed histogram on the process registry (its
+    all-time view is the registry histogram ``total_name``, with
+    ``buckets``, when given)."""
+    reg = registry()
+    all_time = (
+        reg.histogram(total_name, buckets=buckets) if total_name is not None else None
+    )
+    return reg._get_or_create(
+        name, WindowedHistogram, window_s=window_s, bucket_s=bucket_s, all_time=all_time
     )

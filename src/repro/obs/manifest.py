@@ -2,8 +2,9 @@
 
 A manifest snapshots everything needed to interpret a run's numbers
 after the fact: the git SHA and host that produced it, the command and
-workload, every metric (counters, gauges, histograms), the span profile,
-and the per-worker shard reports gathered from process-pool sweeps.
+workload, every metric (counters, gauges, histograms), the span profile
+the active recorder aggregates, and the per-worker shard reports
+gathered from process-pool sweeps.
 The CLI's ``--telemetry PATH`` flag writes one at the end of every
 command; CI uploads the smoke sweep's manifest as a workflow artifact.
 
@@ -25,7 +26,6 @@ from typing import Any, Mapping, Sequence
 
 from repro.obs import events as events_mod
 from repro.obs.metrics import registry
-from repro.obs.spans import profile
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -148,11 +148,11 @@ def run_manifest(
         "git_sha": git_sha(),
         "host": host_info(),
         "metrics": registry().snapshot(),
-        "profile": profile().as_dict(),
+        "profile": events_mod.span_profile(),
         "workers": worker_reports(),
     }
     recorder = events_mod.active()
-    if recorder is not None:
+    if recorder is not None and recorder.keeps_records:
         # The recording digest (denial causes per LAN pair, outage
         # timeline, satellite utilization, span counts, the N slowest
         # request waterfalls) rides inside the manifest so `repro

@@ -136,28 +136,28 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one sample (no-op while disabled)."""
-        if not self._registry.enabled:
-            return
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        if self._registry.enabled:
+            self.add(value)
 
     def observe_with_exemplar(self, value: float, trace_id: str | None) -> None:
         """Record one sample, retaining ``trace_id`` as the bucket's
         exemplar when ``value`` is the largest seen in its bucket.
 
         The exemplar links an aggregate latency bucket to one concrete
-        trace in the timeline plane (:mod:`repro.obs.events`) — the
-        slowest observation per bucket, so an SLO breach points at a
-        trace worth opening. ``trace_id=None`` degrades to
-        :meth:`observe`.
+        trace in the recording (:mod:`repro.obs.events`) — the slowest
+        observation per bucket, so an SLO breach points at a trace worth
+        opening. ``trace_id=None`` degrades to :meth:`observe`.
         """
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self.add(value, trace_id)
+
+    def add(self, value: float, trace_id: str | None = None) -> None:
+        """Record one sample regardless of the enabled flag.
+
+        The write behind :meth:`observe`; a windowed histogram
+        (:mod:`repro.obs.live`) calls it directly, under its own switch,
+        to keep its all-time view.
+        """
         i = bisect_left(self.bounds, value)
         self.bucket_counts[i] += 1
         self.count += 1
@@ -242,7 +242,9 @@ class MetricsRegistry:
         self.enabled = False
         self._lock = threading.Lock()
         # Values are Counter/Gauge/Histogram or the windowed variants of
-        # repro.obs.live, which register through the same factory.
+        # repro.obs.live, which register through the same factory and
+        # keep their all-time state in a plain instrument registered
+        # under the series' cumulative name.
         self._metrics: dict[str, Any] = {}
 
     # --- instrument factories (get-or-create) -------------------------------
@@ -294,9 +296,11 @@ class MetricsRegistry:
         Counters and histograms add; gauges take the incoming value.
         Instruments absent locally are created. Histogram bucket layouts
         must match — a mismatch raises rather than mis-binning. Windowed
-        instruments (:mod:`repro.obs.live`) are process-local — a
-        sliding window is only meaningful against the wall clock that
-        drove it — so their snapshot entries are skipped, not merged.
+        rings (:mod:`repro.obs.live`) are process-local — a sliding
+        window is only meaningful against the wall clock that drove it —
+        so their snapshot entries are skipped; the all-time view a
+        windowed instrument keeps is a plain entry under its cumulative
+        name and merges like any other.
         """
         for name, data in snapshot.items():
             kind = data.get("type")

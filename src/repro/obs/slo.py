@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -106,6 +107,12 @@ class SLOSpec:
     critical_burn: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is None and name in ("p99_latency_bound_s", "queue_full_budget"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.served_fraction_target < 1.0:
             raise ValidationError(
                 "served_fraction_target must be in (0, 1), got "

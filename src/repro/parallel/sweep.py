@@ -9,8 +9,8 @@ a pool, the large shared input (a movement sheet or a link-budget table)
 travels through the zero-copy plane of :mod:`repro.parallel.shm` and
 every worker receives a descriptor a few hundred bytes long. The
 telemetry protocol lives here too: each shard reports its metrics delta
-and timings, and a pooled shard of a recorded run ships its recording
-back for the parent to merge. ``serve.sharded.serve_stream_sharded`` and
+and timings, and a pooled shard of a profiled or recorded run ships its
+span aggregate (and recording) back for the parent to merge. ``serve.sharded.serve_stream_sharded`` and
 ``core.sweeps.run_constellation_sweep`` are its callers.
 
 ``parallel_sweep`` hands every task its own spawned RNG stream (results
@@ -99,11 +99,12 @@ def _run_shard(task: tuple) -> tuple[list[Any], dict[str, Any]]:
     index range, timings and the delta of this process' metrics over the
     shard (snapshot at exit minus snapshot at entry — correct under both
     fork, where the child inherits parent counts, and spawn, where it
-    starts from zero). A pooled task of a recorded run records into its
-    own shard recorder (never through a fork-inherited one, whose file
-    descriptor the parent shares) and ships the payload under
-    ``"events"``; an in-process task gets no shard config and records
-    straight into the parent's recorder.
+    starts from zero). A pooled task of a profiled or recorded run
+    aggregates (and records) into its own shard recorder — never through
+    a fork-inherited one, whose file descriptor and aggregate the parent
+    shares — and ships the payload under ``"events"``; an in-process
+    task gets no shard config and folds straight into the parent's
+    recorder.
     """
     work, payload, block, first, obs_enabled, events_cfg = task
     if obs_enabled:

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro import obs
 from repro.errors import ValidationError
 from repro.network.simulator import RequestOutcome
-from repro.obs import live
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,13 +55,6 @@ __all__ = [
 
 #: The recognised ``build_engine`` kinds: production first, then the oracle.
 ENGINE_KINDS = ("cached", "direct")
-
-# Live engine-level instruments: request rate through the engine (both
-# the streaming and the batch shape) and the ephemeris cursor position —
-# what the /readyz "cursor advancing" check and `repro top` watch.
-_LIVE_ENGINE_SUBMITS = live.windowed_counter("serve.live.engine.submits")
-_LIVE_ENGINE_CURSOR = live.windowed_gauge("serve.live.engine.cursor_s")
-
 
 #: A streamed request's outcome: the simulator's one outcome record,
 #: stamped with the request's ``request_id`` and ``tenant``.
@@ -152,7 +144,6 @@ class SimulatorServeEngine:
         if t_s == self._cursor_s:
             return
         self._cursor_s = t_s
-        _LIVE_ENGINE_CURSOR.set(t_s)
         if self.simulator.use_cache:
             ls = self.simulator.linkstate
             self.sample_s = ls._times_list[ls.advance_index(t_s)]
@@ -165,7 +156,6 @@ class SimulatorServeEngine:
         The simulator stamps the request's identity on its outcome, so
         this builds one record per request.
         """
-        _LIVE_ENGINE_SUBMITS.inc()
         with obs.span("serve"):
             return self.simulator.serve_request(
                 request.source,
@@ -179,7 +169,6 @@ class SimulatorServeEngine:
         self, t_s: float, group: Sequence["TimedRequest"]
     ) -> list[ServeOutcome]:
         """Serve all requests sharing one timestamp through the batch path."""
-        _LIVE_ENGINE_SUBMITS.inc(len(group))
         with obs.span("serve"):
             raws = self.simulator.serve_requests([r.endpoints for r in group], t_s)
             return [

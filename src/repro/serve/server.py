@@ -15,10 +15,11 @@ Admission control has two modes:
 * **backpressure** (``shed_on_full=False``): :meth:`submit` awaits
   queue space, pushing the arrival process back instead.
 
-Telemetry rides the existing :mod:`repro.obs` plane: served / denied /
-shed / cancelled counters, a wall-clock service-latency histogram
-(p50/p99 via :meth:`~repro.obs.metrics.Histogram.quantile` land in the
-run manifest), queue-depth and active-fault gauges. The
+Telemetry rides the existing :mod:`repro.obs` plane with one
+instrument per series — windowed submitted / served / denied / shed
+counters, a wall-clock service-latency histogram, queue-depth, cursor
+and active-fault gauges, each also keeping the all-time view the run
+manifest reads — plus a cancelled counter. The
 :class:`StreamReport` returned by :meth:`ServeServer.run` carries exact
 percentile latencies computed from every sample.
 
@@ -62,28 +63,40 @@ LATENCY_BUCKETS_S = (
 #: Sliding-window span of the live ``serve.*`` instruments [s].
 LIVE_WINDOW_S = 60.0
 
-# Import-time instruments (one flag check each when telemetry is off).
-_SUBMITTED = obs.counter("serve.requests.submitted")
-_SERVED = obs.counter("serve.requests.served")
-_DENIED = obs.counter("serve.requests.denied")
-_SHED = obs.counter("serve.requests.shed")
+# Import-time instruments, one per series (one flag check each when
+# telemetry is off). Each windowed instrument keeps per-second rates and
+# rolling quantiles over the last LIVE_WINDOW_S seconds for the HTTP
+# scrape plane and the SLO tracker, and its all-time view under the
+# cumulative name (serve.requests.*, serve.latency_s, ...) for the run
+# manifest: one write feeds both.
+_SUBMITTED = live.windowed_counter(
+    "serve.live.submitted", LIVE_WINDOW_S, total_name="serve.requests.submitted"
+)
+_SERVED = live.windowed_counter(
+    "serve.live.served", LIVE_WINDOW_S, total_name="serve.requests.served"
+)
+_DENIED = live.windowed_counter(
+    "serve.live.denied", LIVE_WINDOW_S, total_name="serve.requests.denied"
+)
+_SHED = live.windowed_counter(
+    "serve.live.shed", LIVE_WINDOW_S, total_name="serve.requests.shed"
+)
+_LATENCY = live.windowed_histogram(
+    "serve.live.latency_s",
+    LIVE_WINDOW_S,
+    total_name="serve.latency_s",
+    buckets=LATENCY_BUCKETS_S,
+)
+_QUEUE_DEPTH = live.windowed_gauge(
+    "serve.live.queue_depth", LIVE_WINDOW_S, total_name="serve.queue.depth"
+)
+_FAULTS_ACTIVE = live.windowed_gauge(
+    "serve.live.faults_active", LIVE_WINDOW_S, total_name="serve.faults.active"
+)
+_TIME_CURSOR = live.windowed_gauge(
+    "serve.live.cursor_s", LIVE_WINDOW_S, total_name="serve.time_cursor_s"
+)
 _CANCELLED = obs.counter("serve.requests.cancelled")
-_LATENCY = obs.histogram("serve.latency_s", buckets=LATENCY_BUCKETS_S)
-_QUEUE_DEPTH = obs.gauge("serve.queue.depth")
-_FAULTS_ACTIVE = obs.gauge("serve.faults.active")
-_TIME_CURSOR = obs.gauge("serve.time_cursor_s")
-
-# Windowed (live) variants: per-second rates and rolling quantiles over
-# the last LIVE_WINDOW_S seconds, for the HTTP scrape plane and the SLO
-# tracker. Same one-flag-check-when-disabled contract as above.
-_LIVE_SUBMITTED = live.windowed_counter("serve.live.submitted", LIVE_WINDOW_S)
-_LIVE_SERVED = live.windowed_counter("serve.live.served", LIVE_WINDOW_S)
-_LIVE_DENIED = live.windowed_counter("serve.live.denied", LIVE_WINDOW_S)
-_LIVE_SHED = live.windowed_counter("serve.live.shed", LIVE_WINDOW_S)
-_LIVE_LATENCY = live.windowed_histogram("serve.live.latency_s", LIVE_WINDOW_S)
-_LIVE_QUEUE_DEPTH = live.windowed_gauge("serve.live.queue_depth", LIVE_WINDOW_S)
-_LIVE_FAULTS = live.windowed_gauge("serve.live.faults_active", LIVE_WINDOW_S)
-_LIVE_CURSOR = live.windowed_gauge("serve.live.cursor_s", LIVE_WINDOW_S)
 
 _SENTINEL = object()
 _QUEUE_FULL = DenialCause.QUEUE_FULL.value
@@ -262,7 +275,6 @@ class ServeServer:
             raise ValidationError("server already drained/aborted")
         self.n_submitted += 1
         _SUBMITTED.inc()
-        _LIVE_SUBMITTED.inc()
         # Request root: one trace per request, id derived from the
         # request identity so serial and sharded replays agree. The
         # handle travels with the request (cross-coroutine when queued —
@@ -270,7 +282,7 @@ class ServeServer:
         # collects the simulator's flight detail and is closed by _record.
         recorder = _events._ACTIVE
         handle = None
-        if recorder is not None:
+        if recorder is not None and recorder.keeps_records:
             handle = recorder.trace_begin(
                 f"req-{request.request_id}",
                 "request",
@@ -294,9 +306,7 @@ class ServeServer:
             # Depth changes on every put/get; sampling every 16th submit
             # keeps the gauges honest without paying two gauge writes
             # per request. The exact peak stays in max_queue_depth.
-            depth = queue.qsize()
-            _QUEUE_DEPTH.set(depth)
-            _LIVE_QUEUE_DEPTH.set(depth)
+            _QUEUE_DEPTH.set(queue.qsize())
         await asyncio.sleep(0)
         return None
 
@@ -332,11 +342,8 @@ class ServeServer:
                 self.time_cursor_s = sample_s
                 self.n_cursor_advances += 1
                 _TIME_CURSOR.set(sample_s)
-                _LIVE_CURSOR.set(sample_s)
                 if self.faults is not None:
-                    n_active = len(self.faults.active_events(sample_s))
-                    _FAULTS_ACTIVE.set(n_active)
-                    _LIVE_FAULTS.set(n_active)
+                    _FAULTS_ACTIVE.set(len(self.faults.active_events(sample_s)))
         if handle is not None:
             # Queue residency as a complete child span (its begin
             # predates this call when the request was queued), then the
@@ -361,15 +368,12 @@ class ServeServer:
         if outcome.served:
             self.n_served += 1
             _SERVED.inc()
-            _LIVE_SERVED.inc()
         elif outcome.cause == _QUEUE_FULL:
             self.n_shed += 1
             _SHED.inc()
-            _LIVE_SHED.inc()
         else:
             self.n_denied += 1
             _DENIED.inc()
-            _LIVE_DENIED.inc()
         if outcome.cause is not None:
             self.cause_counts[outcome.cause] = self.cause_counts.get(outcome.cause, 0) + 1
             _live_cause_counter(outcome.cause).inc()
@@ -380,10 +384,8 @@ class ServeServer:
                 # bucket/window so /metrics exemplars and /status can
                 # point at a concrete timeline for any latency spike.
                 _LATENCY.observe_with_exemplar(latency, handle.trace_id)
-                _LIVE_LATENCY.observe_with_exemplar(latency, handle.trace_id)
             else:
                 _LATENCY.observe(latency)
-                _LIVE_LATENCY.observe(latency)
         if handle is not None:
             attrs: dict = {"served": outcome.served}
             if outcome.cause is not None:
@@ -462,17 +464,17 @@ class ServeServer:
                 "cancelled": self.n_cancelled,
             },
             "rates_per_s": {
-                "submitted": _LIVE_SUBMITTED.rate(),
-                "served": _LIVE_SERVED.rate(),
-                "denied": _LIVE_DENIED.rate(),
-                "shed": _LIVE_SHED.rate(),
+                "submitted": _SUBMITTED.rate(),
+                "served": _SERVED.rate(),
+                "denied": _DENIED.rate(),
+                "shed": _SHED.rate(),
             },
             "latency_s": {
-                "p50": _LIVE_LATENCY.quantile(0.5),
-                "p99": _LIVE_LATENCY.quantile(0.99),
-                "mean": _LIVE_LATENCY.mean(),
-                "window_count": _LIVE_LATENCY.count(),
-                "exemplar": _LIVE_LATENCY.exemplar(),
+                "p50": _LATENCY.quantile(0.5),
+                "p99": _LATENCY.quantile(0.99),
+                "mean": _LATENCY.mean(),
+                "window_count": _LATENCY.count(),
+                "exemplar": _LATENCY.exemplar(),
             },
             "queues": {
                 tenant: queue.qsize() for tenant, queue in sorted(self._queues.items())
@@ -494,11 +496,11 @@ class ServeServer:
 
         return SLOTracker(
             spec,
-            submitted=_LIVE_SUBMITTED,
-            served=_LIVE_SERVED,
-            denied=_LIVE_DENIED,
-            shed=_LIVE_SHED,
-            latency=_LIVE_LATENCY,
+            submitted=_SUBMITTED,
+            served=_SERVED,
+            denied=_DENIED,
+            shed=_SHED,
+            latency=_LATENCY,
         )
 
     # --- reporting ----------------------------------------------------------

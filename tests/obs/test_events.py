@@ -227,15 +227,19 @@ def test_stop_returns_summary_and_deactivates(tmp_path):
 def test_obs_reset_drops_recorder_and_exemplars():
     """Satellite regression: back-to-back CLI runs in one process must
     not leak events or exemplars from the previous run."""
-    events.start(ring_size=64)
+    rec = events.start(ring_size=64)
     hist = obs.registry().histogram("test_events_latency", buckets=(0.1, 1.0))
     obs.enable()
     hist.observe_with_exemplar(0.05, "req-0")
-    assert events.active() is not None
+    assert events.active() is rec
     assert hist.exemplars
     obs.reset()
     try:
-        assert events.active() is None
+        # Still enabled, so a fresh aggregate-only recorder (no records,
+        # empty profile) replaces the dropped one.
+        fresh = events.active()
+        assert fresh is not rec and not fresh.keeps_records
+        assert fresh.span_profile() == {}
         assert not hist.exemplars
         assert hist.count == 0
     finally:

@@ -3,7 +3,6 @@
 from repro import obs
 from repro.obs.export import escape_label_value, render_profile_table, to_prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Profile
 
 
 class TestPrometheusText:
@@ -78,12 +77,18 @@ class TestLabelEscaping:
 
 class TestProfileTable:
     def test_renders_rows_slowest_first(self):
-        prof = Profile()
-        prof.record("fast", 0.001)
-        prof.record("slow", 2.0)
-        table = render_profile_table(prof)
+        profile = {
+            "fast": {"count": 1, "total_s": 0.001, "max_s": 0.001},
+            "slow": {"count": 2, "total_s": 2.0, "max_s": 1.5},
+        }
+        table = render_profile_table(profile)
         assert "RUN PROFILE" in table
         assert table.index("slow") < table.index("fast")
 
     def test_empty_profile_renders(self):
-        assert "RUN PROFILE" in render_profile_table(Profile())
+        assert "RUN PROFILE" in render_profile_table({})
+
+    def test_default_reads_the_active_recorder(self, telemetry):
+        with obs.span("tabled"):
+            pass
+        assert "tabled" in render_profile_table()

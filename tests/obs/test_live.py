@@ -48,7 +48,7 @@ class TestWindowedCounter:
         # 10 s elapsed; all 20 events inside the 10 s window.
         assert c.total() == 20.0
         assert c.rate() == pytest.approx(2.0)
-        assert c.cumulative == 20.0
+        assert c.all_time.value == 20.0
 
     def test_old_events_expire(self, clock):
         c = live.windowed_counter("t.live.expire", window_s=10.0, bucket_s=1.0)
@@ -56,7 +56,7 @@ class TestWindowedCounter:
         clock.advance(11.0)
         assert c.total() == 0.0
         assert c.rate() == 0.0
-        assert c.cumulative == 5.0  # cumulative never expires
+        assert c.all_time.value == 5.0  # cumulative never expires
 
     def test_sub_window_query(self, clock):
         c = live.windowed_counter("t.live.sub", window_s=60.0, bucket_s=1.0)
@@ -81,7 +81,7 @@ class TestWindowedCounter:
         c.inc(7)
         telemetry.enable()
         assert c.total() == 0.0
-        assert c.cumulative == 0.0
+        assert c.all_time.value == 0.0
 
     def test_ring_reuse_after_full_wrap(self, clock):
         c = live.windowed_counter("t.live.wrap", window_s=4.0, bucket_s=1.0)
@@ -90,7 +90,7 @@ class TestWindowedCounter:
             clock.advance(1.0)
         # Only the last 4 one-per-second events are inside the window.
         assert c.total() == 4.0
-        assert c.cumulative == 12.0
+        assert c.all_time.value == 12.0
 
 
 class TestWindowedGauge:
@@ -141,7 +141,7 @@ class TestWindowedHistogram:
             h.observe(v)
         assert h.quantile(1.0) == 3.0
         assert h.count() == 3
-        assert h.cumulative_count == 4
+        assert h.all_time.count == 4
 
     def test_sub_window_quantile(self, clock):
         h = live.windowed_histogram("t.live.hsub", window_s=60.0, bucket_s=1.0)
@@ -198,7 +198,7 @@ class TestClockAndRegistry:
         telemetry.reset()
         telemetry.enable()
         assert c.total() == 0.0
-        assert c.cumulative == 0.0
+        assert c.all_time.value == 0.0
 
     def test_snapshot_shapes(self, clock):
         c = live.windowed_counter("t.live.snapc", window_s=10.0)
@@ -230,6 +230,73 @@ class TestClockAndRegistry:
         # touch the local windowed instrument.
         metrics.registry().merge(before)
         assert c.total() == 6.0
+
+
+class TestAllTimeView:
+    """One instrument per series: the windowed instrument's all-time
+    state is the registry entry under the series' cumulative name."""
+
+    def test_counter_feeds_both_names(self, clock):
+        c = live.windowed_counter(
+            "t.live.both", window_s=10.0, total_name="t.total.both"
+        )
+        reg = metrics.registry()
+        assert reg.counter("t.total.both") is c.all_time
+        c.inc(3)
+        clock.advance(20.0)  # the ring expires, the all-time count does not
+        snap = reg.snapshot()
+        assert snap["t.total.both"] == {"type": "counter", "value": 3.0}
+        assert snap["t.live.both"]["total"] == 0.0
+        assert snap["t.live.both"]["cumulative"] == 3.0
+
+    def test_all_time_view_crosses_processes(self, clock):
+        c = live.windowed_counter(
+            "t.live.shipped", window_s=10.0, total_name="t.total.shipped"
+        )
+        reg = metrics.registry()
+        before = reg.snapshot()
+        c.inc(2)
+        delta = metrics.metrics_delta(reg.snapshot(), before)
+        assert delta["t.total.shipped"] == {"type": "counter", "value": 2.0}
+        assert "t.live.shipped" not in delta
+        reg.merge(delta)  # a parent folding a worker's delta
+        assert c.all_time.value == 4.0
+        assert c.total() == 2.0  # the ring stays process-local
+
+    def test_histogram_keeps_bounds_and_bucket_exemplars(self, clock):
+        h = live.windowed_histogram(
+            "t.live.lat", window_s=10.0, total_name="t.total.lat", buckets=(0.1, 1.0)
+        )
+        total = metrics.registry().histogram("t.total.lat")
+        assert total is h.all_time and total.bounds == (0.1, 1.0)
+        h.observe(0.05)
+        h.observe_with_exemplar(0.5, "req-1")
+        h.observe_with_exemplar(2.0, "req-2")
+        assert total.bucket_counts == [1, 1, 1]
+        assert (total.count, total.min, total.max) == (3, 0.05, 2.0)
+        assert total.sum == pytest.approx(2.55)
+        assert total.exemplars == {1: (0.5, "req-1"), 2: (2.0, "req-2")}
+        assert h.exemplar() == {"value": 2.0, "trace_id": "req-2"}
+
+    def test_gauge_last_value(self, clock):
+        g = live.windowed_gauge("t.live.g", window_s=10.0, total_name="t.total.g")
+        g.set(7.0)
+        assert metrics.registry().snapshot()["t.total.g"] == {
+            "type": "gauge",
+            "value": 7.0,
+        }
+
+    def test_forced_plane_records_the_all_time_view(self, telemetry):
+        c = live.windowed_counter(
+            "t.live.forcedtotal", window_s=10.0, total_name="t.total.forced"
+        )
+        telemetry.disable()
+        previous = live.force(True)
+        try:
+            c.inc()
+            assert metrics.registry().counter("t.total.forced").value == 1.0
+        finally:
+            live.force(previous)
 
 
 class TestLiveVsOfflineEquivalence:

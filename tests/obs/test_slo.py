@@ -78,6 +78,21 @@ class TestSLOSpec:
         with pytest.raises(ValidationError):
             SLOSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"served_fraction_target": "0.9"},
+            {"served_fraction_target": True},
+            {"short_window_s": None},
+            {"p99_latency_bound_s": "1"},
+            {"queue_full_budget": [0.1]},
+            {"warning_burn": [1]},
+        ],
+    )
+    def test_wrong_json_types_rejected(self, data):
+        with pytest.raises(ValidationError):
+            SLOSpec.from_dict(data)
+
     def test_round_trips_through_dict(self):
         spec = SLOSpec(p99_latency_bound_s=0.05, queue_full_budget=0.1)
         assert SLOSpec.from_dict(spec.as_dict()) == spec

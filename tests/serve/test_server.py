@@ -181,6 +181,21 @@ class TestMetrics:
         assert latency.count == report.n_served + report.n_denied
         assert latency.quantile(0.5) <= latency.quantile(0.99)
 
+    def test_one_instrument_per_series(self, telemetry):
+        """The cumulative names are views of the windowed instruments."""
+        from repro.serve import server as srv
+
+        registry = telemetry.registry()
+        for name, instrument in [
+            ("serve.requests.submitted", srv._SUBMITTED),
+            ("serve.requests.served", srv._SERVED),
+            ("serve.requests.denied", srv._DENIED),
+            ("serve.requests.shed", srv._SHED),
+        ]:
+            assert registry.counter(name) is instrument.all_time
+        assert registry.histogram("serve.latency_s") is srv._LATENCY.all_time
+        assert registry.gauge("serve.queue.depth") is srv._QUEUE_DEPTH.all_time
+
 
 class _CountingPlane:
     """Fault-plane stand-in counting the server's ``active_events`` scans."""

@@ -78,9 +78,9 @@ class TestPhaseSpans:
         for request in aligned_stream:
             engine.advance_to(request.t_s)
             engine.submit(request)
-        paths = telemetry.profile().stats()
+        paths = telemetry.events.span_profile()
         assert "propagate" in paths
         assert "serve" in paths
         assert "serve/budget" in paths  # windowed fill, inside the serve span
         assert "serve/route" in paths
-        assert paths["serve"].count == len(aligned_stream)
+        assert paths["serve"]["count"] == len(aligned_stream)

@@ -633,6 +633,14 @@ class TestServeLiveFlags:
         assert main(self._SERVE + ["--slo", str(bad)]) == 2
         assert "repro serve: --slo" in capsys.readouterr().err
 
+    def test_wrong_typed_slo_value_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"served_fraction_target": "0.9"}')
+        assert main(self._SERVE + ["--slo", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro serve: --slo") and "real number" in err
+
     def test_serve_without_live_flags_unchanged(self, capsys):
         assert main(self._SERVE) == 0
         assert "STREAMING SERVICE" in capsys.readouterr().out
