@@ -31,13 +31,26 @@ TRAJECTORY_DIR = Path(__file__).parent.parent
 __all__ = ["append_trajectory", "git_dirty", "git_sha", "host_info", "write_bench_record"]
 
 
+# The records a bench writes: rewriting them is the bench's own output,
+# not an edit to the code it measured (``top``: from the checkout root,
+# wherever ``git`` runs).
+_RECORD_PATHSPECS = (
+    ":(top,glob,exclude)BENCH_*.json",
+    ":(top,glob,exclude)benchmarks/results/BENCH_*.json",
+)
+
+
 def git_dirty(cwd: str | Path | None = None) -> bool:
     """Whether the checkout holding ``cwd`` (default: this directory) has
-    uncommitted changes to tracked files; False outside a git checkout,
-    where :func:`git_sha` reports "unknown"."""
+    uncommitted changes to tracked files other than the bench records
+    (root and ``benchmarks/results/`` ``BENCH_*.json``); False outside a
+    git checkout, where :func:`git_sha` reports "unknown"."""
     try:
         out = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
+            [
+                "git", "status", "--porcelain", "--untracked-files=no",
+                "--", ":/", *_RECORD_PATHSPECS,
+            ],
             cwd=Path(cwd) if cwd is not None else Path(__file__).parent,
             capture_output=True,
             text=True,

@@ -17,7 +17,8 @@ this equivalence against the object-level simulator sample by sample.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+import numbers
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,7 +34,26 @@ from repro.routing.metrics import DEFAULT_EPSILON
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plane import FaultPlane
 
-__all__ = ["SiteLinkBudget", "SpaceGroundAnalysis", "AirGroundAnalysis"]
+__all__ = ["SiteLinkBudget", "SpaceGroundAnalysis", "AirGroundAnalysis", "prefix_argmin"]
+
+
+def prefix_argmin(cost: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``cost[:, :n].argmin(axis=1)`` for every ``n`` in ``sizes``, in one pass.
+
+    Returns an ``(n_rows, len(sizes))`` index array; every size must lie
+    in ``[1, cost.shape[1]]``. ``argmin`` answers the first column
+    holding the prefix minimum, which is the last column before ``n``
+    whose cost is strictly below every cost left of it: a tie is not
+    strictly below, so the earlier column keeps the minimum, and column
+    0 always counts, so an all-``inf`` prefix answers 0 as ``argmin``
+    does. A running maximum over the indices of those new minima is
+    therefore every prefix's ``argmin``. Costs must not be NaN.
+    """
+    new_min = np.empty(cost.shape, dtype=bool)
+    new_min[:, :1] = True
+    np.less(cost[:, 1:], np.minimum.accumulate(cost[:, :-1], axis=1), out=new_min[:, 1:])
+    first_min = np.maximum.accumulate(new_min * np.arange(cost.shape[1]), axis=1)
+    return first_min[:, np.asarray(sizes) - 1]
 
 
 class SpaceGroundAnalysis:
@@ -92,7 +112,6 @@ class SpaceGroundAnalysis:
             faults=faults,
         )
         self._site_rows = {s.name: i for i, s in enumerate(self.sites)}
-        self._column_memo: tuple[int, np.ndarray, np.ndarray] | None = None
 
     @property
     def table(self) -> LinkBudgetTable:
@@ -192,14 +211,24 @@ class SpaceGroundAnalysis:
 
     # --- routing-equivalent request service -----------------------------------------------
 
-    def _prefix(self, n_satellites: int | None) -> int | None:
-        """Validated constellation-prefix size (None = every satellite)."""
+    def _prefix(self, n_satellites: int | None) -> int:
+        """Validated constellation-prefix size (None = every satellite).
+
+        Sizes slice the satellite axis, so they must be integers (a
+        ``bool`` is not a size) in ``[0, n_platforms]``.
+        """
         n_max = self.ephemeris.n_platforms
-        if n_satellites is not None and not 0 <= n_satellites <= n_max:
+        if n_satellites is None:
+            return n_max
+        if isinstance(n_satellites, bool) or not isinstance(n_satellites, numbers.Integral):
+            raise ValidationError(
+                f"n_satellites must be an integer, got {n_satellites!r}"
+            )
+        if not 0 <= n_satellites <= n_max:
             raise ValidationError(
                 f"n_satellites must be in [0, {n_max}], got {n_satellites}"
             )
-        return n_satellites
+        return int(n_satellites)
 
     def best_relay(
         self,
@@ -219,7 +248,8 @@ class SpaceGroundAnalysis:
         Args:
             n_satellites: restrict to the first n satellites of the
                 ephemeris (constellation-prefix sweeps); None = all.
-                Outside ``[0, n_platforms]`` raises
+                A non-integer (or ``bool``) size, or one outside
+                ``[0, n_platforms]``, raises
                 :class:`~repro.errors.ValidationError`.
 
         Returns:
@@ -238,27 +268,53 @@ class SpaceGroundAnalysis:
         best = int(np.argmin(cost))
         return best, float(eta_s[best] * eta_d[best])
 
-    def _columns(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every site's ``(usable, transmissivity)`` at one sample time.
-
-        Two ``(n_sites, n_sats)`` stacks, rows in :attr:`sites` order. The
-        last index is memoized: a prefix sweep serves each sample once
-        per constellation size.
-        """
-        memo = self._column_memo
-        if memo is not None and memo[0] == time_index:
-            return memo[1], memo[2]
-        budgets = [self._table.budget(s.name) for s in self.sites]
-        usable = np.stack([b.usable[:, time_index] for b in budgets])
-        eta = np.stack([b.transmissivity[:, time_index] for b in budgets])
-        self._column_memo = (time_index, usable, eta)
-        return usable, eta
-
-    def _row(self, site_name: str) -> int:
+    def _rows(self, requests: list[tuple[str, str]]) -> tuple[list[int], list[int]]:
+        """Source and destination site rows of a request batch."""
+        rows = self._site_rows
         try:
-            return self._site_rows[site_name]
-        except KeyError:
-            raise ValidationError(f"unknown site {site_name!r}") from None
+            return [rows[src] for src, _ in requests], [rows[dst] for _, dst in requests]
+        except KeyError as exc:
+            raise ValidationError(f"unknown site {exc.args[0]!r}") from None
+
+    def serve_prefixes(
+        self,
+        requests: list[tuple[str, str]],
+        time_index: int,
+        sizes: Sequence[int],
+        epsilon: float = DEFAULT_EPSILON,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Serve a request batch at one sample for every prefix size at once.
+
+        Returns ``(path_eta, served)``, both ``(n_requests, len(sizes))``:
+        column ``j`` holds :meth:`best_relay`'s answer for every request
+        when only the first ``sizes[j]`` satellites are deployed, the
+        same floats (``path_eta`` is NaN where ``served`` is False).
+
+        One cost matrix over the largest prefix serves every size: its
+        :func:`prefix_argmin` picks each prefix's relay, and a prefix
+        serves a request once it reaches the request's first usable
+        satellite.
+        """
+        n_sats = np.array([self._prefix(n) for n in sizes], dtype=np.intp)
+        src_rows, dst_rows = self._rows(requests)
+        shape = (len(requests), n_sats.size)
+        n = int(n_sats.max(initial=0))
+        if n == 0 or not requests:  # no satellite to relay through
+            return np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+        budgets = [self._table.budget(s.name) for s in self.sites]
+        usable = np.stack([b.usable[:n, time_index] for b in budgets])
+        eta = np.stack([b.transmissivity[:n, time_index] for b in budgets])
+        ok = usable[src_rows] & usable[dst_rows]
+        eta_s = eta[src_rows]
+        eta_d = eta[dst_rows]
+        cost = np.where(ok, 1.0 / (eta_s + epsilon) + 1.0 / (eta_d + epsilon), np.inf)
+        best = prefix_argmin(cost, np.maximum(n_sats, 1))  # size 0 never serves
+        first_ok = np.where(ok.any(axis=1), ok.argmax(axis=1), n)
+        served = first_ok[:, None] < n_sats
+        rows = np.arange(len(requests))[:, None]
+        path_eta = eta_s[rows, best] * eta_d[rows, best]
+        path_eta[~served] = np.nan
+        return path_eta, served
 
     def serve(
         self,
@@ -270,27 +326,16 @@ class SpaceGroundAnalysis:
     ) -> list[float | None]:
         """Path transmissivity per request at a sample time (None = unserved).
 
-        :meth:`best_relay` for the whole batch in one pass: one
-        (request × satellite) cost matrix, its first-minimum ``argmin``
-        per row, the same floats.
+        :meth:`best_relay` for the whole batch in one pass: the one-size
+        case of :meth:`serve_prefixes`, the same floats.
         """
-        n = self._prefix(n_satellites)
-        src_rows = [self._row(src) for src, _ in requests]
-        dst_rows = [self._row(dst) for _, dst in requests]
-        if not requests:
-            return []
-        usable, eta = self._columns(time_index)
-        usable, eta = usable[:, :n], eta[:, :n]
-        if usable.shape[1] == 0:  # argmin needs a satellite to look at
-            return [None] * len(requests)
-        ok = usable[src_rows] & usable[dst_rows]
-        eta_s = eta[src_rows]
-        eta_d = eta[dst_rows]
-        cost = np.where(ok, 1.0 / (eta_s + epsilon) + 1.0 / (eta_d + epsilon), np.inf)
-        best = cost.argmin(axis=1)
-        rows = np.arange(len(requests))
-        path_eta = (eta_s[rows, best] * eta_d[rows, best]).tolist()
-        return [e if hit else None for e, hit in zip(path_eta, ok.any(axis=1).tolist())]
+        path_eta, served = self.serve_prefixes(
+            requests, time_index, [self._prefix(n_satellites)], epsilon
+        )
+        return [
+            e if hit else None
+            for e, hit in zip(path_eta[:, 0].tolist(), served[:, 0].tolist())
+        ]
 
     def request_detail(
         self,
@@ -318,7 +363,7 @@ class SpaceGroundAnalysis:
 
         bs = self.budget(src_name)
         bd = self.budget(dst_name)
-        n = bs.usable.shape[0] if n_satellites is None else self._prefix(n_satellites)
+        n = self._prefix(n_satellites)
         el_s = bs.elevation_rad[:n, time_index]
         el_d = bd.elevation_rad[:n, time_index]
         eta_s = bs.transmissivity[:n, time_index]

@@ -8,6 +8,7 @@ it into intervals, T_c minutes, and the percentage P of the day.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,9 +78,14 @@ def check_sweep_sizes(sizes: Sequence[int]) -> None:
 
     Sizes index the cumulative prefix analysis (``cumulative[n - 1]``),
     so they must ascend and start at one satellite or more: a size of 0
-    would read the full constellation through ``cumulative[-1]``.
+    would read the full constellation through ``cumulative[-1]``. They
+    are integers (NumPy's too) and never ``bool``: a float or a string
+    cannot index a prefix, and ``True`` would read as one satellite.
     """
     sizes = list(sizes)
+    for n in sizes:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValidationError(f"sweep sizes must be integers, got {n!r}")
     if sorted(sizes) != sizes:
         raise ValidationError("sweep sizes must be ascending (prefix property)")
     if sizes and sizes[0] < 1:

@@ -5,7 +5,8 @@ satellites). Because each size is a prefix of the Table II deployment
 order, a single link-budget pass over the full 108-satellite ephemeris
 suffices for all of them: coverage comes from cumulative ORs over the
 satellite axis (:meth:`SpaceGroundAnalysis.cumulative_all_pairs_connected`)
-and request service from per-size views of the same budget matrices.
+and request service from one running-minimum pass per service step that
+answers every size (:meth:`SpaceGroundAnalysis.serve_prefixes`).
 
 Request service runs through :func:`repro.parallel.sweep.run_shards` at
 every worker count: this module supplies only the per-block work
@@ -110,13 +111,15 @@ def _serve_steps(
     pairs: list[tuple[str, str]],
     sizes: list[int],
     convention: str,
-) -> list[list[list[float | None]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Serve the request batch at one block of service steps.
 
     Evaluates every constellation size at every step of the block from
-    the service budget table (no geometry is recomputed) and returns
-    ``[t][size_index] -> etas`` in block order; a recorded run also gets
-    the block's flight records.
+    the service budget table (no geometry is recomputed), one
+    :meth:`~SpaceGroundAnalysis.serve_prefixes` pass per step, and
+    returns its ``(path_eta, served)`` arrays, each ``(n_requests,
+    n_sizes)``, in block order; a recorded run also gets the block's
+    flight records.
     """
     analysis = SpaceGroundAnalysis(
         table.ephemeris,
@@ -126,9 +129,7 @@ def _serve_steps(
         platform_altitude_km=table.platform_altitude_km,
         budgets=table,
     )
-    results = [
-        [analysis.serve(pairs, t, n_satellites=n) for n in sizes] for t in t_block
-    ]
+    results = [analysis.serve_prefixes(pairs, t, sizes) for t in t_block]
     rec = events.active()
     if rec is not None and rec.keeps_records:
         _record_service_block(rec, analysis, pairs, t_block, sizes[-1], convention)
@@ -248,6 +249,8 @@ def run_constellation_sweep(
     check_sweep_sizes(sweep_sizes)
     if n_workers < 0:  # run_shards checks too, but only after propagation
         raise ValidationError(f"n_workers must be >= 0, got {n_workers}")
+    if n_requests < 1:  # served fractions divide by the batch size
+        raise ValidationError(f"n_requests must be >= 1, got {n_requests}")
     max_size = sweep_sizes[-1]
     site_list = sites if sites is not None else list(all_ground_nodes())
     model = fso_model or paper_satellite_fso()
@@ -336,11 +339,11 @@ def run_constellation_sweep(
     requests: list[Request] = generate_requests(site_list, n_requests, seed)
     endpoint_pairs = [r.endpoints for r in requests]
 
-    # etas_per_t[t][size_index] -> per-request path transmissivities,
-    # served over blocks of service steps (in-process at n_workers=0).
+    # One (path_eta, served) pair of (request, size) arrays per service
+    # step, served over blocks of steps (in-process at n_workers=0).
     n_steps = service_table.ephemeris.n_samples
     with obs.span("serve"):
-        etas_per_t = run_shards(
+        per_step = run_shards(
             partial(
                 _serve_steps,
                 pairs=endpoint_pairs,
@@ -351,6 +354,10 @@ def run_constellation_sweep(
             range(n_steps),
             n_workers=n_workers,
         )
+    # (step, request, size) stacks; a size's column reads its served
+    # etas in (step, request) order.
+    path_etas = np.stack([eta for eta, _ in per_step])
+    served_masks = np.stack([hit for _, hit in per_step])
 
     points: list[SweepPoint] = []
     for size_idx, n in enumerate(sweep_sizes):
@@ -360,23 +367,18 @@ def run_constellation_sweep(
             n_satellites=n,
             horizon_s=duration_s,
         )
-        served_etas: list[float] = []
-        served_per_step: list[float] = []
-        for t_idx in range(n_steps):
-            etas = etas_per_t[t_idx][size_idx]
-            served = [e for e in etas if e is not None]
-            served_per_step.append(len(served) / len(requests))
-            served_etas.extend(served)
-            if n == max_size:
-                _SERVED.inc(len(served))
-                _DENIED.inc(len(etas) - len(served))
+        served = served_masks[:, :, size_idx]
+        served_per_step = served.sum(axis=1) / len(requests)
         # One array call per size; the array branch is bit-equal to the
         # scalar one.
         fid = entanglement_fidelity_from_transmissivity(
-            np.array(served_etas, dtype=float), convention=fidelity_convention
+            path_etas[:, :, size_idx][served], convention=fidelity_convention
         )
         fidelities = fid.tolist()
         if n == max_size:
+            n_served = int(np.count_nonzero(served))
+            _SERVED.inc(n_served)
+            _DENIED.inc(served.size - n_served)
             for f in fidelities:
                 _FIDELITY.observe(f)
         service = ServiceResult(
@@ -385,7 +387,7 @@ def run_constellation_sweep(
             served_fraction=float(np.mean(served_per_step)),
             mean_fidelity=float(fid.mean()) if fid.size else float("nan"),
             fidelities=tuple(fidelities),
-            served_per_step=tuple(served_per_step),
+            served_per_step=tuple(served_per_step.tolist()),
         )
         points.append(SweepPoint(n, coverage, service))
     return ConstellationSweep(tuple(points))

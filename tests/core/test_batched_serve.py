@@ -1,19 +1,23 @@
-"""Differential tests: the batched ``SpaceGroundAnalysis.serve`` against a
-per-request loop over ``best_relay``.
+"""Differential tests: the prefix kernel ``SpaceGroundAnalysis.serve_prefixes``
+and its one-size case ``serve`` against a per-request loop over
+``best_relay``.
 
-``serve`` builds one (request x satellite) cost matrix per call and takes
-its first-minimum ``argmin`` per row; ``best_relay`` is the scalar form
-of the same decision. Both must return the same floats, bit for bit, on
-healthy and faulted budgets, at every constellation-prefix size, and
-across switches of the time index that exercise ``serve``'s one-entry
-column memo.
+``serve_prefixes`` builds one (request x satellite) cost matrix over the
+largest prefix and answers every prefix size from its running minimum
+(:func:`~repro.core.analysis.prefix_argmin`); ``best_relay`` is the
+scalar form of the same decision at one size. Both must return the same
+floats, bit for bit, on healthy and faulted budgets, at every
+constellation-prefix size, and on synthetic tables built to hit the tie
+rule, unservable rows and all-``inf`` leading prefixes.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.channels.presets import paper_satellite_fso
-from repro.core.analysis import SpaceGroundAnalysis
+from repro.core.analysis import SpaceGroundAnalysis, prefix_argmin
 from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
 from repro.errors import ValidationError
 from repro.faults import FaultSchedule, LinkFlap, SatelliteOutage, WeatherFade
@@ -26,6 +30,18 @@ def _loop(analysis, pairs, t, epsilon=None, n_satellites=None):
         hit = analysis.best_relay(src, dst, t, n_satellites=n_satellites, **kwargs)
         out.append(None if hit is None else hit[1])
     return out
+
+
+def _kernel_lists(analysis, pairs, t, sizes, epsilon=None):
+    """``serve_prefixes`` columns in ``serve``'s list form, one per size."""
+    kwargs = {} if epsilon is None else {"epsilon": epsilon}
+    path_eta, served = analysis.serve_prefixes(pairs, t, sizes, **kwargs)
+    assert path_eta.shape == served.shape == (len(pairs), len(sizes))
+    assert np.isnan(path_eta[~served]).all()
+    return [
+        [e if hit else None for e, hit in zip(path_eta[:, j].tolist(), served[:, j].tolist())]
+        for j in range(len(sizes))
+    ]
 
 
 def _random_pairs(sites, rng, n):
@@ -83,7 +99,7 @@ class TestBatchedServe:
         assert analysis.serve([], 0) == []
         assert analysis.serve([], 0, n_satellites=0) == []
 
-    def test_memo_survives_index_switches(self, analysis, sites):
+    def test_index_switches_match_loop(self, analysis, sites):
         pairs = _random_pairs(sites, np.random.default_rng(5), 30)
         first = analysis.serve(pairs, 30)
         for t in (31, 30, 90, 30, 31):
@@ -104,6 +120,87 @@ class TestBatchedServe:
             analysis.best_relay("ttu-0", "epb-0", 0, n_satellites=n)
         with pytest.raises(ValidationError, match="n_satellites"):
             analysis.request_detail("ttu-0", "epb-0", 0, n_satellites=n)
+
+
+    @pytest.mark.parametrize("n", [6.5, True, False, "6", 6.0])
+    def test_non_integer_prefix_rejected(self, analysis, n):
+        with pytest.raises(ValidationError, match="integer"):
+            analysis.serve([("ttu-0", "epb-0")], 0, n_satellites=n)
+        with pytest.raises(ValidationError, match="integer"):
+            analysis.best_relay("ttu-0", "epb-0", 0, n_satellites=n)
+        with pytest.raises(ValidationError, match="integer"):
+            analysis.request_detail("ttu-0", "epb-0", 0, n_satellites=n)
+        with pytest.raises(ValidationError, match="integer"):
+            analysis.serve_prefixes([("ttu-0", "epb-0")], 0, [1, n])
+
+    def test_numpy_integer_prefix_accepted(self, analysis, sites):
+        pairs = _random_pairs(sites, np.random.default_rng(8), 20)
+        for n in (np.int64(6), np.int32(12), np.intp(0)):
+            assert analysis.serve(pairs, 30, n_satellites=n) == analysis.serve(
+                pairs, 30, n_satellites=int(n)
+            )
+
+
+class TestServePrefixes:
+    """One kernel call answers every prefix size as ``best_relay`` does."""
+
+    def test_every_prefix_matches_loop(self, analysis, sites):
+        pairs = _random_pairs(sites, np.random.default_rng(23), 40)
+        sizes = list(range(analysis.ephemeris.n_platforms + 1))
+        n_served = 0
+        for t in range(0, analysis.n_times, 3):
+            columns = _kernel_lists(analysis, pairs, t, sizes)
+            for n, column in zip(sizes, columns):
+                assert column == _loop(analysis, pairs, t, n_satellites=n), (t, n)
+                n_served += sum(e is not None for e in column)
+        assert n_served > 0
+
+    def test_sweep_like_sizes_match_serve(self, analysis, sites):
+        pairs = _random_pairs(sites, np.random.default_rng(29), 30)
+        sizes = [1, 6, 12]
+        for t in (0, 30, 31, 90):
+            columns = _kernel_lists(analysis, pairs, t, sizes)
+            assert columns == [analysis.serve(pairs, t, n_satellites=n) for n in sizes]
+
+    def test_empty_inputs(self, analysis):
+        path_eta, served = analysis.serve_prefixes([], 0, [1, 6])
+        assert path_eta.shape == served.shape == (0, 2)
+        path_eta, served = analysis.serve_prefixes([("ttu-0", "epb-0")], 0, [])
+        assert path_eta.shape == served.shape == (1, 0)
+        path_eta, served = analysis.serve_prefixes([("ttu-0", "epb-0")] * 3, 0, [0, 0])
+        assert not served.any() and np.isnan(path_eta).all()
+
+    @pytest.mark.parametrize("sizes", [[-1], [6, 13], [6.5], [True], [1, "6"]])
+    def test_bad_sizes_rejected(self, analysis, sizes):
+        with pytest.raises(ValidationError, match="n_satellites"):
+            analysis.serve_prefixes([("ttu-0", "epb-0")], 0, sizes)
+
+    def test_unknown_site_raises_validation_error(self, analysis):
+        with pytest.raises(ValidationError, match="nope"):
+            analysis.serve_prefixes([("ttu-0", "epb-0"), ("epb-0", "nope")], 0, [6])
+
+
+# Small costs from a few values: ties are everywhere and inf (no usable
+# satellite) fills whole leading prefixes and whole rows.
+_costs = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 12)),
+    elements=st.sampled_from([1.0, 2.0, 2.5, np.inf]),
+)
+
+
+@given(_costs)
+def test_prefix_argmin_is_first_minimum_argmin(cost):
+    sizes = np.arange(1, cost.shape[1] + 1)
+    expected = np.stack([cost[:, :n].argmin(axis=1) for n in sizes], axis=1)
+    np.testing.assert_array_equal(prefix_argmin(cost, sizes), expected)
+
+
+@given(_costs, st.data())
+def test_prefix_argmin_reads_chosen_sizes(cost, data):
+    sizes = sorted(data.draw(st.sets(st.integers(1, cost.shape[1]), min_size=1)))
+    expected = np.stack([cost[:, :n].argmin(axis=1) for n in sizes], axis=1)
+    np.testing.assert_array_equal(prefix_argmin(cost, np.array(sizes)), expected)
 
 
 class _FixedTable(LinkBudgetTable):
@@ -168,3 +265,47 @@ class TestTieRule:
         )
         assert analysis.best_relay("ttu-0", "epb-0", 0, 0.0) == (1, 1.0 / 12.0)
         assert analysis.serve([("ttu-0", "epb-0")], 0, 0.0) == [1.0 / 12.0]
+
+    def test_prefixes_match_loop_on_ties(self, tied, sites):
+        pairs = _random_pairs(sites, np.random.default_rng(4), 50)
+        sizes = list(range(tied.ephemeris.n_platforms + 1))
+        for t in range(0, tied.n_times, 11):
+            columns = _kernel_lists(tied, pairs, t, sizes, 0.0)
+            for n, column in zip(sizes, columns):
+                assert column == _loop(tied, pairs, t, 0.0, n), (t, n)
+
+    def test_ties_empty_rows_and_inf_prefixes(self, small_ephemeris, sites):
+        """A hand-built sample: ``k`` is ``1/eta`` per site and satellite.
+
+        ttu-0 -> epb-0 sees nothing on satellites 0-2 (an all-inf leading
+        prefix), then cost 8 on satellites 3 (2+6, eta 1/12) and 4 (4+4,
+        eta 1/16), then cost 6 on satellites 7 (3+3, eta 1/9) and 9 (2+4,
+        eta 1/8): the first of each tie wins. ornl-0 has no usable
+        satellite, so its row is never served.
+        """
+        n_sats = small_ephemeris.n_platforms
+        shape = (n_sats, small_ephemeris.n_samples)
+        k = {s.name: np.full(shape, 10.0) for s in sites}
+        usable = {s.name: np.zeros(shape, dtype=bool) for s in sites}
+        for sat, (k_src, k_dst) in {3: (2, 6), 4: (4, 4), 7: (3, 3), 9: (2, 4)}.items():
+            k["ttu-0"][sat], k["epb-0"][sat] = k_src, k_dst
+            usable["ttu-0"][sat] = usable["epb-0"][sat] = True
+        usable["ttu-0"][10] = True  # usable at one end only
+        zeros = np.zeros(shape)
+        budgets = {
+            s.name: SiteLinkBudget(s, zeros, zeros, 1.0 / k[s.name], usable[s.name])
+            for s in sites
+        }
+        analysis = SpaceGroundAnalysis(
+            small_ephemeris,
+            sites,
+            paper_satellite_fso(),
+            budgets=_FixedTable(small_ephemeris, sites, budgets),
+        )
+        pairs = [("ttu-0", "epb-0"), ("ttu-0", "ornl-0"), ("epb-0", "ttu-0")]
+        sizes = list(range(n_sats + 1))
+        columns = _kernel_lists(analysis, pairs, 0, sizes, 0.0)
+        for n, column in zip(sizes, columns):
+            expected = None if n <= 3 else 1.0 / 12.0 if n <= 7 else 1.0 / 9.0
+            assert column == [expected, None, expected], n
+            assert column == _loop(analysis, pairs, 0, 0.0, n), n

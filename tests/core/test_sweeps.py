@@ -107,3 +107,38 @@ class TestRunConstellationSweep:
     def test_rejects_negative_workers(self, day_eph):
         with pytest.raises(ValidationError, match="n_workers"):
             run_constellation_sweep(sizes=[6], ephemeris=day_eph, n_workers=-3)
+
+    @pytest.mark.parametrize("sizes", [[6.5], ["6"], [True, 6], [6, 12.0]])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValidationError, match="integers"):
+            run_constellation_sweep(sizes=sizes, duration_s=3600.0)
+
+    def test_numpy_integer_sizes_run(self, day_eph, small_sweep):
+        sweep = run_constellation_sweep(
+            sizes=list(np.array([6, 18, 36])),
+            ephemeris=day_eph,
+            step_s=300.0,
+            n_requests=20,
+            n_time_steps=20,
+            seed=5,
+        )
+        assert sweep.points == small_sweep.points
+
+    def test_rejects_zero_requests(self, day_eph):
+        with pytest.raises(ValidationError, match="n_requests"):
+            run_constellation_sweep(sizes=[6], ephemeris=day_eph, n_requests=0)
+
+    def test_worker_count_does_not_change_points(self, day_eph):
+        """The per-step (request x size) arrays cross the process pool."""
+        kwargs = dict(
+            sizes=[1, 6, 12, 36],
+            ephemeris=day_eph,
+            step_s=300.0,
+            n_requests=30,
+            n_time_steps=40,
+            seed=11,
+        )
+        serial = run_constellation_sweep(n_workers=0, **kwargs)
+        pooled = run_constellation_sweep(n_workers=2, **kwargs)
+        assert pooled.points == serial.points
+        assert serial.points[-1].service.fidelities  # a sweep that served

@@ -16,6 +16,8 @@ if str(_BENCHMARKS_DIR) not in sys.path:
     sys.path.insert(0, str(_BENCHMARKS_DIR))
 
 reporting = importlib.import_module("reporting")
+# Unpatched, to run from a subdirectory (the git_repo fixture pins the root).
+_git_dirty_at = reporting.git_dirty
 
 
 def _entry(sha: str, warm: float) -> dict:
@@ -160,4 +162,23 @@ class TestDirtyTree:
         (git_repo / "scratch.txt").write_text("notes\n")
         assert reporting.git_dirty() is False
         (git_repo / "code.py").write_text("x = 3\n")
+        assert reporting.git_dirty() is True
+
+    def test_bench_record_files_do_not_mark_the_tree_dirty(self, git_repo):
+        """A bench rewrites its own records; only other edits count."""
+        records = [git_repo / "BENCH_demo.json", git_repo / "benchmarks/results/BENCH_demo.json"]
+        records[1].parent.mkdir(parents=True)
+        for path in records:
+            path.write_text("{}\n")
+        (git_repo / "benchmarks/results/notes.json").write_text("{}\n")
+        _git(git_repo, "add", ".")
+        _git(git_repo, "commit", "-q", "-m", "records")
+        for path in records:
+            path.write_text('{"edited": true}\n')
+        assert reporting.git_dirty() is False
+        assert _git_dirty_at(git_repo / "benchmarks") is False
+        (git_repo / "benchmarks/results/notes.json").write_text("[]\n")
+        assert reporting.git_dirty() is True
+        (git_repo / "benchmarks/results/notes.json").write_text("{}\n")
+        (git_repo / "code.py").write_text("x = 4\n")
         assert reporting.git_dirty() is True
