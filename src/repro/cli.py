@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             nargs="+",
             default=None,
-            help="constellation sizes (ascending; default 6..108 step 6)",
+            help="constellation sizes (strictly ascending; default 6..108 step 6)",
         )
         p.add_argument("--step", type=float, default=30.0, help="ephemeris cadence [s]")
         p.add_argument("--requests", type=int, default=100, help="requests per step")
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help="worker processes for the service evaluation (0 = serial); "
-            "budget matrices travel via shared memory",
+            "budget records travel via shared memory",
         )
 
     p_compare = sub.add_parser("compare", help="Table III: architecture comparison")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--time-steps", type=int, default=100)
     p_report.add_argument("--seed", type=int, default=7)
     p_report.add_argument(
-        "--sizes", type=int, nargs="+", default=None, help="sweep sizes (ascending)"
+        "--sizes", type=int, nargs="+", default=None, help="sweep sizes (strictly ascending)"
     )
 
     p_serve = sub.add_parser(

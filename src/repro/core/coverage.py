@@ -77,16 +77,18 @@ def check_sweep_sizes(sizes: Sequence[int]) -> None:
     """Reject constellation-prefix sizes a sweep cannot read.
 
     Sizes index the cumulative prefix analysis (``cumulative[n - 1]``),
-    so they must ascend and start at one satellite or more: a size of 0
-    would read the full constellation through ``cumulative[-1]``. They
-    are integers (NumPy's too) and never ``bool``: a float or a string
-    cannot index a prefix, and ``True`` would read as one satellite.
+    so they must strictly ascend and start at one satellite or more: a
+    size of 0 would read the full constellation through
+    ``cumulative[-1]``, and a repeated size would serve and count its
+    requests twice. They are integers (NumPy's too) and never ``bool``:
+    a float or a string cannot index a prefix, and ``True`` would read
+    as one satellite.
     """
     sizes = list(sizes)
     for n in sizes:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ValidationError(f"sweep sizes must be integers, got {n!r}")
-    if sorted(sizes) != sizes:
-        raise ValidationError("sweep sizes must be ascending (prefix property)")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError("sweep sizes must be strictly ascending (prefix property)")
     if sizes and sizes[0] < 1:
         raise ValidationError(f"sweep sizes must be >= 1 satellite, got {sizes[0]}")

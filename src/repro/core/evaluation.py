@@ -115,7 +115,6 @@ def evaluate_requests(
     n_time_steps: int = 100,
     fidelity_convention: str = "sqrt",
     queue_capacity: int | None = None,
-    use_cache: bool | None = None,
 ) -> ServiceResult:
     """Serve a request batch across time steps and aggregate (Figs. 7-8).
 
@@ -131,11 +130,6 @@ def evaluate_requests(
         queue_capacity: optional per-step cap on served requests,
             relaxing the paper's infinite-queue assumption; excess
             requests at a step count as dropped, not served.
-        use_cache: only meaningful with a :class:`NetworkSimulator` —
-            ``True``/``False`` overrides the simulator's link-state-cache
-            flag (via a twin simulator on the same network); ``None``
-            keeps the simulator as configured. The array analyses are
-            already vectorized, so the flag is ignored for them.
     """
     if not requests:
         raise ValidationError("evaluate_requests needs at least one request")
@@ -148,7 +142,6 @@ def evaluate_requests(
             n_time_steps=n_time_steps,
             fidelity_convention=fidelity_convention,
             queue_capacity=queue_capacity,
-            use_cache=use_cache,
         )
     n_samples = (
         analysis.n_times if isinstance(analysis, SpaceGroundAnalysis) else analysis.times_s.size
@@ -190,25 +183,20 @@ def _evaluate_requests_simulator(
     n_time_steps: int,
     fidelity_convention: str,
     queue_capacity: int | None,
-    use_cache: bool | None,
 ) -> ServiceResult:
     """Figs. 7-8 protocol over the object-level simulator.
 
     Evaluation steps are spread over the network's ephemeris grid; each
     step serves the full batch through Bellman–Ford routing (cached or
-    direct, per ``use_cache``).
+    direct, as the simulator is configured).
     """
-    wants_cache = simulator.use_cache if use_cache is None else use_cache
-    if (
-        wants_cache != simulator.use_cache
-        or fidelity_convention != simulator.fidelity_convention
-    ):
+    if fidelity_convention != simulator.fidelity_convention:
         simulator = NetworkSimulator(
             simulator.network,
             policy=simulator.policy,
             fidelity_convention=fidelity_convention,
             epsilon=simulator.epsilon,
-            use_cache=wants_cache,
+            use_cache=simulator.use_cache,
         )
     times = _simulator_times(simulator)
     indices = evaluation_time_indices(times.size, n_time_steps)

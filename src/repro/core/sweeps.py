@@ -11,7 +11,7 @@ answers every size (:meth:`SpaceGroundAnalysis.serve_prefixes`).
 Request service runs through :func:`repro.parallel.sweep.run_shards` at
 every worker count: this module supplies only the per-block work
 (:func:`_serve_steps`), and ``n_workers=0`` runs the same blocks
-in-process that a pool would run over shared-memory budget matrices.
+in-process that a pool would run over shared-memory budget records.
 """
 
 from __future__ import annotations
@@ -195,7 +195,6 @@ def run_constellation_sweep(
     seed: int | None = 7,
     fidelity_convention: str = "sqrt",
     ephemeris: Ephemeris | None = None,
-    use_cache: bool = True,
     store: "ArtifactStore | None" = None,
     n_workers: int = 0,
     faults: "FaultSchedule | dict | str | None" = None,
@@ -212,14 +211,8 @@ def run_constellation_sweep(
         n_requests / n_time_steps / seed: the Figs. 7-8 workload.
         fidelity_convention: "sqrt" (paper numbers) or "squared".
         ephemeris: optional pre-generated full-size movement sheet.
-        use_cache: share one vectorized link-budget pass
-            (:class:`~repro.engine.budgets.LinkBudgetTable`) between the
-            coverage and service analyses — the service pass slices the
-            coverage pass' matrices at its ~100 evaluation steps instead
-            of re-deriving geometry. ``False`` recomputes per analysis
-            (the direct path, bitwise-identical results).
         store: content-addressed :class:`~repro.engine.store.ArtifactStore`
-            to load/persist the ephemeris and budget matrices across
+            to load/persist the ephemeris and budget records across
             runs; defaults to the process-wide
             :func:`~repro.engine.store.default_store` (caching off unless
             configured). On a warm run both the propagation and the
@@ -228,7 +221,7 @@ def run_constellation_sweep(
             many worker processes (0 = serial, in-process; negative
             raises :class:`~repro.errors.ValidationError`). Both counts
             run through :func:`~repro.parallel.sweep.run_shards`: the
-            service budget matrices travel to workers through shared
+            service budget records travel to workers through shared
             memory, and results are reassembled in time order — output
             is identical for any worker count.
         faults: optional :class:`~repro.faults.FaultSchedule` (or a JSON
@@ -289,21 +282,16 @@ def run_constellation_sweep(
     # One full-horizon analysis for coverage (cumulative over sizes).
     # The store caches healthy budgets only; the fault plane perturbs
     # them after the load/compute step inside the table.
-    table = (
-        LinkBudgetTable(
-            ephemeris, site_list, model, policy=policy, store=store, faults=plane
-        )
-        if use_cache
-        else None
+    table = LinkBudgetTable(
+        ephemeris, site_list, model, policy=policy, store=store, faults=plane
     )
     coverage_analysis = SpaceGroundAnalysis(
         ephemeris, site_list, model, policy=policy, budgets=table, faults=plane
     )
-    if table is not None:
-        # Budgets are lazy; forcing them here (they are all needed below
-        # anyway) keeps the geometry pass out of the routing span.
-        with obs.span("budget"):
-            table.compute_all()
+    # Budgets are lazy; forcing them here (they are all needed below
+    # anyway) keeps the geometry pass out of the routing span.
+    with obs.span("budget"):
+        table.compute_all()
     with obs.span("route"):
         cumulative = coverage_analysis.cumulative_all_pairs_connected()
 
@@ -322,20 +310,10 @@ def run_constellation_sweep(
                 horizon_s=duration_s,
             )
 
-    # One reduced-time budget table for request service. With the cache
-    # on it slices the coverage pass' matrices — no second geometry pass.
+    # One reduced-time budget table for request service: it slices the
+    # coverage pass' records, with no second geometry pass.
     indices = evaluation_time_indices(ephemeris.n_samples, n_time_steps)
-    service_table = (
-        table.at_time_indices(indices)
-        if table is not None
-        else LinkBudgetTable(
-            ephemeris.at_time_indices(indices),
-            site_list,
-            model,
-            policy=policy,
-            faults=plane,
-        )
-    )
+    service_table = table.at_time_indices(indices)
     requests: list[Request] = generate_requests(site_list, n_requests, seed)
     endpoint_pairs = [r.endpoints for r in requests]
 

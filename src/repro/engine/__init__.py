@@ -4,15 +4,16 @@ The object-level :class:`~repro.network.simulator.NetworkSimulator`
 evaluates one channel per Python call, which is exact but loop-bound.
 This package holds the array engine underneath the paper-scale sweeps:
 
-* :mod:`repro.engine.budgets` — per-site link-budget matrices
-  ``(n_platforms, n_times)`` computed in one NumPy pass, shared between
-  the coverage and service analyses.
+* :mod:`repro.engine.budgets` — per-site link budgets over the
+  ``(n_platforms, n_times)`` grid, computed in one NumPy pass as records
+  of the points a site can see, shared between the coverage and service
+  analyses.
 * :mod:`repro.engine.linkstate` — :class:`LinkStateCache`, the
   time-indexed link-graph and routing-table cache behind the
-  ``use_cache=True`` flag of the simulator and the core sweeps.
+  simulator's ``use_cache=True`` flag.
 * :mod:`repro.engine.store` — :class:`ArtifactStore`, the
   content-addressed on-disk cache that persists ephemerides and
-  link-budget matrices across runs (``.npz`` + JSON sidecar keyed by a
+  site budgets across runs (``.npz`` + JSON sidecar keyed by a
   SHA-256 digest of the exact inputs).
 
 The direct scalar path stays available everywhere as the test oracle;

@@ -1,16 +1,21 @@
-"""Per-site link-budget matrices over a constellation ephemeris.
+"""Per-site link budgets over a constellation ephemeris.
 
-One vectorized NumPy pass per ground site produces the elevation, slant
-range, transmissivity and policy-admission matrices of shape
-``(n_platforms, n_times)`` that every paper sweep consumes. The tables
-built here are shared: the coverage analysis, the request-service
-analysis, and the :class:`~repro.engine.linkstate.LinkStateCache` all
-read the same arrays instead of re-deriving geometry per query.
+One vectorized NumPy pass per ground site produces the budget of every
+``(platform, sample)`` point the horizon cull keeps: elevation, slant
+range, transmissivity and policy admission, as one record array. That
+record array is the only form a budget takes — the cold fill writes it,
+the artifact store persists and loads it, a sweep slices it and a
+process pool shares it. Readers that index by ``(platform, sample)``
+get read-only dense ``(n_platforms, n_times)`` views, scattered from the
+records on first access. The tables built here are shared: the coverage
+analysis and the request-service analysis read the same budgets instead
+of re-deriving geometry per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -20,64 +25,118 @@ from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import elevation_and_slant_range_above_horizon
+from repro.orbits.visibility import CULLED_ELEVATION_RAD, above_horizon_points
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.store import ArtifactStore
     from repro.faults.plane import FaultPlane
 
 __all__ = [
+    "POINT_DTYPE",
     "SiteLinkBudget",
     "compute_site_budget",
     "fill_budget_block",
     "LinkBudgetTable",
 ]
 
+#: One record per kept point of a site budget: its flat index into the
+#: ``(n_platforms, n_times)`` grid and the four budget values there. The
+#: artifact store persists these records as they are (schema 2).
+POINT_DTYPE = np.dtype(
+    [
+        ("index", "<i8"),
+        ("elevation_rad", "<f8"),
+        ("slant_range_km", "<f8"),
+        ("transmissivity", "<f8"),
+        ("usable", "?"),
+    ]
+)
+
+
+def _scatter(
+    index: np.ndarray, values: np.ndarray, shape: tuple[int, int], fill: float | bool
+) -> np.ndarray:
+    """Read-only dense array of ``shape``: ``values`` at the flat
+    ``index``, ``fill`` everywhere else."""
+    out = np.full(shape, fill, dtype=values.dtype)
+    out.reshape(-1)[index] = values
+    out.flags.writeable = False
+    return out
+
+
+def _dense_view(name: str, fill: float | bool) -> cached_property:
+    """The dense view of record field ``name``, scattered on first access."""
+    return cached_property(
+        lambda self: _scatter(self.points["index"], self.points[name], self.shape, fill)
+    )
+
 
 @dataclass(frozen=True)
 class SiteLinkBudget:
-    """Per-site link-budget matrices against a moving constellation.
+    """One site's link budget against a moving constellation.
 
     Attributes:
         site: the ground node.
-        elevation_rad: shape ``(n_sats, n_times)``; ``-pi/2`` where the
-            platform cannot be above the horizon (the cull's sentinel).
-        slant_range_km: shape ``(n_sats, n_times)``; ``+inf`` where the
-            elevation is the sentinel, so ``np.isfinite`` marks the
-            computed points.
-        transmissivity: shape ``(n_sats, n_times)``; zero where geometry
-            forbids a link (platform below the horizon).
-        usable: boolean mask of policy-admitted links.
-        usable_healthy: pre-fault admission mask, present only on
-            budgets derived through an active
+        shape: ``(n_sats, n_times)`` of the budget grid.
+        points: :data:`POINT_DTYPE` records of the points the horizon
+            cull keeps (~5 % of a day), in ascending index order.
+        usable_healthy: pre-fault admission of each record, present only
+            on budgets derived through an active
             :class:`~repro.faults.plane.FaultPlane` — lets denial
             attribution tell "blocked only by faults" from physics.
+
+    A point without a record was culled: the platform cannot be above
+    the horizon there. The dense ``shape`` views ``elevation_rad``,
+    ``slant_range_km``, ``transmissivity`` and ``usable`` are read-only
+    and scattered from the records on first access; a culled point
+    reads elevation ``-pi/2`` (the cull's sentinel), slant range
+    ``+inf`` (so ``np.isfinite`` marks the records), transmissivity 0
+    and not usable.
     """
 
     site: GroundNode
-    elevation_rad: np.ndarray
-    slant_range_km: np.ndarray
-    transmissivity: np.ndarray
-    usable: np.ndarray
+    shape: tuple[int, int]
+    points: np.ndarray
     usable_healthy: np.ndarray | None = None
 
-    @property
+    elevation_rad = _dense_view("elevation_rad", CULLED_ELEVATION_RAD)
+    slant_range_km = _dense_view("slant_range_km", np.inf)
+    transmissivity = _dense_view("transmissivity", 0.0)
+    usable = _dense_view("usable", False)
+
+    @cached_property
     def healthy_usable(self) -> np.ndarray:
         """Pre-fault admission mask (``usable`` itself when unfaulted)."""
-        return self.usable if self.usable_healthy is None else self.usable_healthy
+        if self.usable_healthy is None:
+            return self.usable
+        return _scatter(self.points["index"], self.usable_healthy, self.shape, False)
 
-    def at_time_indices(self, indices: np.ndarray) -> "SiteLinkBudget":
-        """Budget restricted to the given sample indices (array views)."""
+    def at_time_indices(self, indices: Sequence[int] | np.ndarray) -> "SiteLinkBudget":
+        """Budget restricted to the given sample indices.
+
+        Keeps the records whose sample is in ``indices`` and re-indexes
+        them onto the ``(n_sats, len(indices))`` grid. The indices must
+        be strictly increasing and inside the grid, else
+        :class:`~repro.errors.ValidationError`.
+        """
         idx = np.asarray(indices, dtype=int)
+        n_sats, n_times = self.shape
+        if idx.ndim != 1 or np.any(np.diff(idx) <= 0) or np.any((idx < 0) | (idx >= n_times)):
+            raise ValidationError(
+                f"sample indices must be strictly increasing and in [0, {n_times})"
+            )
+        column = np.full(n_times, -1)
+        column[idx] = np.arange(idx.size)
+        row, sample = np.divmod(self.points["index"], n_times)
+        col = column[sample]
+        kept = col >= 0
+        points = self.points[kept]
+        points["index"] = row[kept] * idx.size + col[kept]
         return SiteLinkBudget(
             self.site,
-            self.elevation_rad[:, idx],
-            self.slant_range_km[:, idx],
-            self.transmissivity[:, idx],
-            self.usable[:, idx],
-            usable_healthy=(
-                None if self.usable_healthy is None else self.usable_healthy[:, idx]
-            ),
+            (n_sats, idx.size),
+            points,
+            None if self.usable_healthy is None else self.usable_healthy[kept],
         )
 
 
@@ -93,9 +152,9 @@ def fill_budget_block(
     """Transmissivity and admission masks for a block of geometry.
 
     The shared fill behind :func:`compute_site_budget` (``horizon_rad``
-    1e-3) and the link-state cache's ground-satellite group pass
-    (``horizon_rad`` 0.0, mirroring ``QuantumChannel.evaluate``), eager
-    or windowed.
+    1e-3, on the kept points) and the link-state cache's
+    ground-satellite group pass (``horizon_rad`` 0.0, mirroring
+    ``QuantumChannel.evaluate``), eager or windowed.
     """
     above = el > horizon_rad
     eta = np.zeros_like(el)
@@ -121,21 +180,27 @@ def compute_site_budget(
 ) -> SiteLinkBudget:
     """One vectorized link-budget pass: site against every platform sample.
 
-    The transmissivity is evaluated only where the platform sits above
-    the horizon (``elevation > 1e-3``); everywhere else eta is zero. A
-    link is usable when it clears both policy constraints. Geometry is
-    computed only where the platform can be above the horizon; culled
-    points carry the sentinels of
-    :func:`~repro.orbits.visibility.elevation_and_slant_range_above_horizon`.
+    Geometry runs only on the points
+    :func:`~repro.orbits.visibility.above_horizon_points` keeps, and
+    the budget holds just those records. The transmissivity is
+    evaluated only where the platform sits above the horizon
+    (``elevation > 1e-3``); everywhere else eta is zero. A link is
+    usable when it clears both policy constraints.
     """
     policy = policy or LinkPolicy()
-    el, rng = elevation_and_slant_range_above_horizon(
+    kept, el, rng = above_horizon_points(
         site.lat_rad, site.lon_rad, site.alt_km, ephemeris.positions_ecef_km
     )
     eta, usable = fill_budget_block(
         el, rng, fso_model, policy, platform_altitude_km, horizon_rad=1e-3
     )
-    return SiteLinkBudget(site, el, rng, eta, usable)
+    points = np.empty(kept.size, dtype=POINT_DTYPE)
+    points["index"] = kept
+    points["elevation_rad"] = el
+    points["slant_range_km"] = rng
+    points["transmissivity"] = eta
+    points["usable"] = usable
+    return SiteLinkBudget(site, (ephemeris.n_platforms, ephemeris.n_samples), points)
 
 
 class LinkBudgetTable:
@@ -158,7 +223,7 @@ class LinkBudgetTable:
 
     Budgets are computed on first access and memoized per site name.
     :meth:`at_time_indices` derives a reduced-horizon table by slicing
-    the already-computed matrices, so e.g. the Figs. 7-8 service sweep
+    the already-computed records, so e.g. the Figs. 7-8 service sweep
     reuses the coverage sweep's full-day pass instead of re-deriving
     geometry for its ~100 sampled steps.
     """
@@ -199,7 +264,7 @@ class LinkBudgetTable:
         raise ValidationError(f"unknown site {name!r}")
 
     def budget(self, site_name: str) -> SiteLinkBudget:
-        """Link-budget matrices for one site (computed once, memoized).
+        """Link budget of one site (computed once, memoized).
 
         With a backing store, the budget is served from the on-disk
         cache when present and persisted after computation otherwise;
@@ -242,8 +307,9 @@ class LinkBudgetTable:
         """Table restricted to the given sample indices.
 
         Every site budget is materialised on the full horizon first and
-        then sliced, so the derived table performs no geometry passes of
-        its own.
+        then sliced (:meth:`SiteLinkBudget.at_time_indices`), so the
+        derived table performs no geometry passes of its own. The
+        indices must be strictly increasing.
         """
         idx = np.asarray(indices, dtype=int)
         table = LinkBudgetTable(

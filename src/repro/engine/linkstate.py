@@ -48,7 +48,7 @@ from repro.network.hap import HAP
 from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
-from repro.orbits.visibility import elevation_and_slant_range_above_horizon
+from repro.orbits.visibility import CULLED_ELEVATION_RAD, above_horizon_points
 from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
@@ -379,8 +379,9 @@ class LinkStateCache:
         budget applies (``fill_budget_block`` with ``horizon_rad=0.0``).
         A ground-satellite channel has no HAP endpoint, so it carries no
         duty mask. Geometry runs only where a satellite can be above the
-        horizon; culled samples gate as not visible, not elevated and
-        not admitted, as their dense sub-horizon values did.
+        horizon; culled samples read the cull's sentinels and gate as
+        not visible, not elevated and not admitted, as their dense
+        sub-horizon values did.
         """
         # Function-level import: repro.engine.budgets pulls in the
         # repro.network package, which imports this module — at module
@@ -396,9 +397,13 @@ class LinkStateCache:
         positions = sat0.ephemeris.positions_ecef_km[rows]
         if samples is not None:
             positions = positions[:, samples]
-        el, rng = elevation_and_slant_range_above_horizon(
+        kept, kept_el, kept_rng = above_horizon_points(
             ground.lat_rad, ground.lon_rad, ground.alt_km, positions
         )
+        el = np.full(positions.shape[:-1], CULLED_ELEVATION_RAD)
+        rng = np.full(positions.shape[:-1], np.inf)
+        el.reshape(-1)[kept] = kept_el
+        rng.reshape(-1)[kept] = kept_rng
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
             block_el = el[:, j0:j1]

@@ -36,16 +36,14 @@ the page cache. Any irregularity (a compressed member, an unexpected
 ``.npy`` format version) silently falls back to the copying ``np.load``
 path.
 
-Site budgets are stored **sparsely**: only the points the geometry pass
-computed (``np.isfinite(slant_range_km)``, ~5 % of a day) are kept, as
-one record array of flat indices and the four values at them. Every
-other point carries the fixed sentinels of
-:func:`~repro.orbits.visibility.elevation_and_slant_range_above_horizon`
-(elevation ``-pi/2``, range ``+inf``, eta 0, not usable), so scattering
-the stored points into read-only dense arrays reproduces the computed
-budget bit for bit from ~1/20 of the bytes. A load reads and checks the
-points; each dense array is scattered when first read, just as schema 1
-paged its memmapped dense arrays in on first touch.
+Site budgets are stored **sparsely**, in the form they take in memory:
+the :data:`~repro.engine.budgets.POINT_DTYPE` records of the points the
+horizon cull keeps (~5 % of a day), one record array of flat indices and
+the four budget values at them. A cold build writes the records the
+fill produced, and a warm load reads and checks them back into a
+:class:`~repro.engine.budgets.SiteLinkBudget` — ~1/20 of the dense
+bytes; the budget's dense views are scattered only when a reader first
+asks for one.
 
 The store is **opt-in**: nothing caches unless a store is passed
 explicitly, the ``REPRO_CACHE_DIR`` environment variable is set, or
@@ -64,8 +62,7 @@ import tempfile
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -75,12 +72,16 @@ from repro import obs
 from repro.channels.fso import FSOChannelModel
 from repro.constants import EARTH_J2_REFERENCE_RADIUS_KM
 from repro.data.ground_nodes import GroundNode
-from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget, compute_site_budget
+from repro.engine.budgets import (
+    POINT_DTYPE,
+    LinkBudgetTable,
+    SiteLinkBudget,
+    compute_site_budget,
+)
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.elements import ElementSet
 from repro.orbits.ephemeris import Ephemeris, generate_movement_sheet
-from repro.orbits.visibility import CULLED_ELEVATION_RAD
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -286,77 +287,18 @@ def _mmap_npz(payload: Path) -> dict[str, np.ndarray]:
 
 # --- sparse site budgets -----------------------------------------------------
 
-#: One record per computed point of a site budget: its flat index and the
-#: four budget values there. Every other point carries the cull's
-#: sentinels (elevation ``-pi/2``, range ``+inf``, eta 0, not usable).
-_POINT_DTYPE = np.dtype(
-    [
-        ("index", "<i8"),
-        ("elevation_rad", "<f8"),
-        ("slant_range_km", "<f8"),
-        ("transmissivity", "<f8"),
-        ("usable", "?"),
-    ]
-)
 
-
-def _sparse_points(budget: SiteLinkBudget) -> np.ndarray:
-    """The computed points (``np.isfinite(slant_range_km)``) of a budget."""
-    index = np.flatnonzero(np.isfinite(budget.slant_range_km))
-    points = np.empty(index.size, dtype=_POINT_DTYPE)
-    points["index"] = index
-    for name in _POINT_DTYPE.names[1:]:
-        points[name] = getattr(budget, name).reshape(-1)[index]
-    return points
-
-
-def _scatter(points: np.ndarray, name: str, shape: tuple[int, int], fill: Any) -> np.ndarray:
-    """Read-only dense array of ``shape``: field ``name`` of ``points`` at
-    their indices, ``fill`` everywhere else."""
-    values = points[name]
-    out = np.full(shape, fill, dtype=values.dtype)
-    out.reshape(-1)[points["index"]] = values
-    out.flags.writeable = False
-    return out
-
-
-class _StoredSiteBudget(SiteLinkBudget):
-    """A site budget decoded from its sparse artifact.
-
-    Each dense array is scattered from the stored points on first access
-    and is bit-equal to the computed one. Loading thus costs reading and
-    checking the points (~1/20 of the dense bytes), and a consumer
-    allocates only the arrays it reads. Raises ``ValueError`` when the
-    points do not fit ``shape``.
-    """
-
-    def __init__(self, site: GroundNode, points: np.ndarray, shape: tuple[int, int]) -> None:
-        if points.dtype != _POINT_DTYPE or points.ndim != 1:
-            raise ValueError("site-budget points have the wrong layout")
-        index = points["index"]
-        if index.size and (index.min() < 0 or index.max() >= shape[0] * shape[1]):
-            raise ValueError("site-budget indices out of range")
-        init = partial(object.__setattr__, self)  # the dataclass is frozen
-        init("site", site)
-        init("usable_healthy", None)
-        init("_points", points)
-        init("_shape", shape)
-
-    @cached_property
-    def elevation_rad(self) -> np.ndarray:  # type: ignore[override]
-        return _scatter(self._points, "elevation_rad", self._shape, CULLED_ELEVATION_RAD)
-
-    @cached_property
-    def slant_range_km(self) -> np.ndarray:  # type: ignore[override]
-        return _scatter(self._points, "slant_range_km", self._shape, np.inf)
-
-    @cached_property
-    def transmissivity(self) -> np.ndarray:  # type: ignore[override]
-        return _scatter(self._points, "transmissivity", self._shape, 0.0)
-
-    @cached_property
-    def usable(self) -> np.ndarray:  # type: ignore[override]
-        return _scatter(self._points, "usable", self._shape, False)
+def _loaded_site_budget(
+    site: GroundNode, points: np.ndarray, shape: tuple[int, int]
+) -> SiteLinkBudget:
+    """A site budget over records read from disk; raises ``ValueError``
+    when they do not have the record layout or do not fit ``shape``."""
+    if points.dtype != POINT_DTYPE or points.ndim != 1:
+        raise ValueError("site-budget points have the wrong layout")
+    index = points["index"]
+    if index.size and (index.min() < 0 or index.max() >= shape[0] * shape[1]):
+        raise ValueError("site-budget indices out of range")
+    return SiteLinkBudget(site, shape, points)
 
 
 # --- the store ---------------------------------------------------------------
@@ -590,7 +532,7 @@ class ArtifactStore:
         platform_altitude_km: float = 500.0,
         ephemeris_fp: dict[str, Any] | None = None,
     ) -> SiteLinkBudget:
-        """One site's link-budget matrices, loaded if cached, else computed.
+        """One site's link budget, loaded if cached, else computed.
 
         Args:
             ephemeris_fp: precomputed :func:`ephemeris_fingerprint`; pass
@@ -611,7 +553,7 @@ class ArtifactStore:
         loaded = self._try_load(
             _SITE_BUDGET_KIND,
             digest,
-            lambda arrays: _StoredSiteBudget(site, arrays["points"], shape),
+            lambda arrays: _loaded_site_budget(site, arrays["points"], shape),
         )
         if loaded is not None:
             return loaded
@@ -625,7 +567,7 @@ class ArtifactStore:
         self._write(
             _SITE_BUDGET_KIND,
             digest,
-            {"points": _sparse_points(budget)},
+            {"points": budget.points},
             {"site": _site_fingerprint(site)},
         )
         return budget

@@ -309,7 +309,9 @@ class FaultPlane:
     ) -> "SiteLinkBudget":
         """Derive a faulted :class:`SiteLinkBudget` from a healthy one.
 
-        The healthy admission mask rides along as ``usable_healthy`` so
+        Fades and gates apply to the budget's records: every other point
+        is culled, so its eta stays 0 and it stays unusable. The healthy
+        admission of each record rides along as ``usable_healthy`` so
         the matrix path's denial attribution can tell "blocked only by
         faults" apart from physics denials. Content-addressed artifact
         stores always cache the *healthy* budget — this derivation runs
@@ -321,29 +323,25 @@ class FaultPlane:
             return budget
         site_name = budget.site.name
         times = ephemeris.times_s
-        eta = budget.transmissivity
-        usable = budget.usable
+        rows, cols = np.divmod(budget.points["index"], times.size)
+        healthy = budget.points["usable"]
+        eta = budget.points["transmissivity"]
+        usable = healthy
         factor = self.fade_factor_series(site_name, times)
         if not (isinstance(factor, float) and factor == 1.0):
-            eta = eta * factor
+            eta = eta * factor[cols]
             usable = usable & (eta >= policy.transmissivity_threshold)
         site_up = self.node_up_series(site_name, times)
         if site_up is not True:
-            usable = usable & site_up
+            usable = usable & site_up[cols]
         platforms_up = self.platform_up_matrix(ephemeris.names, times)
         if platforms_up is not True:
-            usable = usable & platforms_up
+            usable = usable & platforms_up[rows, cols]
         links_ok = self.link_ok_matrix(site_name, ephemeris.names, times)
         if links_ok is not True:
-            usable = usable & links_ok
-        if usable is budget.usable:
-            usable = usable.copy()
-        _LINK_STEPS_SUPPRESSED.inc(int(np.count_nonzero(budget.usable & ~usable)))
-        return SiteLinkBudget(
-            budget.site,
-            budget.elevation_rad,
-            budget.slant_range_km,
-            eta,
-            usable,
-            usable_healthy=budget.usable,
-        )
+            usable = usable & links_ok[rows, cols]
+        _LINK_STEPS_SUPPRESSED.inc(int(np.count_nonzero(healthy & ~usable)))
+        points = budget.points.copy()
+        points["transmissivity"] = eta
+        points["usable"] = usable
+        return SiteLinkBudget(budget.site, budget.shape, points, usable_healthy=healthy)

@@ -141,24 +141,21 @@ class TwoBodyPropagator:
         # Perifocal coordinates.
         x_pf = a * (cosE - e)
         y_pf = a * np.sqrt(1.0 - e**2) * sinE
+        # Every (n_sats, T) temporary is dropped once read: a day sheet's
+        # propagation temporaries are its set-up's peak memory.
+        del M, E, cosE, sinE
 
         cO, sO = np.cos(raan), np.sin(raan)
         ci = np.cos(el.inc)[:, None]
         si = np.sin(el.inc)[:, None]
         cw, sw = np.cos(argp), np.sin(argp)
 
-        # Expand the rotation explicitly to avoid building (n,T,3,3) tensors.
-        px = cO * cw - sO * sw * ci
-        py = sO * cw + cO * sw * ci
-        pz = sw * si
-        qx = -cO * sw - sO * cw * ci
-        qy = -sO * sw + cO * cw * ci
-        qz = cw * si
-
+        # Expand the rotation explicitly to avoid building (n,T,3,3) tensors,
+        # one axis at a time.
         out = np.empty((n_sats, t.size, 3), dtype=float)
-        out[..., 0] = x_pf * px + y_pf * qx
-        out[..., 1] = x_pf * py + y_pf * qy
-        out[..., 2] = x_pf * pz + y_pf * qz
+        out[..., 0] = x_pf * (cO * cw - sO * sw * ci) + y_pf * (-cO * sw - sO * cw * ci)
+        out[..., 1] = x_pf * (sO * cw + cO * sw * ci) + y_pf * (-sO * sw + cO * cw * ci)
+        out[..., 2] = x_pf * (sw * si) + y_pf * (cw * si)
         # Radius consistency check is cheap insurance against angle bugs.
         if out.size:
             max_err = float(np.max(np.abs(np.linalg.norm(out, axis=-1) - r)))

@@ -28,7 +28,7 @@ from repro.utils.intervals import intervals_from_mask
 __all__ = [
     "elevation_and_range",
     "elevation_and_slant_range",
-    "elevation_and_slant_range_above_horizon",
+    "above_horizon_points",
     "elevation_and_range_scalar",
     "visibility_mask",
     "AccessWindow",
@@ -73,26 +73,31 @@ def elevation_and_slant_range(
     )
 
 
-#: Slack [km] of the horizon-plane cull in
-#: :func:`elevation_and_slant_range_above_horizon`. Both sides of the
-#: cull test and the kernel's ``up`` component are 3-term dot products of
-#: ~7,000 km vectors, each rounded by ~1e-12 km; a slack a million times
-#: larger keeps every point the kernel puts above the horizon.
+#: Slack [km] of the horizon-plane cull in :func:`above_horizon_points`.
+#: Both sides of the cull test and the kernel's ``up`` component are
+#: 3-term dot products of ~7,000 km vectors, each rounded by ~1e-12 km; a
+#: slack a million times larger keeps every point the kernel puts above
+#: the horizon.
 HORIZON_CULL_MARGIN_KM = 1e-6
 
-#: Elevation [rad] of a culled point: below every horizon and admission
-#: threshold, so it gates exactly like the dense sub-horizon value did.
+#: Elevation [rad] a dense grid gives a culled point: below every horizon
+#: and admission threshold, so it gates like the dense sub-horizon value.
 CULLED_ELEVATION_RAD = -math.pi / 2
 
 
-def elevation_and_slant_range_above_horizon(
+def above_horizon_points(
     site_lat_rad: float,
     site_lon_rad: float,
     site_alt_km: float,
     platform_ecef_km: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`elevation_and_slant_range` where the platform can be above
-    the horizon; sentinels everywhere else.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points where the platform can be above the horizon:
+    ``(kept, elevation, slant_range)``.
+
+    ``kept`` holds the ascending flat indices, into
+    ``platform_ecef_km.shape[:-1]``, of the points the horizon cull
+    keeps; ``elevation`` and ``slant_range`` are
+    :func:`elevation_and_slant_range` at those points only.
 
     With ``n`` the site's geodetic up vector (row 2 of
     :func:`~repro.orbits.frames.ecef_to_enu_matrix`) and ``s`` the site's
@@ -105,25 +110,22 @@ def elevation_and_slant_range_above_horizon(
     platform altitude and any spread of sites: no point with dense
     elevation > 0 is culled.
 
-    Every culled point gets elevation :data:`CULLED_ELEVATION_RAD` and
-    slant range ``+inf`` (so ``np.isfinite(rng)`` marks the computed
-    points). Its dense elevation was <= 0, and every reader gates on a
-    strictly positive horizon, so η, admission and the link-state
-    ``VISIBLE``/``ELEVATED`` bits are unchanged. (Under a non-positive
-    ``min_elevation_rad`` a culled point drops its ``ELEVATED`` bit,
-    which is only ever read together with ``VISIBLE``.)
+    A reader that needs a dense grid gives every culled point elevation
+    :data:`CULLED_ELEVATION_RAD` and slant range ``+inf``. Its dense
+    elevation was <= 0, and every reader gates on a strictly positive
+    horizon, so η, admission and the link-state ``VISIBLE``/``ELEVATED``
+    bits are unchanged. (Under a non-positive ``min_elevation_rad`` a
+    culled point drops its ``ELEVATED`` bit, which is only ever read
+    together with ``VISIBLE``.)
     """
     pos = np.asarray(platform_ecef_km, dtype=float)
     up = ecef_to_enu_matrix(site_lat_rad, site_lon_rad)[2]
     height = float(up @ geodetic_to_ecef(site_lat_rad, site_lon_rad, site_alt_km))
     kept = np.flatnonzero(pos @ up > height - HORIZON_CULL_MARGIN_KM)
-    el = np.full(pos.shape[:-1], CULLED_ELEVATION_RAD)
-    rng = np.full(pos.shape[:-1], np.inf)
-    if kept.size:
-        el.reshape(-1)[kept], rng.reshape(-1)[kept] = elevation_and_slant_range(
-            site_lat_rad, site_lon_rad, site_alt_km, pos.reshape(-1, 3)[kept]
-        )
-    return el, rng
+    el, rng = elevation_and_slant_range(
+        site_lat_rad, site_lon_rad, site_alt_km, pos.reshape(-1, 3)[kept]
+    )
+    return kept, el, rng
 
 
 def _site_enu(

@@ -3,7 +3,7 @@
 :func:`repro.parallel.sweep.run_shards` fans blocks of work out over a
 process pool; without this module every task would pickle its shared
 input — for a day sweep that means serialising the multi-MB
-``(N, T, 3)`` ephemeris block (or the per-site budget matrices) once per
+``(N, T, 3)`` ephemeris block (or the per-site budget records) once per
 shard. This module moves those arrays into
 :mod:`multiprocessing.shared_memory` segments so workers receive only a
 (name, shape, dtype) descriptor a few dozen bytes long and map the pages
@@ -46,7 +46,7 @@ from repro.errors import ValidationError
 from repro.orbits.ephemeris import Ephemeris
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
+    from repro.engine.budgets import LinkBudgetTable
 
 __all__ = [
     "SharedArraySpec",
@@ -231,28 +231,40 @@ def attach_ephemeris(
 # --- link-budget tables over shared memory -----------------------------------
 
 
+def _share(arena: ShmArena, array: np.ndarray) -> SharedArraySpec | np.ndarray:
+    """``array`` published, or the array itself when it is empty (no
+    segment can hold zero bytes, and an empty array pickles for free)."""
+    return arena.publish(array) if array.size else array
+
+
+def _attach_shared(
+    attachment: ShmAttachment, shared: SharedArraySpec | np.ndarray
+) -> np.ndarray:
+    """Inverse of :func:`_share`."""
+    return attachment.attach(shared) if isinstance(shared, SharedArraySpec) else shared
+
+
 @dataclass(frozen=True)
 class BudgetHandle:
-    """Shared-memory descriptors for one site's budget matrices.
+    """Shared-memory descriptors for one site's budget records.
 
     ``usable_healthy`` is present only for budgets that were derived
     through an active fault plane in the parent — shipping it keeps the
-    worker-side denial attribution identical to the serial path.
+    worker-side denial attribution identical to the serial path. A site
+    with no kept point ships its empty arrays inline.
     """
 
     site_name: str
-    elevation: SharedArraySpec
-    slant_range: SharedArraySpec
-    transmissivity: SharedArraySpec
-    usable: SharedArraySpec
-    usable_healthy: SharedArraySpec | None = None
+    shape: tuple[int, int]
+    points: SharedArraySpec | np.ndarray
+    usable_healthy: SharedArraySpec | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class BudgetTableHandle:
     """Picklable stand-in for a fully-computed :class:`LinkBudgetTable`.
 
-    Carries per-site array descriptors plus the small picklable context
+    Carries per-site record descriptors plus the small picklable context
     (sites, channel model, policy, altitude) and the ephemeris handle
     needed to reconstruct an equivalent table in a worker.
     """
@@ -267,16 +279,9 @@ class BudgetTableHandle:
     @property
     def payload_bytes(self) -> int:
         """Bytes of array data referenced (not shipped) by this handle."""
-        total = self.ephemeris.payload_bytes
-        for b in self.budgets:
-            total += (
-                b.elevation.nbytes
-                + b.slant_range.nbytes
-                + b.transmissivity.nbytes
-                + b.usable.nbytes
-                + (b.usable_healthy.nbytes if b.usable_healthy is not None else 0)
-            )
-        return total
+        return self.ephemeris.payload_bytes + sum(
+            b.points.nbytes + getattr(b.usable_healthy, "nbytes", 0) for b in self.budgets
+        )
 
 
 def publish_budget_table(
@@ -285,7 +290,7 @@ def publish_budget_table(
     *,
     site_names: Iterable[str] | None = None,
 ) -> BudgetTableHandle:
-    """Publish a budget table's matrices; returns the worker handle.
+    """Publish a budget table's records; returns the worker handle.
 
     Args:
         site_names: restrict publication to these sites (default: all).
@@ -298,14 +303,12 @@ def publish_budget_table(
         handles.append(
             BudgetHandle(
                 site_name=name,
-                elevation=arena.publish(budget.elevation_rad),
-                slant_range=arena.publish(budget.slant_range_km),
-                transmissivity=arena.publish(budget.transmissivity),
-                usable=arena.publish(budget.usable),
+                shape=budget.shape,
+                points=_share(arena, budget.points),
                 usable_healthy=(
                     None
                     if budget.usable_healthy is None
-                    else arena.publish(budget.usable_healthy)
+                    else _share(arena, budget.usable_healthy)
                 ),
             )
         )
@@ -324,10 +327,10 @@ def attach_budget_table(
 ) -> "LinkBudgetTable":
     """Rebuild a :class:`LinkBudgetTable` over shared buffers (zero-copy).
 
-    Every published site budget arrives pre-materialised as views into
+    Every published site budget arrives with its records as views into
     the mapped segments; no geometry is recomputed in the worker.
     """
-    from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
+    from repro.engine.budgets import POINT_DTYPE, LinkBudgetTable, SiteLinkBudget
 
     table = LinkBudgetTable(
         attach_ephemeris(handle.ephemeris, attachment),
@@ -339,15 +342,13 @@ def attach_budget_table(
     for b in handle.budgets:
         table._budgets[b.site_name] = SiteLinkBudget(
             table.site(b.site_name),
-            attachment.attach(b.elevation),
-            attachment.attach(b.slant_range),
-            attachment.attach(b.transmissivity),
-            attachment.attach(b.usable),
+            b.shape,
+            # A descriptor's dtype string drops the record field names.
+            _attach_shared(attachment, b.points).view(POINT_DTYPE),
             usable_healthy=(
                 None
                 if b.usable_healthy is None
-                else attachment.attach(b.usable_healthy)
+                else _attach_shared(attachment, b.usable_healthy)
             ),
         )
     return table
-

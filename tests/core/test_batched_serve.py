@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.channels.presets import paper_satellite_fso
 from repro.core.analysis import SpaceGroundAnalysis, prefix_argmin
-from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
+from repro.engine.budgets import POINT_DTYPE, LinkBudgetTable, SiteLinkBudget
 from repro.errors import ValidationError
 from repro.faults import FaultSchedule, LinkFlap, SatelliteOutage, WeatherFade
 
@@ -203,6 +203,17 @@ def test_prefix_argmin_reads_chosen_sizes(cost, data):
     np.testing.assert_array_equal(prefix_argmin(cost, np.array(sizes)), expected)
 
 
+def _budget(site, eta, usable):
+    """A budget with a record at every point: elevation and slant range
+    0, the given ``eta`` and ``usable``, so its dense views are exactly
+    those arrays."""
+    points = np.zeros(eta.size, dtype=POINT_DTYPE)
+    points["index"] = np.arange(eta.size)
+    points["transmissivity"] = eta.reshape(-1)
+    points["usable"] = usable.reshape(-1)
+    return SiteLinkBudget(site, eta.shape, points)
+
+
 class _FixedTable(LinkBudgetTable):
     """A budget table serving given budgets instead of computing them."""
 
@@ -229,10 +240,7 @@ class TestTieRule:
         budgets = {}
         for site in sites:
             eta = 1.0 / rng.choice([1, 2, 3, 4, 6], size=shape)
-            zeros = np.zeros(shape)
-            budgets[site.name] = SiteLinkBudget(
-                site, zeros, zeros, eta, rng.random(shape) < 0.6
-            )
+            budgets[site.name] = _budget(site, eta, rng.random(shape) < 0.6)
         table = _FixedTable(small_ephemeris, sites, budgets)
         return SpaceGroundAnalysis(
             small_ephemeris, sites, paper_satellite_fso(), budgets=table
@@ -252,11 +260,8 @@ class TestTieRule:
         k_src[1], k_dst[1] = 2.0, 6.0  # cost 8, eta 1/12
         k_src[2], k_dst[2] = 4.0, 4.0  # cost 8, eta 1/16
         usable = np.ones(shape, dtype=bool)
-        zeros = np.zeros(shape)
         budgets = {
-            s.name: SiteLinkBudget(
-                s, zeros, zeros, 1.0 / (k_dst if s.name == "epb-0" else k_src), usable
-            )
+            s.name: _budget(s, 1.0 / (k_dst if s.name == "epb-0" else k_src), usable)
             for s in sites
         }
         table = _FixedTable(small_ephemeris, sites, budgets)
@@ -291,11 +296,7 @@ class TestTieRule:
             k["ttu-0"][sat], k["epb-0"][sat] = k_src, k_dst
             usable["ttu-0"][sat] = usable["epb-0"][sat] = True
         usable["ttu-0"][10] = True  # usable at one end only
-        zeros = np.zeros(shape)
-        budgets = {
-            s.name: SiteLinkBudget(s, zeros, zeros, 1.0 / k[s.name], usable[s.name])
-            for s in sites
-        }
+        budgets = {s.name: _budget(s, 1.0 / k[s.name], usable[s.name]) for s in sites}
         analysis = SpaceGroundAnalysis(
             small_ephemeris,
             sites,

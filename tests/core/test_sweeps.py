@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.analysis import SpaceGroundAnalysis
 from repro.core.sweeps import run_constellation_sweep
 from repro.channels.presets import paper_satellite_fso
@@ -90,6 +91,31 @@ class TestRunConstellationSweep:
     def test_rejects_unsorted_sizes(self, day_eph):
         with pytest.raises(ValidationError, match="ascending"):
             run_constellation_sweep(sizes=[36, 6], ephemeris=day_eph)
+
+    def test_rejects_repeated_sizes(self):
+        """A repeated size would serve and count its requests twice."""
+        obs.reset()
+        obs.enable()
+        try:
+            with pytest.raises(ValidationError, match="strictly ascending"):
+                run_constellation_sweep(
+                    sizes=[12, 12],
+                    duration_s=7200.0,
+                    step_s=60.0,
+                    n_requests=20,
+                    n_time_steps=10,
+                )
+            sweep = run_constellation_sweep(
+                sizes=[6, 12], duration_s=7200.0, step_s=60.0, n_requests=20, n_time_steps=10
+            )
+            outcomes = sum(
+                obs.counter(f"network.requests.{kind}").value for kind in ("served", "denied")
+            )
+        finally:
+            obs.disable()
+            obs.reset()
+        assert sweep.sizes == [6, 12]
+        assert outcomes == 20 * 10
 
     def test_rejects_empty_sizes(self, day_eph):
         with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from repro.core.evaluation import evaluate_requests
 from repro.core.requests import generate_requests
 from repro.core.sweeps import run_constellation_sweep
 from repro.data.ground_nodes import all_ground_nodes
+from repro.engine.store import ArtifactStore, set_default_store
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
@@ -108,12 +109,13 @@ class TestHapEquivalence:
 class TestEvaluationEquivalence:
     def test_evaluate_requests_cached_matches_direct(self, day_network_12, sites):
         network, _ = day_network_12
-        simulator = NetworkSimulator(network)
         requests = generate_requests(sites, 40, 11)
         # Evaluate at every ephemeris sample so the 12-satellite day's few
         # serving windows are included and the fidelity lists are non-empty.
-        direct = evaluate_requests(simulator, requests, n_time_steps=100, use_cache=False)
-        cached = evaluate_requests(simulator, requests, n_time_steps=100, use_cache=True)
+        direct = evaluate_requests(NetworkSimulator(network), requests, n_time_steps=100)
+        cached = evaluate_requests(
+            NetworkSimulator(network, use_cache=True), requests, n_time_steps=100
+        )
         assert direct.served_per_step == cached.served_per_step
         assert direct.n_time_steps == cached.n_time_steps
         assert len(direct.fidelities) > 0
@@ -125,21 +127,26 @@ class TestEvaluationEquivalence:
 
 
 class TestSweepEquivalence:
-    def test_constellation_sweep_cached_matches_direct(self):
-        cached = run_constellation_sweep(
-            [6, 12], duration_s=7200.0, step_s=120.0, n_requests=20, n_time_steps=10
-        )
-        direct = run_constellation_sweep(
-            [6, 12],
-            duration_s=7200.0,
-            step_s=120.0,
-            n_requests=20,
-            n_time_steps=10,
-            use_cache=False,
-        )
-        for c, d in zip(cached.points, direct.points):
-            assert c.coverage == d.coverage
-            assert c.service == d.service
+    def test_constellation_sweep_cached_matches_direct(self, tmp_path):
+        """A sweep through a cold and a warm artifact store equals one
+        without a store, point for point."""
+        kwargs = dict(duration_s=7200.0, step_s=120.0, n_requests=20, n_time_steps=10)
+        previous = set_default_store(None)
+        try:
+            direct = run_constellation_sweep([6, 12], **kwargs)
+        finally:
+            set_default_store(previous)
+        store = ArtifactStore(tmp_path)
+        cold = run_constellation_sweep([6, 12], store=store, **kwargs)
+        warm_store = ArtifactStore(tmp_path)
+        warm = run_constellation_sweep([6, 12], store=warm_store, **kwargs)
+        assert store.stats.writes > 0 and warm_store.stats.misses == 0
+        assert warm_store.stats.hits > 0 and warm_store.stats.rebuilds == 0
+        for sweep in (cold, warm):
+            assert sweep.sizes == direct.sizes
+            for c, d in zip(sweep.points, direct.points):
+                assert c.coverage == d.coverage
+                assert c.service == d.service
 
     def test_coverage_sweep_cached_matches_direct(self, sites):
         """The sweep's cached prefix coverage equals the per-size oracle."""

@@ -163,7 +163,7 @@ class TestFaultedSiteBudget:
         faulted = p.faulted_site_budget(healthy, small_ephemeris, policy)
         assert np.all(faulted.transmissivity <= healthy.transmissivity)
         assert not np.any(faulted.usable & ~healthy.usable)
-        np.testing.assert_array_equal(faulted.usable_healthy, healthy.usable)
+        np.testing.assert_array_equal(faulted.usable_healthy, healthy.points["usable"])
         np.testing.assert_array_equal(faulted.healthy_usable, healthy.usable)
         assert healthy.usable_healthy is None
         assert healthy.healthy_usable is healthy.usable

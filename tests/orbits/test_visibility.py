@@ -17,8 +17,8 @@ from repro.orbits.visibility import (
     access_windows,
     elevation_and_range,
     elevation_and_range_scalar,
+    above_horizon_points,
     elevation_and_slant_range,
-    elevation_and_slant_range_above_horizon,
     ground_coverage_radius_km,
     visibility_mask,
 )
@@ -151,15 +151,15 @@ def _walker_positions(draw):
 
 def _assert_cull_exact(site, positions):
     """No point with dense elevation > 0 is culled; kept points are
-    bit-equal to the dense kernel; culled points carry the sentinels."""
+    ascending flat indices whose floats are bit-equal to the dense kernel."""
     el, rng = elevation_and_slant_range(*site, positions)
-    cull_el, cull_rng = elevation_and_slant_range_above_horizon(*site, positions)
-    kept = np.isfinite(cull_rng)
+    index, kept_el, kept_rng = above_horizon_points(*site, positions)
+    assert np.all(np.diff(index) > 0)
+    kept = np.zeros(el.shape, dtype=bool)
+    kept.reshape(-1)[index] = True
     assert not np.any(el[~kept] > 0.0)
-    assert cull_el[kept].tobytes() == el[kept].tobytes()
-    assert cull_rng[kept].tobytes() == rng[kept].tobytes()
-    assert np.all(cull_el[~kept] == CULLED_ELEVATION_RAD)
-    assert np.all(cull_rng[~kept] == np.inf)
+    assert kept_el.tobytes() == el.reshape(-1)[index].tobytes()
+    assert kept_rng.tobytes() == rng.reshape(-1)[index].tobytes()
 
 
 def _onto_horizon_plane(site, positions, seed):
@@ -174,7 +174,7 @@ def _onto_horizon_plane(site, positions, seed):
 
 
 class TestHorizonCull:
-    """:func:`elevation_and_slant_range_above_horizon` against the dense pass."""
+    """:func:`above_horizon_points` against the dense pass."""
 
     @settings(max_examples=80, deadline=None)
     @given(
