@@ -28,7 +28,13 @@ from repro.engine.budgets import LinkBudgetTable, SiteLinkBudget
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import elevation_and_slant_range
+from repro.orbits.visibility import (
+    OPEN,
+    VISIBLE,
+    elevation_and_slant_range,
+    geometry_gates,
+    is_visible,
+)
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -368,26 +374,19 @@ class SpaceGroundAnalysis:
         el_d = bd.elevation_rad[:n, time_index]
         eta_s = bs.transmissivity[:n, time_index]
         eta_d = bd.transmissivity[:n, time_index]
-        # The gate cascade nests: visibility uses the budget pass' own
-        # above-horizon cut (el > 1e-3, engine.budgets), elevation adds
-        # the policy minimum, and usable-at-both-ends is exactly the mask
-        # best_relay optimises over.
-        visible = (el_s > 1e-3) & (el_d > 1e-3)
-        elev_ok = (
-            visible
-            & (el_s >= self.policy.min_elevation_rad)
-            & (el_d >= self.policy.min_elevation_rad)
-        )
+        # The gate cascade nests: visibility and elevation are the link
+        # state's geometry bits at both ends, and usable-at-both-ends is
+        # exactly the mask best_relay optimises over.
+        min_el = self.policy.min_elevation_rad
+        both = geometry_gates(el_s, min_el) & geometry_gates(el_d, min_el)
+        visible = (both & VISIBLE) != 0
+        elev_ok = (both & OPEN) != 0
         usable = bs.usable[:n, time_index] & bd.usable[:n, time_index]
         # Budgets derived through a fault plane carry the pre-fault mask;
         # transmissivity denials are judged on healthy physics and a
         # healthy-but-suppressed candidate set attributes to faults.
         faulted_run = bs.usable_healthy is not None or bd.usable_healthy is not None
-        healthy = (
-            bs.healthy_usable[:n, time_index] & bd.healthy_usable[:n, time_index]
-            if faulted_run
-            else usable
-        )
+        healthy = bs.healthy_usable[:n, time_index] & bd.healthy_usable[:n, time_index]
 
         served = bool(np.any(usable))
         relay_index: int | None = None
@@ -531,7 +530,7 @@ class AirGroundAnalysis:
         """HAP-link transmissivity for one site (time-independent)."""
         if site_name not in self._eta:
             el_f, rng_f = self.site_geometry(site_name)
-            if el_f <= 0:
+            if not is_visible(el_f):
                 eta = 0.0
             else:
                 eta = float(

@@ -25,7 +25,7 @@ from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
 from repro.orbits.ephemeris import Ephemeris
-from repro.orbits.visibility import CULLED_ELEVATION_RAD, above_horizon_points
+from repro.orbits.visibility import CULLED_ELEVATION_RAD, above_horizon_points, is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.store import ArtifactStore
@@ -41,7 +41,7 @@ __all__ = [
 
 #: One record per kept point of a site budget: its flat index into the
 #: ``(n_platforms, n_times)`` grid and the four budget values there. The
-#: artifact store persists these records as they are (schema 2).
+#: artifact store persists these records as they are (schema 3).
 POINT_DTYPE = np.dtype(
     [
         ("index", "<i8"),
@@ -146,17 +146,13 @@ def fill_budget_block(
     fso_model: FSOChannelModel,
     policy: LinkPolicy,
     platform_altitude_km: float,
-    *,
-    horizon_rad: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transmissivity and admission masks for a block of geometry.
-
-    The shared fill behind :func:`compute_site_budget` (``horizon_rad``
-    1e-3, on the kept points) and the link-state cache's
-    ground-satellite group pass (``horizon_rad`` 0.0, mirroring
-    ``QuantumChannel.evaluate``), eager or windowed.
-    """
-    above = el > horizon_rad
+    """Transmissivity and admission masks for a block of geometry: η
+    where the platform is visible (the one horizon rule,
+    :func:`~repro.orbits.visibility.is_visible`), 0 elsewhere; usable
+    where it clears both policy constraints. :func:`compute_site_budget`
+    runs it on the kept points."""
+    above = is_visible(el)
     eta = np.zeros_like(el)
     if np.any(above):
         eta[above] = np.asarray(
@@ -182,18 +178,16 @@ def compute_site_budget(
 
     Geometry runs only on the points
     :func:`~repro.orbits.visibility.above_horizon_points` keeps, and
-    the budget holds just those records. The transmissivity is
-    evaluated only where the platform sits above the horizon
-    (``elevation > 1e-3``); everywhere else eta is zero. A link is
-    usable when it clears both policy constraints.
+    the budget holds just those records, filled by
+    :func:`fill_budget_block`. They are the one ground-satellite link
+    budget: the sweep's tables, the artifact store and the link state's
+    ground-satellite columns all read them.
     """
     policy = policy or LinkPolicy()
     kept, el, rng = above_horizon_points(
         site.lat_rad, site.lon_rad, site.alt_km, ephemeris.positions_ecef_km
     )
-    eta, usable = fill_budget_block(
-        el, rng, fso_model, policy, platform_altitude_km, horizon_rad=1e-3
-    )
+    eta, usable = fill_budget_block(el, rng, fso_model, policy, platform_altitude_km)
     points = np.empty(kept.size, dtype=POINT_DTYPE)
     points["index"] = kept
     points["elevation_rad"] = el

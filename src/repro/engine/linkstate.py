@@ -5,13 +5,16 @@ constellation :class:`~repro.orbits.ephemeris.Ephemeris` arrays, the
 transmissivity and policy-admission series of every channel in a
 :class:`~repro.network.topology.QuantumNetwork` — ground-satellite FSO,
 inter-satellite FSO, ground-HAP FSO and fiber alike — on the movement
-sheet's sample grid. The series live in two ``(grid sample, channel)``
-arrays, ``eta`` and the gate byte ``gates`` (admission plus the bits
-denial attribution reads), so the link state at one time index is one
-contiguous row. The same row serves admission at any transmissivity
-threshold: the ``OPEN`` bit holds every gate but the threshold, so the
-k-shortest rescue's relaxed graph is ``OPEN`` and ``eta >= eta_relax``
-on the stored row. Link-graph snapshots and shortest-path routing trees
+sheet's sample grid; a ground-satellite column is its site's budget
+records (:func:`~repro.engine.budgets.compute_site_budget`, the one
+ground-satellite link budget) scattered onto the grid. The series live
+in two ``(grid sample, channel)`` arrays, ``eta`` and the gate byte
+``gates`` (admission plus the bits denial attribution reads), so the
+link state at one time index is one contiguous row. The same row serves
+admission at any transmissivity threshold: the ``OPEN`` bit holds every
+gate but the threshold, so the k-shortest rescue's relaxed graph is
+``OPEN`` and ``eta >= eta_relax`` on the stored row. Link-graph
+snapshots and shortest-path routing trees
 (:meth:`FlatGraph.tree <repro.routing.bellman_ford.FlatGraph.tree>`,
 Dijkstra over a CSR adjacency on the paper's ``1/(eta + eps)`` metric)
 are memoized per time index; trees are keyed on the weighted
@@ -48,7 +51,7 @@ from repro.network.hap import HAP
 from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
-from repro.orbits.visibility import CULLED_ELEVATION_RAD, above_horizon_points
+from repro.orbits.visibility import ELEVATED, OPEN, VISIBLE, geometry_gates
 from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
@@ -69,32 +72,17 @@ EdgeKey = bytes
 #: :meth:`LinkStateCache._fill_block` derives the admission bits.
 Series = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
-# Bits of the gate byte, one per (grid sample, channel). Only
-# ground-to-platform columns carry the geometry bits. Strict admission
-# is a threshold on the open links: USABLE <=> OPEN and eta >= threshold.
+# Bits of the gate byte, one per (grid sample, channel), with VISIBLE,
+# ELEVATED (ground-to-platform columns only) and OPEN (every gate but the
+# threshold: geometry, HAP duty, fault node and link gates) imported from
+# repro.orbits.visibility. USABLE <=> OPEN and eta >= threshold.
 #: post-fault admission: the link is in the graph.
 USABLE = np.uint8(1)
 #: pre-fault admission, duty mask included.
 HEALTHY = np.uint8(2)
-#: elevation above the horizon (> 0).
-VISIBLE = np.uint8(4)
-#: elevation at or above ``policy.min_elevation_rad``.
-ELEVATED = np.uint8(8)
-#: every gate but the transmissivity threshold passes: horizon and
-#: elevation, HAP duty, and the fault plane's node and link gates.
-OPEN = np.uint8(16)
 #: a healthy link before faults: usable until a fault plane, which can
 #: only remove links, suppresses it.
 ADMITTED = HEALTHY | USABLE
-
-
-def _geometry_gates(el: np.ndarray | float, min_elevation_rad: float) -> np.ndarray:
-    """``VISIBLE``/``ELEVATED`` bits of elevations ``el`` (NaN: neither),
-    and ``OPEN`` where both hold."""
-    el = np.asarray(el)
-    visible = el > 0.0
-    elevated = el >= min_elevation_rad
-    return visible * VISIBLE | elevated * ELEVATED | (visible & elevated) * OPEN
 
 
 @dataclass(frozen=True)
@@ -350,7 +338,7 @@ class LinkStateCache:
         """Fiber / ground-HAP channel: one evaluation, optional duty mask."""
         state = channel.evaluate_physics(float(self.times_s[0]), self.policy)
         gates = (
-            _geometry_gates(state.elevation_rad, self.policy.min_elevation_rad)
+            geometry_gates(state.elevation_rad, self.policy.min_elevation_rad)
             if channel.is_ground_to_platform
             else OPEN
         )
@@ -372,50 +360,41 @@ class LinkStateCache:
     def _add_ground_satellite_group(
         self, members: list[tuple[QuantumChannel, Satellite]]
     ) -> None:
-        """Vectorized link budget for one site against many satellites.
-
-        The horizon gate mirrors ``QuantumChannel.evaluate``: below or at
-        the horizon the link does not exist (eta 0), above it the full
-        budget applies (``fill_budget_block`` with ``horizon_rad=0.0``).
-        A ground-satellite channel has no HAP endpoint, so it carries no
-        duty mask. Geometry runs only where a satellite can be above the
-        horizon; culled samples read the cull's sentinels and gate as
-        not visible, not elevated and not admitted, as their dense
-        sub-horizon values did.
+        """One site's link budget against many satellites: the site's
+        :func:`~repro.engine.budgets.compute_site_budget` records (no
+        store, no faults) scattered onto the members' rows — η, and the
+        geometry bits of each record's elevation — and gathered onto the
+        grid when the ephemeris is sampled elsewhere. A point the horizon
+        cull dropped reads η 0 and no bits. The channels carry no duty
+        mask (no HAP endpoint); faults act in :meth:`_fill_block`.
         """
         # Function-level import: repro.engine.budgets pulls in the
         # repro.network package, which imports this module — at module
         # import time the name is not resolvable yet.
-        from repro.engine.budgets import fill_budget_block
+        from repro.engine.budgets import compute_site_budget
 
         channel0, sat0 = members[0]
         ground = (
             channel0.host_a if channel0.host_a.kind == "ground" else channel0.host_b
         )
-        rows = np.array([sat.ephemeris_index for _, sat in members])
-        samples = self._grid_samples(sat0.ephemeris)
-        positions = sat0.ephemeris.positions_ecef_km[rows]
-        if samples is not None:
-            positions = positions[:, samples]
-        kept, kept_el, kept_rng = above_horizon_points(
-            ground.lat_rad, ground.lon_rad, ground.alt_km, positions
+        budget = compute_site_budget(
+            ground,
+            sat0.ephemeris,
+            channel0.model,
+            policy=self.policy,
+            platform_altitude_km=sat0.nominal_altitude_km,
         )
-        el = np.full(positions.shape[:-1], CULLED_ELEVATION_RAD)
-        rng = np.full(positions.shape[:-1], np.inf)
-        el.reshape(-1)[kept] = kept_el
-        rng.reshape(-1)[kept] = kept_rng
+        index, el = budget.points["index"], budget.points["elevation_rad"]
+        gates = np.zeros(budget.shape, dtype=np.uint8)
+        gates.reshape(-1)[index] = geometry_gates(el, self.policy.min_elevation_rad)
+        rows = np.array([sat.ephemeris_index for _, sat in members])
+        eta, gates = budget.transmissivity[rows], gates[rows]
+        samples = self._grid_samples(sat0.ephemeris)
+        if samples is not None:
+            eta, gates = eta[:, samples], gates[:, samples]
 
         def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            block_el = el[:, j0:j1]
-            eta, _ = fill_budget_block(
-                block_el,
-                rng[:, j0:j1],
-                channel0.model,
-                self.policy,
-                sat0.nominal_altitude_km,
-                horizon_rad=0.0,
-            )
-            return eta, _geometry_gates(block_el, self.policy.min_elevation_rad)
+            return eta[:, j0:j1], gates[:, j0:j1]
 
         c0 = self._add_block([channel for channel, _ in members], series)
         self._site_columns[ground.name].extend(

@@ -95,10 +95,10 @@ __all__ = [
     "set_default_store",
 ]
 
-#: Version of the digest schema. Bump whenever the fingerprint layout or
-#: the artifact payload format changes; old artifacts are then simply
+#: Version of the digest schema. Bump whenever the fingerprint layout, the
+#: payload or the filled values change; old artifacts are then simply
 #: never addressed again (they live under a versioned subdirectory).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Environment variable that opt-ins the process-wide default store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

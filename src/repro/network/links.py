@@ -22,6 +22,7 @@ from repro.errors import LinkError
 from repro.network.hap import HAP
 from repro.network.host import Host
 from repro.orbits.frames import ecef_to_enu_matrix, enu_to_azimuth_elevation
+from repro.orbits.visibility import is_visible
 
 __all__ = ["ChannelKind", "LinkState", "LinkPolicy", "QuantumChannel"]
 
@@ -189,7 +190,7 @@ class QuantumChannel:
             return LinkState(eta, distance, elevation, policy.admits(eta, elevation, False))
 
         if self.is_ground_to_platform:
-            if not math.isfinite(elevation) or elevation <= 0.0:
+            if not is_visible(elevation):
                 return LinkState(0.0, distance, elevation, False)
             alt = self._platform_altitude_km(t_s)
             eta = float(

@@ -23,6 +23,7 @@ from repro.network.protocols import EntangledPair, distribute_entanglement
 from repro.network.topology import LinkGraph, QuantumNetwork
 from repro.obs import events
 from repro.obs.trace import DenialCause, classify_denial
+from repro.orbits.visibility import is_visible
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
 from repro.routing.bellman_ford import BellmanFordResult, FlatGraph, bellman_ford
 from repro.routing.metrics import DEFAULT_EPSILON, path_edges, path_transmissivity
@@ -325,12 +326,7 @@ class NetworkSimulator:
             n_platforms += 1
             st_s = ch_s.evaluate(t_s, self.policy)
             st_d = ch_d.evaluate(t_s, self.policy)
-            visible = (
-                math.isfinite(st_s.elevation_rad)
-                and st_s.elevation_rad > 0.0
-                and math.isfinite(st_d.elevation_rad)
-                and st_d.elevation_rad > 0.0
-            )
+            visible = is_visible(st_s.elevation_rad) and is_visible(st_d.elevation_rad)
             elev_ok = (
                 visible and st_s.elevation_rad >= min_el and st_d.elevation_rad >= min_el
             )

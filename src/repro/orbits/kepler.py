@@ -64,21 +64,27 @@ def solve_kepler(
     M, e = np.broadcast_arrays(M, e)
     # Initial guess: E0 = M + e*sin(M) is within ~e^2 of the root and keeps
     # Newton monotone for all e < 1 (Danby's starter).
-    E = M + e * np.sin(M)
+    E = np.sin(M, out=np.empty(M.shape))
+    np.add(M, np.multiply(e, E, out=E), out=E)
 
+    # Buffers reused by every iteration: same operations, same order, in place.
+    sinE, cosE, f, dE = (np.empty(M.shape) for _ in range(4))
+    converged = np.empty(M.shape, dtype=bool)
     for iteration in range(max_iter):
-        sinE = np.sin(E)
-        cosE = np.cos(E)
-        f = E - e * sinE - M
-        if np.all(np.abs(f) < tol):
-            return wrap_angle(E)
-        fp = 1.0 - e * cosE
-        fpp = e * sinE
+        np.sin(E, out=sinE)
+        np.cos(E, out=cosE)
+        np.subtract(E, np.multiply(e, sinE, out=f), out=f)  # f = E - e * sinE - M
+        np.subtract(f, M, out=f)
+        if np.less(np.abs(f, out=dE), tol, out=converged).all():
+            return np.mod(E, _TWO_PI, out=E)[()]  # wrap_angle(E); [()] unwraps 0-d
+        fp = np.subtract(1.0, np.multiply(e, cosE, out=cosE), out=cosE)  # 1 - e * cosE
+        fpp = np.multiply(e, sinE, out=sinE)  # e * sinE
         # Halley step: quadratically safeguarded Newton; denominators stay
         # >= 1 - e > 0 so no division guard is needed for elliptic orbits.
-        dE = f / fp
-        dE = f / (fp - 0.5 * dE * fpp)
-        E = E - dE
+        # dE = f / fp; dE = f / (fp - 0.5 * dE * fpp); E = E - dE
+        np.multiply(np.multiply(0.5, np.divide(f, fp, out=dE), out=dE), fpp, out=dE)
+        np.divide(f, np.subtract(fp, dE, out=dE), out=dE)
+        np.subtract(E, dE, out=E)
 
     residual = float(np.max(np.abs(E - e * np.sin(E) - M)))
     if residual >= tol:

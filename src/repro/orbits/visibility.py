@@ -26,6 +26,8 @@ from repro.orbits.frames import (
 from repro.utils.intervals import intervals_from_mask
 
 __all__ = [
+    "is_visible",
+    "geometry_gates",
     "elevation_and_range",
     "elevation_and_slant_range",
     "above_horizon_points",
@@ -35,6 +37,27 @@ __all__ = [
     "access_windows",
     "ground_coverage_radius_km",
 ]
+
+
+#: Geometry bits of a ground-to-platform link's gate byte: elevation above
+#: the horizon (:func:`is_visible`), at or above the policy minimum, and
+#: both (``OPEN``, every gate but the η threshold, as geometry sees it).
+VISIBLE, ELEVATED, OPEN = np.uint8(4), np.uint8(8), np.uint8(16)
+
+
+def is_visible(elevation_rad: np.ndarray | float) -> np.ndarray | bool:
+    """The one horizon rule of every budget, gate and channel evaluation:
+    a platform is visible when its elevation is > 0 (NaN: not visible)."""
+    return elevation_rad > 0.0
+
+
+def geometry_gates(el: np.ndarray | float, min_elevation_rad: float) -> np.ndarray:
+    """``VISIBLE``/``ELEVATED`` bits of elevations ``el`` (NaN: neither),
+    and ``OPEN`` where both hold."""
+    el = np.asarray(el)
+    visible = is_visible(el)
+    elevated = el >= min_elevation_rad
+    return visible * VISIBLE | elevated * ELEVATED | (visible & elevated) * OPEN
 
 
 def elevation_and_range(
@@ -112,11 +135,11 @@ def above_horizon_points(
 
     A reader that needs a dense grid gives every culled point elevation
     :data:`CULLED_ELEVATION_RAD` and slant range ``+inf``. Its dense
-    elevation was <= 0, and every reader gates on a strictly positive
-    horizon, so η, admission and the link-state ``VISIBLE``/``ELEVATED``
-    bits are unchanged. (Under a non-positive ``min_elevation_rad`` a
-    culled point drops its ``ELEVATED`` bit, which is only ever read
-    together with ``VISIBLE``.)
+    elevation was <= 0, so it fails :func:`is_visible`: η, admission
+    and the ``VISIBLE``/``ELEVATED`` bits are unchanged. (Under a
+    non-positive ``min_elevation_rad`` a culled point drops its
+    ``ELEVATED`` bit, which is only ever read together with
+    ``VISIBLE``.)
     """
     pos = np.asarray(platform_ecef_km, dtype=float)
     up = ecef_to_enu_matrix(site_lat_rad, site_lon_rad)[2]

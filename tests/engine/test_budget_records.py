@@ -5,8 +5,10 @@ of the points the horizon cull keeps; its dense views are scattered
 from them. These tests pin that form against test-only dense oracles:
 the unculled geometry kernel for the fill, a fresh fill on a sliced
 ephemeris for ``at_time_indices``, the dense fault derivation for
-``faulted_site_budget``, and a schema-2 artifact spelled out by hand for
-the store.
+``faulted_site_budget``, and a schema-3 artifact spelled out by hand for
+the store. The records are the one ground-satellite link budget: the
+scalar channel evaluation agrees with them at the horizon, and the link
+state's ground-satellite columns are them, scattered onto its grid.
 """
 
 import dataclasses
@@ -19,12 +21,14 @@ import pytest
 from repro import obs
 from repro.channels.presets import paper_satellite_fso
 from repro.data.ground_nodes import all_ground_nodes
+from repro.engine import store as store_module
 from repro.engine.budgets import (
     POINT_DTYPE,
     LinkBudgetTable,
     compute_site_budget,
     fill_budget_block,
 )
+from repro.engine.linkstate import ELEVATED, HEALTHY, OPEN, USABLE, VISIBLE, LinkStateCache
 from repro.engine.store import (
     SCHEMA_VERSION,
     ArtifactStore,
@@ -34,7 +38,12 @@ from repro.engine.store import (
 from repro.errors import ValidationError
 from repro.faults import load_faults
 from repro.network.links import LinkPolicy
-from repro.orbits.visibility import CULLED_ELEVATION_RAD, elevation_and_slant_range
+from repro.network.topology import attach_satellites, build_qntn_ground_network
+from repro.orbits.visibility import (
+    CULLED_ELEVATION_RAD,
+    elevation_and_slant_range,
+    geometry_gates,
+)
 from repro.parallel.shm import ShmArena, ShmAttachment, attach_budget_table, publish_budget_table
 
 EXAMPLE_FAULTS = Path(__file__).parents[2] / "benchmarks" / "results" / "example_faults.json"
@@ -50,7 +59,7 @@ def _dense_oracle(site, ephemeris, model, policy):
     el, rng = elevation_and_slant_range(
         site.lat_rad, site.lon_rad, site.alt_km, ephemeris.positions_ecef_km
     )
-    eta, usable = fill_budget_block(el, rng, model, policy, 500.0, horizon_rad=1e-3)
+    eta, usable = fill_budget_block(el, rng, model, policy, 500.0)
     return el, rng, eta, usable
 
 
@@ -119,6 +128,72 @@ class TestDenseViews:
         assert budget.transmissivity.tobytes() == eta.tobytes()
         assert budget.usable.tobytes() == usable.tobytes()
         assert budget.healthy_usable is budget.usable
+
+
+class TestOneFill:
+    """One ground-satellite link budget, under one horizon rule (el > 0)."""
+
+    def test_near_horizon_eta_equals_scalar_channel(self, day_ephemeris_108, sites):
+        """At a point with 0 < el <= 1e-3 the record carries the scalar
+        ``QuantumChannel.evaluate_physics`` η, not 0."""
+        model = paper_satellite_fso()
+        network = build_qntn_ground_network()
+        attach_satellites(network, day_ephemeris_108, model)
+        n_checked = 0
+        for site in sites:
+            points = compute_site_budget(site, day_ephemeris_108, model).points
+            low = points[(points["elevation_rad"] > 0.0) & (points["elevation_rad"] <= 1e-3)]
+            for record in low[:3]:
+                row, k = divmod(int(record["index"]), day_ephemeris_108.n_samples)
+                channel = network.channel_between(site.name, day_ephemeris_108.names[row])
+                state = channel.evaluate_physics(float(day_ephemeris_108.times_s[k]))
+                assert state.elevation_rad == pytest.approx(record["elevation_rad"], rel=1e-9)
+                assert state.transmissivity > 0.0
+                # Scalar matmul against einsum geometry: rounding only.
+                assert record["transmissivity"] == pytest.approx(
+                    state.transmissivity, rel=1e-9
+                )
+                assert not record["usable"] and not state.usable
+                n_checked += 1
+        assert n_checked > 0, "the day has near-horizon points"
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    @pytest.mark.parametrize("window", [None, 7], ids=["eager", "window"])
+    def test_link_state_columns_are_the_records(
+        self, day_ephemeris_108, sites, window, faulted
+    ):
+        """Every ground-satellite column of the link state is its site's
+        records scattered onto the grid: η bit-equal, admission and
+        geometry bits equal, healthy and under ``example_faults.json``."""
+        plane = (
+            load_faults(EXAMPLE_FAULTS).realize(seed=7, horizon_s=86400.0).compile()
+            if faulted
+            else None
+        )
+        model, policy = paper_satellite_fso(), LinkPolicy()
+        network = build_qntn_ground_network()
+        attach_satellites(network, day_ephemeris_108, model)
+        cache = LinkStateCache(network, policy=policy, faults=plane, window=window)
+        cache.feasible_edge_counts()  # fills every row of a windowed cache
+        table = LinkBudgetTable(day_ephemeris_108, sites, model, policy=policy, faults=plane)
+        column = {frozenset(pair): c for c, pair in enumerate(cache._pairs)}
+        geometry = VISIBLE | ELEVATED
+        for site in sites:
+            budget = table.budget(site.name)
+            cols = [column[frozenset((site.name, sat))] for sat in day_ephemeris_108.names]
+            eta = np.ascontiguousarray(cache._eta[:, cols].T)
+            gates = cache._gates[:, cols].T
+            assert eta.tobytes() == budget.transmissivity.tobytes(), site.name
+            expected = geometry_gates(budget.elevation_rad, policy.min_elevation_rad)
+            np.testing.assert_array_equal(gates & geometry, expected & geometry)
+            np.testing.assert_array_equal((gates & USABLE) != 0, budget.usable)
+            np.testing.assert_array_equal((gates & HEALTHY) != 0, budget.healthy_usable)
+            is_open = (gates & OPEN) != 0
+            if faulted:
+                # The plane only closes links: OPEN within the geometry's.
+                assert not np.any(is_open & ((expected & OPEN) == 0))
+            else:
+                np.testing.assert_array_equal(is_open, (expected & OPEN) != 0)
 
 
 class TestTimeSlice:
@@ -204,12 +279,13 @@ class TestFaultedRecords:
 
 
 class TestStoredRecords:
-    def test_hand_written_schema_2_artifact_loads(self, tmp_path, small_ephemeris):
-        """An artifact in the schema-2 layout, written without the
+    def test_hand_written_schema_3_artifact_loads(self, tmp_path, small_ephemeris):
+        """An artifact in the schema-3 layout, written without the
         store's own writer, is a hit and equals a fresh fill."""
-        # The record layout as schema 2 persists it, spelled out here so
-        # a change to POINT_DTYPE cannot silently follow along.
-        schema_2_dtype = np.dtype(
+        # The record layout as schema 3 persists it (schema 2's, with η
+        # under the one horizon rule), spelled out here so a change to
+        # POINT_DTYPE cannot silently follow along.
+        schema_3_dtype = np.dtype(
             [
                 ("index", "<i8"),
                 ("elevation_rad", "<f8"),
@@ -218,7 +294,7 @@ class TestStoredRecords:
                 ("usable", "?"),
             ]
         )
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         model, policy = paper_satellite_fso(), LinkPolicy()
         fp = ephemeris_fingerprint(small_ephemeris)
         root = tmp_path / f"v{SCHEMA_VERSION}"
@@ -228,7 +304,7 @@ class TestStoredRecords:
             index = compute_site_budget(site, small_ephemeris, model, policy=policy).points[
                 "index"
             ]
-            points = np.empty(index.size, dtype=schema_2_dtype)
+            points = np.empty(index.size, dtype=schema_3_dtype)
             points["index"] = index
             for name, dense in zip(VIEWS, (el, rng, eta, usable)):
                 points[name] = dense.reshape(-1)[index]
@@ -238,7 +314,7 @@ class TestStoredRecords:
             sidecar = {
                 "digest": digest,
                 "kind": "site-budget",
-                "schema": 2,
+                "schema": 3,
                 "written_at_unix_s": 0.0,
                 "arrays": {"points": {"shape": [index.size], "dtype": "|V33"}},
                 "site": dataclasses.asdict(site),
@@ -250,6 +326,35 @@ class TestStoredRecords:
         table.compute_all()
         assert store.stats.hits == len(SITES)
         assert store.stats.rebuilds == 0 and store.stats.misses == 0
+        for site in SITES:
+            _assert_same_budget(
+                table.budget(site.name),
+                compute_site_budget(site, small_ephemeris, model, policy=policy),
+            )
+
+
+    def test_schema_2_directory_is_never_addressed(self, tmp_path, small_ephemeris, monkeypatch):
+        """Artifacts a schema-2 store wrote are neither looked up nor
+        touched: the schema-3 store misses, fills and writes its own."""
+        model, policy = paper_satellite_fso(), LinkPolicy()
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "SCHEMA_VERSION", 2)
+            old = ArtifactStore(tmp_path)
+            old_table = old.get_or_build_budget_table(
+                small_ephemeris, SITES, model, policy=policy
+            )
+            old_table.compute_all()
+        assert old.root == tmp_path / "v2" and old.stats.writes == len(SITES)
+        before = {p.name: p.read_bytes() for p in old.root.iterdir()}
+
+        store = ArtifactStore(tmp_path)
+        assert store.root == tmp_path / f"v{SCHEMA_VERSION}" != old.root
+        table = store.get_or_build_budget_table(small_ephemeris, SITES, model, policy=policy)
+        table.compute_all()
+        assert store.stats.hits == 0 and store.stats.rebuilds == 0
+        assert store.stats.misses == store.stats.writes == len(SITES)
+        assert {p.name: p.read_bytes() for p in old.root.iterdir()} == before
+        assert not set(before) & {p.name for p in store.root.iterdir()}
         for site in SITES:
             _assert_same_budget(
                 table.budget(site.name),

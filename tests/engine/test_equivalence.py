@@ -4,27 +4,36 @@ A 12-satellite day: the cached :class:`NetworkSimulator` must reproduce
 the direct scalar simulator's :class:`RequestOutcome` stream — ``served``,
 ``path`` and ``t_s`` exactly, ``path_eta`` and ``fidelity``
 to 1e-12 (the two paths differ only in einsum-vs-matmul rounding).
+The three denial-cause cascades (the sweep's ``request_detail``, the
+cached link-state gates and the direct scalar cascade) name one cause.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.channels.presets import paper_hap_fso, paper_satellite_fso
+from repro.core.analysis import SpaceGroundAnalysis
 from repro.core.evaluation import evaluate_requests
 from repro.core.requests import generate_requests
 from repro.core.sweeps import run_constellation_sweep
 from repro.data.ground_nodes import all_ground_nodes
 from repro.engine.store import ArtifactStore, set_default_store
+from repro.faults import load_faults
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
+from repro.network.workload import align_to_grid, lans_from_sites, poisson_request_stream
 from repro.orbits.ephemeris import generate_movement_sheet
 from repro.orbits.walker import qntn_constellation
+from repro.serve import build_engine
 from tests.core.prefix_coverage import prefix_coverage
 
 TOL = 1e-12
+
+EXAMPLE_FAULTS = Path(__file__).parents[2] / "benchmarks" / "results" / "example_faults.json"
 
 
 def assert_outcomes_equivalent(direct, cached):
@@ -163,3 +172,54 @@ class TestSweepEquivalence:
         )
         direct = prefix_coverage(ephemeris, [6, 12], sites, horizon_s=7200.0)
         assert [point.coverage for point in cached.points] == direct
+
+
+class TestCauseCascades:
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    def test_three_cascades_agree_on_denials(self, faulted, sites):
+        """Over every denial of a seeded 2-hour, 108-satellite stream,
+        ``request_detail``'s cause and visible count equal the cached
+        ``denial_gates``/``denial_cause`` and the direct
+        ``_attribute_denial``: one horizon rule (``el > 0``) behind all
+        three. Some denials see a satellite at 0 < el <= 1e-3 at one end,
+        which a second, higher cut would drop from the visible count."""
+        ephemeris = generate_movement_sheet(
+            qntn_constellation(108), duration_s=7200.0, step_s=30.0
+        )
+        plane = (
+            load_faults(EXAMPLE_FAULTS).realize(seed=7, horizon_s=86400.0).compile()
+            if faulted
+            else None
+        )
+        stream = align_to_grid(
+            poisson_request_stream(
+                lans_from_sites(sites), rate_hz=0.05, duration_s=7200.0, seed=3
+            ),
+            ephemeris.times_s,
+        )
+        cached = build_engine("cached", ephemeris, faults=plane, attribute_denials=False)
+        direct = build_engine("direct", ephemeris, faults=plane).simulator
+        analysis = SpaceGroundAnalysis(ephemeris, sites, paper_satellite_fso(), faults=plane)
+        sim = cached.simulator
+        denied = [o for o in cached.serve_batch(stream) if not o.served]
+        causes = set()
+        near_horizon = 0
+        for o in denied:
+            k = int(np.searchsorted(ephemeris.times_s, o.t_s))
+            assert ephemeris.times_s[k] == o.t_s
+            detail = analysis.request_detail(o.source, o.destination, k)
+            cause, _, counts = direct._attribute_denial(o.source, o.destination, o.t_s, 0)
+            visible, elevated, _, _ = sim.linkstate.denial_gates(o.source, o.destination, k)
+            assert not detail["served"]
+            assert detail["cause"] == cause == sim.denial_cause(o.source, o.destination, o.t_s)
+            assert detail["candidate_counts"]["visible"] == counts["visible"]
+            assert detail["candidate_counts"]["elevation_ok"] == counts["elevation_ok"]
+            assert visible == (counts["visible"] > 0)
+            assert elevated == (counts["elevation_ok"] > 0)
+            causes.add(cause)
+            el_s = analysis.budget(o.source).elevation_rad[:, k]
+            el_d = analysis.budget(o.destination).elevation_rad[:, k]
+            low = np.minimum(el_s, el_d)
+            near_horizon += bool(np.any((low > 0.0) & (low <= 1e-3)))
+        assert len(denied) > 50 and len(causes) >= 2
+        assert near_horizon > 0, "the stream reaches a near-horizon candidate"

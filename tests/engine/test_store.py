@@ -116,7 +116,14 @@ class TestKeySensitivity:
         j2 = ephemeris_build_key(
             elements, duration_s=DURATION_S, step_s=STEP_S, include_j2=True
         )
-        assert plain == "a07ad4337a3d8b8f412eaf1de1fd14dd7a2e0c0b43ab9f7195924db74b921ad0"
+        # Pinned when schema 2 was current: the key layout is unchanged,
+        # only the schema version folded into every digest has moved.
+        with monkeypatch.context() as schema_2:
+            schema_2.setattr(store_module, "SCHEMA_VERSION", 2)
+            assert (
+                ephemeris_build_key(elements, duration_s=DURATION_S, step_s=STEP_S)
+                == "a07ad4337a3d8b8f412eaf1de1fd14dd7a2e0c0b43ab9f7195924db74b921ad0"
+            )
         monkeypatch.setattr(store_module, "EARTH_J2_REFERENCE_RADIUS_KM", 6371.0)
         assert (
             ephemeris_build_key(elements, duration_s=DURATION_S, step_s=STEP_S) == plain
