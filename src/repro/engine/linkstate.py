@@ -56,7 +56,7 @@ from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plane import FaultPlane
+    from repro.faults.plane import Edge, FaultPlane
     from repro.orbits.ephemeris import Ephemeris
 
 __all__ = ["LinkStateCache"]
@@ -87,12 +87,15 @@ ADMITTED = HEALTHY | USABLE
 
 @dataclass(frozen=True)
 class _Block:
-    """Channels whose columns ``[c0, c0 + len(channels))`` one series
-    function fills."""
+    """Columns ``[c0, c0 + n)`` that one series function fills, and the
+    fault plane's edges of the columns ``faulted`` that some event
+    touches (none without a plane)."""
 
     c0: int
-    channels: list[QuantumChannel]
+    n: int
     series: Series
+    faulted: np.ndarray
+    edges: list["Edge"]
 
 
 # Memoization accounting (import-time instruments; flag-check when off).
@@ -112,12 +115,11 @@ class LinkStateCache:
         times_s: explicit sample grid; defaults to the times of the first
             satellite's ephemeris, or ``[0.0]`` for all-static networks.
         faults: optional compiled :class:`~repro.faults.plane.FaultPlane`;
-            when active, every channel's eta/admission series is
-            perturbed through :meth:`FaultPlane.apply_edge_series` as it
-            is built — the same rule the direct path applies per scalar
-            evaluation, so cached-vs-direct equivalence holds under any
-            schedule — and its ``OPEN`` bits through
-            :meth:`FaultPlane.edge_up_series`.
+            when active, each block fill passes the columns an event
+            touches through one :meth:`FaultPlane.apply_edges` call —
+            eta, admission and the ``OPEN`` bits — the rule the direct
+            path applies per scalar evaluation, so cached-vs-direct
+            equivalence holds under any schedule.
         window: optional chunk size (samples) for incremental builds.
             When set, the eta/admission arrays start zeroed and are
             filled ``window`` rows at a time as the query frontier
@@ -285,46 +287,55 @@ class LinkStateCache:
     def _add_block(self, channels: list[QuantumChannel], series: Series) -> int:
         """Assign the next columns to ``channels``; returns the first.
 
+        Under a fault plane the block resolves, once, the columns some
+        event touches and their edges (:meth:`FaultPlane.edge`).
         Eager caches fill the block's columns now and drop ``series``
         (and the geometry it holds); windowed caches keep it for
         :meth:`_fill_rows`.
         """
-        block = _Block(len(self._pairs), channels, series)
+        c0, plane = len(self._pairs), self.faults
+        edges = [] if plane is None else [plane.edge(channel) for channel in channels]
+        faulted = [i for i, edge in enumerate(edges) if plane.touches(edge)]
+        cols = c0 + np.array(faulted, dtype=np.intp)
+        block = _Block(c0, len(channels), series, cols, [edges[i] for i in faulted])
         self._pairs.extend(channel.names for channel in channels)
         if self.window is None:
             self._fill_block(block, 0, self.n_times)
         else:
             self._blocks.append(block)
-        return block.c0
+        return c0
 
     def _fill_block(self, block: _Block, j0: int, j1: int) -> None:
-        """Write rows ``[j0, j1)`` of one block's columns, fault-perturbed
-        per column when a plane is active.
+        """Write rows ``[j0, j1)`` of one block's columns, then apply the
+        fault plane to its touched columns in one call.
 
         A link is ``ADMITTED`` (``HEALTHY`` and ``USABLE``) where it is
-        ``OPEN`` and its eta clears the threshold. An active plane then
-        recomputes ``USABLE`` per column from ``HEALTHY``
-        (:meth:`FaultPlane.apply_edge_series`) and clears ``OPEN`` where
-        an endpoint is down or the link cut
-        (:meth:`FaultPlane.edge_up_series`). Its fades only lower the
-        stored eta, so ``USABLE`` stays ``OPEN`` and ``eta >= threshold``.
+        ``OPEN`` and its eta clears the threshold. :meth:`FaultPlane.apply_edges`
+        then fades the touched columns' eta, recomputes their ``USABLE``
+        from ``HEALTHY``, and its node/link gate clears ``OPEN`` where an
+        endpoint is down or the link cut. Fades only lower the stored
+        eta, so ``USABLE`` stays ``OPEN`` and ``eta >= threshold``.
         """
+        threshold = self.policy.transmissivity_threshold
         eta, gates = block.series(j0, j1)
         is_open = (gates & OPEN) != 0
-        gates = gates | (is_open & (eta >= self.policy.transmissivity_threshold)) * ADMITTED
-        if self.faults is not None:
-            shape = (len(block.channels), j1 - j0)
-            eta = np.array(np.broadcast_to(eta, shape))
-            usable = np.array(np.broadcast_to((gates & HEALTHY) != 0, shape))
-            is_open = np.array(np.broadcast_to(is_open, shape))
-            times = self.times_s[j0:j1]
-            for i, channel in enumerate(block.channels):
-                eta[i], usable[i] = self.faults.apply_edge_series(
-                    channel, eta[i], usable[i], times, self.policy
-                )
-                is_open[i] &= self.faults.edge_up_series(channel, times)
-            gates = gates & ~(USABLE | OPEN) | usable * USABLE | is_open * OPEN
-        cols = slice(block.c0, block.c0 + len(block.channels))
+        gates = gates | (is_open & (eta >= threshold)) * ADMITTED
+        cols = slice(block.c0, block.c0 + block.n)
+        self._eta[j0:j1, cols] = np.transpose(eta)
+        self._gates[j0:j1, cols] = np.transpose(gates)
+        if not block.faulted.size:
+            return
+        cols = block.faulted
+        gates = self._gates[j0:j1, cols].T
+        eta, usable, up = self.faults.apply_edges(
+            block.edges,
+            self.times_s[j0:j1],
+            self._eta[j0:j1, cols].T,
+            (gates & HEALTHY) != 0,
+            threshold,
+        )
+        is_open = ((gates & OPEN) != 0) & up
+        gates = gates & ~(USABLE | OPEN) | usable * USABLE | is_open * OPEN
         self._eta[j0:j1, cols] = np.transpose(eta)
         self._gates[j0:j1, cols] = np.transpose(gates)
 

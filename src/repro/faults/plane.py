@@ -1,33 +1,25 @@
-"""The compiled fault plane: per-time masks and attenuation queries.
+"""The compiled fault plane: a scalar oracle and one vectorized applier.
 
-:class:`FaultPlane` indexes a realized schedule's events three ways —
-node downtime windows, link flap windows, and per-site fade windows —
-and answers both scalar (one channel at one time) and vectorized (one
-site or edge over a whole sample grid) queries. All three evaluation
-paths apply the *same rule* through it:
+:class:`FaultPlane` indexes a realized schedule's events as node
+downtime windows, link flap windows and per-site fade windows, and
+applies the one fault rule (:mod:`repro.faults`, DESIGN.md §11) through
+two doors: the scalar queries and :meth:`FaultPlane.apply_channel`, one
+channel evaluation at a time (the direct path, and the test oracle);
+and :meth:`FaultPlane.apply_edges`, a block of edges over a sample grid
+(one call per link-state block fill, and one per site's budget records
+in :meth:`FaultPlane.faulted_site_budget`). Both pick a channel's faded
+endpoint through :meth:`FaultPlane.edge`.
 
-* the direct path perturbs each
-  :meth:`~repro.network.links.QuantumChannel.evaluate` result via
-  :meth:`FaultPlane.apply_channel`;
-* the link-state cache perturbs each channel's precomputed eta/usable
-  series via :meth:`FaultPlane.apply_edge_series`;
-* the offline budget-matrix analysis derives a faulted
-  :class:`~repro.engine.budgets.SiteLinkBudget` (keeping the healthy
-  admission mask alongside for denial attribution) via
-  :meth:`FaultPlane.faulted_site_budget`.
-
-Bit-identity: the fade factor ``10**(-dB/10)`` is computed from the
-same float literal everywhere and applied as one float64 multiply, and
-the factors of stacked fades multiply in event order in both the scalar
-and vectorized paths, so the cached-vs-direct equivalence contract of
-DESIGN.md §7 survives under faults. A plane with no events reports
-``is_noop`` and every consumer short-circuits on it — the empty
-schedule is provably a bit-identical no-op.
+Bit-identity: each fade factor ``10**(-dB/10)`` is computed once per
+window, and stacked fades multiply in event order on both doors, so the
+cached-vs-direct equivalence contract of DESIGN.md §7 survives under
+faults. A plane with no events reports ``is_noop`` and every consumer
+short-circuits on it — the empty schedule is a bit-identical no-op.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -47,19 +39,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FaultPlane"]
 
-# Import-time instruments (flag check per record when telemetry is off).
-_EVENTS_ACTIVE = obs.gauge("faults.events.active")
+#: One edge of the applier: its endpoint names and its faded site.
+Edge = tuple[str, str, str | None]
+
+# Import-time instrument (flag check per record when telemetry is off).
 _LINK_STEPS_SUPPRESSED = obs.counter("faults.link_steps.suppressed")
 
 
-def _window_mask(
-    windows: Sequence[tuple[float, float]], times: np.ndarray
-) -> np.ndarray:
-    """Boolean (T,) mask: some window covers each sample (half-open)."""
-    mask = np.zeros(times.shape, dtype=bool)
+def _up_series(windows: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarray:
+    """(T,) mask: no outage, downtime or flap window covers the sample."""
+    up = np.ones(times.shape, dtype=bool)
     for start, end in windows:
-        mask |= (times >= start) & (times < end)
-    return mask
+        up &= (times < start) | (times >= end)
+    return up
+
+
+def _fade_series(
+    windows: Sequence[tuple[float, float, float]], times: np.ndarray
+) -> np.ndarray:
+    """(T,) product of the active fade factors, multiplied in event order."""
+    factor = np.ones(times.shape, dtype=float)
+    for start, end, window_factor in windows:
+        factor[(times >= start) & (times < end)] *= window_factor
+    return factor
+
+
+def _series_table(
+    keys: Sequence, windows: dict, times: np.ndarray, series: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, table)``: row ``index[i]`` of ``table`` is
+    ``series(windows[keys[i]], times)``; keys without windows share row
+    0, ``series((), times)``, so ``index.any()`` says whether any key has
+    windows."""
+    slots: dict = {}
+    index = np.array(
+        [slots.setdefault(key, len(slots) + 1) if key in windows else 0 for key in keys],
+        dtype=np.intp,
+    )
+    table = np.stack([series((), times), *(series(windows[key], times) for key in slots)])
+    return index, table
 
 
 def _link_key(a: str, b: str) -> tuple[str, str]:
@@ -96,7 +114,6 @@ class FaultPlane:
                 )
             else:  # pragma: no cover - schedule validates event types
                 raise TypeError(f"unknown fault event type {type(event).__name__}")
-        _EVENTS_ACTIVE.set(len(self.events))
 
     @property
     def is_noop(self) -> bool:
@@ -149,75 +166,28 @@ class FaultPlane:
                 factor *= window_factor
         return factor
 
-    def attenuation_factor(self, site: str, t_s: float) -> float:
-        """Alias of :meth:`fade_factor` (the DESIGN.md §11 name)."""
-        return self.fade_factor(site, t_s)
+    # --- the rule: a channel's edge, the scalar and the block applier --------
 
-    # --- vectorized queries (cache and matrix paths) ----------------------------
+    @staticmethod
+    def edge(channel: QuantumChannel) -> Edge:
+        """The applier's edge of a channel: ``(name_a, name_b, faded_site)``.
 
-    def node_up_series(self, name: str, times: np.ndarray) -> np.ndarray | bool:
-        """``True`` (scalar) if never down, else a (T,) up-mask."""
-        windows = self._node_windows.get(name)
-        if not windows:
-            return True
-        return ~_window_mask(windows, times)
+        Weather fades the ground end of an FSO channel between a ground
+        site and a platform; fiber (buried glass) and links with no
+        ground end never fade, so their faded site is ``None``.
+        """
+        a, b = channel.host_a, channel.host_b
+        site = None
+        if channel.kind is ChannelKind.FSO and channel.is_ground_to_platform:
+            site = (a if a.kind == "ground" else b).name
+        return a.name, b.name, site
 
-    def link_ok_series(self, name_a: str, name_b: str, times: np.ndarray) -> np.ndarray | bool:
-        """``True`` (scalar) if never flapped, else a (T,) ok-mask."""
-        windows = self._link_windows.get(_link_key(name_a, name_b))
-        if not windows:
-            return True
-        return ~_window_mask(windows, times)
-
-    def fade_factor_series(self, site: str, times: np.ndarray) -> np.ndarray | float:
-        """``1.0`` (scalar) if never faded, else a (T,) factor series."""
-        windows = self._fade_windows.get(site)
-        if not windows:
-            return 1.0
-        factor = np.ones(times.shape, dtype=float)
-        for start, end, window_factor in windows:
-            active = (times >= start) & (times < end)
-            factor[active] *= window_factor
-        return factor
-
-    def platform_up_matrix(
-        self, names: Sequence[str], times: np.ndarray
-    ) -> np.ndarray | bool:
-        """``True`` (scalar) or an (N, T) up-mask over the named platforms."""
-        if not any(name in self._node_windows for name in names):
-            return True
-        up = np.ones((len(names), times.size), dtype=bool)
-        for row, name in enumerate(names):
-            windows = self._node_windows.get(name)
-            if windows:
-                up[row] = ~_window_mask(windows, times)
-        return up
-
-    def link_ok_matrix(
-        self, site: str, names: Sequence[str], times: np.ndarray
-    ) -> np.ndarray | bool:
-        """``True`` (scalar) or an (N, T) ok-mask for site-platform links."""
-        keys = [_link_key(site, name) for name in names]
-        if not any(key in self._link_windows for key in keys):
-            return True
-        ok = np.ones((len(names), times.size), dtype=bool)
-        for row, key in enumerate(keys):
-            windows = self._link_windows.get(key)
-            if windows:
-                ok[row] = ~_window_mask(windows, times)
-        return ok
-
-    # --- appliers: one shared rule for all three evaluation paths ---------------
-
-    def _channel_fade_factor(self, channel: QuantumChannel, t_s: float) -> float:
-        """Scalar fade factor of a channel: ground FSO endpoints only."""
-        if channel.kind is not ChannelKind.FSO:
-            return 1.0
-        factor = 1.0
-        for host in (channel.host_a, channel.host_b):
-            if host.kind == "ground":
-                factor *= self.fade_factor(host.name, t_s)
-        return factor
+    def touches(self, edge: Edge) -> bool:
+        """Whether an event acts on ``edge``: an outage or downtime at
+        either end, a flap of the link, or a fade at its faded site."""
+        a, b, site = edge
+        nodes, links, fades = self._node_windows, self._link_windows, self._fade_windows
+        return a in nodes or b in nodes or _link_key(a, b) in links or site in fades
 
     def apply_channel(
         self,
@@ -233,73 +203,60 @@ class FaultPlane:
         elevation and visibility gates are attenuation-independent and
         already folded into ``state.usable``).
         """
+        a, b, site = self.edge(channel)
         eta = state.transmissivity
         usable = state.usable
-        factor = self._channel_fade_factor(channel, t_s)
+        factor = 1.0 if site is None else self.fade_factor(site, t_s)
         if factor != 1.0:
             eta = eta * factor
             usable = usable and eta >= policy.transmissivity_threshold
         if usable:
-            a, b = channel.names
             if self.node_down(a, t_s) or self.node_down(b, t_s) or self.link_cut(a, b, t_s):
                 usable = False
         if state.usable and not usable:
             _LINK_STEPS_SUPPRESSED.inc()
         return eta, usable
 
-    def edge_up_series(self, channel: QuantumChannel, times: np.ndarray) -> np.ndarray | bool:
-        """The node/link gate of one channel over the sample grid.
-
-        ``True`` (scalar) if neither endpoint is ever down and the link
-        never flaps, else a (T,) mask: both endpoints up and the link
-        not cut. It does not depend on eta, so the link-state cache
-        applies it to admission at any transmissivity threshold.
-        """
-        a, b = channel.names
-        up: np.ndarray | bool = True
-        for mask in (
-            self.node_up_series(a, times),
-            self.node_up_series(b, times),
-            self.link_ok_series(a, b, times),
-        ):
-            if mask is not True:
-                up = up & mask
-        return up
-
-    def apply_edge_series(
+    def apply_edges(
         self,
-        channel: QuantumChannel,
-        eta: np.ndarray | float,
-        usable: np.ndarray | bool,
+        edges: Sequence[Edge],
         times: np.ndarray,
-        policy: LinkPolicy,
-    ) -> tuple[np.ndarray | float, np.ndarray | bool]:
-        """Perturb one channel's precomputed series over the sample grid.
+        eta: np.ndarray,
+        healthy: np.ndarray,
+        threshold: float,
+        at: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | bool]:
+        """Apply the fault rule to a block of edges over a sample grid.
 
-        Mirrors :meth:`apply_channel` element-wise: same fade product
-        order, same threshold recheck, same node/link gates — the
-        link-state cache stays equivalent to the direct path under any
-        schedule.
+        ``edges`` holds one :meth:`edge` per row; ``eta`` and ``healthy``
+        (pre-fault admission) broadcast to ``(len(edges), len(times))``,
+        or are per-point arrays at ``at=(edge_rows, sample_cols)``.
+        Returns, in the same form, the faded eta, the post-fault
+        ``usable`` and the node/link gate ``up`` — ``True`` when no
+        outage, downtime or flap touches the block. Point for point this
+        is :meth:`apply_channel`; ``faults.link_steps.suppressed`` grows
+        by the points the call turns unusable.
         """
-        if self.is_noop:
-            return eta, usable
-        healthy = usable
-        factor: np.ndarray | float = 1.0
-        if channel.kind is ChannelKind.FSO:
-            for host in (channel.host_a, channel.host_b):
-                if host.kind == "ground":
-                    factor = factor * self.fade_factor_series(host.name, times)
-        if not (isinstance(factor, float) and factor == 1.0):
-            eta = eta * factor
-            usable = usable & (np.asarray(eta) >= policy.transmissivity_threshold)
-        up = self.edge_up_series(channel, times)
-        if up is not True:
-            usable = usable & up
-        suppressed = np.broadcast_to(np.asarray(healthy), times.shape) & ~np.broadcast_to(
-            np.asarray(usable), times.shape
+        names = [name for a, b, _ in edges for name in (a, b)]
+        node, node_up = _series_table(names, self._node_windows, times, _up_series)
+        link, link_ok = _series_table(
+            [_link_key(a, b) for a, b, _ in edges], self._link_windows, times, _up_series
         )
-        _LINK_STEPS_SUPPRESSED.inc(int(np.count_nonzero(suppressed)))
-        return eta, usable
+        fade, factor = _series_table(
+            [site for _, _, site in edges], self._fade_windows, times, _fade_series
+        )
+        rows, cols = (slice(None), slice(None)) if at is None else at
+        usable = healthy
+        if fade.any():
+            eta = eta * factor[fade[rows], cols]
+            usable = usable & (eta >= threshold)
+        up: np.ndarray | bool = True
+        if node.any() or link.any():
+            a, b = node[0::2][rows], node[1::2][rows]
+            up = node_up[a, cols] & node_up[b, cols] & link_ok[link[rows], cols]
+            usable = usable & up
+        _LINK_STEPS_SUPPRESSED.inc(int(np.count_nonzero(healthy & ~usable)))
+        return eta, usable, up
 
     def faulted_site_budget(
         self,
@@ -321,26 +278,16 @@ class FaultPlane:
 
         if self.is_noop:
             return budget
-        site_name = budget.site.name
-        times = ephemeris.times_s
-        rows, cols = np.divmod(budget.points["index"], times.size)
+        site = budget.site.name
         healthy = budget.points["usable"]
-        eta = budget.points["transmissivity"]
-        usable = healthy
-        factor = self.fade_factor_series(site_name, times)
-        if not (isinstance(factor, float) and factor == 1.0):
-            eta = eta * factor[cols]
-            usable = usable & (eta >= policy.transmissivity_threshold)
-        site_up = self.node_up_series(site_name, times)
-        if site_up is not True:
-            usable = usable & site_up[cols]
-        platforms_up = self.platform_up_matrix(ephemeris.names, times)
-        if platforms_up is not True:
-            usable = usable & platforms_up[rows, cols]
-        links_ok = self.link_ok_matrix(site_name, ephemeris.names, times)
-        if links_ok is not True:
-            usable = usable & links_ok[rows, cols]
-        _LINK_STEPS_SUPPRESSED.inc(int(np.count_nonzero(healthy & ~usable)))
+        eta, usable, _ = self.apply_edges(
+            [(site, name, site) for name in ephemeris.names],
+            ephemeris.times_s,
+            budget.points["transmissivity"],
+            healthy,
+            policy.transmissivity_threshold,
+            at=np.divmod(budget.points["index"], ephemeris.n_samples),
+        )
         points = budget.points.copy()
         points["transmissivity"] = eta
         points["usable"] = usable

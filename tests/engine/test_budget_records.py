@@ -4,7 +4,7 @@ A :class:`~repro.engine.budgets.SiteLinkBudget` holds only the records
 of the points the horizon cull keeps; its dense views are scattered
 from them. These tests pin that form against test-only dense oracles:
 the unculled geometry kernel for the fill, a fresh fill on a sliced
-ephemeris for ``at_time_indices``, the dense fault derivation for
+ephemeris for ``at_time_indices``, the scalar fault queries, sample by sample, for
 ``faulted_site_budget``, and a schema-3 artifact spelled out by hand for
 the store. The records are the one ground-satellite link budget: the
 scalar channel evaluation agrees with them at the horizon, and the link
@@ -64,19 +64,18 @@ def _dense_oracle(site, ephemeris, model, policy):
 
 
 def _dense_faulted_oracle(plane, eta, usable, site_name, ephemeris, policy):
-    """The fault derivation on dense arrays: fade, re-threshold, gate."""
-    times = ephemeris.times_s
-    factor = plane.fade_factor_series(site_name, times)
-    if not (isinstance(factor, float) and factor == 1.0):
-        eta = eta * factor
-        usable = usable & (eta >= policy.transmissivity_threshold)
-    for gate in (
-        plane.node_up_series(site_name, times),
-        plane.platform_up_matrix(ephemeris.names, times),
-        plane.link_ok_matrix(site_name, ephemeris.names, times),
-    ):
-        if gate is not True:
-            usable = usable & gate
+    """The fault rule on dense arrays, one sample at a time through the
+    scalar queries: fade, re-threshold, gate."""
+    eta, usable = eta.copy(), usable.copy()
+    for j, t in enumerate(ephemeris.times_s.tolist()):
+        factor = plane.fade_factor(site_name, t)
+        if factor != 1.0:
+            eta[:, j] = eta[:, j] * factor
+            usable[:, j] &= eta[:, j] >= policy.transmissivity_threshold
+        site_down = plane.node_down(site_name, t)
+        for i, name in enumerate(ephemeris.names):
+            if site_down or plane.node_down(name, t) or plane.link_cut(site_name, name, t):
+                usable[i, j] = False
     return eta, usable
 
 

@@ -1,9 +1,12 @@
-"""Tests for the compiled FaultPlane: scalar vs vectorized query agreement."""
-
-from types import SimpleNamespace
+"""Tests for the compiled FaultPlane: the scalar queries, and the
+vectorized applier against the scalar oracle."""
 
 import numpy as np
+import pytest
 
+from repro import obs
+from repro.channels.presets import paper_fiber, paper_hap_fso, paper_isl_fso, paper_satellite_fso
+from repro.data.ground_nodes import all_ground_nodes
 from repro.faults import (
     FaultPlane,
     FaultSchedule,
@@ -12,8 +15,16 @@ from repro.faults import (
     SatelliteOutage,
     WeatherFade,
 )
+from repro.network.hap import HAP
+from repro.network.host import GroundStation
+from repro.network.links import LinkPolicy
+from repro.network.satellite import Satellite
+from repro.network.topology import QuantumNetwork
 
 TIMES = np.arange(0.0, 600.0, 30.0)
+
+#: A pass of sat-004 over Tennessee on the 12-satellite sheet.
+NET_TIMES = np.arange(600.0, 1500.0, 30.0)
 
 
 def plane() -> FaultPlane:
@@ -27,6 +38,65 @@ def plane() -> FaultPlane:
             LinkFlap(30.0, 90.0, node_a="ornl-0", node_b="sat-002"),
         )
     ).compile()
+
+
+def _acts_on(event, a, b, site) -> bool:
+    if isinstance(event, SatelliteOutage):
+        return event.satellite in (a, b)
+    if isinstance(event, GroundStationDowntime):
+        return event.station in (a, b)
+    if isinstance(event, LinkFlap):
+        return {event.node_a, event.node_b} == {a, b}
+    return event.site == site
+
+
+@pytest.fixture
+def telemetry():
+    obs.reset()
+    obs.enable()
+    try:
+        yield
+    finally:
+        obs.disable()
+        obs.reset()
+
+
+@pytest.fixture(scope="module")
+def mixed(small_ephemeris):
+    """Fiber, ground-satellite, ground-HAP and inter-satellite channels;
+    a plane with a satellite outage, a station downtime, a link flap and
+    two stacked fades on one site; and each channel's healthy
+    evaluation at every sample of ``NET_TIMES``."""
+    nodes = {node.name: node for node in all_ground_nodes()}
+    network = QuantumNetwork()
+    grounds, sats = ("ttu-0", "ttu-1", "epb-3"), ("sat-003", "sat-004", "sat-005")
+    for name in grounds:
+        node = nodes[name]
+        network.add_host(GroundStation(name, node.lat_deg, node.lon_deg, node.alt_km, name[:3]))
+    network.add_host(HAP())
+    for name in sats:
+        network.add_host(Satellite(name, small_ephemeris))
+    network.connect("ttu-0", "ttu-1", paper_fiber())
+    for ground in grounds:
+        network.connect(ground, "hap-0", paper_hap_fso())
+        for sat in sats:
+            network.connect(sat, ground, paper_satellite_fso())
+    network.connect("sat-003", "sat-004", paper_isl_fso())
+    network.connect("sat-004", "sat-005", paper_isl_fso())
+    p = FaultSchedule(
+        events=(
+            SatelliteOutage(690.0, 810.0, satellite="sat-004"),
+            GroundStationDowntime(900.0, 990.0, station="ttu-1"),
+            LinkFlap(720.0, 840.0, node_a="epb-3", node_b="sat-004"),
+            WeatherFade(600.0, 1080.0, site="ttu-0", extra_db=1.0),
+            WeatherFade(840.0, 1200.0, site="ttu-0", extra_db=1.5),
+        )
+    ).compile()
+    policy = LinkPolicy()
+    states = [
+        [ch.evaluate(t, policy) for t in NET_TIMES.tolist()] for ch in network.channels()
+    ]
+    return network, p, states
 
 
 class TestScalarQueries:
@@ -56,78 +126,87 @@ class TestScalarQueries:
         assert p.fade_factor("ttu-0", 300.0) == f7
         assert p.fade_factor("ttu-0", 500.0) == 1.0
 
-    def test_attenuation_factor_alias(self):
-        p = plane()
-        assert p.attenuation_factor("ttu-0", 180.0) == p.fade_factor("ttu-0", 180.0)
-
     def test_unfaded_site_is_exactly_one(self):
         assert plane().fade_factor("ornl-0", 180.0) == 1.0
 
 
-class TestVectorizedQueries:
-    def test_node_up_series_matches_scalar(self):
-        p = plane()
-        series = p.node_up_series("sat-000", TIMES)
-        assert isinstance(series, np.ndarray)
-        expected = np.array([not p.node_down("sat-000", float(t)) for t in TIMES])
-        np.testing.assert_array_equal(series, expected)
+class TestApplier:
+    """``apply_edges`` against the scalar oracle ``apply_channel``, point
+    for point, on a network with every channel kind."""
 
-    def test_link_ok_series_matches_scalar(self):
-        p = plane()
-        series = p.link_ok_series("sat-002", "ornl-0", TIMES)
-        expected = np.array([not p.link_cut("ornl-0", "sat-002", float(t)) for t in TIMES])
-        np.testing.assert_array_equal(series, expected)
+    def test_edge_fades_only_the_ground_end_of_fso(self, mixed):
+        network, _, _ = mixed
+        edges = {frozenset(ch.names): FaultPlane.edge(ch) for ch in network.channels()}
+        assert edges[frozenset(("ttu-0", "ttu-1"))][2] is None  # fiber
+        assert edges[frozenset(("sat-003", "sat-004"))][2] is None  # ISL
+        assert edges[frozenset(("ttu-0", "hap-0"))][2] == "ttu-0"
+        assert edges[frozenset(("sat-004", "epb-3"))][2] == "epb-3"
 
-    def test_fade_factor_series_matches_scalar_bitwise(self):
-        p = plane()
-        series = p.fade_factor_series("ttu-0", TIMES)
-        expected = np.array([p.fade_factor("ttu-0", float(t)) for t in TIMES])
-        # Bit-identical, not approx: scalar and vectorized paths multiply
-        # the same precomputed factors in the same order.
-        np.testing.assert_array_equal(series, expected)
+    @pytest.mark.parametrize("form", ["dense", "at"])
+    def test_equals_apply_channel(self, mixed, telemetry, form):
+        network, p, states = mixed
+        channels = list(network.channels())
+        policy = LinkPolicy()
+        edges = [FaultPlane.edge(ch) for ch in channels]
+        eta = np.array([[s.transmissivity for s in row] for row in states])
+        healthy = np.array([[s.usable for s in row] for row in states])
+        if form == "dense":
+            rows, cols = np.indices(eta.shape).reshape(2, -1)
+            at = None
+        else:
+            flat = np.random.default_rng(3).permutation(eta.size)[: eta.size // 2]
+            rows, cols = np.divmod(flat, NET_TIMES.size)
+            at = (rows, cols)
+            eta, healthy = eta[rows, cols], healthy[rows, cols]
+        counter = obs.counter("faults.link_steps.suppressed")
+        before = counter.value
+        got_eta, got_usable, got_up = p.apply_edges(
+            edges, NET_TIMES, eta, healthy, policy.transmissivity_threshold, at=at
+        )
+        suppressed = counter.value - before
+        if at is None:
+            got_eta, got_usable, got_up = (x.reshape(-1) for x in (got_eta, got_usable, got_up))
 
-    def test_edge_up_series_matches_scalar(self):
-        """Both endpoints up and the link not cut: the gate
-        ``apply_channel`` applies per sample."""
-        p = plane()
-        for a, b in [("ornl-0", "sat-002"), ("ttu-0", "sat-000"), ("epb-1", "sat-000")]:
-            series = p.edge_up_series(SimpleNamespace(names=(a, b)), TIMES)
-            expected = np.array(
-                [
-                    not (p.node_down(a, t) or p.node_down(b, t) or p.link_cut(a, b, t))
-                    for t in TIMES.tolist()
-                ]
-            )
-            np.testing.assert_array_equal(series, expected)
+        before = counter.value
+        for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+            t = float(NET_TIMES[c])
+            want_eta, want_usable = p.apply_channel(channels[r], states[r][c], t, policy)
+            assert got_eta[i] == want_eta  # bit-equal, not approx
+            assert bool(got_usable[i]) is want_usable
+            a, b, _ = edges[r]
+            down = p.node_down(a, t) or p.node_down(b, t) or p.link_cut(a, b, t)
+            assert bool(got_up[i]) is not down
+        assert suppressed == counter.value - before > 0
 
-    def test_untouched_targets_return_scalar_sentinels(self):
-        p = plane()
-        assert p.node_up_series("sat-011", TIMES) is True
-        assert p.link_ok_series("a", "b", TIMES) is True
-        assert p.edge_up_series(SimpleNamespace(names=("a", "b")), TIMES) is True
-        assert p.fade_factor_series("ornl-0", TIMES) == 1.0
+    def test_every_event_kind_acts(self, mixed):
+        """The case is not vacuous: each event suppresses some link."""
+        network, p, states = mixed
+        policy = LinkPolicy()
+        hit = set()
+        for ch, row in zip(network.channels(), states):
+            for t, state in zip(NET_TIMES.tolist(), row):
+                if state.usable and not p.apply_channel(ch, state, t, policy)[1]:
+                    a, b, site = FaultPlane.edge(ch)
+                    hit.update(e for e in p.active_events(t) if _acts_on(e, a, b, site))
+        assert {type(e).__name__ for e in hit} == {
+            "SatelliteOutage",
+            "GroundStationDowntime",
+            "LinkFlap",
+            "WeatherFade",
+        }
 
-    def test_platform_up_matrix(self):
-        p = plane()
-        names = ["sat-000", "sat-001", "sat-002"]
-        up = p.platform_up_matrix(names, TIMES)
-        assert up.shape == (3, TIMES.size)
-        np.testing.assert_array_equal(up[0], p.node_up_series("sat-000", TIMES))
-        assert up[1].all() and up[2].all()
-
-    def test_platform_up_matrix_scalar_when_untouched(self):
-        assert plane().platform_up_matrix(["sat-005", "sat-006"], TIMES) is True
-
-    def test_link_ok_matrix(self):
-        p = plane()
-        names = ["sat-001", "sat-002"]
-        ok = p.link_ok_matrix("ornl-0", names, TIMES)
-        assert ok.shape == (2, TIMES.size)
-        assert ok[0].all()
-        np.testing.assert_array_equal(ok[1], p.link_ok_series("ornl-0", "sat-002", TIMES))
-
-    def test_link_ok_matrix_scalar_when_untouched(self):
-        assert plane().link_ok_matrix("ttu-0", ["sat-001"], TIMES) is True
+    def test_untouched_block_is_up(self, mixed):
+        _, p, _ = mixed
+        edges = [("epb-3", "hap-0", "epb-3"), ("sat-003", "sat-005", None)]
+        eta, healthy = np.full((2, NET_TIMES.size), 0.9), np.ones((2, NET_TIMES.size), bool)
+        assert not any(p.touches(edge) for edge in edges)
+        got_eta, got_usable, got_up = p.apply_edges(edges, NET_TIMES, eta, healthy, 0.7)
+        assert got_up is True
+        assert got_eta is eta and got_usable is healthy
+        # A fade alone leaves the node/link gate untouched too.
+        faded = [("ttu-0", "hap-0", "ttu-0")]
+        faded_eta, _, up = p.apply_edges(faded, NET_TIMES, eta[:1], healthy[:1], 0.7)
+        assert up is True and (faded_eta < eta[:1]).any()
 
 
 class TestNoopPlane:
@@ -140,14 +219,16 @@ class TestNoopPlane:
         assert not p.node_down("x", 0.0)
         assert not p.link_cut("x", "y", 0.0)
         assert p.fade_factor("x", 0.0) == 1.0
-        assert p.node_up_series("x", TIMES) is True
-        assert p.fade_factor_series("x", TIMES) == 1.0
+        eta, healthy = np.full((1, TIMES.size), 0.9), np.ones((1, TIMES.size), bool)
+        got_eta, usable, up = p.apply_edges([("x", "y", "x")], TIMES, eta, healthy, 0.7)
+        assert got_eta is eta and usable is healthy and up is True
 
     def test_zero_length_event_plane_is_inert(self):
         p = FaultPlane((SatelliteOutage(100.0, 100.0, satellite="sat-000"),))
         assert not p.is_noop  # it has an event...
-        series = p.node_up_series("sat-000", TIMES)
-        assert np.asarray(series).all()  # ...but the event covers no sample
+        eta, healthy = np.full((1, TIMES.size), 0.9), np.ones((1, TIMES.size), bool)
+        _, usable, up = p.apply_edges([("sat-000", "ttu-0", "ttu-0")], TIMES, eta, healthy, 0.7)
+        assert up.all() and usable.all()  # ...but the event covers no sample
 
 
 class TestFaultedSiteBudget:
