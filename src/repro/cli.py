@@ -329,14 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="block producers at a full queue instead of shedding (queue_full)",
     )
     p_serve.add_argument(
-        "--window",
-        type=int,
-        default=0,
-        help="incremental-advance chunk size [ephemeris samples]: link state "
-        "extends lazily as the stream's time cursor moves instead of a "
-        "full-horizon precompute before the first request (0 = eager)",
-    )
-    p_serve.add_argument(
         "--http-port",
         type=int,
         default=None,
@@ -867,8 +859,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.orbits.walker import qntn_constellation
     from repro.serve import ServeServer, ServerConfig, build_engine
 
-    if args.window < 0:
-        raise ValidationError(f"--window must be >= 0 (0 = eager), got {args.window}")
     duration_s = max(args.duration, args.step)
     with obs.span("propagate"):
         elements = qntn_constellation(args.satellites)
@@ -882,7 +872,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 elements, duration_s=duration_s, step_s=args.step
             )
     faults = getattr(args, "fault_schedule", None)
-    window = args.window if args.window > 0 else None
     strategy = None
     if args.router != "shortest":
         from repro.routing.strategies import StrategyConfig
@@ -891,13 +880,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             router=args.router, k=args.k, memory_slots=args.memory_slots
         )
     with obs.span("build-engine"):
-        engine = build_engine(
-            "cached", ephemeris, faults=faults, window=window, strategy=strategy
-        )
-    args.serve_extra = {
-        "window": window,
-        "router": args.router,
-    }
+        engine = build_engine("cached", ephemeris, faults=faults, strategy=strategy)
+    args.serve_extra = {"router": args.router}
     if strategy is not None:
         args.serve_extra["k"] = strategy.k
         args.serve_extra["memory_slots"] = strategy.memory_slots
@@ -976,7 +960,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             live.force(False)
     rows = [
         ("engine", engine.name),
-        ("advance window", str(window) if window is not None else "full"),
         ("simulated duration", f"{args.duration:g} s"),
         ("requests", report.n_submitted),
         ("served", f"{report.n_served} ({100 * report.served_fraction:.2f} %)"),
@@ -990,7 +973,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if strategy is not None:
         n_rescued = sum(1 for o in report.outcomes if o.purified)
         rows.insert(1, ("router", f"{args.router} (k={args.k}, M={args.memory_slots})"))
-        rows.insert(7, ("rescued (purified)", n_rescued))
+        rows.insert(6, ("rescued (purified)", n_rescued))
         args.serve_extra["rescued"] = n_rescued
     print(render_table(["metric", "value"], rows, title=f"STREAMING SERVICE ({engine.name})"))
     causes = sorted(report.cause_counts.items(), key=lambda kv: -kv[1])

@@ -38,10 +38,8 @@ one (``NetworkSimulator.invalidate_cache`` does this for you).
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,7 +54,7 @@ from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plane import Edge, FaultPlane
+    from repro.faults.plane import FaultPlane
     from repro.orbits.ephemeris import Ephemeris
 
 __all__ = ["LinkStateCache"]
@@ -65,12 +63,6 @@ __all__ = ["LinkStateCache"]
 #: indices' bytes followed by their etas' bytes (equal length, so equal
 #: keys mean equal columns and bit-equal etas).
 EdgeKey = bytes
-
-#: Per-block series over grid samples ``[j0, j1)``: ``(eta, gates)``,
-#: each broadcastable to ``(n_channels, j1 - j0)``; ``gates`` carries the
-#: geometry bits and ``OPEN`` before faults, and
-#: :meth:`LinkStateCache._fill_block` derives the admission bits.
-Series = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 # Bits of the gate byte, one per (grid sample, channel), with VISIBLE,
 # ELEVATED (ground-to-platform columns only) and OPEN (every gate but the
@@ -83,19 +75,6 @@ HEALTHY = np.uint8(2)
 #: a healthy link before faults: usable until a fault plane, which can
 #: only remove links, suppresses it.
 ADMITTED = HEALTHY | USABLE
-
-
-@dataclass(frozen=True)
-class _Block:
-    """Columns ``[c0, c0 + n)`` that one series function fills, and the
-    fault plane's edges of the columns ``faulted`` that some event
-    touches (none without a plane)."""
-
-    c0: int
-    n: int
-    series: Series
-    faulted: np.ndarray
-    edges: list["Edge"]
 
 
 # Memoization accounting (import-time instruments; flag-check when off).
@@ -120,17 +99,10 @@ class LinkStateCache:
             eta, admission and the ``OPEN`` bits — the rule the direct
             path applies per scalar evaluation, so cached-vs-direct
             equivalence holds under any schedule.
-        window: optional chunk size (samples) for incremental builds.
-            When set, the eta/admission arrays start zeroed and are
-            filled ``window`` rows at a time as the query frontier
-            advances, so a streaming engine pays link physics for the
-            samples it has reached instead of a full-day precompute.
-            Geometry stays eager and row-block fills are elementwise over
-            the time axis (faults included), so a fully advanced windowed
-            cache is bitwise equal to an eager one.
 
     Raises:
-        ValidationError: for a ``window`` that is not a positive integer.
+        ValidationError: for a channel between a satellite and a mobile
+            host that is not a satellite (no vectorized distance for it).
     """
 
     def __init__(
@@ -141,21 +113,11 @@ class LinkStateCache:
         epsilon: float = DEFAULT_EPSILON,
         times_s: np.ndarray | None = None,
         faults: "FaultPlane | None" = None,
-        window: int | None = None,
     ) -> None:
-        if window is not None:
-            if (
-                isinstance(window, bool)
-                or not isinstance(window, numbers.Integral)
-                or window < 1
-            ):
-                raise ValidationError(f"window must be a positive integer, got {window!r}")
-            window = int(window)
         self.network = network
         self.policy = policy or LinkPolicy()
         self.epsilon = epsilon
         self.faults = faults if faults is not None and not faults.is_noop else None
-        self.window = window
         self.times_s = self._resolve_grid(times_s)
         self._times_list: list[float] = self.times_s.tolist()
         self._host_names = list(network.host_names)
@@ -179,12 +141,7 @@ class LinkStateCache:
         self._eta = np.zeros(shape)
         self._gates = np.zeros(shape, dtype=np.uint8)
         self._pairs: list[tuple[str, str]] = []
-        #: windowed mode: the blocks that fill rows [j0, j1) on demand.
-        self._blocks: list[_Block] = []
-        self._built_upto = 0
         self._build()
-        if window is None:
-            self._built_upto = self.n_times
         self._site_columns = {
             site: np.array(pairs, dtype=np.intp).reshape(-1, 2).T
             for site, pairs in self._site_columns.items()
@@ -253,7 +210,7 @@ class LinkStateCache:
         return mask
 
     def _build(self) -> None:
-        """Lay out one column per channel and the series that fill them.
+        """Lay out and fill one column per channel.
 
         Columns follow channel order, except that ground-satellite
         channels are grouped by (site, ephemeris, model, altitude) — each
@@ -284,66 +241,49 @@ class LinkStateCache:
         for members in groups.values():
             self._add_ground_satellite_group(members)
 
-    def _add_block(self, channels: list[QuantumChannel], series: Series) -> int:
-        """Assign the next columns to ``channels``; returns the first.
+    def _add_block(
+        self, channels: list[QuantumChannel], eta: np.ndarray, gates: np.ndarray
+    ) -> int:
+        """Assign the next columns to ``channels`` and fill them over the
+        whole grid; returns the first column.
 
-        Under a fault plane the block resolves, once, the columns some
-        event touches and their edges (:meth:`FaultPlane.edge`).
-        Eager caches fill the block's columns now and drop ``series``
-        (and the geometry it holds); windowed caches keep it for
-        :meth:`_fill_rows`.
+        ``eta`` and ``gates`` broadcast to ``(len(channels), n_times)``;
+        ``gates`` carries the geometry bits and ``OPEN`` before faults. A
+        link is ``ADMITTED`` (``HEALTHY`` and ``USABLE``) where it is
+        ``OPEN`` and its eta clears the threshold. Under a fault plane,
+        the columns some event touches then pass through one
+        :meth:`FaultPlane.apply_edges` call: it fades their eta,
+        recomputes their ``USABLE`` from ``HEALTHY``, and its node/link
+        gate clears ``OPEN`` where an endpoint is down or the link cut.
+        Fades only lower the stored eta, so ``USABLE`` stays ``OPEN`` and
+        ``eta >= threshold``.
         """
         c0, plane = len(self._pairs), self.faults
-        edges = [] if plane is None else [plane.edge(channel) for channel in channels]
-        faulted = [i for i, edge in enumerate(edges) if plane.touches(edge)]
-        cols = c0 + np.array(faulted, dtype=np.intp)
-        block = _Block(c0, len(channels), series, cols, [edges[i] for i in faulted])
         self._pairs.extend(channel.names for channel in channels)
-        if self.window is None:
-            self._fill_block(block, 0, self.n_times)
-        else:
-            self._blocks.append(block)
-        return c0
-
-    def _fill_block(self, block: _Block, j0: int, j1: int) -> None:
-        """Write rows ``[j0, j1)`` of one block's columns, then apply the
-        fault plane to its touched columns in one call.
-
-        A link is ``ADMITTED`` (``HEALTHY`` and ``USABLE``) where it is
-        ``OPEN`` and its eta clears the threshold. :meth:`FaultPlane.apply_edges`
-        then fades the touched columns' eta, recomputes their ``USABLE``
-        from ``HEALTHY``, and its node/link gate clears ``OPEN`` where an
-        endpoint is down or the link cut. Fades only lower the stored
-        eta, so ``USABLE`` stays ``OPEN`` and ``eta >= threshold``.
-        """
         threshold = self.policy.transmissivity_threshold
-        eta, gates = block.series(j0, j1)
         is_open = (gates & OPEN) != 0
         gates = gates | (is_open & (eta >= threshold)) * ADMITTED
-        cols = slice(block.c0, block.c0 + block.n)
-        self._eta[j0:j1, cols] = np.transpose(eta)
-        self._gates[j0:j1, cols] = np.transpose(gates)
-        if not block.faulted.size:
-            return
-        cols = block.faulted
-        gates = self._gates[j0:j1, cols].T
-        eta, usable, up = self.faults.apply_edges(
-            block.edges,
-            self.times_s[j0:j1],
-            self._eta[j0:j1, cols].T,
+        cols = slice(c0, c0 + len(channels))
+        self._eta[:, cols] = np.transpose(eta)
+        self._gates[:, cols] = np.transpose(gates)
+        edges = [] if plane is None else [plane.edge(channel) for channel in channels]
+        faulted = [i for i, edge in enumerate(edges) if plane.touches(edge)]
+        if not faulted:
+            return c0
+        cols = c0 + np.array(faulted, dtype=np.intp)
+        gates = self._gates[:, cols].T
+        eta, usable, up = plane.apply_edges(
+            [edges[i] for i in faulted],
+            self.times_s,
+            self._eta[:, cols].T,
             (gates & HEALTHY) != 0,
             threshold,
         )
         is_open = ((gates & OPEN) != 0) & up
         gates = gates & ~(USABLE | OPEN) | usable * USABLE | is_open * OPEN
-        self._eta[j0:j1, cols] = np.transpose(eta)
-        self._gates[j0:j1, cols] = np.transpose(gates)
-
-    def _fill_rows(self, j0: int, j1: int) -> None:
-        """Windowed mode: fill rows ``[j0, j1)`` of every block."""
-        for block in self._blocks:
-            self._fill_block(block, j0, j1)
-        self._built_upto = j1
+        self._eta[:, cols] = np.transpose(eta)
+        self._gates[:, cols] = np.transpose(gates)
+        return c0
 
     def _add_static(self, channel: QuantumChannel) -> None:
         """Fiber / ground-HAP channel: one evaluation, optional duty mask."""
@@ -356,11 +296,7 @@ class LinkStateCache:
         # Off duty, a HAP link is closed whatever its geometry.
         gates = np.where(self._hap_mask(channel), gates, gates & ~OPEN)
         eta = np.array([[state.transmissivity]])
-
-        def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            return eta, gates[None, j0:j1]
-
-        col = self._add_block([channel], series)
+        col = self._add_block([channel], eta, gates[None])
         if channel.is_ground_to_platform:
             a, b = channel.host_a, channel.host_b
             ground, platform = (a, b) if a.kind == "ground" else (b, a)
@@ -377,7 +313,7 @@ class LinkStateCache:
         geometry bits of each record's elevation — and gathered onto the
         grid when the ephemeris is sampled elsewhere. A point the horizon
         cull dropped reads η 0 and no bits. The channels carry no duty
-        mask (no HAP endpoint); faults act in :meth:`_fill_block`.
+        mask (no HAP endpoint); faults act in :meth:`_add_block`.
         """
         # Function-level import: repro.engine.budgets pulls in the
         # repro.network package, which imports this module — at module
@@ -403,11 +339,7 @@ class LinkStateCache:
         samples = self._grid_samples(sat0.ephemeris)
         if samples is not None:
             eta, gates = eta[:, samples], gates[:, samples]
-
-        def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            return eta[:, j0:j1], gates[:, j0:j1]
-
-        c0 = self._add_block([channel for channel, _ in members], series)
+        c0 = self._add_block([channel for channel, _ in members], eta, gates)
         self._site_columns[ground.name].extend(
             (c0 + i, self._platform_slot[sat.name]) for i, (_, sat) in enumerate(members)
         )
@@ -418,43 +350,21 @@ class LinkStateCache:
         """ISL: vacuum link, distance-only budget (no elevation gate)."""
         delta = self._sample_positions(sat_a) - self._sample_positions(sat_b)
         dist = np.linalg.norm(delta, axis=-1)
-
-        def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            e = np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
-            return e[None], OPEN
-
-        self._add_block([channel], series)
+        eta = np.asarray(channel.model.transmissivity(dist), dtype=float)
+        self._add_block([channel], eta[None], OPEN)
 
     def _add_platform_satellite(self, channel: QuantumChannel, sat: Satellite) -> None:
         """Satellite to non-ground static platform (e.g. HAP): vacuum link."""
-        other = (
-            channel.host_b if channel.host_a is sat else channel.host_a
-        )
-        hap_mask = self._hap_mask(channel)
+        other = channel.host_b if channel.host_a is sat else channel.host_a
         if other.is_mobile:
-
-            def physics(j0: int, j1: int) -> np.ndarray:
-                # Unknown mobile platform: fall back to per-sample scalar
-                # evaluation so exotic hosts stay correct, just not fast.
-                return np.array(
-                    [
-                        channel.evaluate_physics(float(t), self.policy).transmissivity
-                        for t in self.times_s[j0:j1]
-                    ],
-                    dtype=float,
-                )
-
-        else:
-            static = other.position_ecef_km(float(self.times_s[0]))
-            dist = np.linalg.norm(self._sample_positions(sat) - static, axis=-1)
-
-            def physics(j0: int, j1: int) -> np.ndarray:
-                return np.asarray(channel.model.transmissivity(dist[j0:j1]), dtype=float)
-
-        def series(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-            return physics(j0, j1)[None], hap_mask[None, j0:j1] * OPEN
-
-        self._add_block([channel], series)
+            raise ValidationError(
+                f"channel {channel.names} pairs satellite {sat.name!r} with mobile "
+                f"host {other.name!r}, which is not a satellite"
+            )
+        static = other.position_ecef_km(float(self.times_s[0]))
+        dist = np.linalg.norm(self._sample_positions(sat) - static, axis=-1)
+        eta = np.asarray(channel.model.transmissivity(dist), dtype=float)
+        self._add_block([channel], eta[None], self._hap_mask(channel)[None] * OPEN)
 
     # --- time lookup --------------------------------------------------------
 
@@ -509,22 +419,6 @@ class LinkStateCache:
 
     # --- graphs & routing ---------------------------------------------------
 
-    def _ensure_index(self, k: int) -> None:
-        """Windowed mode: fill every row of the link-state arrays through
-        sample ``k``.
-
-        The fill frontier advances in whole windows (rounded up to the
-        next ``window`` boundary) so a streaming engine triggers one
-        chunked physics pass per window, not one per sample. A no-op for
-        eager caches and for indices inside the built prefix.
-        """
-        if k < self._built_upto:
-            return
-        assert self.window is not None
-        target = min(self.n_times, (k // self.window + 1) * self.window)
-        with obs.span("budget"):
-            self._fill_rows(self._built_upto, target)
-
     def graph(self, t_s: float) -> LinkGraph:
         """Usable-link adjacency at ``t_s`` (quantized to the grid)."""
         return self.graph_at_index(self.time_index(t_s))
@@ -539,7 +433,6 @@ class LinkStateCache:
         """
         if not 0 <= k < self.n_times:
             raise ValidationError(f"time index {k} outside [0, {self.n_times})")
-        self._ensure_index(k)
         if eta_min is None:
             cols = np.flatnonzero(self._gates[k] & USABLE)
         else:
@@ -671,7 +564,6 @@ class LinkStateCache:
         """
         if source not in self._site_columns or destination not in self._site_columns:
             return None
-        self._ensure_index(k)
         row = self._gates[k]
         both = np.full(len(self._platform_slot), 0xFF, dtype=np.uint8)
         for site in (source, destination):
@@ -691,7 +583,6 @@ class LinkStateCache:
 
     def feasible_edge_counts(self) -> np.ndarray:
         """Number of usable links at each grid sample, shape ``(T,)``."""
-        self._ensure_index(self.n_times - 1)
         return np.count_nonzero(self._gates & USABLE, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

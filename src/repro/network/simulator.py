@@ -135,11 +135,6 @@ class NetworkSimulator:
             same rule, so cached-vs-direct equivalence holds under any
             schedule. A no-op plane is dropped — the fault-free run
             stays bit-identical.
-        linkstate_window: optional chunk size (samples) for the cache's
-            incremental link-state build (see
-            :class:`~repro.engine.linkstate.LinkStateCache`); ``None``
-            keeps the eager full-horizon build. Only meaningful with
-            ``use_cache=True``.
         strategy: optional
             :class:`~repro.routing.strategies.KShortestStrategy`, or a
             bare :class:`~repro.routing.strategies.StrategyConfig`
@@ -172,7 +167,6 @@ class NetworkSimulator:
         track_states: bool = False,
         use_cache: bool = False,
         faults: "FaultPlane | None" = None,
-        linkstate_window: int | None = None,
         strategy: "KShortestStrategy | StrategyConfig | None" = None,
         attribute_denials: bool = False,
     ) -> None:
@@ -183,7 +177,6 @@ class NetworkSimulator:
         self.track_states = track_states
         self.use_cache = use_cache
         self.faults = faults if faults is not None and not faults.is_noop else None
-        self.linkstate_window = linkstate_window
         if strategy is not None and not hasattr(strategy, "plan"):
             from repro.routing.strategies import build_strategy
 
@@ -217,7 +210,7 @@ class NetworkSimulator:
         if self._linkstate is None:
             self._linkstate = LinkStateCache(
                 self.network, policy=self.policy, epsilon=self.epsilon,
-                faults=self.faults, window=self.linkstate_window,
+                faults=self.faults,
             )
         return self._linkstate
 

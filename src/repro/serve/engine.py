@@ -109,20 +109,6 @@ class SimulatorServeEngine:
         #: :meth:`advance_to`.
         self.sample_s: float | None = None
 
-    @property
-    def window(self) -> int | None:
-        """Incremental-advance chunk size in ephemeris samples.
-
-        ``None`` means the link-state series was precomputed over the
-        whole horizon eagerly (or, for ``direct``, that channels are
-        evaluated per request). Surfaced on ``/status`` and in the
-        manifest's ``extra.serve`` so an operator can see which mode is
-        live.
-        """
-        if self.simulator.use_cache:
-            return self.simulator.linkstate.window
-        return None
-
     def cursor_info(self) -> dict:
         """Engine time-cursor position (grid index and seconds).
 
@@ -206,7 +192,6 @@ def build_engine(
     epsilon: float = DEFAULT_EPSILON,
     fidelity_convention: str = "sqrt",
     attribute_denials: bool = True,
-    window: int | None = None,
     strategy: "StrategyConfig | None" = None,
 ) -> SimulatorServeEngine:
     """Assemble a :class:`SimulatorServeEngine` of the given ``kind`` over the QNTN LANs.
@@ -223,11 +208,6 @@ def build_engine(
             kinds consume the same compiled plane.
         attribute_denials: decide the canonical cause of every denial
             while serving it (``NetworkSimulator(attribute_denials=)``).
-        window: incremental-advance chunk size in ephemeris samples.
-            ``None`` keeps the eager full-horizon precompute. When set,
-            the ``cached`` link-state series extends lazily as the time
-            cursor advances (identical results, lower time-to-first-
-            request); ``direct`` evaluates per request and ignores it.
         strategy: optional
             :class:`~repro.routing.strategies.StrategyConfig` mounting
             the multipath router behind the engine (``--router
@@ -260,7 +240,6 @@ def build_engine(
         epsilon=epsilon,
         use_cache=(kind == "cached"),
         faults=plane,
-        linkstate_window=window if kind == "cached" else None,
         strategy=router,
         attribute_denials=attribute_denials,
     )

@@ -453,7 +453,6 @@ class ServeServer:
             "uptime_s": time.monotonic() - self._created_at,
             "time_cursor_s": self.time_cursor_s,
             "cursor_advances": self.n_cursor_advances,
-            "window": self.engine.window,
             "engine_cursor": self.engine.cursor_info(),
             "window_s": LIVE_WINDOW_S,
             "counts": {

@@ -61,7 +61,6 @@ def serve_stream_sharded(
     attribute_denials: bool = True,
     faults: Any = None,
     queue_depth: int = 1024,
-    window: int | None = None,
     strategy: Any = None,
 ) -> list[ServeOutcome]:
     """Replay a timestamped request stream across worker processes.
@@ -79,10 +78,6 @@ def serve_stream_sharded(
             (each worker compiles the identical plane) or a compiled
             ``FaultPlane``.
         queue_depth: per-tenant admission queue size inside each worker.
-        window: incremental-advance chunk size forwarded to each
-            worker's :func:`~repro.serve.engine.build_engine`; a worker
-            only fills link state over the samples its block actually
-            visits.
         strategy: optional
             :class:`~repro.routing.strategies.StrategyConfig`; every
             worker mounts an identical multipath router. Rescue
@@ -111,7 +106,6 @@ def serve_stream_sharded(
         epsilon=epsilon,
         fidelity_convention=fidelity_convention,
         attribute_denials=attribute_denials,
-        window=window,
         strategy=strategy,
     )
     return run_shards(work, ephemeris, requests, n_workers=n_workers, n_shards=n_shards)

@@ -77,12 +77,10 @@ def render_dashboard(status: Mapping[str, Any], *, url: str = "") -> str:
         header += f" - {url}"
     lines.append(header)
     lines.append("=" * max(len(header), 60))
-    fill = status.get("window")
     engine_cursor = status.get("engine_cursor") or {}
     t_index = engine_cursor.get("t_index")
     lines.append(
         f"engine {status.get('engine', '?')} | "
-        f"window {fill if fill is not None else 'full'} | "
         f"uptime {_fmt_s(status.get('uptime_s'))} s | "
         f"cursor {_fmt_s(status.get('time_cursor_s'))} s"
         + (f" @ sample {t_index}" if t_index is not None else "")

@@ -81,6 +81,24 @@ class TestGraphEquivalence:
         graph = sat_cache.graph_at_index(0)
         assert set(graph) == set(sat_network.host_names)
 
+    def test_satellite_to_mobile_platform_rejected(self):
+        """A satellite paired with a moving host that is not a satellite
+        has no vectorized distance: the build refuses the channel instead
+        of pricing it from the host's first position."""
+
+        class DriftingHAP(HAP):
+            @property
+            def is_mobile(self) -> bool:
+                return True
+
+        eph = generate_movement_sheet(qntn_constellation(6), duration_s=1800.0, step_s=300.0)
+        network = build_qntn_ground_network()
+        attach_satellites(network, eph, paper_satellite_fso())
+        network.add_host(DriftingHAP(name="hap-drift"))
+        network.connect("sat-000", "hap-drift", paper_isl_fso())
+        with pytest.raises(ValidationError, match="hap-drift"):
+            LinkStateCache(network)
+
 
 class TestTimeIndexing:
     def test_time_index_clamps(self, sat_cache, small_ephemeris):
@@ -155,16 +173,6 @@ class TestAdvanceIndex:
         )
         for t in queries:
             assert cache.advance_index(float(t)) == cache.time_index(float(t))
-
-    def test_windowed_cursor_fills_lazily(self, sat_network):
-        cache = LinkStateCache(sat_network, window=8)
-        k = cache.advance_index(float(cache.times_s[3]))
-        assert k == 3
-        # advance_index only moves the cursor; the physics fill happens
-        # at first graph access, one window at a time.
-        assert cache._built_upto == 0
-        cache.graph_at_index(k)
-        assert cache._built_upto == 8
 
 
 class TestRoutingMemoization:

@@ -9,7 +9,7 @@ grouped per site and moved after the rest), one usable-bit/``eta``
 lookup per channel. The array path must reproduce it exactly — floats,
 neighbour insertion order, flat CSR adjacency — on the 108-satellite day
 and on a hybrid network whose HAP flies a duty cycle, healthy and under
-the committed example fault schedule, eager and windowed.
+the committed example fault schedule.
 """
 
 from pathlib import Path
@@ -32,7 +32,7 @@ EXAMPLE_FAULTS = Path(__file__).parents[2] / "benchmarks" / "results" / "example
 #: Samples whose edge keys are compared pairwise.
 PAIR_WINDOW = 48
 #: Horizon of the per-sample checks: half the 120 s day, all of the 2 h
-#: grid (windowed fault fills cost ~0.1 s per window on the day).
+#: grid.
 HORIZON = 360
 
 
@@ -102,9 +102,9 @@ def faults(request):
     return None if request.param == "healthy" else example_plane()
 
 
-@pytest.fixture(scope="module", params=[None, 7], ids=["eager", "window"])
+@pytest.fixture(scope="module", params=["eager"])  # the id keeps test ids stable
 def cache(request, network, faults):
-    return LinkStateCache(network, faults=faults, window=request.param)
+    return LinkStateCache(network, faults=faults)
 
 
 def sampled(cache):

@@ -7,7 +7,7 @@ the ``direct`` oracle re-evaluates every candidate channel through the
 scalar object model. The two must name the identical cause for every
 strict denial — exactly, with no tolerance at gate boundaries — on the
 108-satellite day, healthy and under the committed example fault
-schedule, with eager and windowed caches, and on a hybrid network
+schedule, and on a hybrid network
 whose HAP flies a duty cycle.
 
 With attribution on, the simulator decides the cause while it serves
@@ -54,9 +54,9 @@ def oracle(faults, day_ephemeris_108):
     return cause
 
 
-@pytest.mark.parametrize("window", [None, 7], ids=["eager", "window"])
+@pytest.mark.parametrize("build", ["eager"])  # the id keeps test ids stable
 def test_cached_causes_equal_the_scalar_cascade(
-    window, faults, oracle, day_ephemeris_108, day_stream_108
+    build, faults, oracle, day_ephemeris_108, day_stream_108
 ):
     """Every strict denial (the cached == direct suites pin that both
     engines deny the same requests) gets the oracle's cause."""
@@ -64,7 +64,6 @@ def test_cached_causes_equal_the_scalar_cascade(
         "cached",
         day_ephemeris_108,
         faults=faults,
-        window=window,
         attribute_denials=False,
     )
     sim = engine.simulator
@@ -79,10 +78,10 @@ def test_cached_causes_equal_the_scalar_cascade(
 
 
 @pytest.mark.parametrize("attribute", [True, False], ids=["attributed", "unattributed"])
-@pytest.mark.parametrize("window", [None, 7], ids=["eager", "window"])
+@pytest.mark.parametrize("build", ["eager"])  # the id keeps test ids stable
 @pytest.mark.parametrize("shape", ["submit", "batch"])
 def test_causes_decided_while_serving(
-    shape, window, attribute, faults, oracle, day_ephemeris_108, day_stream_108
+    shape, build, attribute, faults, oracle, day_ephemeris_108, day_stream_108
 ):
     """The outcome's own cause is the oracle's with attribution on, and
     ``None`` with it off (no strategy runs, so no denial is the
@@ -91,7 +90,6 @@ def test_causes_decided_while_serving(
         "cached",
         day_ephemeris_108,
         faults=faults,
-        window=window,
         attribute_denials=attribute,
     )
     if shape == "submit":

@@ -3,7 +3,8 @@
 Covers construction, outcome shape and identity preservation, denial
 attribution on/off, the monotonic time cursor
 (:meth:`LinkStateCache.advance_index`) against the plain bisection rule,
-and :func:`outcomes_equal` semantics.
+the phase spans a profiled stream records, and :func:`outcomes_equal`
+semantics.
 """
 
 import dataclasses
@@ -101,6 +102,21 @@ class TestTimeCursor:
             expected = self._reference(times, float(t))
             assert linkstate.advance_index(float(t)) == expected
             assert linkstate.time_index(float(t)) == expected
+
+
+class TestPhaseSpans:
+    def test_stream_attributes_phases(self, small_ephemeris, aligned_stream, telemetry):
+        """A profiled stream records time under propagate, serve and
+        serve/route, one serve span per request."""
+        engine = build_engine("cached", small_ephemeris)
+        for request in aligned_stream:
+            engine.advance_to(request.t_s)
+            engine.submit(request)
+        paths = telemetry.events.span_profile()
+        assert "propagate" in paths
+        assert "serve" in paths
+        assert "serve/route" in paths
+        assert paths["serve"]["count"] == len(aligned_stream)
 
 
 class TestServeBatch:

@@ -48,7 +48,10 @@ class TestRenderDashboard:
     def test_one_screen_layout(self):
         frame = render_dashboard(STATUS, url="http://x/status")
         assert "repro top - http://x/status" in frame
-        assert "engine cached | window full" in frame
+        assert (
+            "engine cached | uptime 12.5 s | cursor 4200 s (37 advances) | faults 2"
+            in frame
+        )
         assert "submitted 100  served 80  denied 15  shed 5" in frame
         assert "80.00 % of completed" in frame
         assert "rates (last 60 s)" in frame

@@ -648,7 +648,6 @@ class TestServeLiveFlags:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--window", "-3"),
             ("--tenants", "0"),
             ("--rate", "-1"),
             ("--step", "0"),
@@ -660,6 +659,13 @@ class TestServeLiveFlags:
         err = capsys.readouterr().err
         assert err.startswith("repro serve: ")
         assert "Traceback" not in err
+
+    def test_window_flag_is_unrecognised(self, capsys):
+        """The link state fills once at construction: no advance window."""
+        with pytest.raises(SystemExit) as exc:
+            main(self._SERVE + ["--window", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window 7" in capsys.readouterr().err
 
 
 class TestTopCommand:
