@@ -17,7 +17,9 @@ gate but the threshold, so the k-shortest rescue's relaxed graph is
 snapshots and shortest-path routing trees
 (:meth:`FlatGraph.tree <repro.routing.bellman_ford.FlatGraph.tree>`,
 Dijkstra over a CSR adjacency on the paper's ``1/(eta + eps)`` metric)
-are memoized per time index; trees are keyed on the weighted
+are memoized per time index; each edge set's CSR adjacency is a gather
+of one :class:`~repro.routing.bellman_ford.RoutingCSR` over every
+column, built and validated at construction. Trees are keyed on the weighted
 feasible-edge set (a row's usable columns and their etas, as bytes), so
 timesteps whose usable links (and etas) are identical — every timestep
 of a fiber/HAP network, and frozen periods of a satellite pass — share
@@ -50,7 +52,7 @@ from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
 from repro.orbits.visibility import ELEVATED, OPEN, VISIBLE, geometry_gates
-from repro.routing.bellman_ford import BellmanFordResult, FlatGraph
+from repro.routing.bellman_ford import BellmanFordResult, FlatGraph, RoutingCSR
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,7 +104,8 @@ class LinkStateCache:
 
     Raises:
         ValidationError: for a channel between a satellite and a mobile
-            host that is not a satellite (no vectorized distance for it).
+            host that is not a satellite (no vectorized distance for it),
+            or a stored eta outside [0, 1] (the routing CSR's checks).
     """
 
     def __init__(
@@ -121,14 +124,10 @@ class LinkStateCache:
         self.times_s = self._resolve_grid(times_s)
         self._times_list: list[float] = self.times_s.tolist()
         self._host_names = list(network.host_names)
-        #: denial attribution: every non-ground host's slot in a gate
-        #: vector (see :meth:`denial_gates`).
-        self._platform_slot = {
-            host.name: i
-            for i, host in enumerate(
-                h for h in network.hosts() if h.kind != "ground"
-            )
-        }
+        #: denial attribution: every non-ground host in host order; its
+        #: index is its slot in a gate vector (see :meth:`platform_verdicts`).
+        self._platform_names = [h.name for h in network.hosts() if h.kind != "ground"]
+        self._platform_slot = {name: i for i, name in enumerate(self._platform_names)}
         #: per ground site, a (2, n) int array: its ground-to-platform
         #: columns, then each column's platform slot. The build collects
         #: (column, slot) pairs; ``__init__`` converts them.
@@ -146,11 +145,9 @@ class LinkStateCache:
             site: np.array(pairs, dtype=np.intp).reshape(-1, 2).T
             for site, pairs in self._site_columns.items()
         }
-        index = {name: i for i, name in enumerate(self._host_names)}
-        #: endpoints of each column as indices into ``_host_names``.
-        self._ends = np.array(
-            [(index[a], index[b]) for a, b in self._pairs], dtype=np.intp
-        ).reshape(-1, 2)
+        #: every column as an edge both ways, validated once with every
+        #: stored eta; each edge set's routing graph is a gather of it.
+        self._csr = RoutingCSR(self._host_names, self._pairs, self._eta, epsilon)
         #: graph and edge-key memos: strict rows by grid sample ``k``,
         #: rows at another threshold by ``(k, eta_min)``.
         self._graphs: dict[int | tuple[int, float], LinkGraph] = {}
@@ -380,7 +377,13 @@ class LinkStateCache:
         resolves to index 0 (the grid's state is held backwards in time),
         and any ``t_s`` at or past the last sample resolves to the final
         index — out-of-range queries never raise.
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN (it orders before or
+                after no sample).
         """
+        if t_s != t_s:
+            raise ValidationError("time must not be NaN")
         idx = bisect_right(self._times_list, t_s) - 1
         return min(max(idx, 0), self.n_times - 1)
 
@@ -400,7 +403,8 @@ class LinkStateCache:
         0 and queries at or beyond the last sample clamp to (and park
         the cursor at) the final index. Non-monotonic call sequences are
         therefore safe — only the fast path, not correctness, assumes
-        forward motion.
+        forward motion. A NaN fails the fast path's comparisons and
+        raises in :meth:`time_index`.
 
         The ``propagate`` span covers only a move of the cursor to a
         later sample, so a profile counts one activation per sample
@@ -480,27 +484,20 @@ class LinkStateCache:
             key = self._keys[memo] = cols.tobytes() + etas.tobytes()
         return key
 
-    def _flat_graph(self, k: int, eta_min: float | None = None) -> FlatGraph:
-        """:class:`FlatGraph` of grid sample ``k``, built from its row
-        (admitted at ``eta_min`` when given, as :meth:`_row`).
+    def _flat_graph(self, key: EdgeKey) -> FlatGraph:
+        """:class:`FlatGraph` of a weighted edge set: the routing CSR
+        gathered at the key's columns, with the key's etas.
 
-        Each admitted column is an edge both ways; sorting the directed
-        edges by (tail host, column) groups them by tail, as the CSR
-        adjacency needs, and keeps each node's neighbours in the dict's
-        order, so the result equals
-        ``FlatGraph(self.graph_at_index(k, eta_min))``.
+        The columns and etas are read back from the key's bytes, so a
+        sample's row is read once, by :meth:`edge_key`. The CSR orders
+        each node's neighbours by column, so the result equals
+        ``FlatGraph(self.graph_at_index(k, eta_min))`` for any sample
+        ``k`` with this key.
         """
-        cols, etas = self._row(k, eta_min)
-        a, b = self._ends[cols, 0], self._ends[cols, 1]
-        tails = np.concatenate((a, b))
-        order = np.lexsort((np.concatenate((cols, cols)), tails))
-        return FlatGraph.from_arrays(
-            self._host_names,
-            tails[order],
-            np.concatenate((b, a))[order],
-            np.concatenate((etas, etas))[order],
-            self.epsilon,
-        )
+        n = len(key) // (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
+        cols = np.frombuffer(key, dtype=np.intp, count=n)
+        etas = np.frombuffer(key, dtype=float, offset=cols.nbytes)
+        return self._csr.graph(cols, etas)
 
     def flat_graph_at_index(self, k: int, eta_min: float | None = None) -> FlatGraph:
         """:class:`FlatGraph` of grid sample ``k`` (admitted at
@@ -511,7 +508,7 @@ class LinkStateCache:
         key = self.edge_key(k, eta_min)
         flat = self._flat.get(key)
         if flat is None:
-            flat = self._flat[key] = self._flat_graph(k, eta_min)
+            flat = self._flat[key] = self._flat_graph(key)
         return flat
 
     def routing_tree(self, t_s: float, source: str) -> BellmanFordResult:
@@ -548,36 +545,63 @@ class LinkStateCache:
 
     # --- denial attribution ---------------------------------------------------
 
+    def platform_verdicts(
+        self, source: str, destination: str, k: int
+    ) -> tuple[list[str], np.ndarray] | None:
+        """Per-platform gate verdicts of two ground sites at grid sample ``k``.
+
+        Returns the platforms with a channel to both sites, in host
+        order, and one ``(visible, elevation_ok, healthy, usable)`` bool
+        row each, true where both channels pass that gate — the
+        per-platform checks :meth:`NetworkSimulator._attribute_denial`
+        otherwise makes with scalar channel evaluations, read here from
+        the stored gate bytes: each site's ground-to-platform columns
+        are scattered into one vector per platform slot and the two
+        vectors ANDed. ``None`` when an endpoint is not a ground site
+        (the caller then runs the scalar cascade).
+        """
+        if source not in self._site_columns or destination not in self._site_columns:
+            return None
+        row = self._gates[k]
+        both = np.full(len(self._platform_names), 0xFF, dtype=np.uint8)
+        linked = np.ones(both.size, dtype=bool)
+        for site in (source, destination):
+            cols, slots = self._site_columns[site]
+            gates = np.zeros_like(both)
+            gates[slots] = row[cols]
+            both &= gates
+            has = np.zeros_like(linked)
+            has[slots] = True
+            linked &= has
+        slots = np.flatnonzero(linked)
+        both = both[slots]
+        elevated = VISIBLE | ELEVATED
+        verdicts = np.stack(
+            (
+                (both & VISIBLE) != 0,
+                (both & elevated) == elevated,
+                (both & HEALTHY) != 0,
+                (both & USABLE) != 0,
+            ),
+            axis=1,
+        )
+        return [self._platform_names[i] for i in slots.tolist()], verdicts
+
     def denial_gates(
         self, source: str, destination: str, k: int
     ) -> tuple[bool, bool, bool, bool] | None:
         """The denial cause cascade's gates at grid sample ``k``.
 
         Returns ``(visible, elevation_ok, healthy_usable, usable)``, each
-        true when some platform passes that gate at both endpoints — the
-        per-platform checks :meth:`NetworkSimulator._attribute_denial`
-        makes with scalar channel evaluations, read here from the gate
-        bytes the build stored: each endpoint's ground-to-platform
-        columns are scattered into one vector per platform slot and the
-        two vectors ANDed. ``None`` when an endpoint is not a ground site
-        (the caller then runs the scalar cascade).
+        true when some platform passes that gate at both endpoints
+        (:meth:`platform_verdicts`). ``None`` when an endpoint is not a
+        ground site.
         """
-        if source not in self._site_columns or destination not in self._site_columns:
+        found = self.platform_verdicts(source, destination, k)
+        if found is None:
             return None
-        row = self._gates[k]
-        both = np.full(len(self._platform_slot), 0xFF, dtype=np.uint8)
-        for site in (source, destination):
-            cols, slots = self._site_columns[site]
-            gates = np.zeros_like(both)
-            gates[slots] = row[cols]
-            both &= gates
-        elevated = VISIBLE | ELEVATED
-        return (
-            bool((both & VISIBLE).any()),
-            bool(((both & elevated) == elevated).any()),
-            bool((both & HEALTHY).any()),
-            bool((both & USABLE).any()),
-        )
+        visible, elevated, healthy, usable = found[1].any(axis=0).tolist()
+        return visible, elevated, healthy, usable
 
     # --- diagnostics --------------------------------------------------------
 

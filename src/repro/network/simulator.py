@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import obs
 from repro.engine.linkstate import LinkStateCache
 from repro.errors import NoPathError, UnknownHostError, ValidationError
@@ -215,7 +217,12 @@ class NetworkSimulator:
         return self._linkstate
 
     def link_graph(self, t_s: float) -> LinkGraph:
-        """Usable-link adjacency at ``t_s`` (memoised per time stamp)."""
+        """Usable-link adjacency at ``t_s`` (memoised per time stamp).
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+        """
+        _check_time(t_s)
         if self.use_cache:
             return self.linkstate.graph(t_s)
         return self._direct_graph(t_s, self.policy)
@@ -298,17 +305,71 @@ class NetworkSimulator:
     ) -> tuple[DenialCause, list[dict], dict[str, int]]:
         """Cause cascade over the candidate uplink platforms at ``t_s``.
 
-        Evaluates every platform's channels to both endpoints under the
-        simulator's policy and folds the per-gate outcomes into exactly
-        one canonical :class:`~repro.obs.trace.DenialCause`. It is the
-        ``direct`` engine's cause oracle and a flight record's
-        candidate detail; the ``cached`` engine runs it only for
-        recorded denials.
+        Judges every platform with channels to both endpoints — visible,
+        elevation, healthy and usable at both ends — and folds the
+        verdicts into exactly one canonical
+        :class:`~repro.obs.trace.DenialCause`; the first
+        ``max_candidates`` visible platforms become the flight record's
+        candidate detail, their eta and elevation from scalar channel
+        evaluations. With the cache on and two ground endpoints the
+        verdicts are the link state's gate bytes at the request's grid
+        sample (:meth:`~repro.engine.linkstate.LinkStateCache.platform_verdicts`);
+        otherwise every channel is evaluated, the scalar cascade the
+        ``direct`` engine decides causes with and the cached verdicts
+        are tested against.
         """
+        found = None
+        if self.use_cache:
+            ls = self.linkstate
+            found = ls.platform_verdicts(source, destination, ls.advance_index(t_s))
+        platforms, verdicts = found or self._scalar_verdicts(source, destination, t_s)
+        visible, elev_ok, healthy, usable = verdicts.sum(axis=0, dtype=int).tolist()
+        candidates: list[dict] = []
+        for i in np.flatnonzero(verdicts[:, 0])[:max_candidates].tolist():
+            _, elev, healthy_i, usable_i = verdicts[i].tolist()
+            st_s = self.network.channel_between(source, platforms[i]).evaluate(t_s, self.policy)
+            st_d = self.network.channel_between(destination, platforms[i]).evaluate(
+                t_s, self.policy
+            )
+            entry = {
+                "platform": platforms[i],
+                "eta_src": st_s.transmissivity,
+                "eta_dst": st_d.transmissivity,
+                "elevation_src_rad": st_s.elevation_rad,
+                "elevation_dst_rad": st_d.elevation_rad,
+                "visible": True,
+                "elevation_ok": elev,
+                "usable": usable_i,
+            }
+            if self.faults is not None:
+                entry["faulted"] = healthy_i and not usable_i
+            candidates.append(entry)
+        cause = classify_denial(
+            visible > 0,
+            elev_ok > 0,
+            healthy > 0,
+            fault_blocked=healthy > 0 and usable == 0,
+        )
+        counts = {
+            "platforms": len(platforms),
+            "visible": visible,
+            "elevation_ok": elev_ok,
+            "usable": usable,
+        }
+        if self.faults is not None:
+            counts["healthy_usable"] = healthy
+        return cause, candidates, counts
+
+    def _scalar_verdicts(
+        self, source: str, destination: str, t_s: float
+    ) -> tuple[list[str], np.ndarray]:
+        """Platforms with channels to both endpoints, in host order, and
+        their ``(visible, elevation_ok, healthy, usable)`` verdicts, one
+        bool row each, from scalar channel evaluations at ``t_s``."""
         min_el = self.policy.min_elevation_rad
         faults = self.faults
-        candidates: list[dict] = []
-        n_platforms = n_visible = n_elev = n_usable = n_healthy = 0
+        platforms: list[str] = []
+        verdicts: list[tuple[bool, bool, bool, bool]] = []
         for platform in self.network.hosts():
             if platform.kind == "ground":
                 continue
@@ -316,7 +377,6 @@ class NetworkSimulator:
             ch_d = self.network.channel_between(destination, platform.name)
             if ch_s is None or ch_d is None:
                 continue
-            n_platforms += 1
             st_s = ch_s.evaluate(t_s, self.policy)
             st_d = ch_d.evaluate(t_s, self.policy)
             visible = is_visible(st_s.elevation_rad) and is_visible(st_d.elevation_rad)
@@ -330,39 +390,9 @@ class NetworkSimulator:
                 _, ok_s = faults.apply_channel(ch_s, st_s, t_s, self.policy)
                 _, ok_d = faults.apply_channel(ch_d, st_d, t_s, self.policy)
                 usable = ok_s and ok_d
-            n_visible += visible
-            n_elev += elev_ok
-            n_healthy += healthy
-            n_usable += usable
-            if visible and len(candidates) < max_candidates:
-                entry = {
-                    "platform": platform.name,
-                    "eta_src": st_s.transmissivity,
-                    "eta_dst": st_d.transmissivity,
-                    "elevation_src_rad": st_s.elevation_rad,
-                    "elevation_dst_rad": st_d.elevation_rad,
-                    "visible": True,
-                    "elevation_ok": elev_ok,
-                    "usable": usable,
-                }
-                if faults is not None:
-                    entry["faulted"] = healthy and not usable
-                candidates.append(entry)
-        cause = classify_denial(
-            n_visible > 0,
-            n_elev > 0,
-            n_healthy > 0,
-            fault_blocked=n_healthy > 0 and n_usable == 0,
-        )
-        counts = {
-            "platforms": n_platforms,
-            "visible": n_visible,
-            "elevation_ok": n_elev,
-            "usable": n_usable,
-        }
-        if faults is not None:
-            counts["healthy_usable"] = n_healthy
-        return cause, candidates, counts
+            platforms.append(platform.name)
+            verdicts.append((bool(visible), bool(elev_ok), bool(healthy), bool(usable)))
+        return platforms, np.array(verdicts, dtype=bool).reshape(-1, 4)
 
     def _record_flight(
         self,
@@ -622,7 +652,12 @@ class NetworkSimulator:
     # --- connectivity queries ----------------------------------------------------
 
     def lans_connected(self, lan_a: str, lan_b: str, t_s: float) -> bool:
-        """Whether some node pair across two LANs has a usable route."""
+        """Whether some node pair across two LANs has a usable route.
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+        """
+        _check_time(t_s)
         members = self.network.local_networks
         sources = members.get(lan_a, [])
         targets = set(members.get(lan_b, []))
@@ -635,7 +670,12 @@ class NetworkSimulator:
         return any(tree.reachable(t) for t in targets)
 
     def all_lans_connected(self, t_s: float) -> bool:
-        """Paper coverage condition: every LAN pair connected at ``t_s``."""
+        """Paper coverage condition: every LAN pair connected at ``t_s``.
+
+        Raises:
+            ValidationError: if ``t_s`` is NaN or infinite.
+        """
+        _check_time(t_s)
         lans = list(self.network.local_networks)
         for i, a in enumerate(lans):
             for b in lans[i + 1 :]:

@@ -12,6 +12,17 @@ Two parts:
   adjacency. All edge costs are positive, so it returns Algorithm 1's
   optimal costs; the test suite checks both agree. The tree gives each
   path and its end-to-end eta (:meth:`BellmanFordResult.eta_to`).
+
+A :class:`RoutingCSR` holds every edge a family of graphs draws from
+(the link-state cache's channels), validated once; each member graph is
+a gather of it.
+
+Memoized routing state stays out of the cyclic garbage collector's
+walks: a tree's ``flat_costs``/``flat_edges`` and a graph's ``_tails``/
+``_etas`` are tuples of floats and ints. Such a tuple holds no
+container, so the collector stops tracking it at its first pass, and
+path walks index it at list speed (a NumPy scalar read costs ~5x that,
+on every hop of every served request).
 """
 
 from __future__ import annotations
@@ -32,8 +43,35 @@ __all__ = [
     "bellman_ford",
     "BellmanFordResult",
     "FlatGraph",
+    "RoutingCSR",
     "build_routing_tables",
 ]
+
+
+def _check_edges(n: int, tails: np.ndarray, heads: np.ndarray, epsilon: float) -> None:
+    """The edge-list checks: integer endpoints inside ``[0, n)``, tails
+    nondecreasing, ``epsilon`` positive."""
+    if not (
+        np.issubdtype(tails.dtype, np.integer)
+        and np.issubdtype(heads.dtype, np.integer)
+    ):
+        raise ValidationError("tails and heads must be integer arrays")
+    if (tails[1:] < tails[:-1]).any():
+        raise ValidationError("tails must be nondecreasing")
+    if tails.size and (
+        min(tails[0], heads.min()) < 0 or max(tails[-1], heads.max()) >= n
+    ):
+        raise ValidationError(f"edge endpoint outside [0, {n})")
+    if epsilon <= 0.0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+
+
+def _check_etas(etas: np.ndarray) -> None:
+    """Every transmissivity finite and in [0, 1] (a NaN makes ``min``
+    and ``max`` NaN, which fails both comparisons)."""
+    if etas.size and not (etas.min() >= 0.0 and etas.max() <= 1.0):
+        bad = ~((etas >= 0.0) & (etas <= 1.0))
+        raise ValidationError(f"transmissivity must be in [0, 1], got {etas[bad][0]}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +88,8 @@ class BellmanFordResult:
     """
 
     source: str
-    flat_costs: list[float]
-    flat_edges: list[int]
+    flat_costs: tuple[float, ...]
+    flat_edges: tuple[int, ...]
     graph: "FlatGraph" = field(compare=False)
 
     @property
@@ -123,13 +161,19 @@ class FlatGraph:
     """CSR rendering of a :data:`LinkGraph` for repeated trees.
 
     Nodes become integer indices; node ``u``'s out-edges are positions
-    ``_offsets[u]:_offsets[u + 1]`` of the edge arrays ``_tails`` (``u``),
-    ``_heads``, ``_etas`` and ``_costs`` (``1/(eta + eps)``), in the
-    dict's neighbour order. The conversion — one :func:`edge_cost` per
-    directed edge — is paid once per graph snapshot; :meth:`tree` and
-    Yen's spur searches (:mod:`repro.routing.yen`) then route over it.
-    :meth:`from_arrays` takes the edge list as arrays instead of a dict,
-    for callers that hold link state in columns.
+    ``_offsets[u]:_offsets[u + 1]`` of the edge sequences ``_tails``
+    (``u``), ``_heads``, ``_etas`` and ``_costs`` (``1/(eta + eps)``),
+    in the dict's neighbour order. :meth:`tree` and Yen's spur searches
+    (:mod:`repro.routing.yen`) route over it. The sequences Dijkstra
+    reads per edge (``_offsets``, ``_heads``, ``_costs``) are lists;
+    ``_tails`` and ``_etas``, read only by path walks, are tuples the
+    collector untracks (see the module notes).
+
+    Three constructors: the dict graph (one :func:`edge_cost` per
+    directed edge); :meth:`from_arrays`, for an edge list held in
+    arrays, validated per call; and :meth:`RoutingCSR.graph`, which
+    gathers a subset of a once-validated edge list and shares its node
+    list and name index.
     """
 
     __slots__ = ("nodes", "_index", "_offsets", "_tails", "_heads", "_etas", "_costs")
@@ -138,14 +182,37 @@ class FlatGraph:
         self.nodes = list(graph)
         self._index = index = {name: i for i, name in enumerate(self.nodes)}
         self._offsets = [0]
-        self._tails, self._heads, self._etas, self._costs = [], [], [], []
+        tails, self._heads, etas, self._costs = [], [], [], []
         for u, neighbors in enumerate(graph.values()):
             for v, eta in neighbors.items():
-                self._tails.append(u)
+                tails.append(u)
                 self._heads.append(index[v])
-                self._etas.append(eta)
+                etas.append(eta)
                 self._costs.append(edge_cost(eta, epsilon))
             self._offsets.append(len(self._heads))
+        self._tails, self._etas = tuple(tails), tuple(etas)
+
+    @classmethod
+    def _assemble(
+        cls,
+        nodes: list[str],
+        index: dict[str, int],
+        offsets: np.ndarray,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        etas: np.ndarray,
+        epsilon: float,
+    ) -> "FlatGraph":
+        """A graph over checked arrays: costs are :func:`edge_cost`
+        vectorized, the same floats as the dict constructor's."""
+        flat = cls.__new__(cls)
+        flat.nodes, flat._index = nodes, index
+        flat._offsets = offsets.tolist()
+        flat._tails = tuple(tails.tolist())
+        flat._heads = heads.tolist()
+        flat._etas = tuple(etas.tolist())
+        flat._costs = (1.0 / (etas + epsilon)).tolist()
+        return flat
 
     @classmethod
     def from_arrays(
@@ -162,7 +229,9 @@ class FlatGraph:
         ``tails`` must be nondecreasing; edges sharing a tail keep their
         given order as that node's neighbour order. Costs are
         :func:`edge_cost` vectorized, with the same checks: the same
-        floats as the dict constructor for the same edge list.
+        floats as the dict constructor for the same edge list. Every
+        call validates its arrays; graphs drawn from one fixed edge list
+        are cheaper as :meth:`RoutingCSR.graph` gathers.
 
         Raises:
             ValidationError: for arrays of unequal length, a node index
@@ -170,7 +239,7 @@ class FlatGraph:
                 outside [0, 1] (or not finite) or a non-positive
                 ``epsilon``.
         """
-        n = len(nodes)
+        nodes = list(nodes)
         tails, heads = np.asarray(tails), np.asarray(heads)
         etas = np.asarray(etas, dtype=float)
         if not tails.shape == heads.shape == etas.shape or tails.ndim != 1:
@@ -178,33 +247,17 @@ class FlatGraph:
                 "tails, heads and etas must be 1-D arrays of one length, got "
                 f"shapes {tails.shape}, {heads.shape}, {etas.shape}"
             )
-        if not (
-            np.issubdtype(tails.dtype, np.integer)
-            and np.issubdtype(heads.dtype, np.integer)
-        ):
-            raise ValidationError("tails and heads must be integer arrays")
-        if (tails[1:] < tails[:-1]).any():
-            raise ValidationError("tails must be nondecreasing")
-        if tails.size and (
-            min(tails[0], heads.min()) < 0 or max(tails[-1], heads.max()) >= n
-        ):
-            raise ValidationError(f"edge endpoint outside [0, {n})")
-        bad = ~((etas >= 0.0) & (etas <= 1.0))
-        if bad.any():
-            raise ValidationError(
-                f"transmissivity must be in [0, 1], got {etas[bad][0]}"
-            )
-        if epsilon <= 0.0:
-            raise ValidationError(f"epsilon must be positive, got {epsilon}")
-        flat = cls.__new__(cls)
-        flat.nodes = list(nodes)
-        flat._index = {name: i for i, name in enumerate(flat.nodes)}
-        flat._offsets = np.searchsorted(tails, np.arange(n + 1)).tolist()
-        flat._tails = tails.tolist()
-        flat._heads = heads.tolist()
-        flat._etas = etas.tolist()
-        flat._costs = (1.0 / (etas + epsilon)).tolist()
-        return flat
+        _check_edges(len(nodes), tails, heads, epsilon)
+        _check_etas(etas)
+        return cls._assemble(
+            nodes,
+            {name: i for i, name in enumerate(nodes)},
+            np.searchsorted(tails, np.arange(len(nodes) + 1)),
+            tails,
+            heads,
+            etas,
+            epsilon,
+        )
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
@@ -242,7 +295,76 @@ class FlatGraph:
                     cost[v] = candidate
                     pred[v] = e
                     push(heap, (candidate, v))
-        return BellmanFordResult(source, cost, pred, self)
+        return BellmanFordResult(source, tuple(cost), tuple(pred), self)
+
+
+class RoutingCSR:
+    """Every edge a family of graphs draws from, as one CSR validated
+    once; each member graph is a gather of it (:meth:`graph`).
+
+    Edge ``c`` joins ``pairs[c]`` both ways. The directed edges are
+    sorted by (tail node, ``c``), so a member's neighbour order is the
+    order a dict graph built by inserting its edges in ``c`` order has.
+    Construction runs :meth:`FlatGraph.from_arrays`' checks once: on
+    the directed edge list (endpoints named in ``nodes``, tails
+    nondecreasing, ``epsilon`` positive) and on ``etas``, every
+    transmissivity a member may carry (any shape, edge ``c`` along the
+    last axis). Members share the node list and the name index.
+
+    Raises:
+        ValidationError: for an endpoint not in ``nodes``, a
+            transmissivity outside [0, 1] (or not finite) or a
+            non-positive ``epsilon``.
+    """
+
+    __slots__ = ("nodes", "_index", "epsilon", "_offsets", "_tails", "_heads", "_position")
+
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        pairs: Sequence[tuple[str, str]],
+        etas: np.ndarray,
+        epsilon: float = DEFAULT_EPSILON,
+    ) -> None:
+        self.nodes = list(nodes)
+        self._index = index = {name: i for i, name in enumerate(self.nodes)}
+        ends = np.array(
+            [(index.get(a, -1), index.get(b, -1)) for a, b in pairs], dtype=np.intp
+        ).reshape(-1, 2)
+        # Directed edge c is a -> b, edge m + c is b -> a.
+        tails, heads = ends.T.ravel(), ends[:, ::-1].T.ravel()
+        order = np.lexsort((np.tile(np.arange(len(ends)), 2), tails))
+        self._tails, self._heads = tails[order], heads[order]
+        _check_edges(len(self.nodes), self._tails, self._heads, epsilon)
+        _check_etas(np.asarray(etas, dtype=float))
+        self.epsilon = epsilon
+        self._offsets = np.searchsorted(self._tails, np.arange(len(self.nodes) + 1))
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        #: CSR position of edge c's a -> b (row 0) and b -> a (row 1).
+        self._position = position.reshape(2, -1)
+
+    def graph(self, edges: np.ndarray, etas: np.ndarray) -> FlatGraph:
+        """The member graph holding ``edges`` (distinct edge indices)
+        with transmissivities ``etas``, taken from the validated array.
+
+        Gathers each edge's two CSR positions, sorts them (the static
+        order) and bisects the static node offsets for the member's;
+        equal to :meth:`FlatGraph.from_arrays` on the same directed
+        edges, without re-validating them.
+        """
+        position = self._position[:, edges].ravel()
+        order = position.argsort()
+        position = position[order]
+        return FlatGraph._assemble(
+            self.nodes,
+            self._index,
+            np.searchsorted(position, self._offsets),
+            self._tails[position],
+            self._heads[position],
+            np.concatenate((etas, etas))[order],
+            self.epsilon,
+        )
 
 
 def bellman_ford(

@@ -10,8 +10,13 @@ lookup per channel. The array path must reproduce it exactly — floats,
 neighbour insertion order, flat CSR adjacency — on the 108-satellite day
 and on a hybrid network whose HAP flies a duty cycle, healthy and under
 the committed example fault schedule.
+
+Each edge set's flat graph is a gather of the one routing CSR the cache
+builds at construction; the memo layout tests pin what it shares and
+that its memos stay out of the cyclic garbage collector.
 """
 
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +25,13 @@ import pytest
 from repro.channels.presets import paper_hap_fso, paper_satellite_fso
 from repro.engine import LinkStateCache
 from repro.engine.linkstate import USABLE
+from repro.errors import ValidationError
 from repro.faults import load_faults
 from repro.network.hap import HAP
 from repro.network.satellite import Satellite
 from repro.network.topology import attach_hap, attach_satellites, build_qntn_ground_network
 from repro.routing.bellman_ford import FlatGraph
+from repro.routing.strategies import StrategyConfig
 from repro.utils.intervals import Interval
 
 EXAMPLE_FAULTS = Path(__file__).parents[2] / "benchmarks" / "results" / "example_faults.json"
@@ -124,14 +131,73 @@ def test_graph_equals_the_per_channel_loop(cache):
             assert list(graph[node]) == list(neighbors), (k, node)
 
 
+EDGE_ARRAYS = ("_offsets", "_tails", "_heads", "_etas", "_costs")
+
+
 def test_array_built_flat_graph_equals_dict_built(cache):
-    for k in sampled(cache):
-        flat = cache._flat_graph(k)
-        reference = FlatGraph(cache.graph_at_index(k), cache.epsilon)
-        assert flat.nodes == reference.nodes
-        assert flat._offsets == reference._offsets, k
-        assert flat._heads == reference._heads, k
-        assert flat._costs == reference._costs, k
+    """The gathered graph of a row, strict and relaxed at the k-shortest
+    rescue's threshold, is the dict-built one: every edge array, floats
+    bit for bit."""
+    for eta_min in (None, StrategyConfig().eta_relax):
+        for k in sampled(cache):
+            flat = cache.flat_graph_at_index(k, eta_min)
+            reference = FlatGraph(cache.graph_at_index(k, eta_min), cache.epsilon)
+            assert flat.nodes == reference.nodes
+            for name in EDGE_ARRAYS:
+                assert getattr(flat, name) == getattr(reference, name), (eta_min, k, name)
+
+
+def test_memos_stay_out_of_the_cyclic_gc(cache):
+    """A tree's per-node values and a graph's per-edge values that path
+    walks read are tuples of atomic values, which the collector untracks
+    at its first pass; the node list and the name index are the routing
+    CSR's, shared by every graph."""
+    ks = sampled(cache)[:PAIR_WINDOW]
+    trees = [cache.routing_tree_at_index(k, "ttu-0") for k in ks]
+    graphs = [cache.flat_graph_at_index(k, StrategyConfig().eta_relax) for k in ks]
+    gc.collect()
+    for tree in trees:
+        assert not gc.is_tracked(tree.flat_costs)
+        assert not gc.is_tracked(tree.flat_edges)
+    for graph in graphs + [tree.graph for tree in trees]:
+        assert not gc.is_tracked(graph._tails)
+        assert not gc.is_tracked(graph._etas)
+        assert graph.nodes is cache._csr.nodes
+        assert graph._index is cache._csr._index
+
+
+class _Corrupted(LinkStateCache):
+    """A cache whose build leaves one bad value behind."""
+
+    def __init__(self, network, corrupt):
+        self._corrupt = corrupt
+        super().__init__(network, times_s=np.arange(0.0, 3600.0, 600.0))
+
+    def _build(self):
+        super()._build()
+        self._corrupt(self)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda c: c._eta.__setitem__((2, 5), np.nan), id="nan-eta"),
+        pytest.param(lambda c: c._eta.__setitem__((0, 0), 1.5), id="eta-above-one"),
+        pytest.param(lambda c: c._eta.__setitem__((3, 7), -0.1), id="negative-eta"),
+        pytest.param(
+            lambda c: c._pairs.__setitem__(4, ("ghost", c._pairs[4][1])), id="bad-endpoint"
+        ),
+    ],
+)
+def test_routing_csr_validates_at_construction(corrupt):
+    """The checks a per-set ``from_arrays`` build ran on each row run
+    once, at construction, over the static edge list and every stored
+    eta — admitted or not."""
+    network = build_qntn_ground_network()
+    attach_hap(network, HAP(), paper_hap_fso())
+    LinkStateCache(network, times_s=np.arange(0.0, 3600.0, 600.0))  # sound as built
+    with pytest.raises(ValidationError):
+        _Corrupted(network, corrupt)
 
 
 def test_edge_keys_partition_samples_like_graphs(cache):

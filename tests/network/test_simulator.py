@@ -84,6 +84,30 @@ def test_non_finite_request_time_rejected(kind, t_s, small_ephemeris):
         simulator.denial_cause("ttu-0", "ornl-0", t_s)
 
 
+@pytest.mark.parametrize("kind", ["cached", "direct"])
+@pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+def test_non_finite_query_time_rejected(kind, t_s, small_ephemeris):
+    # A NaN query time used to answer for the last grid sample on the
+    # cached engine (and build a graph on the direct one).
+    simulator = build_engine(kind, small_ephemeris).simulator
+    with pytest.raises(ValidationError):
+        simulator.link_graph(t_s)
+    with pytest.raises(ValidationError):
+        simulator.lans_connected("ttu", "epb", t_s)
+    with pytest.raises(ValidationError):
+        simulator.all_lans_connected(t_s)
+
+
+def test_link_state_time_index_rejects_nan(small_ephemeris):
+    linkstate = build_engine("cached", small_ephemeris).simulator.linkstate
+    for lookup in (linkstate.time_index, linkstate.advance_index, linkstate.graph):
+        with pytest.raises(ValidationError):
+            lookup(math.nan)
+    # Out-of-range finite and infinite times still clamp.
+    assert linkstate.time_index(-math.inf) == 0
+    assert linkstate.time_index(math.inf) == linkstate.n_times - 1
+
+
 class TestSatelliteService:
     def test_unserved_when_no_satellite_overhead(self, sat_simulator_small):
         """With only 12 satellites most instants have no relay available."""

@@ -156,3 +156,56 @@ def test_hap_duty_cycle_causes_equal_the_scalar_cascade(small_ephemeris):
     # The HAP is visible and elevated from every site: off duty it fails
     # the healthy-usable gate, downed on duty it is fault-blocked.
     assert {DenialCause.LOW_TRANSMISSIVITY, DenialCause.FAULT_OUTAGE} <= causes
+
+
+def assert_records_equal(cached, direct, pairs, times):
+    """Cause, candidate detail and counts of every pair at every time
+    are the scalar cascade's, floats bit for bit; returns the causes."""
+    causes, n_candidates = set(), 0
+    for t in times:
+        for source, destination in pairs:
+            got = cached._attribute_denial(source, destination, t, events.MAX_CANDIDATES)
+            expected = direct._attribute_denial(source, destination, t, events.MAX_CANDIDATES)
+            assert got == expected, (source, destination, t)
+            causes.add(got[0])
+            n_candidates += len(got[1])
+    assert n_candidates > 0
+    return causes
+
+
+def lan_head_pairs(network):
+    heads = [members[0] for members in network.local_networks.values()]
+    return [(a, b) for i, a in enumerate(heads) for b in heads[i + 1 :]]
+
+
+def test_cached_flight_detail_equals_the_scalar_cascade(day_ephemeris_108):
+    """The first hour of the 108-satellite day under the committed
+    fault schedule: the cached engine reads each platform's verdicts
+    from the gate bytes and evaluates only the candidates' channels."""
+    plane = load_faults(EXAMPLE_FAULTS).realize(seed=7, horizon_s=86400.0).compile()
+    cached = build_engine("cached", day_ephemeris_108, faults=plane).simulator
+    direct = build_engine("direct", day_ephemeris_108, faults=plane).simulator
+    times = [float(t) for t in day_ephemeris_108.times_s if t < 3600.0]
+    causes = assert_records_equal(cached, direct, lan_head_pairs(cached.network), times)
+    assert DenialCause.FAULT_OUTAGE in causes and len(causes) >= 2
+
+
+def test_cached_flight_detail_on_a_duty_cycled_hap(small_ephemeris):
+    plane = FaultSchedule(
+        events=(SatelliteOutage(900.0, 1500.0, satellite="hap-0"),)
+    ).compile()
+
+    def simulator(use_cache):
+        network = build_qntn_ground_network()
+        attach_satellites(network, small_ephemeris, paper_satellite_fso())
+        attach_hap(
+            network,
+            HAP(operational_windows=[Interval(0.0, 1800.0), Interval(3600.0, 5400.0)]),
+            paper_hap_fso(),
+        )
+        return NetworkSimulator(network, use_cache=use_cache, faults=plane)
+
+    cached, direct = simulator(True), simulator(False)
+    times = [float(t) for t in small_ephemeris.times_s]
+    causes = assert_records_equal(cached, direct, lan_head_pairs(cached.network), times)
+    assert {DenialCause.LOW_TRANSMISSIVITY, DenialCause.FAULT_OUTAGE} <= causes
