@@ -52,6 +52,9 @@ class Host:
         self.lon_deg = lon_deg
         self.alt_km = alt_km
         self.network = network
+        #: ``((lat_deg, lon_deg, alt_km), position)`` of the last
+        #: :meth:`position_ecef_km` computation.
+        self._ecef: tuple[tuple[float, float, float], np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -77,10 +80,16 @@ class Host:
     def position_ecef_km(self, t_s: float) -> np.ndarray:
         """ECEF position at simulation time ``t_s`` [km].
 
-        Stationary hosts ignore ``t_s``.
+        Stationary hosts ignore ``t_s``: the position is computed once
+        per coordinate triple and returned as a read-only array.
         """
         del t_s
-        return geodetic_to_ecef(self.lat_rad, self.lon_rad, self.alt_km)
+        key = (self.lat_deg, self.lon_deg, self.alt_km)
+        if self._ecef is None or self._ecef[0] != key:
+            position = geodetic_to_ecef(self.lat_rad, self.lon_rad, self.alt_km)
+            position.flags.writeable = False
+            self._ecef = (key, position)
+        return self._ecef[1]
 
     def altitude_km_at(self, t_s: float) -> float:
         """Altitude above the ellipsoid at ``t_s`` [km]."""

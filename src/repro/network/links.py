@@ -139,10 +139,9 @@ class QuantumChannel:
         pb = self.host_b.position_ecef_km(t_s)
         if self.kind is ChannelKind.FIBER or not self.is_ground_to_platform:
             return float(np.linalg.norm(pb - pa)), float("nan")
-        ground, platform = (
-            (self.host_a, pb) if self.host_a.kind == "ground" else (self.host_b, pa)
+        ground, site, platform = (
+            (self.host_a, pa, pb) if self.host_a.kind == "ground" else (self.host_b, pb, pa)
         )
-        site = ground.position_ecef_km(t_s)
         t = ecef_to_enu_matrix(ground.lat_rad, ground.lon_rad)
         _, el, rng = enu_to_azimuth_elevation(t @ (platform - site))
         return float(rng), float(el)

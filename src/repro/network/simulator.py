@@ -11,8 +11,7 @@ are replaced by this clocked evaluation; see DESIGN.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def _check_time(t_s: float) -> None:
         raise ValidationError(f"request time must be finite, got {t_s!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     """Result of one entanglement-distribution request.
 
     The one outcome record of both serving shapes: a streamed request's
@@ -93,8 +91,10 @@ class RequestOutcome:
 
     Carries no wall-clock latency and no engine label: the record is the
     *physics* answer, so streaming-vs-batch and serial-vs-sharded
-    comparisons are plain field equality. Slotted: a stream report
-    holds one per request.
+    comparisons are plain field equality. A tuple record: immutable,
+    hashable and picklable, and cheap to build — a stream report holds
+    one per request. Copy it with a field changed through
+    :meth:`_replace`.
     """
 
     source: str
@@ -406,14 +406,15 @@ class NetworkSimulator:
         eta_path: float = 0.0,
         fidelity: float | None = None,
         cause: str | None = None,
+        cascade: tuple[DenialCause, list[dict], dict[str, int]] | None = None,
     ) -> None:
         """Record one request's flight detail into trace ``flight``; empty
         path = denied. ``graph`` is the path's, read for its hop etas.
 
-        ``cause`` is the outcome's cause when serving decided one (the
-        strategy's rescue, or attribution on); otherwise the scalar
-        cascade names it. The cascade always supplies the candidate
-        detail.
+        A denial's ``cascade`` is :meth:`_attribute_denial`'s answer: it
+        supplies the candidate detail, and names the cause unless
+        serving decided one (``cause``: the strategy's rescue, or
+        attribution on).
         """
         attrs: dict = {
             "source": source,
@@ -429,9 +430,7 @@ class NetworkSimulator:
             attrs["path_eta"] = eta_path
             attrs["fidelity"] = fidelity
         else:
-            cascade_cause, candidates, counts = self._attribute_denial(
-                source, destination, t_s, events.MAX_CANDIDATES
-            )
+            cascade_cause, candidates, counts = cascade
             attrs["cause"] = cause or cascade_cause.value
             attrs["candidates"] = candidates
             attrs["candidate_counts"] = counts
@@ -557,11 +556,18 @@ class NetworkSimulator:
                 None, plan.n_paths, True, None, request_id, tenant,
             )
         cause = plan.cause if plan is not None else None
-        if cause is None and self.attribute_denials:
-            cause = self.denial_cause(source, destination, t_s).value
         _REQUESTS_DENIED.inc()
         if flight is not None:
-            self._record_flight(flight, None, source, destination, t_s, cause=cause)
+            # A recorded denial runs the cascade once: its verdicts give
+            # both the cause and the flight record's candidate detail.
+            cascade = self._attribute_denial(source, destination, t_s, events.MAX_CANDIDATES)
+            if cause is None and self.attribute_denials:
+                cause = cascade[0].value
+            self._record_flight(
+                flight, None, source, destination, t_s, cause=cause, cascade=cascade
+            )
+        elif cause is None and self.attribute_denials:
+            cause = self.denial_cause(source, destination, t_s).value
         return RequestOutcome(
             source, destination, t_s, False, (), 0.0, float("nan"), cause,
             1, False, None, request_id, tenant,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
@@ -158,7 +157,7 @@ class SimulatorServeEngine:
         with obs.span("serve"):
             raws = self.simulator.serve_requests([r.endpoints for r in group], t_s)
             return [
-                replace(raw, request_id=r.request_id, tenant=r.tenant)
+                raw._replace(request_id=r.request_id, tenant=r.tenant)
                 for r, raw in zip(group, raws)
             ]
 

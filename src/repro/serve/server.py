@@ -5,7 +5,9 @@
 timestamped requests; each consumer advances its engine's monotonic
 time cursor to the request's arrival time and serves it. A request whose
 tenant has nothing pending is served inline by :meth:`submit` through
-the consumer's own body, so an uncontended stream never queues.
+the consumer's own body, so an uncontended stream never queues. An
+inline submission yields to the event loop only on every 16th
+submission; a queued or shed one yields every time.
 Admission control has two modes:
 
 * **shedding** (default): a request arriving at a full tenant queue is
@@ -268,8 +270,10 @@ class ServeServer:
         no await, so cancellation stays atomic. Otherwise it queues. In
         shedding mode a full queue denies immediately with cause
         ``queue_full``; in backpressure mode this coroutine waits for
-        space. Either way the producer yields to the event loop once, so
-        free-running producers and consumers interleave fairly.
+        space. A queued or shed request yields to the event loop once;
+        an inline one yields on every 16th submission, so a free-running
+        producer hands the loop over at least once per 16 submissions
+        and free-running producers and consumers interleave fairly.
         """
         if self._closed:
             raise ValidationError("server already drained/aborted")
@@ -291,6 +295,11 @@ class ServeServer:
         queue = self._queue_for(request.tenant)
         if self._started and queue.empty():
             self._serve(request, time.perf_counter(), handle)
+            if self.n_submitted & 15:
+                # Served inline, so nothing of this request waits on
+                # the loop: hand it over only on every 16th submission
+                # (below), not at one event-loop turn per request.
+                return None
         elif self.config.shed_on_full and queue.full():
             shed = ServeOutcome(
                 request.source, request.destination, request.t_s, False, (), 0.0,

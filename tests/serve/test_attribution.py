@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.channels.presets import paper_hap_fso, paper_satellite_fso
+from repro.engine.linkstate import LinkStateCache
 from repro.faults import FaultSchedule, SatelliteOutage, load_faults
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
@@ -120,6 +121,58 @@ def test_flight_records_carry_the_outcome_cause(faults, day_ephemeris_108, day_s
     assert denied and len(flights) == len(denied)
     for o in denied:
         assert flights[f"{o.source}|{o.destination}|{o.t_s!r}"]["cause"] == o.cause, o
+
+
+@pytest.mark.parametrize("attribute", [True, False], ids=["attributed", "unattributed"])
+@pytest.mark.parametrize(
+    "kind, owner, verdicts",
+    [
+        ("cached", LinkStateCache, "platform_verdicts"),
+        ("direct", NetworkSimulator, "_scalar_verdicts"),
+    ],
+    ids=["cached", "direct"],
+)
+def test_recorded_denial_judges_the_platforms_once(
+    kind, owner, verdicts, attribute, monkeypatch, small_ephemeris, mixed_schedule,
+    aligned_stream,
+):
+    """A recorded denial decides its cause and its flight record's
+    candidate detail from one set of per-platform verdicts, and the
+    record is the cascade's: its candidates and counts, and the cause
+    the outcome carries (the cascade's when unattributed)."""
+    engine = build_engine(
+        kind, small_ephemeris, faults=mixed_schedule, attribute_denials=attribute
+    )
+    calls = []
+    judge = getattr(owner, verdicts)
+
+    def spy(self, *args):
+        calls.append(args)
+        return judge(self, *args)
+
+    monkeypatch.setattr(owner, verdicts, spy)
+    with events.recording() as rec:
+        outcomes = [engine.submit(request) for request in aligned_stream]
+    monkeypatch.undo()
+    denied = [o for o in outcomes if not o.served]
+    assert denied and len(calls) == len(denied)
+    flights = {
+        r["trace"]: r["attrs"]
+        for r in rec.records()
+        if r["name"] == "request" and not r["attrs"]["served"]
+    }
+    sim = engine.simulator
+    for o in denied:
+        attrs = flights[f"{o.source}|{o.destination}|{o.t_s!r}"]
+        cause, candidates, counts = sim._attribute_denial(
+            o.source, o.destination, o.t_s, events.MAX_CANDIDATES
+        )
+        expected = sim.denial_cause(o.source, o.destination, o.t_s).value
+        assert cause.value == expected
+        assert o.cause == (expected if attribute else None), o
+        assert attrs["cause"] == expected
+        assert attrs["candidates"] == candidates
+        assert attrs["candidate_counts"] == counts
 
 
 def test_hap_duty_cycle_causes_equal_the_scalar_cascade(small_ephemeris):

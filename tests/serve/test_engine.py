@@ -7,7 +7,6 @@ the phase spans a profiled stream records, and :func:`outcomes_equal`
 semantics.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -164,7 +163,7 @@ class TestOutcomesEqual:
 
     def test_nan_fidelity_is_equal(self):
         a = self._outcome(served=False, path=(), path_eta=0.0, fidelity=float("nan"))
-        b = dataclasses.replace(a)
+        b = a._replace()
         assert outcomes_equal(a, b)
 
     @pytest.mark.parametrize(

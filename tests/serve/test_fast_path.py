@@ -6,14 +6,18 @@ pin that the two paths together keep per-tenant FIFO order, the
 shedding/backpressure semantics and the accounting invariant, and that
 the inline path serves exactly what the batch path serves. A recording
 engine proxy notes which task served each request: the producer's task
-means inline, a consumer task means queued.
+means inline, a consumer task means queued. An inline submission yields
+to the event loop on every 16th submission only, so a free-running
+producer still hands the loop over at least once per 16 submissions.
 """
 
 import asyncio
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.network.workload import align_to_grid, poisson_request_stream
 from repro.serve import (
     ServeOutcome,
     ServeServer,
@@ -155,6 +159,96 @@ class TestFastPath:
         assert report.accounting_ok
         assert report.max_queue_depth <= 2
         assert recording.order == [r.request_id for r in solo_stream]
+
+
+@pytest.fixture(scope="module")
+def busy_stream(small_ephemeris, lans):
+    """~360 two-tenant requests over the 2 h fixture, snapped to the grid."""
+    stream = poisson_request_stream(
+        lans, rate_hz=0.05, duration_s=7200.0, seed=5, tenants=("tenant-0", "tenant-1")
+    )
+    return align_to_grid(stream, small_ephemeris.times_s)
+
+
+class TestEventLoopTurns:
+    @pytest.mark.asyncio
+    async def test_inline_producer_hands_the_loop_over_every_16_submissions(
+        self, engine, busy_stream
+    ):
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        recording = _Recording(engine)
+        server = ServeServer(recording)
+        server.start()
+        task = asyncio.get_running_loop().create_task(ticker())
+        await asyncio.sleep(0)
+        before = ticks
+        for request in busy_stream:
+            assert await server.submit(request) is None
+        turns = ticks - before
+        task.cancel()
+        n = len(busy_stream)
+        assert n >= 256
+        assert recording.n_inline(asyncio.current_task()) == n
+        # One turn per 16 submissions: the fairness floor, and no more
+        # (an inline request does not pay one loop turn of its own).
+        assert turns == n // 16
+        await server.drain()
+        assert server.report().accounting_ok
+
+    @pytest.mark.asyncio
+    async def test_free_running_producers_interleave(self, engine, busy_stream):
+        by_tenant = {
+            tenant: [r for r in busy_stream if r.tenant == tenant]
+            for tenant in ("tenant-0", "tenant-1")
+        }
+        n = min(len(requests) for requests in by_tenant.values())
+        assert n >= 64
+        done = dict.fromkeys(by_tenant, 0)
+        gaps: list[int] = []
+        server = ServeServer(engine)
+        server.start()
+
+        async def produce(tenant):
+            for request in by_tenant[tenant][:n]:
+                await server.submit(request)
+                done[tenant] += 1
+                gaps.append(abs(done["tenant-0"] - done["tenant-1"]))
+
+        await asyncio.gather(produce("tenant-0"), produce("tenant-1"))
+        await server.drain()
+        report = server.report()
+        assert report.accounting_ok and report.max_queue_depth == 0
+        assert done == dict.fromkeys(by_tenant, n)
+        # Each producer stays within 16 submissions of the other.
+        assert max(gaps) <= 16
+        assert len(gaps) == 2 * n
+
+
+class TestOutcomeRecord:
+    def test_fields_are_read_only(self):
+        outcome = ServeOutcome("ttu-0", "epb-3", 60.0, False, (), 0.0, float("nan"))
+        with pytest.raises(AttributeError):
+            outcome.served = True
+        with pytest.raises(AttributeError):
+            outcome.request_id = 3
+
+    def test_hashable_picklable_and_replaceable(self):
+        outcome = ServeOutcome(
+            "ttu-0", "epb-3", 60.0, True, ("ttu-0", "sat-004", "epb-3"), 1e-3, 0.95
+        )
+        assert (outcome.cause, outcome.n_paths, outcome.purified) == (None, 1, False)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+        assert hash(outcome._replace()) == hash(outcome)
+        stamped = outcome._replace(request_id=7, tenant="t")
+        assert (stamped.request_id, stamped.tenant) == (7, "t")
+        assert outcome.request_id is None
 
 
 class TestReportRepr:

@@ -95,16 +95,15 @@ def test_streaming_equals_batch_on_random_streams(
     stream = make_stream(lans, small_ephemeris.times_s, seed, rate, n_tenants)
     if not stream:
         return
+    batched = {}
     for engine in (cached_engine, direct_engine):
         streamed = run_stream(engine, stream)
-        batched = engine.serve_batch(stream)
-        assert len(streamed) == len(batched) == len(stream)
-        for a, b in zip(streamed, batched):
+        batched[engine.name] = engine.serve_batch(stream)
+        assert len(streamed) == len(batched[engine.name]) == len(stream)
+        for a, b in zip(streamed, batched[engine.name]):
             assert outcomes_equal(a, b), (engine.name, a, b)
     # Production vs oracle: the serving decision itself is kind-independent.
-    cached = cached_engine.serve_batch(stream)
-    direct = direct_engine.serve_batch(stream)
-    assert [o.served for o in cached] == [o.served for o in direct]
+    assert [o.served for o in batched["cached"]] == [o.served for o in batched["direct"]]
 
 
 @settings(max_examples=8, **PROPERTY_SETTINGS)
