@@ -296,9 +296,9 @@ class ServeServer:
         if self._started and queue.empty():
             self._serve(request, time.perf_counter(), handle)
             if self.n_submitted & 15:
-                # Served inline, so nothing of this request waits on
-                # the loop: hand it over only on every 16th submission
-                # (below), not at one event-loop turn per request.
+                # Served inline: nothing of this request waits on the
+                # loop, so hand it over only on every 16th submission
+                # (below).
                 return None
         elif self.config.shed_on_full and queue.full():
             shed = ServeOutcome(
