@@ -19,7 +19,12 @@ snapshots and shortest-path routing trees
 Dijkstra over a CSR adjacency on the paper's ``1/(eta + eps)`` metric)
 are memoized per time index; each edge set's CSR adjacency is a gather
 of one :class:`~repro.routing.bellman_ford.RoutingCSR` over every
-column, built and validated at construction. Trees are keyed on the weighted
+column, built and validated at construction. A graph gathers only its
+ground-satellite columns and shares one
+:class:`~repro.routing.bellman_ford.EdgeLayer` of the columns laid out
+before them (fiber, ground-HAP, inter-satellite and platform-satellite)
+with every edge set whose such columns and etas are the same, so the
+memos hold the static fiber layer once. Trees are keyed on the weighted
 feasible-edge set (a row's usable columns and their etas, as bytes), so
 timesteps whose usable links (and etas) are identical — every timestep
 of a fiber/HAP network, and frozen periods of a satellite pass — share
@@ -52,7 +57,7 @@ from repro.network.links import LinkPolicy, QuantumChannel
 from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
 from repro.orbits.visibility import ELEVATED, OPEN, VISIBLE, geometry_gates
-from repro.routing.bellman_ford import BellmanFordResult, FlatGraph, RoutingCSR
+from repro.routing.bellman_ford import BellmanFordResult, EdgeLayer, FlatGraph, RoutingCSR
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,6 +159,9 @@ class LinkStateCache:
         self._keys: dict[int | tuple[int, float], EdgeKey] = {}
         self._trees: dict[EdgeKey, dict[str, BellmanFordResult]] = {}
         self._flat: dict[EdgeKey, FlatGraph] = {}
+        #: shared layers of the flat graphs, keyed by the shared part of
+        #: an edge key (see :meth:`_flat_graph`).
+        self._layers: dict[EdgeKey, EdgeLayer] = {}
         # Per-index alias of the edge-keyed tree memo, so the request hot
         # path resolves trees by int index without an edge-key lookup.
         self._trees_at: dict[int, dict[str, BellmanFordResult]] = {}
@@ -213,7 +221,9 @@ class LinkStateCache:
         channels are grouped by (site, ephemeris, model, altitude) — each
         group one vectorized pass over (n_sats, n_times) — and placed
         after the rest, one contiguous block per group. Graph neighbour
-        order follows column order.
+        order follows column order. The columns before the first
+        ground-satellite one (``_n_shared`` of them) make the flat
+        graphs' shared layer.
         """
         groups: dict[tuple, list[tuple[QuantumChannel, Satellite]]] = {}
         for channel in self.network.channels():
@@ -235,6 +245,7 @@ class LinkStateCache:
                 self._add_inter_satellite(channel, sat_ends[0], sat_ends[1])
             else:
                 self._add_platform_satellite(channel, sat_ends[0])
+        self._n_shared = len(self._pairs)
         for members in groups.values():
             self._add_ground_satellite_group(members)
 
@@ -486,18 +497,29 @@ class LinkStateCache:
 
     def _flat_graph(self, key: EdgeKey) -> FlatGraph:
         """:class:`FlatGraph` of a weighted edge set: the routing CSR
-        gathered at the key's columns, with the key's etas.
+        gathered at the key's ground-satellite columns, with the key's
+        etas, over the shared layer of its other columns.
 
         The columns and etas are read back from the key's bytes, so a
-        sample's row is read once, by :meth:`edge_key`. The CSR orders
-        each node's neighbours by column, so the result equals
-        ``FlatGraph(self.graph_at_index(k, eta_min))`` for any sample
-        ``k`` with this key.
+        sample's row is read once, by :meth:`edge_key`. The shared layer
+        holds the admitted columns before the first ground-satellite one
+        (:meth:`_build`) and is memoized by their column and eta bytes,
+        so every edge set with the same such columns and etas (all the
+        strict sets of a healthy QNTN day) shares one; a fade, cut or
+        duty cycle on one of them keys a layer of its own. The CSR
+        orders each node's neighbours by column, so the result routes
+        like ``FlatGraph(self.graph_at_index(k, eta_min))`` for any
+        sample ``k`` with this key.
         """
         n = len(key) // (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
         cols = np.frombuffer(key, dtype=np.intp, count=n)
         etas = np.frombuffer(key, dtype=float, offset=cols.nbytes)
-        return self._csr.graph(cols, etas)
+        m = int(np.searchsorted(cols, self._n_shared))
+        shared_key = key[: m * cols.itemsize] + key[cols.nbytes : cols.nbytes + m * etas.itemsize]
+        layer = self._layers.get(shared_key)
+        if layer is None:
+            layer = self._layers[shared_key] = self._csr.layer(cols[:m], etas[:m])
+        return self._csr.graph(cols[m:], etas[m:], layer)
 
     def flat_graph_at_index(self, k: int, eta_min: float | None = None) -> FlatGraph:
         """:class:`FlatGraph` of grid sample ``k`` (admitted at
@@ -510,10 +532,6 @@ class LinkStateCache:
         if flat is None:
             flat = self._flat[key] = self._flat_graph(key)
         return flat
-
-    def routing_tree(self, t_s: float, source: str) -> BellmanFordResult:
-        """Memoized shortest-path tree rooted at ``source`` at time ``t_s``."""
-        return self.routing_tree_at_index(self.time_index(t_s), source)
 
     def routing_tree_at_index(self, k: int, source: str) -> BellmanFordResult:
         """Memoized shortest-path tree at grid sample ``k``.
@@ -604,10 +622,6 @@ class LinkStateCache:
         return visible, elevated, healthy, usable
 
     # --- diagnostics --------------------------------------------------------
-
-    def feasible_edge_counts(self) -> np.ndarray:
-        """Number of usable links at each grid sample, shape ``(T,)``."""
-        return np.count_nonzero(self._gates & USABLE, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -35,7 +35,7 @@ from repro.routing.strategies import (
     projection_fidelity,
 )
 from repro.routing.table import RouteEntry, RoutingTable
-from repro.routing.yen import k_shortest_paths, yen_paths
+from repro.routing.yen import yen_paths
 
 __all__ = [
     "ROUTERS",
@@ -48,7 +48,6 @@ __all__ = [
     "StrategyConfig",
     "build_strategy",
     "distill_step",
-    "k_shortest_paths",
     "projection_fidelity",
     "yen_paths",
     "DEFAULT_EPSILON",

@@ -10,16 +10,20 @@ Two parts:
 * :meth:`FlatGraph.tree` — the single-source tree every router uses
   (:func:`bellman_ford` and the link-state cache): Dijkstra over a CSR
   adjacency. All edge costs are positive, so it returns Algorithm 1's
-  optimal costs; the test suite checks both agree. The tree gives each
-  path and its end-to-end eta (:meth:`BellmanFordResult.eta_to`).
+  optimal costs; the test suite checks both agree. The tree keeps each
+  node's tree edge and gives each path and its end-to-end eta
+  (:meth:`BellmanFordResult.eta_to`); its costs are derived on demand.
 
 A :class:`RoutingCSR` holds every edge a family of graphs draws from
 (the link-state cache's channels), validated once; each member graph is
-a gather of it.
+a gather of it. A member holds only the edges that change between its
+siblings and shares an :class:`EdgeLayer` of the rest (the link state's
+fiber and other non-ground-satellite columns), so memoizing thousands
+of graphs stores the static layer once per distinct state.
 
 Memoized routing state stays out of the cyclic garbage collector's
-walks: a tree's ``flat_costs``/``flat_edges`` and a graph's ``_tails``/
-``_etas`` are tuples of floats and ints. Such a tuple holds no
+walks: a tree's ``flat_edges`` and the ``tails``/``etas`` of a graph and
+its layer are tuples of floats and ints. Such a tuple holds no
 container, so the collector stops tracking it at its first pass, and
 path walks index it at list speed (a NumPy scalar read costs ~5x that,
 on every hop of every served request).
@@ -42,6 +46,7 @@ from repro.routing.table import RoutingTable
 __all__ = [
     "bellman_ford",
     "BellmanFordResult",
+    "EdgeLayer",
     "FlatGraph",
     "RoutingCSR",
     "build_routing_tables",
@@ -78,39 +83,54 @@ def _check_etas(etas: np.ndarray) -> None:
 class BellmanFordResult:
     """Single-source shortest-path tree over a :class:`FlatGraph`.
 
+    The tree keeps what path walks read, each node's tree edge; costs
+    and predecessors are derived from it on demand.
+
     Attributes:
         source: tree root.
-        flat_costs: best cost per node index (infinity if unreachable).
-        flat_edges: index of each node's tree edge into the graph's CSR
-            arrays (-1 for the source and unreachable nodes); the edge's
-            tail is the node's predecessor.
+        flat_edges: each node's tree edge, as an edge index of the graph
+            (see :class:`FlatGraph`); -1 for the source and unreachable
+            nodes. The edge's tail is the node's predecessor.
         graph: the graph routed over (not compared).
     """
 
     source: str
-    flat_costs: tuple[float, ...]
     flat_edges: tuple[int, ...]
     graph: "FlatGraph" = field(compare=False)
 
     @property
     def costs(self) -> dict[str, float]:
-        """Best cost per destination, built on demand."""
-        return dict(zip(self.graph.nodes, self.flat_costs))
+        """Best cost per destination (infinity if unreachable), built on
+        demand: each tree path's edge costs added from the source
+        outward. These are the additions :meth:`FlatGraph.tree` made, so
+        the floats are the ones it compared, bit for bit."""
+        graph, edges = self.graph, self.flat_edges
+        tails, _, _, edge_costs = graph._edge_sequences()
+        cost = [math.inf] * len(edges)
+        cost[graph._index[self.source]] = 0.0
+        for node in range(len(edges)):
+            chain, i = [], node
+            while cost[i] == math.inf and edges[i] >= 0:
+                chain.append(i)
+                i = tails[edges[i]]
+            for i in reversed(chain):
+                cost[i] = cost[tails[edges[i]]] + edge_costs[edges[i]]
+        return dict(zip(graph.nodes, cost))
 
     @property
     def predecessors(self) -> dict[str, str | None]:
         """Previous hop per destination (None for the source and
         unreachable nodes), built on demand."""
-        nodes, tails = self.graph.nodes, self.graph._tails
+        nodes, tails = self.graph.nodes, self.graph._edge_sequences()[0]
         return {
             nodes[i]: (nodes[tails[e]] if e >= 0 else None)
             for i, e in enumerate(self.flat_edges)
         }
 
     def reachable(self, destination: str) -> bool:
-        """Whether the tree holds a finite-cost route to ``destination``."""
+        """Whether the tree holds a route to ``destination``."""
         i = self.graph._index.get(destination)
-        return i is not None and self.flat_costs[i] < math.inf
+        return i is not None and (self.flat_edges[i] >= 0 or destination == self.source)
 
     def path_to(self, destination: str) -> list[str]:
         """Node sequence from the source to ``destination``.
@@ -118,15 +138,16 @@ class BellmanFordResult:
         Raises:
             NoPathError: if the destination is unreachable.
         """
-        graph = self.graph
+        graph, edges = self.graph, self.flat_edges
         i = graph._index.get(destination)
-        if i is None or self.flat_costs[i] == math.inf:
+        if i is None or (edges[i] < 0 and destination != self.source):
             raise NoPathError(self.source, destination)
-        edges, tails, nodes = self.flat_edges, graph._tails, graph.nodes
+        n_shared, shared_tails = graph._n_shared, graph._shared.tails
+        tails, nodes = graph._tails, graph.nodes
         path = [nodes[i]]
         e = edges[i]
         while e >= 0:
-            i = tails[e]
+            i = shared_tails[e] if e < n_shared else tails[e - n_shared]
             path.append(nodes[i])
             e = edges[i]
         path.reverse()
@@ -141,46 +162,123 @@ class BellmanFordResult:
         Raises:
             NoPathError: if the destination is unreachable.
         """
-        graph = self.graph
+        graph, edges = self.graph, self.flat_edges
         i = graph._index.get(destination)
-        if i is None or self.flat_costs[i] == math.inf:
+        if i is None or (edges[i] < 0 and destination != self.source):
             raise NoPathError(self.source, destination)
-        edges, tails, etas = self.flat_edges, graph._tails, graph._etas
+        n_shared, shared = graph._n_shared, graph._shared
+        shared_tails, shared_etas = shared.tails, shared.etas
+        tails, etas = graph._tails, graph._etas
         hops = []
         e = edges[i]
         while e >= 0:
-            hops.append(etas[e])
-            e = edges[tails[e]]
+            if e < n_shared:
+                hops.append(shared_etas[e])
+                e = edges[shared_tails[e]]
+            else:
+                e -= n_shared
+                hops.append(etas[e])
+                e = edges[tails[e]]
         product = 1.0
         for eta in reversed(hops):
             product *= eta
         return product
 
 
+def _sequences(
+    offsets: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    etas: np.ndarray,
+    epsilon: float,
+) -> tuple[list[int], tuple[int, ...], list[int], tuple[float, ...], list[float]]:
+    """CSR sequences of checked edge arrays: ``(offsets, tails, heads,
+    etas, costs)``, costs :func:`edge_cost` vectorized (the same floats
+    as the dict constructor's). The sequences Dijkstra reads per edge are
+    lists; ``tails`` and ``etas``, read only by path walks, are tuples
+    the collector untracks (see the module notes)."""
+    return (
+        offsets.tolist(),
+        tuple(tails.tolist()),
+        heads.tolist(),
+        tuple(etas.tolist()),
+        (1.0 / (etas + epsilon)).tolist(),
+    )
+
+
+class EdgeLayer:
+    """Directed edges over a node list, in CSR form: node ``u``'s edges
+    are positions ``offsets[u]:offsets[u + 1]`` of ``tails`` (``u``),
+    ``heads``, ``etas`` and ``costs`` (``1/(eta + eps)``).
+
+    The layer a :class:`FlatGraph` shares with others: the link state's
+    graphs share the edges of their columns before the first
+    ground-satellite column (:meth:`RoutingCSR.layer`). Built once and
+    read by every tree, it also holds ``adjacency``: per node, a tuple
+    of ``(head, cost, edge index)`` per edge, in CSR order, which
+    Dijkstra iterates instead of indexing three lists per edge.
+    """
+
+    __slots__ = ("offsets", "tails", "heads", "etas", "costs", "adjacency")
+
+    def __init__(
+        self,
+        offsets: list[int],
+        tails: tuple[int, ...],
+        heads: list[int],
+        etas: tuple[float, ...],
+        costs: list[float],
+    ) -> None:
+        self.offsets, self.tails, self.heads = offsets, tails, heads
+        self.etas, self.costs = etas, costs
+        self.adjacency = tuple(
+            tuple((heads[e], costs[e], e) for e in range(offsets[u], offsets[u + 1]))
+            for u in range(len(offsets) - 1)
+        )
+
+    @classmethod
+    def empty(cls, n_nodes: int) -> "EdgeLayer":
+        """The layer of no edges over ``n_nodes`` nodes."""
+        return cls([0] * (n_nodes + 1), (), [], (), [])
+
+
 class FlatGraph:
     """CSR rendering of a :data:`LinkGraph` for repeated trees.
 
-    Nodes become integer indices; node ``u``'s out-edges are positions
-    ``_offsets[u]:_offsets[u + 1]`` of the edge sequences ``_tails``
-    (``u``), ``_heads``, ``_etas`` and ``_costs`` (``1/(eta + eps)``),
-    in the dict's neighbour order. :meth:`tree` and Yen's spur searches
-    (:mod:`repro.routing.yen`) route over it. The sequences Dijkstra
-    reads per edge (``_offsets``, ``_heads``, ``_costs``) are lists;
-    ``_tails`` and ``_etas``, read only by path walks, are tuples the
-    collector untracks (see the module notes).
+    Nodes become integer indices. A graph's directed edges are a shared
+    :class:`EdgeLayer` (``_shared``) and the graph's own edges, held in
+    the same five sequences on the graph (``_offsets``, ``_tails``,
+    ``_heads``, ``_etas``, ``_costs``). Node ``u``'s neighbours are its
+    shared edges, then its own, and together they are in the dict's
+    neighbour order. An edge index ``e`` names shared edge ``e`` below
+    ``_n_shared`` and own edge ``e - _n_shared`` from there on.
+    :meth:`tree` and Yen's spur searches (:mod:`repro.routing.yen`)
+    route over both ranges of each node.
 
     Three constructors: the dict graph (one :func:`edge_cost` per
     directed edge); :meth:`from_arrays`, for an edge list held in
     arrays, validated per call; and :meth:`RoutingCSR.graph`, which
-    gathers a subset of a once-validated edge list and shares its node
-    list and name index.
+    gathers a subset of a once-validated edge list over a shared layer
+    and shares its node list and name index. The first two hold every
+    edge as their own, over an empty shared layer.
     """
 
-    __slots__ = ("nodes", "_index", "_offsets", "_tails", "_heads", "_etas", "_costs")
+    __slots__ = (
+        "nodes",
+        "_index",
+        "_shared",
+        "_n_shared",
+        "_offsets",
+        "_tails",
+        "_heads",
+        "_etas",
+        "_costs",
+    )
 
     def __init__(self, graph: LinkGraph, epsilon: float = DEFAULT_EPSILON) -> None:
         self.nodes = list(graph)
         self._index = index = {name: i for i, name in enumerate(self.nodes)}
+        self._shared, self._n_shared = EdgeLayer.empty(len(self.nodes)), 0
         self._offsets = [0]
         tails, self._heads, etas, self._costs = [], [], [], []
         for u, neighbors in enumerate(graph.values()):
@@ -197,21 +295,16 @@ class FlatGraph:
         cls,
         nodes: list[str],
         index: dict[str, int],
-        offsets: np.ndarray,
-        tails: np.ndarray,
-        heads: np.ndarray,
-        etas: np.ndarray,
-        epsilon: float,
+        sequences: tuple,
+        shared: EdgeLayer | None = None,
     ) -> "FlatGraph":
-        """A graph over checked arrays: costs are :func:`edge_cost`
-        vectorized, the same floats as the dict constructor's."""
+        """A graph of own edge ``sequences`` (see :func:`_sequences`) over
+        ``shared`` (default: no shared edges)."""
         flat = cls.__new__(cls)
         flat.nodes, flat._index = nodes, index
-        flat._offsets = offsets.tolist()
-        flat._tails = tuple(tails.tolist())
-        flat._heads = heads.tolist()
-        flat._etas = tuple(etas.tolist())
-        flat._costs = (1.0 / (etas + epsilon)).tolist()
+        flat._offsets, flat._tails, flat._heads, flat._etas, flat._costs = sequences
+        flat._shared = EdgeLayer.empty(len(nodes)) if shared is None else shared
+        flat._n_shared = len(flat._shared.heads)
         return flat
 
     @classmethod
@@ -249,25 +342,36 @@ class FlatGraph:
             )
         _check_edges(len(nodes), tails, heads, epsilon)
         _check_etas(etas)
+        offsets = np.searchsorted(tails, np.arange(len(nodes) + 1))
         return cls._assemble(
             nodes,
             {name: i for i, name in enumerate(nodes)},
-            np.searchsorted(tails, np.arange(len(nodes) + 1)),
-            tails,
-            heads,
-            etas,
-            epsilon,
+            _sequences(offsets, tails, heads, etas, epsilon),
         )
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
 
+    def _edge_sequences(
+        self,
+    ) -> tuple[tuple[int, ...], list[int], tuple[float, ...], list[float]]:
+        """``(tails, heads, etas, costs)`` indexed by edge index: the
+        shared layer's sequences followed by the graph's own."""
+        shared = self._shared
+        return (
+            shared.tails + self._tails,
+            shared.heads + self._heads,
+            shared.etas + self._etas,
+            shared.costs + self._costs,
+        )
+
     def tree(self, source: str) -> BellmanFordResult:
         """Shortest-path tree rooted at ``source``, by Dijkstra.
 
-        Heap entries are ``(cost, node index)``, and a node takes a new
-        tree edge only on a strictly lower cost, so among equal-cost
-        routes the first-popped predecessor wins.
+        Heap entries are ``(cost, node index)``, a popped node relaxes
+        its shared edges and then its own, and a node takes a new tree
+        edge only on a strictly lower cost, so among equal-cost routes
+        the first-popped predecessor wins.
 
         Raises:
             RoutingError: if ``source`` is not a node of the graph.
@@ -280,6 +384,7 @@ class FlatGraph:
         pred = [-1] * n
         settled = [False] * n
         cost[src] = 0.0
+        shared, n_shared = self._shared.adjacency, self._n_shared
         offsets, heads, costs = self._offsets, self._heads, self._costs
         heap = [(0.0, src)]
         pop, push = heapq.heappop, heapq.heappush
@@ -288,19 +393,26 @@ class FlatGraph:
             if settled[u]:
                 continue
             settled[u] = True
+            for v, cost_e, e in shared[u]:
+                candidate = cost_u + cost_e
+                if candidate < cost[v]:
+                    cost[v] = candidate
+                    pred[v] = e
+                    push(heap, (candidate, v))
             for e in range(offsets[u], offsets[u + 1]):
                 v = heads[e]
                 candidate = cost_u + costs[e]
                 if candidate < cost[v]:
                     cost[v] = candidate
-                    pred[v] = e
+                    pred[v] = n_shared + e
                     push(heap, (candidate, v))
-        return BellmanFordResult(source, tuple(cost), tuple(pred), self)
+        return BellmanFordResult(source, tuple(pred), self)
 
 
 class RoutingCSR:
     """Every edge a family of graphs draws from, as one CSR validated
-    once; each member graph is a gather of it (:meth:`graph`).
+    once; each member graph is a gather of it (:meth:`graph`), over a
+    shared layer that is a gather too (:meth:`layer`).
 
     Edge ``c`` joins ``pairs[c]`` both ways. The directed edges are
     sorted by (tail node, ``c``), so a member's neighbour order is the
@@ -344,27 +456,38 @@ class RoutingCSR:
         #: CSR position of edge c's a -> b (row 0) and b -> a (row 1).
         self._position = position.reshape(2, -1)
 
-    def graph(self, edges: np.ndarray, etas: np.ndarray) -> FlatGraph:
-        """The member graph holding ``edges`` (distinct edge indices)
-        with transmissivities ``etas``, taken from the validated array.
-
-        Gathers each edge's two CSR positions, sorts them (the static
-        order) and bisects the static node offsets for the member's;
-        equal to :meth:`FlatGraph.from_arrays` on the same directed
-        edges, without re-validating them.
-        """
+    def _gather(self, edges: np.ndarray, etas: np.ndarray) -> tuple:
+        """CSR sequences (:func:`_sequences`) of ``edges`` (distinct edge
+        indices) with transmissivities ``etas``, taken from the validated
+        array: each edge's two CSR positions, sorted (the static order),
+        and the static node offsets bisected for the member's."""
         position = self._position[:, edges].ravel()
         order = position.argsort()
         position = position[order]
-        return FlatGraph._assemble(
-            self.nodes,
-            self._index,
+        return _sequences(
             np.searchsorted(position, self._offsets),
             self._tails[position],
             self._heads[position],
             np.concatenate((etas, etas))[order],
             self.epsilon,
         )
+
+    def layer(self, edges: np.ndarray, etas: np.ndarray) -> EdgeLayer:
+        """The :class:`EdgeLayer` of ``edges`` with transmissivities
+        ``etas``, for :meth:`graph`'s ``shared``."""
+        return EdgeLayer(*self._gather(edges, etas))
+
+    def graph(self, edges: np.ndarray, etas: np.ndarray, shared: EdgeLayer) -> FlatGraph:
+        """The member graph holding ``edges`` with transmissivities
+        ``etas`` as its own, over ``shared`` (a :meth:`layer`).
+
+        Every edge of ``shared`` must precede every edge in ``edges``
+        (lower edge indices), so that each node's shared-then-own
+        neighbours keep the static order. The result then routes like
+        :meth:`FlatGraph.from_arrays` on the union's directed edges,
+        without re-validating them.
+        """
+        return FlatGraph._assemble(self.nodes, self._index, self._gather(edges, etas), shared)
 
 
 def bellman_ford(

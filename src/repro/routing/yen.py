@@ -11,8 +11,9 @@ path with the deviating edges masked out.
 The spur solver is Dijkstra over the CSR arrays of a
 :class:`~repro.routing.bellman_ford.FlatGraph`, the strict tree's
 graph type (the link-state cache memoizes the relaxed one per edge
-set); banned prefix nodes start out settled, and deviating edges are
-skipped at the spur node. It follows the textbook Dijkstra kept as a
+set): each popped node's shared-layer edges, then its own, as the tree
+reads them. Banned prefix nodes start out settled, and deviating edges
+are skipped at the spur node. It follows the textbook Dijkstra kept as a
 test oracle (``tests/routing/dijkstra.py``) step for step — neighbour
 order, strict-``<`` relaxations, heap ties by node name (where the
 strict tree ties by node index) — and stops when the
@@ -26,18 +27,18 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator, Sequence, Set
-from itertools import islice
 
 from repro.errors import RoutingError
 from repro.network.topology import LinkGraph
 from repro.routing.bellman_ford import FlatGraph
 from repro.routing.metrics import DEFAULT_EPSILON
 
-__all__ = ["k_shortest_paths", "yen_paths", "yen_routes"]
+__all__ = ["yen_paths", "yen_routes"]
 
 
 def _spur_edges(
     flat: FlatGraph,
+    tails: Sequence[int],
     source: int,
     destination: int,
     banned_nodes: Sequence[int] = (),
@@ -46,9 +47,10 @@ def _spur_edges(
     """Dijkstra ``source -> destination`` over ``flat`` avoiding
     ``banned_nodes`` and the edges ``source -> v`` for ``v`` in
     ``banned_next`` (node indices); the path's edge indices in order, or
-    ``None`` when the destination is unreachable."""
-    offsets, heads, costs, tails = flat._offsets, flat._heads, flat._costs, flat._tails
-    nodes = flat.nodes
+    ``None`` when the destination is unreachable. ``tails`` is the
+    graph's tail per edge index."""
+    shared, n_shared = flat._shared.adjacency, flat._n_shared
+    offsets, heads, costs, nodes = flat._offsets, flat._heads, flat._costs, flat.nodes
     settled = bytearray(len(nodes))
     for i in banned_nodes:
         settled[i] = 1
@@ -70,6 +72,14 @@ def _spur_edges(
             edges.reverse()
             return edges
         settled[u] = 1
+        for v, cost_e, e in shared[u]:
+            if settled[v] or (u == source and v in banned_next):
+                continue
+            candidate = cost_u + cost_e
+            if candidate < best[v]:
+                best[v] = candidate
+                pred[v] = e
+                push(heap, (candidate, nodes[v], v))
         for e in range(offsets[u], offsets[u + 1]):
             v = heads[e]
             if settled[v] or (u == source and v in banned_next):
@@ -77,7 +87,7 @@ def _spur_edges(
             candidate = cost_u + costs[e]
             if candidate < best[v]:
                 best[v] = candidate
-                pred[v] = e
+                pred[v] = n_shared + e
                 push(heap, (candidate, nodes[v], v))
     return None
 
@@ -98,7 +108,8 @@ def yen_routes(
     for end, name in ((source, "source"), (destination, "destination")):
         if end not in flat:
             raise RoutingError(f"{name} {end!r} is not in the graph")
-    nodes, costs, heads, etas = flat.nodes, flat._costs, flat._heads, flat._etas
+    nodes = flat.nodes
+    tails, heads, etas, costs = flat._edge_sequences()
     src, dst = flat._index[source], flat._index[destination]
     # Min-heap of (cost, path names, node indices, edge indices); the
     # name tuple both deduplicates and breaks cost ties deterministically
@@ -112,7 +123,7 @@ def yen_routes(
             seen.add(names)
             heapq.heappush(frontier, (sum(map(costs.__getitem__, edges)), names, path, edges))
 
-    first = _spur_edges(flat, src, dst)
+    first = _spur_edges(flat, tails, src, dst)
     if first is not None:
         offer([src] + [heads[e] for e in first], first)
     accepted: list[list[int]] = []
@@ -123,7 +134,7 @@ def yen_routes(
         for i in range(len(prev) - 1):
             root = prev[: i + 1]
             banned_next = {p[i + 1] for p in accepted if len(p) > i + 1 and p[: i + 1] == root}
-            spur = _spur_edges(flat, prev[i], dst, root[:-1], banned_next)
+            spur = _spur_edges(flat, tails, prev[i], dst, root[:-1], banned_next)
             if spur is not None:
                 offer(root + [heads[e] for e in spur], prev_edges[:i] + spur)
 
@@ -143,23 +154,3 @@ def yen_paths(
     """
     for path, cost, _ in yen_routes(FlatGraph(graph, epsilon), source, destination):
         yield path, cost
-
-
-def k_shortest_paths(
-    graph: LinkGraph,
-    source: str,
-    destination: str,
-    k: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> list[tuple[list[str], float]]:
-    """The best ``k`` simple paths as ``(path, cost)``, cost-ordered.
-
-    Fewer than ``k`` entries are returned when the graph holds fewer
-    simple paths; an empty list means the endpoints are disconnected.
-
-    Raises:
-        RoutingError: if ``k < 1`` or an endpoint is missing.
-    """
-    if k < 1:
-        raise RoutingError(f"k must be >= 1, got {k}")
-    return list(islice(yen_paths(graph, source, destination, epsilon), k))

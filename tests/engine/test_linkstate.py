@@ -10,6 +10,7 @@ import pytest
 
 from repro.channels.presets import paper_hap_fso, paper_isl_fso, paper_satellite_fso
 from repro.engine import LinkStateCache
+from repro.engine.linkstate import USABLE
 from repro.errors import ValidationError
 from repro.network.hap import HAP
 from repro.network.simulator import NetworkSimulator
@@ -175,12 +176,20 @@ class TestAdvanceIndex:
             assert cache.advance_index(float(t)) == cache.time_index(float(t))
 
 
+def usable_counts(cache):
+    """Number of usable links at each grid sample, shape ``(T,)``."""
+    return np.count_nonzero(cache._gates & USABLE, axis=1)
+
+
 class TestRoutingMemoization:
     def test_static_network_reuses_one_table(self):
         network = build_qntn_ground_network()
         attach_hap(network, HAP(), paper_hap_fso())
         cache = LinkStateCache(network, times_s=np.array([0.0, 100.0, 5000.0]))
-        trees = [cache.routing_tree(t, "ttu-0") for t in (0.0, 100.0, 5000.0)]
+        trees = [
+            cache.routing_tree_at_index(cache.time_index(t), "ttu-0")
+            for t in (0.0, 100.0, 5000.0)
+        ]
         assert trees[0] is trees[1] is trees[2]
         assert cache.n_tree_builds == 1
         assert cache.n_tree_hits == 2
@@ -188,7 +197,7 @@ class TestRoutingMemoization:
     def test_distinct_edge_sets_get_distinct_tables(self, sat_cache, small_ephemeris):
         # Pick two grid samples with different usable-edge counts — their
         # edge keys must differ and each gets its own relaxation.
-        counts = sat_cache.feasible_edge_counts()
+        counts = usable_counts(sat_cache)
         k0, k1 = 0, int(np.argmax(counts != counts[0]))
         assert counts[k0] != counts[k1], "fixture should vary over 2 h"
         assert sat_cache.edge_key(k0) != sat_cache.edge_key(k1)
@@ -197,7 +206,7 @@ class TestRoutingMemoization:
         direct = NetworkSimulator(sat_network)
         t = 0.0
         outcome = direct.serve_request("ttu-0", "ttu-1", t)
-        tree = sat_cache.routing_tree(t, "ttu-0")
+        tree = sat_cache.routing_tree_at_index(sat_cache.time_index(t), "ttu-0")
         assert tuple(tree.path_to("ttu-1")) == outcome.path
 
     def test_edge_key_is_weighted(self, sat_cache):
@@ -238,6 +247,8 @@ class TestSimulatorIntegration:
         assert simulator.linkstate is not first
 
     def test_feasible_edge_counts_shape(self, sat_cache):
-        counts = sat_cache.feasible_edge_counts()
+        counts = usable_counts(sat_cache)
         assert counts.shape == (sat_cache.n_times,)
-        assert counts.min() >= 0
+        for k in range(sat_cache.n_times):
+            graph = sat_cache.graph_at_index(k)
+            assert 2 * counts[k] == sum(len(nbrs) for nbrs in graph.values()), k

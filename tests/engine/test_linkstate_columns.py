@@ -12,7 +12,8 @@ and on a hybrid network whose HAP flies a duty cycle, healthy and under
 the committed example fault schedule.
 
 Each edge set's flat graph is a gather of the one routing CSR the cache
-builds at construction; the memo layout tests pin what it shares and
+builds at construction, over a shared layer of the columns before the
+first ground-satellite one; the memo layout tests pin what it shares and
 that its memos stay out of the cyclic garbage collector.
 """
 
@@ -131,39 +132,57 @@ def test_graph_equals_the_per_channel_loop(cache):
             assert list(graph[node]) == list(neighbors), (k, node)
 
 
-EDGE_ARRAYS = ("_offsets", "_tails", "_heads", "_etas", "_costs")
+def neighbour_rows(flat):
+    """Each node's neighbours as ``(tail, head, cost, eta)``: its shared
+    layer's edges, then its own — the order Dijkstra relaxes them in."""
+    shared = flat._shared
+    rows = []
+    for u in range(len(flat.nodes)):
+        row = [
+            (shared.tails[e], shared.heads[e], shared.costs[e], shared.etas[e])
+            for e in range(shared.offsets[u], shared.offsets[u + 1])
+        ]
+        row += [
+            (flat._tails[e], flat._heads[e], flat._costs[e], flat._etas[e])
+            for e in range(flat._offsets[u], flat._offsets[u + 1])
+        ]
+        rows.append(row)
+    return rows
 
 
 def test_array_built_flat_graph_equals_dict_built(cache):
     """The gathered graph of a row, strict and relaxed at the k-shortest
-    rescue's threshold, is the dict-built one: every edge array, floats
-    bit for bit."""
+    rescue's threshold, is the dict-built one: each node's shared-then-own
+    neighbours are the dict graph's neighbours in order, floats bit for
+    bit. The dict-built graph holds every edge as its own."""
     for eta_min in (None, StrategyConfig().eta_relax):
         for k in sampled(cache):
             flat = cache.flat_graph_at_index(k, eta_min)
             reference = FlatGraph(cache.graph_at_index(k, eta_min), cache.epsilon)
+            assert reference._n_shared == 0
             assert flat.nodes == reference.nodes
-            for name in EDGE_ARRAYS:
-                assert getattr(flat, name) == getattr(reference, name), (eta_min, k, name)
+            assert neighbour_rows(flat) == neighbour_rows(reference), (eta_min, k)
 
 
 def test_memos_stay_out_of_the_cyclic_gc(cache):
-    """A tree's per-node values and a graph's per-edge values that path
-    walks read are tuples of atomic values, which the collector untracks
-    at its first pass; the node list and the name index are the routing
-    CSR's, shared by every graph."""
+    """A tree's tree edges and the edge values that path walks read (a
+    graph's own tails and etas and its shared layer's) are tuples of
+    atomic values, which the collector untracks at its first pass; the
+    node list and the name index are the routing CSR's, and the shared
+    layer is one of the cache's memoized layers."""
     ks = sampled(cache)[:PAIR_WINDOW]
     trees = [cache.routing_tree_at_index(k, "ttu-0") for k in ks]
     graphs = [cache.flat_graph_at_index(k, StrategyConfig().eta_relax) for k in ks]
     gc.collect()
     for tree in trees:
-        assert not gc.is_tracked(tree.flat_costs)
         assert not gc.is_tracked(tree.flat_edges)
+    layers = [id(layer) for layer in cache._layers.values()]
     for graph in graphs + [tree.graph for tree in trees]:
-        assert not gc.is_tracked(graph._tails)
-        assert not gc.is_tracked(graph._etas)
+        for values in (graph._tails, graph._etas, graph._shared.tails, graph._shared.etas):
+            assert not gc.is_tracked(values)
         assert graph.nodes is cache._csr.nodes
         assert graph._index is cache._csr._index
+        assert id(graph._shared) in layers
 
 
 class _Corrupted(LinkStateCache):
@@ -214,7 +233,7 @@ def test_faults_change_the_columns(network):
     """Non-vacuous: the committed schedule suppresses links somewhere."""
     healthy = LinkStateCache(network)
     faulted = LinkStateCache(network, faults=example_plane())
-    assert faulted.feasible_edge_counts().sum() < healthy.feasible_edge_counts().sum()
+    assert np.count_nonzero(faulted._gates & USABLE) < np.count_nonzero(healthy._gates & USABLE)
 
 
 def test_duty_masked_static_columns_repeat_keys():

@@ -1,4 +1,5 @@
-"""The networkx test oracle for routing, plus connectivity diagnostics.
+"""The networkx test oracle for routing, plus connectivity diagnostics
+and the first ``k`` of Yen's paths.
 
 Converts the simulator's link graphs into :mod:`networkx` graphs so that
 (a) the in-house Bellman–Ford/Dijkstra implementations can be
@@ -11,14 +12,17 @@ extra); nothing under ``src/`` imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import networkx as nx
 
 from repro.errors import NoPathError, RoutingError
 from repro.network.topology import LinkGraph
 from repro.routing.metrics import DEFAULT_EPSILON, edge_cost
+from repro.routing.yen import yen_paths
 
 __all__ = [
+    "k_shortest_paths",
     "to_networkx",
     "networkx_path_cost",
     "ConnectivityReport",
@@ -110,3 +114,11 @@ def connectivity_report(
         n_articulation_points=sum(1 for _ in nx.articulation_points(g)),
         lans_connected=lans_ok,
     )
+
+
+def k_shortest_paths(
+    graph: LinkGraph, source: str, destination: str, k: int
+) -> list[tuple[list[str], float]]:
+    """The best ``k`` simple paths as ``(path, cost)``: the first ``k``
+    that :func:`~repro.routing.yen.yen_paths` yields."""
+    return list(islice(yen_paths(graph, source, destination), k))

